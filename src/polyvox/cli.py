@@ -13,16 +13,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .audio import Waveform, load_wav, mel_spectrogram, resample, save_wav, PIPELINE_SAMPLE_RATE
-from .config import ConfigError, RunConfig, load_config, persist_config
+from .config import ConfigError, load_config, persist_config
 from .converter import ConverterModel, SwaySchedule, convert, train_converter
 from .cqt import compute_cqt, crop_to_vocal_range, interior_frames, save_cqt, save_cqt_csv, transpose_pitch
-from .errors import ContractError
 from .evaluate import emit_report, evaluate_conversion, write_pgm
 from .midi import load_smf
-from .pitch import prepare_clip, train_pitch_extractor
+from .pitch import train_pitch_extractor
 from .synthgen import gen_dataset, load_manifest
 
 
@@ -46,6 +43,12 @@ def _require(path: Path, what: str) -> Path:
     if not Path(path).exists():
         raise ConfigError(f"{what} not found at {path}")
     return Path(path)
+
+
+def _load_pipeline_wav(path) -> Waveform:
+    """Load a WAV at the pipeline rate, resampling it once if needed."""
+    w = load_wav(path)
+    return w if w.sample_rate == PIPELINE_SAMPLE_RATE else resample(w, PIPELINE_SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +120,8 @@ def _mean_profile_argmax(w: Waveform) -> int:
 
 def cmd_convert(args) -> dict:
     model = ConverterModel.load(_require(args.ckpt, "checkpoint"))
-    src = load_wav(_require(args.src, "source audio"))
-    ref = load_wav(_require(args.ref, "reference audio"))
+    src = _load_pipeline_wav(_require(args.src, "source audio"))
+    ref = _load_pipeline_wav(_require(args.ref, "reference audio"))
     sched = SwaySchedule(
         s=model.cfg.sway_s if args.sway is None else args.sway,
         nfe=model.cfg.nfe if args.nfe is None else args.nfe,
@@ -144,8 +147,7 @@ def cmd_convert(args) -> dict:
                               hop=441, sample_rate=PIPELINE_SAMPLE_RATE, bins_per_octave=0)
         summary["mel_out"] = str(args.mel_out)
     if args.transpose:
-        src44 = src if src.sample_rate == PIPELINE_SAMPLE_RATE else resample(src, PIPELINE_SAMPLE_RATE)
-        shift = _mean_profile_argmax(wave) - _mean_profile_argmax(src44)
+        shift = _mean_profile_argmax(wave) - _mean_profile_argmax(src)
         summary["measured_shift_bins"] = shift
     return summary
 
@@ -165,17 +167,15 @@ def cmd_evaluate(args) -> dict:
 
     report_rows = []
     for row in eval_rows:
-        src = load_wav(root / row["path"])
+        src = _load_pipeline_wav(root / row["path"])
         ref_row = next((r for r in train_rows if r["preset"] != row["preset"]), train_rows[0])
-        ref = load_wav(root / ref_row["path"])
+        ref = _load_pipeline_wav(root / ref_row["path"])
         truth = load_smf((root / row["path"]).with_suffix(".mid"))
         wave, mel_out = convert(src, ref, model,
                                 SwaySchedule(model.cfg.sway_s, model.cfg.nfe),
                                 seed=cfg.seed)
-        target_mel = mel_spectrogram(src if src.sample_rate == PIPELINE_SAMPLE_RATE
-                                     else resample(src, PIPELINE_SAMPLE_RATE))
         scored = evaluate_conversion(wave, truth, ref, cfg.eval, model.timbre,
-                                     target_mel=target_mel, output_mel=mel_out)
+                                     target_mel=mel_spectrogram(src), output_mel=mel_out)
         scored["id"] = row["id"]
         scored["condition"] = row["condition"]
         scored["ref"] = ref_row["id"]
@@ -201,10 +201,7 @@ def cmd_evaluate(args) -> dict:
 
 
 def cmd_cqt(args) -> dict:
-    w = load_wav(_require(args.infile, "input audio"))
-    if w.sample_rate != PIPELINE_SAMPLE_RATE:
-        w = resample(w, PIPELINE_SAMPLE_RATE)
-    mat = compute_cqt(w)
+    mat = compute_cqt(_load_pipeline_wav(_require(args.infile, "input audio")))
     if args.transpose:
         mat = transpose_pitch(mat, args.transpose)
     if args.crop:

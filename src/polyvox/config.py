@@ -54,7 +54,7 @@ def _build_section(cls, data: dict, section: str, **extra):
         if key not in known:
             raise ConfigError(f"field '{section}.{key}': unknown key (known: {sorted(known)})")
     merged = {**data, **extra}
-    for key in ("dur_range", "note_dur_range", "lead_range", "mask_span"):
+    for key in ("dur_range", "note_dur_range", "lead_range"):
         if key in merged and isinstance(merged[key], list):
             merged[key] = tuple(merged[key])
     try:

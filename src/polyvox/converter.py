@@ -10,42 +10,30 @@ frozen CQT encoder and is never updated here.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .audio import (MEL_CONFIG, PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform,
-                    griffin_lim, load_wav, mel_spectrogram, resample)
+from .audio import (PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, griffin_lim, load_wav,
+                    mel_spectrogram, resample)
 from .cqt import compute_cqt, crop_to_vocal_range, transpose_pitch
 from .errors import ContractError
-from .features import (TIMBRE_DIM, TimbreSpace, extract_content, timbre_shift_augment,
-                       timbre_stats, train_timbre_space)
+from .features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content,
+                       timbre_shift_augment, timbre_stats, train_timbre_space)
 from .midi import ROLL_FRAME_RATE
 from .nn import (LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
                  sinusoidal_positions, timestep_embedding)
-from .optim import AdamW, AdamWConfig, load_checkpoint, save_checkpoint
+from .optim import _fit, load_checkpoint, save_checkpoint
 from .pitch import PitchExtractor, log_compress
 from .synthgen import load_manifest
 from .tensor import Tensor
-
-N_CONTENT = 20
 
 
 # ---------------------------------------------------------------------------
 # Flow path and sway schedule
 # ---------------------------------------------------------------------------
-
-
-def interpolate_path(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
-    """Linear transport path (1-t) * x0 + t * x1."""
-    if np.shape(x0) != np.shape(x1):
-        raise ContractError(f"path endpoints differ in shape: {np.shape(x0)} vs {np.shape(x1)}")
-    if not 0.0 <= t <= 1.0:
-        raise ContractError(f"path position t={t} outside [0, 1]")
-    return (1.0 - t) * np.asarray(x0) + t * np.asarray(x1)
 
 
 @dataclass(frozen=True)
@@ -78,41 +66,6 @@ def integrate_flow(v_fn, x0: np.ndarray, knots: np.ndarray) -> np.ndarray:
     for i in range(len(knots) - 1):
         x = x + (knots[i + 1] - knots[i]) * v_fn(x, float(knots[i]))
     return x
-
-
-# ---------------------------------------------------------------------------
-# Length regulator
-# ---------------------------------------------------------------------------
-
-
-def linear_resample(seq: np.ndarray, target_frames: int) -> np.ndarray:
-    """Linear interpolation along the time axis to target_frames rows."""
-    if target_frames < 1:
-        raise ContractError("target_frames must be >= 1")
-    n = seq.shape[0]
-    if n == target_frames:
-        return np.asarray(seq, dtype=np.float64)
-    src = np.linspace(0.0, n - 1.0, target_frames)
-    lo = np.floor(src).astype(int)
-    hi = np.minimum(lo + 1, n - 1)
-    frac = (src - lo)[:, None]
-    return seq[lo] * (1.0 - frac) + seq[hi] * frac
-
-
-class LengthRegulator:
-    """Interpolate to the mel frame grid, then a learnable identity-
-    initialized projection."""
-
-    def __init__(self, store: ParamStore, name: str, dim: int):
-        self.proj = Linear(store, name, dim, dim, identity_init=True)
-
-    def __call__(self, seq, target_frames: int) -> Tensor:
-        data = seq.data if isinstance(seq, Tensor) else np.asarray(seq, dtype=np.float64)
-        if data.ndim == 3:
-            resampled = np.stack([linear_resample(s, target_frames) for s in data])
-        else:
-            resampled = linear_resample(data, target_frames)
-        return self.proj(Tensor(resampled))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +124,8 @@ class VelocityNet:
         self.head = Linear(store, f"{name}.head", w, cfg.mel_bands, zero_init=True)
 
     def __call__(self, psi, t, cond) -> Tensor:
-        """psi: (frames, bands) or (batch, frames, bands); t: scalar flow time
-        (or one per batch item); cond: fused conditioning, frame-aligned."""
+        """psi: (..., frames, bands); t: flow time, a scalar or one per
+        leading item of psi; cond: fused conditioning, frame-aligned."""
         psi_t = psi if isinstance(psi, Tensor) else Tensor(psi)
         cond_t = cond if isinstance(cond, Tensor) else Tensor(cond)
         if psi_t.shape[:-1] != cond_t.shape[:-1]:
@@ -181,11 +134,8 @@ class VelocityNet:
         w = self.cfg.width
         x = self.input(T.concat([psi_t, cond_t], axis=-1))
         x = x + Tensor(sinusoidal_positions(x.shape[-2], w))
-        if psi_t.data.ndim == 3:
-            temb = np.stack([timestep_embedding(float(ti), w) for ti in np.atleast_1d(t)])
-            temb = temb[:, None, :]  # (batch, 1, width)
-        else:
-            temb = timestep_embedding(float(t), w)[None, :]
+        temb = np.stack([timestep_embedding(float(ti), w) for ti in np.atleast_1d(t)])
+        temb = temb.reshape(np.shape(t) + (1, w))  # (..., 1, width), broadcast over frames
         tvec = self.time2(T.gelu(self.time1(Tensor(temb))))
         for block in self.blocks:
             x = block(x, tvec)
@@ -197,19 +147,16 @@ class VelocityNet:
 
 def cfm_loss(net, x1: np.ndarray, cond, rng: np.random.Generator,
              loss_mask: np.ndarray | None = None) -> Tensor:
-    """Draw x0 ~ N(0, 1) and t ~ U(0, 1) (per batch item when x1 is
-    batched), form the linear path, and return the squared error between
-    the predicted velocity and the path velocity x1 - x0 (t-independent).
-    `loss_mask` rows weighted 1 contribute; the hidden prompt span is the
-    usual choice."""
+    """Draw x0 ~ N(0, 1) and t ~ U(0, 1) (one per (frames, bands) item of
+    x1), form the linear path (1 - t) * x0 + t * x1, and return the squared
+    error between the predicted velocity and the path velocity x1 - x0
+    (t-independent). `loss_mask` rows weighted 1 contribute; the hidden
+    prompt span is the usual choice."""
     x1 = np.asarray(x1, dtype=np.float64)
     x0 = rng.standard_normal(x1.shape)
-    if x1.ndim == 3:
-        t = rng.uniform(size=x1.shape[0])
-        psi = (1.0 - t[:, None, None]) * x0 + t[:, None, None] * x1
-    else:
-        t = float(rng.uniform())
-        psi = interpolate_path(x0, x1, t)
+    t = rng.uniform(size=x1.shape[:-2])
+    tb = t[..., None, None]
+    psi = (1.0 - tb) * x0 + tb * x1
     pred = net(psi, t, cond)
     return T.mse_loss(pred, Tensor(x1 - x0), mask=loss_mask)
 
@@ -257,11 +204,13 @@ class ConverterConfig:
         lo, hi = self.mask_span
         if not 0.0 < lo <= hi < 1.0:
             raise ContractError(f"mask span {self.mask_span} must sit inside (0, 1)")
+        self.mask_span = tuple(self.mask_span)  # a checkpoint's JSON header holds a list
 
 
 class ConverterModel:
-    """Trained converter state: velocity net, length regulators, timbre
-    space, corpus mel statistics, and the frozen pitch encoder."""
+    """Trained converter state: velocity net, identity-initialised content
+    and pitch projections, timbre space, corpus mel statistics, and the
+    frozen pitch encoder."""
 
     def __init__(self, cfg: ConverterConfig, pitch: PitchExtractor, timbre: TimbreSpace,
                  mel_mean: np.ndarray, mel_std: np.ndarray, seed: int = 0):
@@ -277,8 +226,10 @@ class ConverterModel:
         self.net = VelocityNet(self.store, VelocityNetConfig(
             mel_bands=cfg.mel_bands, cond_dim=cond_dim, width=cfg.width,
             n_layers=cfg.n_layers, n_heads=cfg.n_heads, ff_mult=cfg.ff_mult))
-        self.reg_content = LengthRegulator(self.store, "reg_content", N_CONTENT)
-        self.reg_pitch = LengthRegulator(self.store, "reg_pitch", self.pitch_dim)
+        self.reg_content = Linear(self.store, "reg_content", N_CONTENT, N_CONTENT,
+                                  identity_init=True)
+        self.reg_pitch = Linear(self.store, "reg_pitch", self.pitch_dim, self.pitch_dim,
+                                identity_init=True)
 
     def standardize(self, mel_values: np.ndarray) -> np.ndarray:
         return (mel_values - self.mel_mean) / self.mel_std
@@ -287,21 +238,22 @@ class ConverterModel:
         return values * self.mel_std + self.mel_mean
 
     def fuse(self, content: np.ndarray, z_pitch: np.ndarray, z_timbre: np.ndarray,
-             x_ref: np.ndarray, visible: np.ndarray, target_frames: int) -> Tensor:
-        """Length-regulate the per-frame streams and concatenate with the
-        broadcast timbre vector, the (partially hidden) reference mel
-        channel, and its visibility indicator. Accepts single sequences or
-        stacked batches."""
-        zc = self.reg_content(content, target_frames)
-        zp = self.reg_pitch(z_pitch, target_frames)
+             x_ref: np.ndarray, visible: np.ndarray) -> Tensor:
+        """Project the per-frame content and pitch streams and concatenate
+        them with the timbre vector broadcast over frames, the (partially
+        hidden) reference mel channel, and its visibility indicator.
+        Streams are (..., frames, dim) with one timbre vector per leading
+        item. Mel and CQT share the 441-sample hop, so content and pitch
+        must arrive with equal frame counts."""
+        if np.shape(content)[:-1] != np.shape(z_pitch)[:-1]:
+            raise ContractError(f"content and pitch frames differ: {np.shape(content)} vs "
+                                f"{np.shape(z_pitch)}")
+        zc = self.reg_content(Tensor(content))
+        zp = self.reg_pitch(Tensor(z_pitch))
         # unit-norm timbre vectors have ~1/sqrt(dim) elements; rescale so all
         # conditioning channels enter the input projection at similar variance
         zt = np.asarray(z_timbre, dtype=np.float64) * np.sqrt(TIMBRE_DIM)
-        if zc.data.ndim == 3:
-            zt_full = np.broadcast_to(zt[:, None, :],
-                                      (zc.shape[0], target_frames, zt.shape[-1])).copy()
-        else:
-            zt_full = np.broadcast_to(zt, (target_frames, zt.size)).copy()
+        zt_full = np.broadcast_to(zt[..., None, :], zc.shape[:-1] + zt.shape[-1:])
         return T.concat([zc, zp, Tensor(zt_full), Tensor(x_ref), Tensor(visible)], axis=-1)
 
     def pitch_embedding(self, w: Waveform, transpose: int = 0) -> np.ndarray:
@@ -320,7 +272,7 @@ class ConverterModel:
         arrays["mel.mean"] = self.mel_mean
         arrays["mel.std"] = self.mel_std
         config = {
-            "converter": _config_dict(self.cfg),
+            "converter": asdict(self.cfg),
             "pitch_encoder": asdict(self.pitch.cfg),
         }
         save_checkpoint(path, arrays, step, config)
@@ -328,7 +280,7 @@ class ConverterModel:
     @classmethod
     def load(cls, path) -> "ConverterModel":
         arrays, _step, header = load_checkpoint(path)
-        cfg = ConverterConfig(**_config_from(header["config"]["converter"]))
+        cfg = ConverterConfig(**header["config"]["converter"])
         from .pitch import PitchEncoderConfig
 
         pitch = PitchExtractor(PitchEncoderConfig(**header["config"]["pitch_encoder"]),
@@ -339,18 +291,6 @@ class ConverterModel:
         model = cls(cfg, pitch, timbre, arrays["mel.mean"], arrays["mel.std"])
         model.store.load(arrays)
         return model
-
-
-def _config_dict(cfg: ConverterConfig) -> dict:
-    d = asdict(cfg)
-    d["mask_span"] = list(cfg.mask_span)
-    return d
-
-
-def _config_from(d: dict) -> dict:
-    d = dict(d)
-    d["mask_span"] = tuple(d["mask_span"])
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +350,12 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     timbre = train_timbre_space(stats, labels, n_classes=max(len(presets), 2))
 
     model = ConverterModel(cfg, pitch, timbre, mel_mean, mel_std, seed=seed)
-    opt = AdamW(model.store.params, AdamWConfig(
-        peak_lr=cfg.peak_lr, min_lr=cfg.peak_lr * cfg.min_lr_ratio,
-        weight_decay=cfg.weight_decay, total_steps=max(steps, 1)))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xCF4))))
 
     # one window length for the whole run so batch items stack
     win = min(cfg.window_frames, min(c["mel"].frames for c in corpus))
 
-    rows = []
-    for step in range(steps):
-        T.zero_grads(model.store.params.values())
+    def batch_loss() -> Tensor:
         x1s, contents, zps, zts, xrefs, visibles, hiddens = [], [], [], [], [], [], []
         for _ in range(cfg.batch):
             clip = corpus[int(rng.integers(len(corpus)))]
@@ -449,23 +384,12 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
             xrefs.append(x1 * (1.0 - hidden))
             visibles.append(1.0 - hidden)
             hiddens.append(hidden)
-        x1 = np.stack(x1s)
         cond = model.fuse(np.stack(contents), np.stack(zps), np.stack(zts),
-                          np.stack(xrefs), np.stack(visibles), win)
-        loss = cfm_loss(model.net, x1, cond, rng, loss_mask=np.stack(hiddens))
-        T.backward(loss)
-        lr = opt.step()
-        rows.append((step, lr, float(loss.data)))
-        if progress and (step % 100 == 0 or step == steps - 1):
-            progress(step, float(loss.data))
+                          np.stack(xrefs), np.stack(visibles))
+        return cfm_loss(model.net, np.stack(x1s), cond, rng, loss_mask=np.stack(hiddens))
 
-    model.save(ckpt_path, step=steps)
-    if log_path is not None:
-        with open(log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "lr", "loss"])
-            writer.writerows(rows)
-    return Path(ckpt_path)
+    return _fit(model.store.params, batch_loss, steps, cfg, model.save, ckpt_path,
+                log_path, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +426,13 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel | str | Path,
 
     prompt = min(cfg.prompt_frames, mel_ref.frames)
     n_src = mel_src.frames
-    total = prompt + n_src
     content = np.concatenate([content_ref[:prompt], content_src], axis=0)
     z_p = np.concatenate([z_p_ref[:prompt], z_p_src], axis=0)
     x_ref = np.concatenate(
         [model.standardize(mel_ref.values[:prompt]), np.zeros((n_src, cfg.mel_bands))], axis=0)
     visible = np.concatenate([np.ones((prompt, 1)), np.zeros((n_src, 1))], axis=0)
 
-    cond = model.fuse(content, z_p, z_t, x_ref, visible, total).data
+    cond = model.fuse(content, z_p, z_t, x_ref, visible).data
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x0DE))))
     sampled = ode_sample(model.net, cond, sched, rng, mel_bands=cfg.mel_bands)
     mel_out = MelSpectrogram(model.destandardize(sampled[prompt:]), ROLL_FRAME_RATE)

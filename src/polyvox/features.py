@@ -91,15 +91,11 @@ class TimbreSpace:
                 f"than the {TIMBRE_BANDS}-band envelope; refit it")
 
     def embed(self, m: MelSpectrogram) -> np.ndarray:
+        """L2-normalized 192-d timbre embedding of a clip of at least 1 s."""
         if m.frames < int(m.frame_rate):
             raise ContractError(f"timbre embedding needs >= 1 s, got {m.frames} frames")
         v = ((timbre_stats(m) - self.mean) / self.scale) @ self.weight
         return v / max(np.linalg.norm(v), 1e-12)
-
-
-def extract_timbre(m: MelSpectrogram, space: TimbreSpace) -> np.ndarray:
-    """L2-normalized 192-d timbre embedding of a reference clip."""
-    return space.embed(m)
 
 
 def _ledoit_wolf(resid: np.ndarray) -> float:

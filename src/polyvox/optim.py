@@ -1,17 +1,20 @@
 """AdamW with decoupled weight decay, exponential learning-rate decay to a
-floor, and the binary checkpoint container shared by all trained modules."""
+floor, the training loop and the binary checkpoint container shared by all
+trained modules."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor
+from .tensor import Tensor, backward, zero_grads
 
 
 @dataclass
@@ -68,6 +71,37 @@ class AdamW:
         return lr
 
 
+def _fit(params: dict[str, Tensor], batch_loss, steps: int, cfg, save, ckpt_path,
+         log_path, progress) -> Path:
+    """Run `steps` AdamW updates of `params` on the scalar `batch_loss()`.
+
+    The schedule decays from `cfg.peak_lr` to `cfg.peak_lr * cfg.min_lr_ratio`
+    over the run, with `cfg.weight_decay`. `progress(step, loss)` fires at
+    step 0, every 100 steps and the last step. Afterwards `save(ckpt_path,
+    step=steps)` writes the checkpoint and, when `log_path` is given, a
+    (step, lr, loss) CSV goes there. Returns the checkpoint path."""
+    opt = AdamW(params, AdamWConfig(
+        peak_lr=cfg.peak_lr, min_lr=cfg.peak_lr * cfg.min_lr_ratio,
+        weight_decay=cfg.weight_decay, total_steps=max(steps, 1)))
+    rows = []
+    for step in range(steps):
+        zero_grads(params.values())
+        loss = batch_loss()
+        backward(loss)
+        lr = opt.step()
+        rows.append((step, lr, float(loss.data)))
+        if progress and (step % 100 == 0 or step == steps - 1):
+            progress(step, float(loss.data))
+
+    save(ckpt_path, step=steps)
+    if log_path is not None:
+        with open(log_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "lr", "loss"])
+            writer.writerows(rows)
+    return Path(ckpt_path)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint container
 # ---------------------------------------------------------------------------
@@ -100,11 +134,26 @@ def save_checkpoint(path, params: dict[str, np.ndarray], step: int, config: dict
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int, dict]:
+    """Read a container written by `save_checkpoint`. A truncated or corrupt
+    header, a header whose config does not hash to its stored `config_hash`,
+    and a truncated payload all raise ContractError."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ContractError(f"{path}: not a checkpoint container")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
+        size = fh.read(4)
+        if len(size) < 4:
+            raise ContractError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<I", size)
+        try:
+            header = json.loads(fh.read(hlen).decode())
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ContractError(f"{path}: corrupt checkpoint header ({exc})") from None
+        if not isinstance(header, dict):
+            raise ContractError(f"{path}: checkpoint header is not an object")
+        stored, actual = header.get("config_hash"), config_hash(header.get("config"))
+        if stored != actual:
+            raise ContractError(f"{path}: stored config_hash {stored} does not match "
+                                f"{actual}, the hash of the config it carries")
         params = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])

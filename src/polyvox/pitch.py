@@ -8,7 +8,6 @@ frozen and feeds the converter; the MIDI encoder exists only to supervise it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .cqt import CqtConfig, CqtMatrix, compute_cqt, crop_to_vocal_range
 from .errors import ContractError
 from .midi import load_smf, to_piano_roll
 from .nn import ParamStore, SequenceEncoder
-from .optim import AdamW, AdamWConfig, load_checkpoint, save_checkpoint
+from .optim import _fit, load_checkpoint, save_checkpoint
 from .synthgen import load_manifest
 from .tensor import Tensor
 
@@ -168,14 +167,9 @@ def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | Non
     clips = [prepare_clip(wav, mid) for _id, wav, mid in entries]
 
     model = PitchExtractor(cfg.encoder, seed=seed)
-    opt = AdamW(model.store.params, AdamWConfig(
-        peak_lr=cfg.peak_lr, min_lr=cfg.peak_lr * cfg.min_lr_ratio,
-        weight_decay=cfg.weight_decay, total_steps=max(steps, 1)))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xB0B))))
 
-    rows = []
-    for step in range(steps):
-        T.zero_grads(model.store.params.values())
+    def batch_loss() -> Tensor:
         values, rolls, masks = [], [], []
         for _ in range(cfg.batch):
             idx = int(rng.integers(len(clips)))
@@ -185,20 +179,10 @@ def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | Non
             masks.append(m)
         z_cqt = model.encode_cqt(np.stack(values))
         z_midi = model.encode_midi(np.stack(rolls))
-        loss = T.l1_loss(z_cqt, z_midi, mask=np.stack(masks))
-        T.backward(loss)
-        lr = opt.step()
-        rows.append((step, lr, float(loss.data)))
-        if progress and (step % 100 == 0 or step == steps - 1):
-            progress(step, float(loss.data))
+        return T.l1_loss(z_cqt, z_midi, mask=np.stack(masks))
 
-    model.save(ckpt_path, step=steps)
-    if log_path is not None:
-        with open(log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "lr", "loss"])
-            writer.writerows(rows)
-    return Path(ckpt_path)
+    return _fit(model.store.params, batch_loss, steps, cfg, model.save, ckpt_path,
+                log_path, progress)
 
 
 def retrieval_probe(model: PitchExtractor, clips: list[tuple[np.ndarray, np.ndarray]],

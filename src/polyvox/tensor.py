@@ -240,18 +240,6 @@ def gelu(x: Tensor) -> Tensor:
     return _node(out_data, (x,), bwd)
 
 
-def embedding_lookup(table: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= table.shape[0]:
-        raise ContractError(f"indices outside table of {table.shape[0]} rows")
-
-    def bwd(g):
-        if _needs_grad(table):
-            np.add.at(_owned_grad(table), idx, g)
-
-    return _node(table.data[idx], (table,), bwd)
-
-
 def mean(a: Tensor) -> Tensor:
     def bwd(g):
         _accumulate(a, np.full(a.shape, float(g) / a.data.size))
@@ -294,24 +282,6 @@ def _masked_loss(a: Tensor, b: Tensor, mask, point, point_grad) -> Tensor:
 def l1_loss(a: Tensor, b: Tensor, mask=None) -> Tensor:
     """Mean absolute difference, optionally weighted by a constant mask."""
     return _masked_loss(a, b, mask, np.abs, np.sign)
-
-
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean softmax cross-entropy against integer class labels."""
-    idx = np.asarray(labels, dtype=np.int64)
-    if logits.data.ndim != 2 or idx.shape != (logits.shape[0],):
-        raise ContractError(f"cross_entropy needs (n, k) logits and (n,) labels, got {logits.shape}")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    n = idx.size
-    rows = np.arange(n)
-
-    def bwd(g):
-        d = np.exp(logp)
-        d[rows, idx] -= 1.0
-        _accumulate(logits, d * (float(g) / n))
-
-    return _node(np.asarray(-logp[rows, idx].mean()), (logits,), bwd)
 
 
 def mse_loss(a: Tensor, b: Tensor, mask=None) -> Tensor:

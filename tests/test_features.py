@@ -6,9 +6,8 @@ import pytest
 from polyvox.audio import MelSpectrogram, Waveform, mel_spectrogram
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, interior_frames
 from polyvox.errors import ContractError
-from polyvox.features import (TIMBRE_DIM, TimbreSpace, extract_content, extract_timbre,
-                              timbre_shift_augment, timbre_stats, train_timbre_space,
-                              warp_spectral_envelope)
+from polyvox.features import (TIMBRE_DIM, TimbreSpace, extract_content, timbre_shift_augment,
+                              timbre_stats, train_timbre_space, warp_spectral_envelope)
 from polyvox.midi import MidiNote
 from polyvox.synthgen import DEFAULT_PRESETS, Score, render_score
 
@@ -78,7 +77,7 @@ class TestContent:
 
 class TestTimbre:
     def test_unit_norm(self, timbre_space, sung_clip):
-        emb = extract_timbre(mel_spectrogram(sung_clip), timbre_space)
+        emb = timbre_space.embed(mel_spectrogram(sung_clip))
         assert emb.shape == (TIMBRE_DIM,)
         assert np.linalg.norm(emb) == pytest.approx(1.0, abs=1e-6)
 
