@@ -8,10 +8,13 @@ all frame sequences run at 100 Hz).
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, UnsupportedWavError, WavFormatError
 
@@ -176,12 +179,16 @@ def save_wav(w: Waveform, path, fmt: str = "pcm16") -> None:
 # ---------------------------------------------------------------------------
 
 _SINC_HALF_TAPS = 32  # 64-tap windowed-sinc kernel
+_RESAMPLE_CHUNK = 16384  # outputs per gather, so the (chunk x 64) copies stay small
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
     """Band-limited resampling with a 64-tap Hann-windowed sinc kernel.
 
-    Output length is round(len * target/source); equal rates return a copy.
+    The rate ratio is reduced to up/down, so output m lies exactly at input
+    position m*down/up and its taps depend only on m % up: one tap row per
+    output phase serves every output. Output length is round(len *
+    target/source); equal rates return a copy.
     """
     if target_rate <= 0:
         raise ContractError(f"target_rate must be positive, got {target_rate}")
@@ -194,21 +201,25 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     if n_out < 1:
         raise ContractError("resample target would be empty")
     cutoff = min(1.0, ratio)
+    g = math.gcd(int(target_rate), int(w.sample_rate))
+    up, down = int(target_rate) // g, int(w.sample_rate) // g
 
     half = _SINC_HALF_TAPS
+    # row p: taps of the outputs m with m % up == p, which sit a fraction
+    # (p*down % up)/up past input sample floor(m*down/up)
+    frac = (np.arange(min(up, n_out)) * down % up) / up
+    u = np.arange(-half + 1, half + 1)[None, :] - frac[:, None]  # signed distance to each tap
+    taps = cutoff * np.sinc(cutoff * u) * (0.5 + 0.5 * np.cos(np.pi * u / half))
+
     x = np.concatenate([np.zeros(half), w.samples, np.zeros(half + 1)])
+    # window k spans padded samples k .. k+63; output m's taps start one
+    # sample after floor(m*down/up), which sits at padded index floor + half
+    windows = sliding_window_view(x, 2 * half)
     out = np.empty(n_out)
-    # chunked so the (chunk x 64) tap matrices stay small
-    for start in range(0, n_out, 65536):
-        m = np.arange(start, min(start + 65536, n_out))
-        t = m / ratio
-        base = np.floor(t).astype(np.int64)
-        frac = t - base
-        offsets = np.arange(-half + 1, half + 1)
-        u = offsets[None, :] - frac[:, None]  # signed distance to each tap
-        taps = cutoff * np.sinc(cutoff * u) * (0.5 + 0.5 * np.cos(np.pi * u / half))
-        idx = base[:, None] + offsets[None, :] + half
-        out[m] = np.einsum("ij,ij->i", x[idx], taps)
+    for start in range(0, n_out, _RESAMPLE_CHUNK):
+        stop = min(start + _RESAMPLE_CHUNK, n_out)
+        m = np.arange(start, stop)
+        out[start:stop] = np.einsum("ij,ij->i", windows[m * down // up + 1], taps[m % up])
     return Waveform(out, int(target_rate))
 
 
@@ -275,6 +286,20 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
     return fb
 
 
+@functools.lru_cache(maxsize=8)
+def _mel_basis(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
+    fb = mel_filterbank(sample_rate, fft_size, n_mels)
+    fb.setflags(write=False)
+    return fb
+
+
+@functools.lru_cache(maxsize=8)
+def _mel_basis_pinv(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
+    pinv = np.linalg.pinv(_mel_basis(sample_rate, fft_size, n_mels))
+    pinv.setflags(write=False)
+    return pinv
+
+
 def mel_spectrogram(w: Waveform, cfg: StftConfig = MEL_CONFIG, n_mels: int = N_MELS) -> MelSpectrogram:
     """Magnitude STFT -> mel filterbank -> natural log with floor `LOG_FLOOR`."""
     if w.sample_rate != PIPELINE_SAMPLE_RATE:
@@ -282,8 +307,7 @@ def mel_spectrogram(w: Waveform, cfg: StftConfig = MEL_CONFIG, n_mels: int = N_M
     if n_mels < 1:
         raise ContractError("n_mels must be >= 1")
     mag = np.abs(stft(w.samples, cfg))
-    fb = mel_filterbank(w.sample_rate, cfg.fft_size, n_mels)
-    mel = mag @ fb.T
+    mel = mag @ _mel_basis(w.sample_rate, cfg.fft_size, n_mels).T
     values = np.log(np.maximum(mel, LOG_FLOOR))
     return MelSpectrogram(values, frame_rate=w.sample_rate / cfg.hop)
 
@@ -296,9 +320,7 @@ def mel_spectrogram(w: Waveform, cfg: StftConfig = MEL_CONFIG, n_mels: int = N_M
 def mel_to_linear(m: MelSpectrogram, cfg: StftConfig = MEL_CONFIG,
                   sample_rate: int = PIPELINE_SAMPLE_RATE) -> np.ndarray:
     """Pseudo-inverse of the mel filterbank, clipped to non-negative magnitudes."""
-    fb = mel_filterbank(sample_rate, cfg.fft_size, m.bands)
-    pinv = np.linalg.pinv(fb)
-    linear = np.exp(m.values) @ pinv.T
+    linear = np.exp(m.values) @ _mel_basis_pinv(sample_rate, cfg.fft_size, m.bands).T
     return np.clip(linear, 0.0, None)
 
 
@@ -317,8 +339,12 @@ def griffin_lim(m: MelSpectrogram, iters: int = 32, cfg: StftConfig = MEL_CONFIG
     spec = target.astype(np.complex128)
     x = istft(spec, cfg, n_samples)
     for _ in range(iters - 1):
-        phase = np.angle(stft(x, cfg)[: m.frames])
-        x = istft(target * np.exp(1j * phase), cfg, n_samples)
+        spec = stft(x, cfg)[: m.frames]
+        mag = np.abs(spec)
+        # unit phasor S/|S|, taken as 1 (phase 0) where |S| = 0 whatever the sign of the zero
+        phasor = np.divide(spec, mag, out=np.ones_like(spec), where=mag > 0)
+        phasor *= target
+        x = istft(phasor, cfg, n_samples)
     return Waveform(x, sample_rate)
 
 

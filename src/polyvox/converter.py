@@ -210,17 +210,19 @@ class ConverterConfig:
 class ConverterModel:
     """Trained converter state: velocity net, identity-initialised content
     and pitch projections, timbre space, corpus mel statistics, and the
-    frozen pitch encoder."""
+    frozen pitch encoder. With `trainable=False` the parameters are
+    constants and inference records no autograd tape."""
 
     def __init__(self, cfg: ConverterConfig, pitch: PitchExtractor, timbre: TimbreSpace,
-                 mel_mean: np.ndarray, mel_std: np.ndarray, seed: int = 0):
+                 mel_mean: np.ndarray, mel_std: np.ndarray, seed: int = 0,
+                 trainable: bool = True):
         self.cfg = cfg
         self.pitch = pitch
         self.timbre = timbre
         self.mel_mean = mel_mean
         self.mel_std = mel_std
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xD17))))
-        self.store = ParamStore(rng)
+        self.store = ParamStore(rng, trainable=trainable)
         self.pitch_dim = pitch.cfg.model_dim
         cond_dim = N_CONTENT + self.pitch_dim + TIMBRE_DIM + cfg.mel_bands + 1
         self.net = VelocityNet(self.store, VelocityNetConfig(
@@ -288,7 +290,7 @@ class ConverterModel:
         pitch.store.load(arrays, prefix="pitch.")
         timbre = TimbreSpace(arrays["timbre.weight"], arrays["timbre.mean"],
                              arrays["timbre.scale"])
-        model = cls(cfg, pitch, timbre, arrays["mel.mean"], arrays["mel.std"])
+        model = cls(cfg, pitch, timbre, arrays["mel.mean"], arrays["mel.std"], trainable=False)
         model.store.load(arrays)
         return model
 

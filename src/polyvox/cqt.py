@@ -38,6 +38,9 @@ class CqtConfig:
         is checked, not only the centre."""
         if self.hop <= 0:
             raise ContractError("hop must be positive")
+        if self.bins_per_octave < 1 or self.n_bins < 1:
+            raise ContractError(f"need bins_per_octave >= 1 and n_bins >= 1, got "
+                                f"{self.bins_per_octave} and {self.n_bins}")
         f_top = self.f_min * 2.0 ** ((self.n_bins - 1) / self.bins_per_octave)
         edge = f_top * 2.0 ** (1.0 / (2 * self.bins_per_octave))
         if edge >= self.sample_rate / 2:
@@ -188,7 +191,9 @@ _HEADER = struct.Struct("<4sIIdIII")
 def save_matrix_container(values: np.ndarray, path, magic: bytes, f_min: float,
                           hop: int, sample_rate: int, bins_per_octave: int) -> None:
     """Shared binary layout: magic, u32 frames, u32 bins, f64 f_min, u32 hop,
-    u32 sample_rate, u32 bins_per_octave, then row-major float32 cells."""
+    u32 sample_rate, u32 bins_per_octave, then row-major float32 cells.
+    `bins_per_octave` 0 marks a matrix whose columns are not a CQT axis (the
+    `MEL1` mel container); `load_cqt` rejects it with `ContractError`."""
     values = np.asarray(values)
     header = _HEADER.pack(magic, values.shape[0], values.shape[1], f_min, hop,
                           sample_rate, bins_per_octave)

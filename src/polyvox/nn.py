@@ -103,8 +103,8 @@ class MultiHeadAttention:
         q = heads(self.q(x))
         k = heads(self.k(x))
         v = heads(self.v(x))
-        scores = T.matmul(q, T.transpose(k, swap)) * (1.0 / np.sqrt(hd))
-        mixed = T.matmul(T.softmax(scores, axis=-1), v)
+        scores = T.matmul(q, T.transpose(k, swap))
+        mixed = T.matmul(T.softmax(scores, axis=-1, scale=1.0 / np.sqrt(hd)), v)
         merged = T.reshape(T.transpose(mixed, split), (*batch, frames, dim))
         return self.out(merged)
 

@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Each primitive records its inputs and a backward closure on the produced
-tensor; `backward(loss)` topologically sorts the implicit tape and replays
-it in reverse, accumulating gradients exactly once per node. The primitive
+tensor when one of the inputs needs a gradient, and nothing otherwise, so
+a network whose parameters are constants runs without a tape.
+`backward(loss)` topologically sorts the implicit tape and replays it in
+reverse, accumulating gradients exactly once per node. The primitive
 set is only what transformer-style networks need.
 """
 
@@ -106,8 +108,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(data, parents, backward) -> Tensor:
-    needs = any(p.requires_grad or p._parents for p in parents)
-    return Tensor(data, _parents=tuple(parents), _backward=backward if needs else None)
+    # the tape is kept only where a gradient can flow: a result computed
+    # from constants alone is itself a constant, with no parents to hold
+    if any(_needs_grad(p) for p in parents):
+        return Tensor(data, _parents=tuple(parents), _backward=backward)
+    return Tensor(data)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +201,19 @@ def slice_(a: Tensor, key) -> Tensor:
     return _node(a.data[key], (a,), bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
+    """softmax(scale * a) along `axis`, built in one scratch array: the
+    shift, `exp` and normalisation run in place on it."""
+    y = a.data * scale
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        d = y * (g - dot)
+        d *= scale
+        _accumulate(a, d)
 
     return _node(y, (a,), bwd)
 

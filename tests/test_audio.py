@@ -5,13 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvox.audio import (LOG_FLOOR, MEL_CONFIG, StftConfig, Waveform, frame_count,
-                           griffin_lim, istft, load_wav, mel_filterbank,
+from polyvox.audio import (LOG_FLOOR, MEL_CONFIG, MelSpectrogram, StftConfig, Waveform,
+                           frame_count, griffin_lim, istft, load_wav, mel_filterbank,
                            mel_spectrogram, mel_to_linear, resample, save_wav,
                            spectral_convergence, stft)
 from polyvox.errors import ContractError, UnsupportedWavError, WavFormatError
 
 from .conftest import SR, make_sine
+
+
+def resample_per_sample(w: Waveform, target_rate: int) -> np.ndarray:
+    """Reference resampler: the 64-tap Hann-sinc kernel evaluated afresh for
+    every output sample at the float position m * source / target."""
+    ratio = target_rate / w.sample_rate
+    n_out = int(round(w.samples.size * ratio))
+    cutoff = min(1.0, ratio)
+    half = 32
+    x = np.concatenate([np.zeros(half), w.samples, np.zeros(half + 1)])
+    t = np.arange(n_out) / ratio
+    base = np.floor(t).astype(np.int64)
+    offsets = np.arange(-half + 1, half + 1)
+    u = offsets[None, :] - (t - base)[:, None]
+    taps = cutoff * np.sinc(cutoff * u) * (0.5 + 0.5 * np.cos(np.pi * u / half))
+    return np.einsum("ij,ij->i", x[base[:, None] + offsets[None, :] + half], taps)
+
+
+def griffin_lim_by_angle(m: MelSpectrogram, iters: int) -> np.ndarray:
+    """Reference Griffin-Lim: the phase through `np.angle` and a complex `exp`."""
+    target = mel_to_linear(m)
+    n_samples = m.frames * MEL_CONFIG.hop
+    x = istft(target.astype(np.complex128), MEL_CONFIG, n_samples)
+    for _ in range(iters - 1):
+        phase = np.angle(stft(x, MEL_CONFIG)[: m.frames])
+        x = istft(target * np.exp(1j * phase), MEL_CONFIG, n_samples)
+    return x
 
 
 def dft_peak_hz(w: Waveform) -> float:
@@ -120,6 +147,16 @@ class TestResample:
         with pytest.raises(ContractError):
             resample(sine_440, 0)
 
+    @pytest.mark.parametrize("source, target", [(48000, 44100), (16000, 44100), (44100, 16000),
+                                                (44101, 44100), (8000, 44100)])
+    def test_matches_per_sample_formula(self, source, target):
+        rng = np.random.default_rng(source + target)
+        w = Waveform(rng.uniform(-1.0, 1.0, int(0.3 * source)), source)
+        out = resample(w, target)
+        ref = resample_per_sample(w, target)
+        assert out.sample_rate == target and out.samples.size == ref.size
+        assert np.max(np.abs(out.samples - ref)) <= 1e-9
+
 
 class TestMel:
     def test_silence_hits_log_floor(self):
@@ -201,6 +238,22 @@ class TestGriffinLim:
         errors = [spectral_convergence(griffin_lim(m, iters=k).samples, target)
                   for k in (1, 2, 4, 8, 16)]
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
+
+    def test_matches_angle_reference(self):
+        w = make_sine(330.0, dur=0.5)
+        w = Waveform(w.samples + 0.3 * make_sine(523.25, dur=0.5).samples, SR)
+        m = mel_spectrogram(w)
+        out = griffin_lim(m, iters=8)
+        assert np.max(np.abs(out.samples - griffin_lim_by_angle(m, 8))) <= 1e-9
+
+    @pytest.mark.parametrize("level", [np.log(LOG_FLOOR), -1000.0])
+    def test_floor_mel_gives_finite_waveform(self, level):
+        """At -1000 the target magnitude is exactly 0, so |STFT| is 0
+        everywhere and the phase comes from the |S| = 0 branch."""
+        m = MelSpectrogram(np.full((40, 80), level), 100.0)
+        out = griffin_lim(m, iters=4)
+        assert np.all(np.isfinite(out.samples))
+        assert np.sqrt(np.mean(out.samples**2)) < 1e-3
 
     def test_iters_contract(self, sine_440):
         with pytest.raises(ContractError):

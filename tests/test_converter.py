@@ -9,7 +9,7 @@ import pytest
 from polyvox import cli
 from polyvox.audio import load_wav, resample, save_wav
 from polyvox.converter import (ConverterConfig, ConverterModel, SwaySchedule, VelocityNet,
-                               VelocityNetConfig, convert, train_converter)
+                               VelocityNetConfig, convert, ode_sample, train_converter)
 from polyvox.errors import ContractError
 from polyvox.features import N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace
 from polyvox.nn import ParamStore
@@ -113,6 +113,23 @@ class TestConvert:
         wave, mel = convert(src, ref, model, SwaySchedule(nfe=2), gl_iters=2)
         assert mel.frames == src.samples.size // 441 + 1
         assert np.all(np.isfinite(mel.values))
+
+    def test_loaded_model_is_constant_and_samples_like_a_trainable_copy(self, tiny_runs):
+        _manifest, (files, _), _ = tiny_runs
+        loaded = ConverterModel.load(files["svc.pvck"])
+        trainable = ConverterModel(loaded.cfg, loaded.pitch, loaded.timbre, loaded.mel_mean,
+                                   loaded.mel_std)
+        trainable.store.load(loaded.store.arrays())
+        assert not any(p.requires_grad for p in loaded.store.params.values())
+        assert all(p.requires_grad for p in trainable.store.params.values())
+
+        cond = np.random.default_rng(4).normal(size=(30, loaded.net.cfg.cond_dim))
+        samples = []
+        for model in (loaded, trainable):
+            rng = np.random.default_rng(8)
+            samples.append(ode_sample(model.net, cond, SwaySchedule(nfe=3), rng))
+        assert np.array_equal(samples[0], samples[1])
+        assert loaded.net(samples[0], 0.5, cond)._parents == ()
 
 
 class TestCli:

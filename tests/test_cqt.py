@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from polyvox.cqt import (CqtConfig, CqtMatrix, bin_center_frequency, compute_cqt,
                          crop_to_vocal_range, interior_frames, kernel_length,
-                         load_cqt, save_cqt, save_cqt_csv, transpose_pitch)
+                         load_cqt, save_cqt, save_cqt_csv, save_matrix_container,
+                         transpose_pitch)
 from polyvox.errors import ContractError
 
 from .conftest import make_sine
@@ -47,6 +48,12 @@ class TestBinFrequencies:
         assert CqtConfig(sample_rate=8200).sample_rate == 8200
         with pytest.raises(ContractError):
             CqtConfig(hop=0)
+
+    @pytest.mark.parametrize("field", ["bins_per_octave", "n_bins"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_axis_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            CqtConfig(**{field: value})
 
 
 class TestComputeCqt:
@@ -196,6 +203,16 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ContractError):
             load_cqt(path)
+
+    @pytest.mark.parametrize("bins, bins_per_octave", [(80, 0), (0, 12)])
+    def test_hostile_container(self, tmp_path, bins, bins_per_octave):
+        """A `MEL1` mel container (bins_per_octave 0) or a zero-bin header is
+        not a CQT: loading it raises ContractError, not ZeroDivisionError."""
+        path = tmp_path / "m.mel"
+        save_matrix_container(np.zeros((3, bins)), path, b"MEL1", f_min=40.0, hop=441,
+                              sample_rate=44100, bins_per_octave=bins_per_octave)
+        with pytest.raises(ContractError):
+            load_cqt(path, b"MEL1")
 
     def test_csv_export(self, tmp_path, sine_440):
         m = crop_to_vocal_range(compute_cqt(sine_440))

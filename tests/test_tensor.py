@@ -46,6 +46,24 @@ class TestPrimitives:
         y = T.softmax(Tensor(np.random.default_rng(0).normal(size=(5, 9))))
         assert np.allclose(y.data.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_scaled_softmax_equals_softmax_of_scaled_input(self):
+        a = np.random.default_rng(2).normal(size=(4, 7, 7))
+        s = 1.0 / np.sqrt(8)
+        assert np.array_equal(T.softmax(Tensor(a), scale=s).data,
+                              T.softmax(Tensor(a * s)).data)
+
+    def test_constants_record_no_tape(self):
+        rng = np.random.default_rng(3)
+        a, b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+        gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        outs = [a + b, a - b, a * b, T.matmul(a, T.transpose(b, (1, 0))),
+                T.softmax(a, scale=0.5), T.layer_norm(a, gain, bias), T.gelu(a),
+                T.concat([a, b]), T.slice_(a, (slice(1, 2),)), T.reshape(a, (4, 3)),
+                T.mean(a), T.mse_loss(a, b)]
+        assert all(out._parents == () and out._backward is None for out in outs)
+        w = Tensor(np.ones(4), requires_grad=True)
+        assert (a * w)._parents == (a, w)
+
     def test_mse_self_gradient_zero(self):
         x = Tensor(np.random.default_rng(1).normal(size=(3, 4)), requires_grad=True)
         loss = T.mse_loss(x, x)
@@ -134,6 +152,17 @@ class TestGradientCorrectness:
             return T.l1_loss(h, target)
 
         finite_difference_check(loss, list(store.params.values()))
+
+    def test_scaled_softmax_matches_finite_differences(self):
+        rng = np.random.default_rng(9)
+        a = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 5)))
+
+        def loss():
+            T.zero_grads([a])
+            return T.sum_(T.softmax(a, scale=0.37) * w)
+
+        finite_difference_check(loss, [a])
 
     def test_broadcast_add_mul_grads(self):
         rng = np.random.default_rng(7)
