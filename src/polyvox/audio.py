@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, UnsupportedWavError, WavFormatError
@@ -233,7 +234,9 @@ def frame_count(n_samples: int, hop: int) -> int:
 
 
 def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Center-padded STFT with a Hann window; returns (frames, fft//2+1) complex."""
+    """Center-padded STFT with a Hann window; returns (frames, fft//2+1) complex.
+    The frames' FFTs run on every core through `scipy.fft`, which gives the
+    same bits as `numpy.fft` on the pipeline's 2048-point frames."""
     fft, hop = cfg.fft_size, cfg.hop
     pad = fft // 2
     xp = np.concatenate([np.zeros(pad), np.asarray(x, dtype=np.float64), np.zeros(pad)])
@@ -242,27 +245,41 @@ def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     frames = np.empty((n_frames, fft))
     for f in range(n_frames):
         frames[f] = xp[f * hop : f * hop + fft]
-    return np.fft.rfft(frames * window, axis=1)
+    frames *= window
+    return scipy.fft.rfft(frames, axis=1, workers=-1)
 
 
-def istft(spec: np.ndarray, cfg: StftConfig, n_samples: int) -> np.ndarray:
-    """Weighted overlap-add inverse of `stft`; exact for unmodified spectra."""
-    fft, hop = cfg.fft_size, cfg.hop
-    pad = fft // 2
-    window = np.hanning(fft)
-    n_frames = spec.shape[0]
-    total = pad + n_samples + pad
+def _overlap_add(segs: np.ndarray, hop: int, total: int) -> np.ndarray:
+    """Sum of the rows of `segs` placed `hop` samples apart in `total` samples."""
     acc = np.zeros(total)
-    norm = np.zeros(total)
-    segs = np.fft.irfft(spec, n=fft, axis=1) * window
+    for f in range(segs.shape[0]):
+        acc[f * hop : f * hop + segs.shape[1]] += segs[f]
+    return acc
+
+
+def _istft_norm(cfg: StftConfig, n_frames: int, n_samples: int) -> np.ndarray:
+    """The overlap-added squared window over the output samples, floored
+    at 1e-12: what `istft` divides by."""
+    window = np.hanning(cfg.fft_size)
     wsq = window * window
-    for f in range(n_frames):
-        lo = f * hop
-        acc[lo : lo + fft] += segs[f]
-        norm[lo : lo + fft] += wsq
-    out = acc[pad : pad + n_samples]
-    den = norm[pad : pad + n_samples]
-    return out / np.maximum(den, 1e-12)
+    total = cfg.fft_size + n_samples
+    norm = _overlap_add(np.broadcast_to(wsq, (n_frames, wsq.size)), cfg.hop, total)
+    pad = cfg.fft_size // 2
+    return np.maximum(norm[pad : pad + n_samples], 1e-12)
+
+
+def istft(spec: np.ndarray, cfg: StftConfig, n_samples: int,
+          norm: np.ndarray | None = None) -> np.ndarray:
+    """Weighted overlap-add inverse of `stft`; exact for unmodified spectra.
+    A caller that inverts many spectra of one shape passes their common
+    `norm`, `_istft_norm(cfg, frames, n_samples)`, once computed."""
+    fft = cfg.fft_size
+    if norm is None:
+        norm = _istft_norm(cfg, spec.shape[0], n_samples)
+    segs = scipy.fft.irfft(spec, n=fft, axis=1, workers=-1)
+    segs *= np.hanning(fft)
+    pad = fft // 2
+    return _overlap_add(segs, cfg.hop, fft + n_samples)[pad : pad + n_samples] / norm
 
 
 def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
@@ -336,15 +353,17 @@ def griffin_lim(m: MelSpectrogram, iters: int = 32, cfg: StftConfig = MEL_CONFIG
         raise ContractError("iters must be >= 1")
     target = mel_to_linear(m, cfg, sample_rate)
     n_samples = m.frames * cfg.hop
-    spec = target.astype(np.complex128)
-    x = istft(spec, cfg, n_samples)
+    norm = _istft_norm(cfg, m.frames, n_samples)  # the same for every iteration
+    x = istft(target.astype(np.complex128), cfg, n_samples, norm)
     for _ in range(iters - 1):
         spec = stft(x, cfg)[: m.frames]
         mag = np.abs(spec)
-        # unit phasor S/|S|, taken as 1 (phase 0) where |S| = 0 whatever the sign of the zero
-        phasor = np.divide(spec, mag, out=np.ones_like(spec), where=mag > 0)
-        phasor *= target
-        x = istft(phasor, cfg, n_samples)
+        # S * target/|S| keeps the phase of S at the target magnitude; where
+        # |S| = 0 the phase is taken as 0, whatever the sign of the zero
+        silent = mag == 0
+        spec *= np.divide(target, mag, out=np.zeros_like(mag), where=~silent)
+        np.copyto(spec, target, where=silent)
+        x = istft(spec, cfg, n_samples, norm)
     return Waveform(x, sample_rate)
 
 

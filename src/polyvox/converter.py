@@ -61,7 +61,8 @@ def sway_timesteps(sched: SwaySchedule) -> np.ndarray:
 
 def integrate_flow(v_fn, x0: np.ndarray, knots: np.ndarray) -> np.ndarray:
     """Euler integration of dx/dt = v(x, t) over the given knots: exactly
-    len(knots) - 1 velocity evaluations."""
+    len(knots) - 1 velocity evaluations. The state stays float64 whatever
+    dtype `v_fn` returns."""
     x = np.asarray(x0, dtype=np.float64)
     for i in range(len(knots) - 1):
         x = x + (knots[i + 1] - knots[i]) * v_fn(x, float(knots[i]))
@@ -125,18 +126,23 @@ class VelocityNet:
 
     def __call__(self, psi, t, cond) -> Tensor:
         """psi: (..., frames, bands); t: flow time, a scalar or one per
-        leading item of psi; cond: fused conditioning, frame-aligned."""
-        psi_t = psi if isinstance(psi, Tensor) else Tensor(psi)
-        cond_t = cond if isinstance(cond, Tensor) else Tensor(cond)
+        leading item of psi; cond: fused conditioning, frame-aligned.
+
+        Runs in the dtype of the parameters: the state, condition, position
+        table and time embedding are cast to it, so a net loaded from a
+        float32 checkpoint computes and returns float32."""
+        dtype = self.input.w.data.dtype
+        psi_t = T.cast(psi if isinstance(psi, Tensor) else Tensor(psi), dtype)
+        cond_t = T.cast(cond if isinstance(cond, Tensor) else Tensor(cond), dtype)
         if psi_t.shape[:-1] != cond_t.shape[:-1]:
             raise ContractError(
                 f"state and condition frames differ: {psi_t.shape} vs {cond_t.shape}")
         w = self.cfg.width
         x = self.input(T.concat([psi_t, cond_t], axis=-1))
-        x = x + Tensor(sinusoidal_positions(x.shape[-2], w))
+        x = x + Tensor(sinusoidal_positions(x.shape[-2], w).astype(dtype, copy=False))
         temb = np.stack([timestep_embedding(float(ti), w) for ti in np.atleast_1d(t)])
         temb = temb.reshape(np.shape(t) + (1, w))  # (..., 1, width), broadcast over frames
-        tvec = self.time2(T.gelu(self.time1(Tensor(temb))))
+        tvec = self.time2(T.gelu(self.time1(Tensor(temb.astype(dtype, copy=False)))))
         for block in self.blocks:
             x = block(x, tvec)
         mods = self.final_mod(tvec)
@@ -211,7 +217,13 @@ class ConverterModel:
     """Trained converter state: velocity net, identity-initialised content
     and pitch projections, timbre space, corpus mel statistics, and the
     frozen pitch encoder. With `trainable=False` the parameters are
-    constants and inference records no autograd tape."""
+    constants and inference records no autograd tape.
+
+    Fresh parameters are float64. `load` keeps a checkpoint's float32
+    arrays, so a loaded velocity net runs in float32; the pitch encoder,
+    the projections in `fuse`, the mel statistics and the timbre space meet
+    float64 data there and give float64 results, and the ODE state of
+    `ode_sample` stays float64."""
 
     def __init__(self, cfg: ConverterConfig, pitch: PitchExtractor, timbre: TimbreSpace,
                  mel_mean: np.ndarray, mel_std: np.ndarray, seed: int = 0,
@@ -409,6 +421,9 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel | str | Path,
         model = ConverterModel.load(model)
     cfg = model.cfg
     sched = sched or SwaySchedule(cfg.sway_s, cfg.nfe)
+    gl_iters = cfg.gl_iters if gl_iters is None else gl_iters
+    if gl_iters < 1:  # fail before the ODE rather than after it
+        raise ContractError("gl_iters must be >= 1")
 
     rate = PIPELINE_SAMPLE_RATE
     if src.sample_rate != rate:
@@ -438,5 +453,5 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel | str | Path,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x0DE))))
     sampled = ode_sample(model.net, cond, sched, rng, mel_bands=cfg.mel_bands)
     mel_out = MelSpectrogram(model.destandardize(sampled[prompt:]), ROLL_FRAME_RATE)
-    wave = griffin_lim(mel_out, iters=gl_iters or cfg.gl_iters)
+    wave = griffin_lim(mel_out, iters=gl_iters)
     return wave, mel_out

@@ -43,6 +43,9 @@ class ParamStore:
         return {k: v.data for k, v in self.params.items()}
 
     def load(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
+        """Copy `arrays[prefix + name]` into each parameter. A float32 array
+        stays float32, as `Tensor` keeps it, so a store loaded from a
+        checkpoint computes in float32; any other array becomes float64."""
         for name, p in self.params.items():
             key = prefix + name
             if key not in arrays:
@@ -50,7 +53,7 @@ class ParamStore:
             if arrays[key].shape != p.data.shape:
                 raise ContractError(
                     f"shape mismatch for {key!r}: {arrays[key].shape} vs {p.data.shape}")
-            p.data = arrays[key].astype(np.float64).copy()
+            p.data = np.array(T.as_data(arrays[key]))
 
 
 class Linear:
@@ -72,8 +75,12 @@ class Linear:
 
 class LayerNorm:
     def __init__(self, store: ParamStore, name: str, dim: int, affine: bool = True):
-        self.gain = store.ones(f"{name}.g", (dim,)) if affine else Tensor(np.ones(dim))
-        self.bias = store.zeros(f"{name}.b", (dim,)) if affine else Tensor(np.zeros(dim))
+        # without affine parameters the gain and bias are exact float32 ones
+        # and zeros: they keep a float32 input float32 and a float64 one float64
+        self.gain = (store.ones(f"{name}.g", (dim,)) if affine
+                     else Tensor(np.ones(dim, dtype=np.float32)))
+        self.bias = (store.zeros(f"{name}.b", (dim,)) if affine
+                     else Tensor(np.zeros(dim, dtype=np.float32)))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias)

@@ -134,9 +134,11 @@ def save_checkpoint(path, params: dict[str, np.ndarray], step: int, config: dict
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int, dict]:
-    """Read a container written by `save_checkpoint`. A truncated or corrupt
-    header, a header whose config does not hash to its stored `config_hash`,
-    and a truncated payload all raise ContractError."""
+    """Read a container written by `save_checkpoint`. The arrays come back
+    as stored, float32, so a `ParamStore` loaded from them computes in
+    float32 (numpy promotes them exactly where they meet float64 data). A
+    truncated or corrupt header, a header whose config does not hash to its
+    stored `config_hash`, and a truncated payload all raise ContractError."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ContractError(f"{path}: not a checkpoint container")
@@ -161,5 +163,5 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int, dict]:
             raw = fh.read(count * 4)
             if len(raw) < count * 4:
                 raise ContractError(f"{path}: truncated payload for {entry['name']!r}")
-            params[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+            params[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     return params, int(header["step"]), header

@@ -1,4 +1,13 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
+
+A tensor holds float32 data as float32 and anything else as float64, and a
+result takes numpy's promotion of its operands: float32 only when every
+array operand is float32. A Python scalar or 0-d value lifted into an
+operation takes the dtype of the tensor it meets, so `x + 1.0` leaves a
+float32 `x` float32, and so do the scalar constants inside the primitives
+(the softmax `scale`, the GELU constants, the layer-norm `eps`). Fresh
+parameters are float64; a loaded checkpoint gives float32 ones (see
+`optim.load_checkpoint`).
 
 Each primitive records its inputs and a backward closure on the produced
 tensor when one of the inputs needs a gradient, and nothing otherwise, so
@@ -10,20 +19,30 @@ set is only what transformer-style networks need.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
 from .errors import ContractError
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so that they take the dtype of the array they meet
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def as_data(x) -> np.ndarray:
+    """`x` as tensor data: float32 stays float32, anything else becomes
+    float64 (without a copy when it already is)."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
 
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_owned")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_data(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = _parents
@@ -39,32 +58,38 @@ class Tensor:
 
     # operator sugar; non-tensors are lifted to constants
     def __add__(self, other):
-        return add(self, _lift(other))
+        return add(self, _lift(other, self))
 
     def __radd__(self, other):
-        return add(_lift(other), self)
+        return add(_lift(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _lift(other))
+        return sub(self, _lift(other, self))
 
     def __rsub__(self, other):
-        return sub(_lift(other), self)
+        return sub(_lift(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _lift(other))
+        return mul(self, _lift(other, self))
 
     def __rmul__(self, other):
-        return mul(_lift(other), self)
+        return mul(_lift(other, self), self)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __neg__(self):
-        return mul(self, _lift(-1.0))
+        return mul(self, _lift(-1.0, self))
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _lift(x, like: Tensor) -> Tensor:
+    """A constant operand for `like`; a scalar takes like's dtype, so that
+    it does not widen a float32 tensor."""
+    if isinstance(x, Tensor):
+        return x
+    if np.ndim(x) == 0:
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Tensor(x)
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -166,6 +191,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), bwd)
 
 
+def cast(a: Tensor, dtype) -> Tensor:
+    """`a` with its data in `dtype` (itself when it already is); the
+    gradient flows back in a's own dtype."""
+    if a.data.dtype == dtype:
+        return a
+
+    def bwd(g):
+        _accumulate(a, g.astype(a.data.dtype))
+
+    return _node(a.data.astype(dtype), (a,), bwd)
+
+
 def transpose(a: Tensor, axes: tuple) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
@@ -203,7 +240,9 @@ def slice_(a: Tensor, key) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
     """softmax(scale * a) along `axis`, built in one scratch array: the
-    shift, `exp` and normalisation run in place on it."""
+    shift, `exp` and normalisation run in place on it. `scale` is taken in
+    a's dtype."""
+    scale = a.data.dtype.type(scale)
     y = a.data * scale
     y -= y.max(axis=axis, keepdims=True)
     np.exp(y, out=y)

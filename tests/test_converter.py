@@ -131,6 +131,45 @@ class TestConvert:
         assert np.array_equal(samples[0], samples[1])
         assert loaded.net(samples[0], 0.5, cond)._parents == ()
 
+    def test_loaded_net_runs_in_float32_and_the_ode_state_in_float64(self, tiny_runs):
+        _manifest, (files, _), _ = tiny_runs
+        loaded = ConverterModel.load(files["svc.pvck"])
+        cond = np.random.default_rng(5).normal(size=(30, loaded.net.cfg.cond_dim))
+        assert loaded.net(np.zeros((30, 80)), 0.5, cond).data.dtype == np.float32
+        sampled = ode_sample(loaded.net, cond, SwaySchedule(nfe=3), np.random.default_rng(8))
+        assert sampled.dtype == np.float64
+
+    def test_loaded_model_samples_like_a_float64_copy(self, tiny_runs):
+        _manifest, (files, _), _ = tiny_runs
+        loaded = ConverterModel.load(files["svc.pvck"])
+        wide = ConverterModel(loaded.cfg, loaded.pitch, loaded.timbre, loaded.mel_mean,
+                              loaded.mel_std, trainable=False)
+        wide.store.load({k: v.astype(np.float64) for k, v in loaded.store.arrays().items()})
+        assert all(p.data.dtype == np.float64 for p in wide.store.params.values())
+
+        cond = np.random.default_rng(6).normal(size=(40, loaded.net.cfg.cond_dim))
+        samples = [ode_sample(model.net, cond, SwaySchedule(nfe=8), np.random.default_rng(9))
+                   for model in (loaded, wide)]
+        assert np.max(np.abs(samples[0] - samples[1])) <= 1e-4
+
+    def test_float32_pitch_encoder_gives_the_float64_embedding(self, tiny_runs):
+        """float64 input promotes the stored float32 weights exactly."""
+        _manifest, (files, _), _ = tiny_runs
+        loaded = PitchExtractor.load(files["pitch.pvck"])
+        wide = PitchExtractor(loaded.cfg, trainable=False)
+        wide.store.load({k: v.astype(np.float64) for k, v in loaded.store.arrays().items()})
+        x = np.random.default_rng(7).uniform(size=(50, loaded.cfg.input_bins))
+        z = loaded.encode_cqt(x).data
+        assert z.dtype == np.float64
+        assert np.array_equal(z, wide.encode_cqt(x).data)
+
+    def test_zero_griffin_lim_iterations_rejected(self, tiny_runs):
+        manifest, (files, _), _ = tiny_runs
+        rows = load_manifest(manifest)
+        src, ref = (load_wav(manifest.parent / r["path"]) for r in rows[:2])
+        with pytest.raises(ContractError, match="gl_iters"):
+            convert(src, ref, files["svc.pvck"], SwaySchedule(nfe=2), gl_iters=0)
+
 
 class TestCli:
     def test_evaluate_scores_a_48k_corpus(self, tiny_runs, tmp_path):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import erf
+
 from polyvox import tensor as T
 from polyvox.errors import ContractError
-from polyvox.nn import ParamStore
+from polyvox.nn import LayerNorm, ParamStore
 from polyvox.optim import AdamW, AdamWConfig, config_hash, load_checkpoint, save_checkpoint
 from polyvox.tensor import Tensor, backward
 
@@ -103,6 +105,67 @@ class TestPrimitives:
     def test_loss_shape_mismatch(self):
         with pytest.raises(ContractError):
             T.l1_loss(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
+
+
+class TestDtypePolicy:
+    """float32 data stays float32, scalars take the dtype of the tensor they
+    meet, and float64 computes what it computed before the policy."""
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(11)
+        a = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+        b = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+        gain, bias = Tensor(np.ones(4, np.float32)), Tensor(np.zeros(4, np.float32))
+        plain = LayerNorm(ParamStore(rng), "ln", 4, affine=False)
+        outs = {
+            "add": a + b, "mul": a * b, "scalar add": a + 1.0, "scalar rsub": 1.0 - a,
+            "scalar mul": 2.0 * a, "numpy scalar mul": a * np.float64(0.5), "neg": -a,
+            "matmul": T.matmul(a, T.transpose(b, (1, 0))),
+            "softmax": T.softmax(a, scale=1.0 / np.sqrt(8.0)),
+            "layer_norm": T.layer_norm(a, gain, bias), "plain LayerNorm": plain(a),
+            "gelu": T.gelu(a),
+        }
+        assert {k: v.data.dtype for k, v in outs.items()} == {k: np.float32 for k in outs}
+
+    def test_other_data_becomes_float64(self):
+        for data in (1.0, 3, np.arange(4), np.ones(2, np.float16), [0.5, 1.5]):
+            assert Tensor(data).data.dtype == np.float64
+
+    def test_float64_matches_the_float64_formulas_bit_for_bit(self):
+        """The float64 formulas as written before the policy, with their
+        numpy float64 constants."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(4, 6, 6))
+        s = 1.0 / np.sqrt(8.0)
+        y = x * s
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        assert np.array_equal(T.softmax(Tensor(x), scale=s).data, y)
+        assert np.array_equal(T.gelu(Tensor(x)).data,
+                              x * (0.5 * (1.0 + erf(x / np.sqrt(2.0)))))
+        centered = x - x.mean(axis=-1, keepdims=True)
+        xhat = centered * (1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True)
+                                         + 1e-5))
+        gain, bias = rng.normal(size=6), rng.normal(size=6)
+        assert np.array_equal(T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data,
+                              xhat * gain + bias)
+        plain = LayerNorm(ParamStore(rng), "ln", 6, affine=False)(Tensor(x)).data
+        assert plain.dtype == np.float64
+        assert np.array_equal(plain, xhat * np.ones(6) + np.zeros(6))
+        t = Tensor(x)
+        assert np.array_equal((t + 1.0).data, x + 1.0)
+        assert np.array_equal((t * 0.3).data, x * 0.3)
+        assert np.array_equal((-t).data, x * -1.0)
+
+    def test_cast_passes_the_gradient_back_in_the_source_dtype(self):
+        w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        assert T.cast(w, np.float64) is w
+        narrow = T.cast(w, np.float32)
+        assert narrow.data.dtype == np.float32
+        grads = backward(T.sum_(narrow * 2.0))
+        assert grads[w].dtype == np.float64
+        assert np.array_equal(grads[w], [2.0, 2.0, 2.0])
 
 
 class TestGradientCorrectness:
@@ -252,6 +315,18 @@ class TestCheckpoint:
         assert header["config"] == {"dim": 4}
         assert np.array_equal(back["enc.w"].astype(np.float32), params["enc.w"])
         assert path.read_bytes()[:4] == b"PVCK"
+
+    def test_loads_float32_and_a_store_keeps_it(self, tmp_path):
+        path = tmp_path / "c.pvck"
+        save_checkpoint(path, {"w": np.full((2, 3), 0.1)}, 0, {})
+        back, _step, _header = load_checkpoint(path)
+        assert back["w"].dtype == np.float32
+        store = ParamStore(np.random.default_rng(0), trainable=False)
+        w = store.zeros("w", (2, 3))
+        store.load(back)
+        assert w.data.dtype == np.float32 and np.array_equal(w.data, back["w"])
+        store.load({"w": back["w"].astype(np.float64)})
+        assert w.data.dtype == np.float64
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "c.pvck"
