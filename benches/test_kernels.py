@@ -1,11 +1,14 @@
-"""Kernel timings for the inference path of `polyvox convert`.
+"""Kernel timings for `polyvox convert` and for one converter train step.
 
-Shapes are those of the `convert-long` benchmark workload: attention over
-about 740 frames (150 prompt + 590 source) at width 128 x 4 layers, 48
+Inference shapes are those of the `convert-long` benchmark workload:
+attention over about 740 frames (150 prompt + 590 source) at width 128 x 4
+layers, a GELU over the (740, 512) feed-forward hidden layer, 48
 Griffin-Lim iterations over 600 frames, a 5.5 s source resampled from 48 to
-44.1 kHz, and the STFT, inverse STFT, mel spectrogram and CQT of that 5.5 s
-source at 44.1 kHz. Run from the repository root with the installed
-pytest-benchmark plugin (this directory is outside tier-1's `testpaths`):
+44.1 kHz, and the STFT, inverse STFT, mel spectrogram, CQT and training
+timbre warp of that 5.5 s source at 44.1 kHz. The train step is the smoke
+recipe's: batch 2 x 200 frames, forward (`cfm_loss`) and backward timed
+apart. Run from the repository root with the installed pytest-benchmark
+plugin (this directory is outside tier-1's `testpaths`):
 
     python -m pytest benches -q --benchmark-json=<file>
 """
@@ -16,14 +19,32 @@ import pytest
 from polyvox import tensor as T
 from polyvox.audio import (MEL_CONFIG, MelSpectrogram, Waveform, griffin_lim, istft,
                            mel_spectrogram, resample, stft)
-from polyvox.converter import VelocityNet, VelocityNetConfig
+from polyvox.converter import VelocityNet, VelocityNetConfig, cfm_loss
 from polyvox.cqt import compute_cqt
-from polyvox.nn import ParamStore
+from polyvox.features import timbre_shift_augment
+from polyvox.nn import MultiHeadAttention, ParamStore
 
 FRAMES = 740
 WIDTH, LAYERS, HEADS = 128, 4, 4
 COND_DIM = 377  # N_CONTENT + pitch model_dim 64 + TIMBRE_DIM + 80 mel bands + 1
 SOURCE = Waveform(np.random.default_rng(4).uniform(-0.5, 0.5, int(5.5 * 44100)), 44100)
+TRAIN_BATCH, TRAIN_FRAMES = 2, 200
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+
+
+def _randomize(store: ParamStore, rng: np.random.Generator, dtype) -> None:
+    """Small random values in place of the initial ones, whose zero
+    projections would hide the work, held in `dtype` as `Tensor` holds it."""
+    for p in store.params.values():
+        p.data = T.Tensor(rng.normal(scale=0.05, size=p.data.shape).astype(dtype)).data
+
+
+def _velocity_net(rng: np.random.Generator, dtype, trainable: bool = False):
+    store = ParamStore(rng, trainable=trainable)
+    net = VelocityNet(store, VelocityNetConfig(cond_dim=COND_DIM, width=WIDTH,
+                                               n_layers=LAYERS, n_heads=HEADS))
+    _randomize(store, rng, dtype)
+    return net, store
 
 
 def test_softmax(benchmark):
@@ -34,18 +55,33 @@ def test_softmax(benchmark):
     assert y.shape == scores.shape
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@DTYPES
+def test_multi_head_attention(benchmark, dtype):
+    """One attention layer of the velocity net, with constant parameters."""
+    rng = np.random.default_rng(5)
+    store = ParamStore(rng, trainable=False)
+    attn = MultiHeadAttention(store, "attn", WIDTH, HEADS)
+    _randomize(store, rng, dtype)
+    x = T.Tensor(rng.standard_normal((FRAMES, WIDTH)).astype(dtype))
+    y = benchmark(lambda: attn(x).data)
+    assert y.shape == (FRAMES, WIDTH) and y.dtype == dtype
+
+
+@DTYPES
+def test_gelu(benchmark, dtype):
+    """The feed-forward activation at its convert-long shape."""
+    x = T.Tensor(np.random.default_rng(6).normal(size=(FRAMES, 4 * WIDTH)).astype(dtype))
+    y = benchmark(T.gelu, x)
+    assert y.data.dtype == dtype
+
+
+@DTYPES
 def test_velocity_net_forward(benchmark, dtype):
     """One network evaluation (one NFE) with constant parameters. A loaded
     converter runs it in float32, the dtype its checkpoint stores; float64
     is what fresh parameters compute in."""
     rng = np.random.default_rng(1)
-    store = ParamStore(rng, trainable=False)
-    net = VelocityNet(store, VelocityNetConfig(cond_dim=COND_DIM, width=WIDTH,
-                                               n_layers=LAYERS, n_heads=HEADS))
-    for p in store.params.values():  # zero-initialised projections would hide the work
-        # through `Tensor`, which decides what dtype the data is held in
-        p.data = T.Tensor(rng.normal(scale=0.05, size=p.data.shape).astype(dtype)).data
+    net, _store = _velocity_net(rng, dtype)
     psi = rng.standard_normal((FRAMES, 80))
     cond = T.Tensor(rng.standard_normal((FRAMES, COND_DIM)))
     v = benchmark(lambda: net(psi, 0.5, cond).data)
@@ -85,3 +121,43 @@ def test_mel_spectrogram(benchmark):
 def test_compute_cqt(benchmark):
     mat = benchmark.pedantic(compute_cqt, args=(SOURCE,), rounds=5, warmup_rounds=1)
     assert np.all(np.isfinite(mat.magnitudes))
+
+
+def test_timbre_shift_augment(benchmark):
+    out = benchmark(lambda: timbre_shift_augment(SOURCE, np.random.default_rng(7)))
+    assert out.samples.size == SOURCE.samples.size
+
+
+def _train_step_inputs():
+    """A trainable float64 velocity net, its parameters and one
+    smoke-shaped batch."""
+    rng = np.random.default_rng(8)
+    net, store = _velocity_net(rng, np.float64, trainable=True)
+    x1 = rng.standard_normal((TRAIN_BATCH, TRAIN_FRAMES, 80))
+    cond = T.Tensor(rng.standard_normal((TRAIN_BATCH, TRAIN_FRAMES, COND_DIM)))
+    hidden = np.zeros((TRAIN_BATCH, TRAIN_FRAMES, 1))
+    hidden[:, TRAIN_FRAMES // 2:] = 1.0
+
+    def loss():
+        return cfm_loss(net, x1, cond, np.random.default_rng(9), loss_mask=hidden)
+
+    return loss, list(store.params.values())
+
+
+def test_cfm_loss_forward(benchmark):
+    """The forward half of a converter train step, which builds the tape."""
+    loss, _params = _train_step_inputs()
+    assert np.isfinite(benchmark(loss).data)
+
+
+def test_backward(benchmark):
+    """The backward half of a converter train step, on a fresh tape each
+    round."""
+    loss, params = _train_step_inputs()
+
+    def fresh_tape():
+        T.zero_grads(params)
+        return (loss(),), {}
+
+    grads = benchmark.pedantic(T.backward, setup=fresh_tape, rounds=10, warmup_rounds=1)
+    assert len(grads) == len(params)

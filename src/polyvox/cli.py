@@ -2,7 +2,9 @@
 
 Every command prints exactly one JSON summary line to stdout (progress goes
 to stderr) and exits 0 on success, 1 on usage or configuration errors, and
-2 on runtime failures.
+2 on runtime failures. The `convert` and `evaluate` summaries carry the
+command's wall time `wall_s` and its real-time factor `rtf`, wall time over
+the seconds of source audio converted.
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from .audio import Waveform, load_wav, mel_spectrogram, resample, save_wav, PIPELINE_SAMPLE_RATE
 from .config import ConfigError, load_config, persist_config
 from .converter import ConverterModel, SwaySchedule, convert, train_converter
 from .cqt import compute_cqt, crop_to_vocal_range, interior_frames, save_cqt, save_cqt_csv, transpose_pitch
+from .errors import ContractError
 from .evaluate import emit_report, evaluate_conversion, write_pgm
 from .midi import load_smf
 from .pitch import train_pitch_extractor
@@ -118,14 +122,29 @@ def _mean_profile_argmax(w: Waveform) -> int:
     return int(cropped.magnitudes[rows].mean(axis=0).argmax())
 
 
+def _schedule_overrides(args) -> dict:
+    """The `--sway`/`--nfe` values given, as `SwaySchedule` fields, checked
+    by `SwaySchedule` itself before any checkpoint work starts."""
+    given = {k: v for k, v in (("s", args.sway), ("nfe", args.nfe)) if v is not None}
+    try:
+        SwaySchedule(**given)
+    except ContractError as exc:
+        raise ConfigError(f"--sway/--nfe: {exc}") from None
+    return given
+
+
+def _timings(start: float, source_s: float) -> dict:
+    wall = time.perf_counter() - start
+    return {"wall_s": wall, "rtf": wall / source_s}
+
+
 def cmd_convert(args) -> dict:
+    start = time.perf_counter()
+    overrides = _schedule_overrides(args)
     model = ConverterModel.load(_require(args.ckpt, "checkpoint"))
     src = _load_pipeline_wav(_require(args.src, "source audio"))
     ref = _load_pipeline_wav(_require(args.ref, "reference audio"))
-    sched = SwaySchedule(
-        s=model.cfg.sway_s if args.sway is None else args.sway,
-        nfe=model.cfg.nfe if args.nfe is None else args.nfe,
-    )
+    sched = SwaySchedule(**{"s": model.cfg.sway_s, "nfe": model.cfg.nfe, **overrides})
     wave, mel_out = convert(src, ref, model, sched, transpose=args.transpose,
                             seed=args.seed or 0)
     out = Path(args.out)
@@ -149,10 +168,12 @@ def cmd_convert(args) -> dict:
     if args.transpose:
         shift = _mean_profile_argmax(wave) - _mean_profile_argmax(src)
         summary["measured_shift_bins"] = shift
+    summary.update(_timings(start, src.duration))
     return summary
 
 
 def cmd_evaluate(args) -> dict:
+    start = time.perf_counter()
     cfg = load_config(args.config, args.seed)
     manifest = _require(Path(args.manifest) if args.manifest else cfg.manifest_path,
                         "data manifest")
@@ -166,8 +187,10 @@ def cmd_evaluate(args) -> dict:
         raise ConfigError(f"manifest {manifest} needs both train and eval splits")
 
     report_rows = []
+    source_s = 0.0
     for row in eval_rows:
         src = _load_pipeline_wav(root / row["path"])
+        source_s += src.duration
         ref_row = next((r for r in train_rows if r["preset"] != row["preset"]), train_rows[0])
         ref = _load_pipeline_wav(root / ref_row["path"])
         truth = load_smf((root / row["path"]).with_suffix(".mid"))
@@ -197,6 +220,7 @@ def cmd_evaluate(args) -> dict:
         "recall_mean": agg.get("recall", {}).get("mean"),
         "f1_mean": agg.get("f1", {}).get("mean"),
         "seed": cfg.seed,
+        **_timings(start, source_s),
     }
 
 

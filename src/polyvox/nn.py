@@ -2,7 +2,8 @@
 
 Modules register their parameters in a shared ParamStore under dotted names
 so checkpoints and the optimizer see one flat dictionary. All sequence
-inputs are (frames, dim); attention batches heads through the 3-D matmul.
+inputs are (..., frames, dim); attention splits the heads onto a leading
+axis and runs them all through one `tensor.attention` call.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ class LayerNorm:
 
 
 class MultiHeadAttention:
+    """Scaled dot-product self-attention over `n_heads` heads of
+    dim // n_heads; training and inference share the one fused
+    `tensor.attention` primitive."""
+
     def __init__(self, store: ParamStore, name: str, dim: int, n_heads: int):
         if dim % n_heads:
             raise ContractError(f"dim {dim} not divisible by {n_heads} heads")
@@ -102,7 +107,6 @@ class MultiHeadAttention:
         h, hd = self.n_heads, self.head_dim
         nb = len(batch)
         split = (*range(nb), nb + 1, nb, nb + 2)  # (..., T, h, hd) -> (..., h, T, hd)
-        swap = (*range(nb + 1), nb + 2, nb + 1)
 
         def heads(piece):
             return T.transpose(T.reshape(piece, (*batch, frames, h, hd)), split)
@@ -110,8 +114,7 @@ class MultiHeadAttention:
         q = heads(self.q(x))
         k = heads(self.k(x))
         v = heads(self.v(x))
-        scores = T.matmul(q, T.transpose(k, swap))
-        mixed = T.matmul(T.softmax(scores, axis=-1, scale=1.0 / np.sqrt(hd)), v)
+        mixed = T.attention(q, k, v, scale=1.0 / np.sqrt(hd))
         merged = T.reshape(T.transpose(mixed, split), (*batch, frames, dim))
         return self.out(merged)
 

@@ -190,3 +190,43 @@ class TestCli:
         summary = json.loads(out.getvalue().splitlines()[-1])
         assert code == 0, summary
         assert summary["clips"] == 1
+
+    @staticmethod
+    def _run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        return code, json.loads(out.getvalue().splitlines()[-1])
+
+    @pytest.mark.parametrize("flag", [["--nfe", "0"], ["--sway", "3"], ["--sway", "nan"]])
+    def test_invalid_schedule_is_a_usage_error(self, tiny_runs, tmp_path, flag):
+        """A bad --nfe or --sway exits 1, as a configuration error, before
+        the checkpoint is read."""
+        manifest, (files, _), _ = tiny_runs
+        src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
+        code, summary = self._run(["convert", "--src", str(src), "--ref", str(ref),
+                                   "--ckpt", str(files["svc.pvck"]),
+                                   "--out", str(tmp_path / "out.wav"), *flag])
+        assert (code, summary["status"]) == (1, "config-error"), summary
+        assert flag[0] in summary["error"]
+        assert not (tmp_path / "out.wav").exists()
+
+    def test_convert_and_evaluate_report_wall_time_and_rtf(self, tiny_runs, tmp_path):
+        manifest, (files, _), _ = tiny_runs
+        src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
+        code, summary = self._run(["convert", "--src", str(src), "--ref", str(ref),
+                                   "--ckpt", str(files["svc.pvck"]),
+                                   "--out", str(tmp_path / "out.wav")])
+        assert code == 0, summary
+        assert np.isclose(summary["rtf"], summary["wall_s"] / load_wav(src).duration)
+
+        eval_manifest = gen_dataset(SynthConfig(n_single=1, n_harmony=1, dur_range=(1.5, 1.5),
+                                                eval_fraction=0.5), seed=6,
+                                    out_dir=tmp_path / "data")
+        config = tmp_path / "evaluate.json"
+        config.write_text(json.dumps({"seed": 0, "paths": {"report_dir": str(tmp_path / "r")}}))
+        code, evaluated = self._run(["evaluate", "--config", str(config), "--manifest",
+                                     str(eval_manifest), "--ckpt", str(files["svc.pvck"])])
+        assert code == 0, evaluated
+        for s in (summary, evaluated):
+            assert all(np.isfinite(s[k]) and s[k] > 0 for k in ("wall_s", "rtf")), s

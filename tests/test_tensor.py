@@ -239,6 +239,72 @@ class TestGradientCorrectness:
         finite_difference_check(loss, [a, b])
 
 
+class TestAttention:
+    """`T.attention` is softmax(scale q kᵀ) v as one primitive."""
+
+    SCALE = 0.37
+
+    @staticmethod
+    def _qkv(dtype=np.float64, requires_grad=False):
+        rng = np.random.default_rng(21)
+        return [Tensor(rng.normal(size=(2, 3, 5, 4)).astype(dtype), requires_grad=requires_grad)
+                for _ in range(3)]
+
+    def _composed(self, q, k, v):
+        return T.matmul(T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale=self.SCALE),
+                        v)
+
+    def test_matches_finite_differences(self):
+        q, k, v = self._qkv(requires_grad=True)
+        w = Tensor(np.random.default_rng(22).normal(size=(2, 3, 5, 4)))
+
+        def loss():
+            T.zero_grads([q, k, v])
+            return T.sum_(T.attention(q, k, v, self.SCALE) * w)
+
+        finite_difference_check(loss, [q, k, v])
+
+    def test_equals_the_softmax_composition(self):
+        for dtype, tol in ((np.float64, 1e-13), (np.float32, 1e-6)):
+            q, k, v = self._qkv(dtype)
+            fused = T.attention(q, k, v, self.SCALE).data
+            assert fused.dtype == dtype
+            assert np.max(np.abs(fused - self._composed(q, k, v).data)) <= tol
+
+    def test_constants_record_no_tape(self):
+        out = T.attention(*self._qkv(), self.SCALE)
+        assert out._parents == () and out._backward is None
+
+    def test_shape_mismatch_is_a_contract_error(self):
+        q, k, _ = self._qkv()
+        with pytest.raises(ContractError, match="attention"):
+            T.attention(q, k, Tensor(np.ones((2, 3, 6, 4))), self.SCALE)
+
+
+class TestFloat32Gelu:
+    """float32 GELU takes erf from a float32 rational fit instead of scipy."""
+
+    def test_close_to_the_float64_formula(self):
+        x = np.linspace(-10.0, 10.0, 400_001).astype(np.float32)
+        y = T.gelu(Tensor(x)).data
+        assert y.dtype == np.float32
+        wide = x.astype(np.float64)
+        exact = wide * (0.5 * (1.0 + erf(wide / np.sqrt(2.0))))
+        assert np.all(np.abs(y - exact) <= 5e-7 * np.maximum(1.0, np.abs(wide)))
+
+    def test_saturates_far_out(self):
+        y = T.gelu(Tensor(np.array([100.0, -100.0], np.float32))).data
+        assert np.array_equal(y, [100.0, 0.0])
+
+    def test_float32_gradient_is_cdf_plus_x_pdf(self):
+        x64 = np.linspace(-6.0, 6.0, 241)
+        x = Tensor(x64.astype(np.float32), requires_grad=True)
+        grads = backward(T.sum_(T.gelu(x)))
+        exact = 0.5 * (1.0 + erf(x64 / np.sqrt(2.0))) + x64 * np.exp(-0.5 * x64 ** 2) / np.sqrt(
+            2.0 * np.pi)
+        assert np.max(np.abs(grads[x] - exact)) <= 2e-6
+
+
 class TestOptimizer:
     def test_zero_gradients_leave_params(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
