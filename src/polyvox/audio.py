@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -140,6 +140,13 @@ def load_wav(path) -> Waveform:
     if samples.size == 0:
         raise WavFormatError(f"{path}: empty data chunk")
     return Waveform(samples, int(rate))
+
+
+def load_pipeline_wav(path) -> Waveform:
+    """`load_wav`, then one resampling to `PIPELINE_SAMPLE_RATE` when the
+    file is at another rate: how every pipeline stage reads a clip."""
+    w = load_wav(path)
+    return w if w.sample_rate == PIPELINE_SAMPLE_RATE else resample(w, PIPELINE_SAMPLE_RATE)
 
 
 def save_wav(w: Waveform, path, fmt: str = "pcm16") -> None:
@@ -282,9 +289,9 @@ def istft(spec: np.ndarray, cfg: StftConfig, n_samples: int,
     return _overlap_add(segs, cfg.hop, fft + n_samples)[pad : pad + n_samples] / norm
 
 
-def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
-                   fmin: float = MEL_FMIN, fmax: float = MEL_FMAX) -> np.ndarray:
-    """Triangular HTK-mel filterbank, (n_mels, fft//2+1), peak weight 1."""
+def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
+    """Triangular HTK-mel filterbank from `MEL_FMIN` to `MEL_FMAX`,
+    (n_mels, fft//2+1), peak weight 1."""
 
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
@@ -292,7 +299,7 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
     def mel_to_hz(m):
         return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    edges = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), n_mels + 2))
     freqs = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
     fb = np.zeros((n_mels, freqs.size))
     for b in range(n_mels):
@@ -317,16 +324,15 @@ def _mel_basis_pinv(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
     return pinv
 
 
-def mel_spectrogram(w: Waveform, cfg: StftConfig = MEL_CONFIG, n_mels: int = N_MELS) -> MelSpectrogram:
-    """Magnitude STFT -> mel filterbank -> natural log with floor `LOG_FLOOR`."""
+def mel_spectrogram(w: Waveform) -> MelSpectrogram:
+    """Magnitude STFT (`MEL_CONFIG`) -> `N_MELS`-band mel filterbank ->
+    natural log with floor `LOG_FLOOR`."""
     if w.sample_rate != PIPELINE_SAMPLE_RATE:
         raise ContractError(f"mel pipeline expects {PIPELINE_SAMPLE_RATE} Hz, got {w.sample_rate}")
-    if n_mels < 1:
-        raise ContractError("n_mels must be >= 1")
-    mag = np.abs(stft(w.samples, cfg))
-    mel = mag @ _mel_basis(w.sample_rate, cfg.fft_size, n_mels).T
+    mag = np.abs(stft(w.samples, MEL_CONFIG))
+    mel = mag @ _mel_basis(w.sample_rate, MEL_CONFIG.fft_size, N_MELS).T
     values = np.log(np.maximum(mel, LOG_FLOOR))
-    return MelSpectrogram(values, frame_rate=w.sample_rate / cfg.hop)
+    return MelSpectrogram(values, frame_rate=w.sample_rate / MEL_CONFIG.hop)
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +340,16 @@ def mel_spectrogram(w: Waveform, cfg: StftConfig = MEL_CONFIG, n_mels: int = N_M
 # ---------------------------------------------------------------------------
 
 
-def mel_to_linear(m: MelSpectrogram, cfg: StftConfig = MEL_CONFIG,
-                  sample_rate: int = PIPELINE_SAMPLE_RATE) -> np.ndarray:
+def mel_to_linear(m: MelSpectrogram) -> np.ndarray:
     """Pseudo-inverse of the mel filterbank, clipped to non-negative magnitudes."""
-    linear = np.exp(m.values) @ _mel_basis_pinv(sample_rate, cfg.fft_size, m.bands).T
+    linear = np.exp(m.values) @ _mel_basis_pinv(PIPELINE_SAMPLE_RATE, MEL_CONFIG.fft_size,
+                                                m.bands).T
     return np.clip(linear, 0.0, None)
 
 
-def griffin_lim(m: MelSpectrogram, iters: int = 32, cfg: StftConfig = MEL_CONFIG,
-                sample_rate: int = PIPELINE_SAMPLE_RATE) -> Waveform:
-    """Iterative phase reconstruction from a log-mel spectrogram.
+def griffin_lim(m: MelSpectrogram, iters: int = 32) -> Waveform:
+    """Iterative phase reconstruction from a log-mel spectrogram at the
+    pipeline rate and `MEL_CONFIG`.
 
     Deterministic (zero-phase init). Output length is frames * hop; the
     distance between |STFT(x_i)| and the target magnitude is non-increasing
@@ -351,7 +357,8 @@ def griffin_lim(m: MelSpectrogram, iters: int = 32, cfg: StftConfig = MEL_CONFIG
     """
     if iters < 1:
         raise ContractError("iters must be >= 1")
-    target = mel_to_linear(m, cfg, sample_rate)
+    cfg = MEL_CONFIG
+    target = mel_to_linear(m)
     n_samples = m.frames * cfg.hop
     norm = _istft_norm(cfg, m.frames, n_samples)  # the same for every iteration
     x = istft(target.astype(np.complex128), cfg, n_samples, norm)
@@ -364,10 +371,10 @@ def griffin_lim(m: MelSpectrogram, iters: int = 32, cfg: StftConfig = MEL_CONFIG
         spec *= np.divide(target, mag, out=np.zeros_like(mag), where=~silent)
         np.copyto(spec, target, where=silent)
         x = istft(spec, cfg, n_samples, norm)
-    return Waveform(x, sample_rate)
+    return Waveform(x, PIPELINE_SAMPLE_RATE)
 
 
-def spectral_convergence(x: np.ndarray, target_mag: np.ndarray, cfg: StftConfig = MEL_CONFIG) -> float:
+def spectral_convergence(x: np.ndarray, target_mag: np.ndarray) -> float:
     """||  |STFT(x)| - target ||_F, the Griffin-Lim convergence measure."""
-    mag = np.abs(stft(x, cfg))[: target_mag.shape[0]]
+    mag = np.abs(stft(x, MEL_CONFIG))[: target_mag.shape[0]]
     return float(np.linalg.norm(mag - target_mag))

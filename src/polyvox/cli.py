@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .audio import Waveform, load_wav, mel_spectrogram, resample, save_wav, PIPELINE_SAMPLE_RATE
+from .audio import Waveform, load_pipeline_wav, mel_spectrogram, save_wav, PIPELINE_SAMPLE_RATE
 from .config import ConfigError, load_config, persist_config
 from .converter import ConverterModel, SwaySchedule, convert, train_converter
 from .cqt import compute_cqt, crop_to_vocal_range, interior_frames, save_cqt, save_cqt_csv, transpose_pitch
@@ -47,12 +47,6 @@ def _require(path: Path, what: str) -> Path:
     if not Path(path).exists():
         raise ConfigError(f"{what} not found at {path}")
     return Path(path)
-
-
-def _load_pipeline_wav(path) -> Waveform:
-    """Load a WAV at the pipeline rate, resampling it once if needed."""
-    w = load_wav(path)
-    return w if w.sample_rate == PIPELINE_SAMPLE_RATE else resample(w, PIPELINE_SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +136,8 @@ def cmd_convert(args) -> dict:
     start = time.perf_counter()
     overrides = _schedule_overrides(args)
     model = ConverterModel.load(_require(args.ckpt, "checkpoint"))
-    src = _load_pipeline_wav(_require(args.src, "source audio"))
-    ref = _load_pipeline_wav(_require(args.ref, "reference audio"))
+    src = load_pipeline_wav(_require(args.src, "source audio"))
+    ref = load_pipeline_wav(_require(args.ref, "reference audio"))
     sched = SwaySchedule(**{"s": model.cfg.sway_s, "nfe": model.cfg.nfe, **overrides})
     wave, mel_out = convert(src, ref, model, sched, transpose=args.transpose,
                             seed=args.seed or 0)
@@ -189,14 +183,12 @@ def cmd_evaluate(args) -> dict:
     report_rows = []
     source_s = 0.0
     for row in eval_rows:
-        src = _load_pipeline_wav(root / row["path"])
+        src = load_pipeline_wav(root / row["path"])
         source_s += src.duration
         ref_row = next((r for r in train_rows if r["preset"] != row["preset"]), train_rows[0])
-        ref = _load_pipeline_wav(root / ref_row["path"])
+        ref = load_pipeline_wav(root / ref_row["path"])
         truth = load_smf((root / row["path"]).with_suffix(".mid"))
-        wave, mel_out = convert(src, ref, model,
-                                SwaySchedule(model.cfg.sway_s, model.cfg.nfe),
-                                seed=cfg.seed)
+        wave, mel_out = convert(src, ref, model, seed=cfg.seed)
         scored = evaluate_conversion(wave, truth, ref, cfg.eval, model.timbre,
                                      target_mel=mel_spectrogram(src), output_mel=mel_out)
         scored["id"] = row["id"]
@@ -225,7 +217,7 @@ def cmd_evaluate(args) -> dict:
 
 
 def cmd_cqt(args) -> dict:
-    mat = compute_cqt(_load_pipeline_wav(_require(args.infile, "input audio")))
+    mat = compute_cqt(load_pipeline_wav(_require(args.infile, "input audio")))
     if args.transpose:
         mat = transpose_pitch(mat, args.transpose)
     if args.crop:

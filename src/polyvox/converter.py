@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import (PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, griffin_lim, load_wav,
-                    mel_spectrogram, resample)
-from .cqt import compute_cqt, crop_to_vocal_range, transpose_pitch
+from .audio import (PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, griffin_lim,
+                    load_pipeline_wav, mel_spectrogram)
 from .errors import ContractError
 from .features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content,
                        timbre_shift_augment, timbre_stats, train_timbre_space)
@@ -26,7 +25,7 @@ from .midi import ROLL_FRAME_RATE
 from .nn import (LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
                  sinusoidal_positions, timestep_embedding)
 from .optim import _fit, load_checkpoint, save_checkpoint
-from .pitch import PitchExtractor, log_compress
+from .pitch import PitchEncoderConfig, PitchExtractor, cqt_input
 from .synthgen import load_manifest
 from .tensor import Tensor
 
@@ -167,13 +166,13 @@ def cfm_loss(net, x1: np.ndarray, cond, rng: np.random.Generator,
     return T.mse_loss(pred, Tensor(x1 - x0), mask=loss_mask)
 
 
-def ode_sample(net, cond, sched: SwaySchedule, rng: np.random.Generator,
-               frames: int | None = None, mel_bands: int = 80) -> np.ndarray:
-    """Transport Gaussian noise to a mel by Euler steps over the sway knots;
-    invokes the network exactly sched.nfe times."""
+def ode_sample(net: VelocityNet, cond, sched: SwaySchedule,
+               rng: np.random.Generator) -> np.ndarray:
+    """Transport Gaussian noise to a mel, one frame per row of `cond` and
+    `net.cfg.mel_bands` bands, by Euler steps over the sway knots; invokes
+    the network exactly sched.nfe times."""
     cond_data = cond.data if isinstance(cond, Tensor) else np.asarray(cond, dtype=np.float64)
-    n = cond_data.shape[0] if frames is None else frames
-    x0 = rng.standard_normal((n, mel_bands))
+    x0 = rng.standard_normal((cond_data.shape[0], net.cfg.mel_bands))
     cond_t = Tensor(cond_data)
 
     def v_fn(x, t):
@@ -211,6 +210,12 @@ class ConverterConfig:
         if not 0.0 < lo <= hi < 1.0:
             raise ContractError(f"mask span {self.mask_span} must sit inside (0, 1)")
         self.mask_span = tuple(self.mask_span)  # a checkpoint's JSON header holds a list
+        if self.steps < 1 or self.batch < 1:
+            raise ContractError(f"need steps >= 1 and batch >= 1, got {self.steps} and "
+                                f"{self.batch}")
+        if self.gl_iters < 1:
+            raise ContractError(f"gl_iters must be >= 1, got {self.gl_iters}")
+        SwaySchedule(self.sway_s, self.nfe)  # the schedule's own checks
 
 
 class ConverterModel:
@@ -270,12 +275,6 @@ class ConverterModel:
         zt_full = np.broadcast_to(zt[..., None, :], zc.shape[:-1] + zt.shape[-1:])
         return T.concat([zc, zp, Tensor(zt_full), Tensor(x_ref), Tensor(visible)], axis=-1)
 
-    def pitch_embedding(self, w: Waveform, transpose: int = 0) -> np.ndarray:
-        mat = compute_cqt(w)
-        if transpose:
-            mat = transpose_pitch(mat, transpose)
-        return self.pitch.encode_cqt(log_compress(crop_to_vocal_range(mat))).data
-
     def save(self, path, step: int) -> None:
         arrays = dict(self.store.arrays())
         for name, value in self.pitch.store.arrays().items():
@@ -295,8 +294,6 @@ class ConverterModel:
     def load(cls, path) -> "ConverterModel":
         arrays, _step, header = load_checkpoint(path)
         cfg = ConverterConfig(**header["config"]["converter"])
-        from .pitch import PitchEncoderConfig
-
         pitch = PitchExtractor(PitchEncoderConfig(**header["config"]["pitch_encoder"]),
                                trainable=False)
         pitch.store.load(arrays, prefix="pitch.")
@@ -312,17 +309,16 @@ class ConverterModel:
 # ---------------------------------------------------------------------------
 
 
-def _load_corpus(manifest_path, pitch: PitchExtractor, split: str = "train"):
+def _load_corpus(manifest_path, pitch: PitchExtractor):
+    """The train split: each clip's waveform, mel and pitch embedding."""
     root = Path(manifest_path).parent
     corpus = []
     for row in load_manifest(manifest_path):
-        if row["split"] != split:
+        if row["split"] != "train":
             continue
-        w = load_wav(root / row["path"])
-        if w.sample_rate != PIPELINE_SAMPLE_RATE:
-            w = resample(w, PIPELINE_SAMPLE_RATE)
+        w = load_pipeline_wav(root / row["path"])
         mel = mel_spectrogram(w)
-        z_p = pitch.encode_cqt(log_compress(crop_to_vocal_range(compute_cqt(w)))).data
+        z_p = pitch.encode_cqt(cqt_input(w)).data
         corpus.append({
             "id": row["id"],
             "preset": row.get("preset", ""),
@@ -348,8 +344,8 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     pitch_ckpt = Path(pitch_ckpt)
     if not pitch_ckpt.exists():
         raise ContractError(f"pitch checkpoint {pitch_ckpt} not found")
-    pitch = PitchExtractor.load(pitch_ckpt, trainable=False)
-    corpus = _load_corpus(manifest_path, pitch, split="train")
+    pitch = PitchExtractor.load(pitch_ckpt)
+    corpus = _load_corpus(manifest_path, pitch)
     if not corpus:
         raise ContractError(f"no train clips in manifest {manifest_path}")
 
@@ -411,25 +407,20 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
 # ---------------------------------------------------------------------------
 
 
-def convert(src: Waveform, ref: Waveform, model: ConverterModel | str | Path,
-            sched: SwaySchedule | None = None, transpose: int = 0, seed: int = 0,
-            gl_iters: int | None = None) -> tuple[Waveform, MelSpectrogram]:
+def convert(src: Waveform, ref: Waveform, model: ConverterModel,
+            sched: SwaySchedule | None = None, transpose: int = 0,
+            seed: int = 0) -> tuple[Waveform, MelSpectrogram]:
     """Convert `src` to the timbre of `ref`: content and (optionally
     transposed) pitch come from the source, timbre and the mel prompt from
-    the reference. Returns the waveform and the generated mel."""
-    if not isinstance(model, ConverterModel):
-        model = ConverterModel.load(model)
+    the reference. Both clips must be at 44.1 kHz (`audio.load_pipeline_wav`
+    reads a file at that rate). `sched` defaults to the checkpoint's sway and
+    NFE, and Griffin-Lim runs the checkpoint's `gl_iters` iterations.
+    Returns the waveform and the generated mel."""
     cfg = model.cfg
     sched = sched or SwaySchedule(cfg.sway_s, cfg.nfe)
-    gl_iters = cfg.gl_iters if gl_iters is None else gl_iters
-    if gl_iters < 1:  # fail before the ODE rather than after it
-        raise ContractError("gl_iters must be >= 1")
-
-    rate = PIPELINE_SAMPLE_RATE
-    if src.sample_rate != rate:
-        src = resample(src, rate)
-    if ref.sample_rate != rate:
-        ref = resample(ref, rate)
+    if src.sample_rate != PIPELINE_SAMPLE_RATE or ref.sample_rate != PIPELINE_SAMPLE_RATE:
+        raise ContractError(f"convert needs 44.1 kHz clips, got source {src.sample_rate} Hz "
+                            f"and reference {ref.sample_rate} Hz")
     if src.duration < 1.0 or ref.duration < 1.0:
         raise ContractError("source and reference clips must be at least 1 s")
 
@@ -437,8 +428,8 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel | str | Path,
     mel_ref = mel_spectrogram(ref)
     content_src = extract_content(mel_src)
     content_ref = extract_content(mel_ref)
-    z_p_src = model.pitch_embedding(src, transpose=transpose)
-    z_p_ref = model.pitch_embedding(ref)
+    z_p_src = model.pitch.encode_cqt(cqt_input(src, transpose)).data
+    z_p_ref = model.pitch.encode_cqt(cqt_input(ref)).data
     z_t = model.timbre.embed(mel_ref)
 
     prompt = min(cfg.prompt_frames, mel_ref.frames)
@@ -451,7 +442,7 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel | str | Path,
 
     cond = model.fuse(content, z_p, z_t, x_ref, visible).data
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x0DE))))
-    sampled = ode_sample(model.net, cond, sched, rng, mel_bands=cfg.mel_bands)
+    sampled = ode_sample(model.net, cond, sched, rng)
     mel_out = MelSpectrogram(model.destandardize(sampled[prompt:]), ROLL_FRAME_RATE)
-    wave = griffin_lim(mel_out, iters=gl_iters)
+    wave = griffin_lim(mel_out, iters=cfg.gl_iters)
     return wave, mel_out

@@ -8,22 +8,16 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import MelSpectrogram, Waveform, mel_spectrogram
 from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, F_MIN_C1
 from .errors import ContractError
 from .features import TimbreSpace
 from .midi import MidiNote, PianoRoll, to_piano_roll
-
-
-@dataclass
-class MultiPitchFrame:
-    frame: int
-    active_bins: set[int]
 
 
 @dataclass
@@ -44,11 +38,11 @@ def _frame_peaks(row: np.ndarray, floor: float) -> list[int]:
 
 
 def multipitch_from_cqt(m: CqtMatrix, threshold_db: float = -20.0,
-                        octave_guard: bool = True) -> list[MultiPitchFrame]:
-    """Per-frame sounding bins: local maxima within threshold_db of the frame
-    maximum. With the guard, a peak at k is dropped when a peak also sits at
-    k-12 with at least half its magnitude (the second harmonic of a strong
-    fundamental lands exactly one octave up)."""
+                        octave_guard: bool = True) -> list[set[int]]:
+    """Per-frame sets of sounding bins: local maxima within threshold_db of
+    the frame maximum. With the guard, a peak at k is dropped when a peak
+    also sits at k-12 with at least half its magnitude (the second harmonic
+    of a strong fundamental lands exactly one octave up)."""
     if threshold_db >= 0:
         raise ContractError("threshold_db must be negative")
     rel = 10.0 ** (threshold_db / 20.0)
@@ -57,14 +51,14 @@ def multipitch_from_cqt(m: CqtMatrix, threshold_db: float = -20.0,
         row = m.magnitudes[f]
         top = row.max()
         if top <= 0:
-            frames.append(MultiPitchFrame(f, set()))
+            frames.append(set())
             continue
         peaks = _frame_peaks(row, top * rel)
         if octave_guard:
             peak_set = set(peaks)
             peaks = [k for k in peaks
                      if not (k - 12 in peak_set and row[k - 12] >= 0.5 * row[k])]
-        frames.append(MultiPitchFrame(f, set(peaks)))
+        frames.append(set(peaks))
     return frames
 
 
@@ -73,17 +67,16 @@ def multipitch_from_cqt(m: CqtMatrix, threshold_db: float = -20.0,
 # ---------------------------------------------------------------------------
 
 
-def f0_yin(w: Waveform, frame_s: float = 0.025, hop_s: float = 0.010,
-           threshold: float = 0.15, f_lo: float = 60.0, f_hi: float = 1000.0) -> np.ndarray:
-    """Single-pitch YIN track: cumulative-mean-normalized difference with an
-    absolute threshold and parabolic interpolation. NaN marks unvoiced
-    frames. One value per frame -- by construction it cannot report two
-    simultaneous pitches."""
+def f0_yin(w: Waveform) -> np.ndarray:
+    """Single-pitch YIN track over 25 ms frames every 10 ms, f0 in 60..1000
+    Hz: cumulative-mean-normalized difference with an absolute threshold of
+    0.15 and parabolic interpolation. NaN marks unvoiced frames. One value
+    per frame -- by construction it cannot report two simultaneous pitches."""
     sr = w.sample_rate
-    win = int(round(frame_s * sr))
-    hop = int(round(hop_s * sr))
-    tau_min = max(2, int(sr / f_hi))
-    tau_max = min(win, int(np.ceil(sr / f_lo)))
+    win = int(round(0.025 * sr))
+    hop = int(round(0.010 * sr))
+    tau_min = max(2, int(sr / 1000.0))
+    tau_max = min(win, int(np.ceil(sr / 60.0)))
     x = w.samples
     n_frames = max(1, (x.size - 2 * win) // hop + 1) if x.size >= 2 * win else 1
     out = np.full(n_frames, np.nan)
@@ -109,7 +102,7 @@ def f0_yin(w: Waveform, frame_s: float = 0.025, hop_s: float = 0.010,
 
         tau = None
         for cand in range(tau_min, tau_max):
-            if cmndf[cand] < threshold:
+            if cmndf[cand] < 0.15:
                 while cand + 1 < tau_max and cmndf[cand + 1] < cmndf[cand]:
                     cand += 1
                 tau = cand
@@ -140,14 +133,14 @@ def _truth_bins(roll: PianoRoll) -> list[set[int]]:
     return [set(np.flatnonzero(roll.activity[f]).tolist()) for f in range(roll.frames)]
 
 
-def multipitch_scores(detected: list[MultiPitchFrame], roll: PianoRoll,
+def multipitch_scores(detected: list[set[int]], roll: PianoRoll,
                       tolerance: int = 1) -> dict[str, float]:
     """Frame-level precision/recall/F1 with +/-tolerance bin matching."""
     truth = _truth_bins(roll)
     n = min(len(detected), len(truth))
     tp_r = total_t = tp_p = total_d = 0
     for f in range(n):
-        t_bins, d_bins = truth[f], detected[f].active_bins
+        t_bins, d_bins = truth[f], detected[f]
         total_t += len(t_bins)
         total_d += len(d_bins)
         tp_r += sum(1 for t in t_bins if any(abs(d - t) <= tolerance for d in d_bins))
@@ -187,34 +180,28 @@ def harmony_retention(m: CqtMatrix, roll: PianoRoll, threshold_db: float = -20.0
         if len(truth[f]) < 2:
             continue
         poly += 1
-        d_bins = detected[f].active_bins
-        hits = sum(1 for t in truth[f] if any(abs(d - t) <= tolerance for d in d_bins))
+        hits = sum(1 for t in truth[f] if any(abs(d - t) <= tolerance for d in detected[f]))
         kept += int(hits >= 2)
     return kept / poly if poly else float("nan")
 
 
-def evaluate_conversion(output: Waveform, source_truth: list[MidiNote],
-                        ref: Waveform | None, cfg: EvalConfig,
-                        timbre_space: TimbreSpace | None = None,
-                        target_mel=None, output_mel=None) -> dict:
-    """One report row: multipitch precision/recall/F1 of the output CQT
-    against the ground-truth roll, timbre cosine to the reference (when a
-    fitted timbre space is supplied), and mel L1 when a target is defined."""
+def evaluate_conversion(output: Waveform, source_truth: list[MidiNote], ref: Waveform,
+                        cfg: EvalConfig, timbre_space: TimbreSpace,
+                        target_mel: MelSpectrogram, output_mel: MelSpectrogram) -> dict:
+    """One report row: multipitch precision/recall/F1 and harmony retention
+    of the output CQT against the ground-truth roll, the timbre cosine of
+    the output to the reference in `timbre_space`, and the mel L1 between
+    `target_mel` and `output_mel` over their common frames."""
     cropped = crop_to_vocal_range(compute_cqt(output))
     roll = to_piano_roll(source_truth, n_frames=cropped.frames)
     row = dict(multipitch_scores(
         multipitch_from_cqt(cropped, cfg.threshold_db), roll, cfg.tolerance_bins))
     row["harmony_retention"] = harmony_retention(cropped, roll, cfg.threshold_db,
                                                  cfg.tolerance_bins)
-    if timbre_space is not None and ref is not None:
-        from .audio import mel_spectrogram
-
-        cos = float(np.dot(timbre_space.embed(mel_spectrogram(output)),
-                           timbre_space.embed(mel_spectrogram(ref))))
-        row["timbre_cos"] = cos
-    if target_mel is not None and output_mel is not None:
-        n = min(target_mel.frames, output_mel.frames)
-        row["mel_l1"] = float(np.abs(target_mel.values[:n] - output_mel.values[:n]).mean())
+    row["timbre_cos"] = float(np.dot(timbre_space.embed(mel_spectrogram(output)),
+                                     timbre_space.embed(mel_spectrogram(ref))))
+    n = min(target_mel.frames, output_mel.frames)
+    row["mel_l1"] = float(np.abs(target_mel.values[:n] - output_mel.values[:n]).mean())
     return row
 
 
@@ -234,13 +221,12 @@ def _aggregate(values: np.ndarray, resamples: int, rng: np.random.Generator) -> 
     }
 
 
-def emit_report(rows: list[dict], out_dir, config_echo: dict | None = None,
-                seed: int = 0, cfg: EvalConfig | None = None) -> Path:
+def emit_report(rows: list[dict], out_dir, config_echo: dict, seed: int,
+                cfg: EvalConfig) -> Path:
     """Write report.json (rows + aggregates + config echo) and a flat
     report.csv; bootstrap CIs are seeded so reruns agree exactly."""
     if not rows:
         raise ContractError("cannot emit a report without rows")
-    cfg = cfg or EvalConfig()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -254,7 +240,7 @@ def emit_report(rows: list[dict], out_dir, config_echo: dict | None = None,
         if values.size:
             aggregates[key] = _aggregate(values, cfg.bootstrap_resamples, rng)
 
-    report = {"seed": seed, "config": config_echo or {}, "rows": rows, "aggregates": aggregates}
+    report = {"seed": seed, "config": config_echo, "rows": rows, "aggregates": aggregates}
     report_path = out / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import MEL_CONFIG, MelSpectrogram, StftConfig, Waveform, istft, stft
+from .audio import MEL_CONFIG, MelSpectrogram, Waveform, istft, stft
 from .errors import ContractError
 
 N_CONTENT = 20
@@ -176,8 +176,7 @@ def _envelope(log_mag: np.ndarray) -> np.ndarray:
     return np.exp(smooth)
 
 
-def warp_spectral_envelope(w: Waveform, offsets: np.ndarray,
-                           cfg: StftConfig = MEL_CONFIG) -> Waveform:
+def warp_spectral_envelope(w: Waveform, offsets: np.ndarray) -> Waveform:
     """Warp only the spectral envelope along frequency by a monotone
     piecewise-linear map; the excitation (hence pitch) is untouched.
     Zero offsets reproduce the input exactly up to STFT round-off."""
@@ -187,7 +186,7 @@ def warp_spectral_envelope(w: Waveform, offsets: np.ndarray,
     if np.abs(offsets).max() > WARP_LIMIT + 1e-12:
         raise ContractError(f"breakpoint offsets exceed +/-{WARP_LIMIT}")
 
-    spec = stft(w.samples, cfg)
+    spec = stft(w.samples, MEL_CONFIG)
     mag = np.abs(spec)
     env = _envelope(np.log(np.maximum(mag, 1e-10)))
     excitation = spec / env
@@ -203,7 +202,7 @@ def warp_spectral_envelope(w: Waveform, offsets: np.ndarray,
     frac = source_pos - lo
     warped_env = env[:, lo] * (1.0 - frac) + env[:, hi] * frac
 
-    out = istft(warped_env * excitation, cfg, w.samples.size)
+    out = istft(warped_env * excitation, MEL_CONFIG, w.samples.size)
     return Waveform(out, w.sample_rate)
 
 

@@ -247,14 +247,15 @@ def _vlq(value: int) -> bytes:
     return bytes(reversed(out))
 
 
-def write_smf(notes: list[MidiNote], path, ticks_per_beat: int = TICKS_PER_BEAT) -> None:
-    """Serialize notes as a single-track format-0 file at 120 BPM.
+def write_smf(notes: list[MidiNote], path) -> None:
+    """Serialize notes as a single-track format-0 file at 120 BPM and
+    `TICKS_PER_BEAT` ticks per beat.
 
-    Times are quantized to the tick grid (1/960 s at the default division);
+    Times are quantized to the tick grid (1/960 s);
     the synthetic generator emits tick-aligned times so the round trip
     through `parse_smf` is exact.
     """
-    ticks_per_second = ticks_per_beat * 1e6 / DEFAULT_TEMPO_US
+    ticks_per_second = TICKS_PER_BEAT * 1e6 / DEFAULT_TEMPO_US
     edges = []
     for note in notes:
         on = int(round(note.onset * ticks_per_second))
@@ -274,7 +275,7 @@ def write_smf(notes: list[MidiNote], path, ticks_per_beat: int = TICKS_PER_BEAT)
     body += _vlq(0) + bytes([0xFF, 0x2F, 0x00])
 
     with open(path, "wb") as fh:
-        fh.write(b"MThd" + struct.pack(">IHHH", 6, 0, 1, ticks_per_beat))
+        fh.write(b"MThd" + struct.pack(">IHHH", 6, 0, 1, TICKS_PER_BEAT))
         fh.write(b"MTrk" + struct.pack(">I", len(body)) + bytes(body))
 
 
@@ -283,9 +284,10 @@ def write_smf(notes: list[MidiNote], path, ticks_per_beat: int = TICKS_PER_BEAT)
 # ---------------------------------------------------------------------------
 
 
-def to_piano_roll(notes: list[MidiNote], n_frames: int, frame_rate: float = ROLL_FRAME_RATE) -> PianoRoll:
-    """Binary roll: frame f is active for pitch p iff some note with that
-    pitch satisfies onset <= f/rate < offset. Pitches outside 24..83 drop."""
+def to_piano_roll(notes: list[MidiNote], n_frames: int) -> PianoRoll:
+    """Binary roll at `ROLL_FRAME_RATE`: frame f is active for pitch p iff
+    some note with that pitch satisfies onset <= f/rate < offset. Pitches
+    outside 24..83 drop."""
     if n_frames < 1:
         raise ContractError("n_frames must be >= 1")
     activity = np.zeros((n_frames, ROLL_PITCHES))
@@ -293,10 +295,10 @@ def to_piano_roll(notes: list[MidiNote], n_frames: int, frame_rate: float = ROLL
         idx = note.pitch - ROLL_LOW
         if not 0 <= idx < ROLL_PITCHES:
             continue
-        first = int(np.ceil(note.onset * frame_rate - 1e-9))
-        last = int(np.ceil(note.offset * frame_rate - 1e-9))  # exclusive
+        first = int(np.ceil(note.onset * ROLL_FRAME_RATE - 1e-9))
+        last = int(np.ceil(note.offset * ROLL_FRAME_RATE - 1e-9))  # exclusive
         first = max(first, 0)
         last = min(last, n_frames)
         if last > first:
             activity[first:last, idx] = 1.0
-    return PianoRoll(activity, frame_rate)
+    return PianoRoll(activity)

@@ -17,20 +17,23 @@ from .errors import ContractError
 from .tensor import Tensor, backward, zero_grads
 
 
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 @dataclass
 class AdamWConfig:
     peak_lr: float = 1e-4
     min_lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     total_steps: int = 10000  # step at which the decayed lr reaches min_lr
 
 
 class AdamW:
-    """Adam moments with bias correction; weight decay applied directly to
-    parameters rather than through the gradients."""
+    """Adam moments (beta1 0.9, beta2 0.999, eps 1e-8) with bias
+    correction; weight decay applied directly to parameters rather than
+    through the gradients."""
 
     def __init__(self, params: dict[str, Tensor], cfg: AdamWConfig):
         self.params = params
@@ -46,25 +49,26 @@ class AdamW:
     def lr_at(self, step: int) -> float:
         return max(self.cfg.min_lr, self.cfg.peak_lr * self._gamma**step)
 
-    def step(self, grads: dict[Tensor, np.ndarray] | None = None) -> float:
-        """Apply one update from `.grad` fields (or an explicit gradient map);
-        returns the learning rate used. Non-finite gradients reject the step."""
+    def step(self) -> float:
+        """Apply one update from the parameters' `.grad` fields (a missing
+        gradient counts as zero); returns the learning rate used. Non-finite
+        gradients reject the step."""
         lr = self.lr_at(self.step_count)
         self.step_count += 1
         c = self.cfg
-        bc1 = 1.0 - c.beta1**self.step_count
-        bc2 = 1.0 - c.beta2**self.step_count
+        bc1 = 1.0 - _BETA1**self.step_count
+        bc2 = 1.0 - _BETA2**self.step_count
         for name, p in self.params.items():
-            g = grads.get(p) if grads is not None else p.grad
+            g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise ContractError(f"non-finite gradient for parameter {name!r}; step rejected")
             m = self._m[name]
             v = self._v[name]
-            m += (1.0 - c.beta1) * (g - m)
-            v += (1.0 - c.beta2) * (g * g - v)
-            update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m += (1.0 - _BETA1) * (g - m)
+            v += (1.0 - _BETA2) * (g * g - v)
+            update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
             p.data -= lr * update
             if c.weight_decay:
                 p.data -= lr * c.weight_decay * p.data

@@ -1,9 +1,12 @@
 """Polyphonic pitch extractor trained by aligning CQT embeddings to MIDI
-embeddings under a mean-L1 loss on randomly sampled time windows.
+embeddings under a mean-L1 loss (`tensor.l1_loss`, masked to the valid
+frames) on randomly sampled time windows.
 
 Two independent transformer encoders map the cropped (60-bin) CQT and the
 piano roll into a shared embedding space. After training, the CQT encoder is
 frozen and feeds the converter; the MIDI encoder exists only to supervise it.
+`cqt_input` is the one definition of what the CQT encoder reads, for
+training, the converter's corpus and conversion alike.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import load_wav, resample
-from .cqt import CqtConfig, CqtMatrix, compute_cqt, crop_to_vocal_range
+from .audio import Waveform, load_pipeline_wav
+from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, transpose_pitch
 from .errors import ContractError
 from .midi import load_smf, to_piano_roll
 from .nn import ParamStore, SequenceEncoder
@@ -54,6 +57,16 @@ def log_compress(m: CqtMatrix | np.ndarray) -> np.ndarray:
     return np.log1p(mags / ref)
 
 
+def cqt_input(w: Waveform, transpose: int = 0) -> np.ndarray:
+    """What the CQT encoder reads from a 44.1 kHz clip: its CQT, shifted by
+    `transpose` semitones, cropped to the vocal range and log-compressed;
+    (frames, 60)."""
+    mat = compute_cqt(w)
+    if transpose:
+        mat = transpose_pitch(mat, transpose)
+    return log_compress(crop_to_vocal_range(mat))
+
+
 class PitchExtractor:
     def __init__(self, cfg: PitchEncoderConfig, seed: int = 0, trainable: bool = True):
         self.cfg = cfg
@@ -81,22 +94,13 @@ class PitchExtractor:
         save_checkpoint(path, self.store.arrays(), step, {"pitch_encoder": asdict(self.cfg)})
 
     @classmethod
-    def load(cls, path, trainable: bool = False) -> "PitchExtractor":
+    def load(cls, path) -> "PitchExtractor":
+        """The frozen extractor of a checkpoint: its parameters are constants."""
         arrays, _step, header = load_checkpoint(path)
         cfg = PitchEncoderConfig(**header["config"]["pitch_encoder"])
-        model = cls(cfg, trainable=trainable)
+        model = cls(cfg, trainable=False)
         model.store.load(arrays)
         return model
-
-
-def rs_loss(z_cqt, z_midi) -> Tensor:
-    """Mean absolute difference between the two embeddings (scale-free in
-    sequence length); zero exactly when they agree."""
-    a = z_cqt if isinstance(z_cqt, Tensor) else Tensor(z_cqt)
-    b = z_midi if isinstance(z_midi, Tensor) else Tensor(z_midi)
-    if a.shape != b.shape:
-        raise ContractError(f"embedding shapes differ: {a.shape} vs {b.shape}")
-    return T.l1_loss(a, b)
 
 
 def sample_training_window(clip: tuple[np.ndarray, np.ndarray], rng: np.random.Generator,
@@ -131,27 +135,17 @@ class PitchTrainConfig:
     min_lr_ratio: float = 0.1
     weight_decay: float = 0.01
 
+    def __post_init__(self):
+        if self.steps < 1 or self.batch < 1:
+            raise ContractError(f"need steps >= 1 and batch >= 1, got {self.steps} and "
+                                f"{self.batch}")
 
-def prepare_clip(wav_path, mid_path, cqt_cfg: CqtConfig = CqtConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """WAV + SMF -> (log-compressed cropped CQT, aligned piano roll)."""
-    w = load_wav(wav_path)
-    if w.sample_rate != cqt_cfg.sample_rate:
-        w = resample(w, cqt_cfg.sample_rate)
-    cropped = crop_to_vocal_range(compute_cqt(w, cqt_cfg))
-    values = log_compress(cropped)
-    roll = to_piano_roll(load_smf(mid_path), n_frames=cropped.frames)
+
+def prepare_clip(wav_path, mid_path) -> tuple[np.ndarray, np.ndarray]:
+    """WAV + SMF -> (`cqt_input` of the clip, aligned piano roll)."""
+    values = cqt_input(load_pipeline_wav(wav_path))
+    roll = to_piano_roll(load_smf(mid_path), n_frames=values.shape[0])
     return values, roll.activity
-
-
-def _manifest_clips(manifest_path, split: str | None) -> list[tuple[str, Path, Path]]:
-    root = Path(manifest_path).parent
-    out = []
-    for row in load_manifest(manifest_path):
-        if split is not None and row["split"] != split:
-            continue
-        wav = root / row["path"]
-        out.append((row["id"], wav, wav.with_suffix(".mid")))
-    return out
 
 
 def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | None,
@@ -161,10 +155,11 @@ def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | Non
     writes a (step, lr, loss) CSV and the checkpoint. Returns the checkpoint
     path. The CQT encoder inside the checkpoint is what downstream loads."""
     steps = cfg.steps if steps is None else steps
-    entries = _manifest_clips(manifest_path, split="train")
-    if not entries:
+    root = Path(manifest_path).parent
+    wavs = [root / row["path"] for row in load_manifest(manifest_path) if row["split"] == "train"]
+    if not wavs:
         raise ContractError(f"no train clips in manifest {manifest_path}")
-    clips = [prepare_clip(wav, mid) for _id, wav, mid in entries]
+    clips = [prepare_clip(wav, wav.with_suffix(".mid")) for wav in wavs]
 
     model = PitchExtractor(cfg.encoder, seed=seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xB0B))))
@@ -185,11 +180,11 @@ def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | Non
                 log_path, progress)
 
 
-def retrieval_probe(model: PitchExtractor, clips: list[tuple[np.ndarray, np.ndarray]],
-                    window_frames: int | None = None) -> float:
+def retrieval_probe(model: PitchExtractor, clips: list[tuple[np.ndarray, np.ndarray]]) -> float:
     """Top-1 accuracy of matching each clip's CQT embedding to its own MIDI
-    embedding by L1 distance, over the full candidate set."""
-    window = window_frames or model.cfg.window_frames
+    embedding by L1 distance, over the full candidate set, on the first
+    `window_frames` frames of each clip."""
+    window = model.cfg.window_frames
     z_cqt, z_midi = [], []
     for values, roll in clips:
         n = min(window, values.shape[0], roll.shape[0])

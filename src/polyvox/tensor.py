@@ -374,14 +374,14 @@ def gelu(x: Tensor) -> Tensor:
 
 def mean(a: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(a, np.full(a.shape, float(g) / a.data.size))
+        _accumulate(a, np.full(a.shape, float(g) / a.data.size, dtype=a.data.dtype))
 
     return _node(a.data.mean(), (a,), bwd)
 
 
 def sum_(a: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(a, np.full(a.shape, float(g)))
+        _accumulate(a, np.full(a.shape, float(g), dtype=a.data.dtype))
 
     return _node(a.data.sum(), (a,), bwd)
 
@@ -394,7 +394,7 @@ def _masked_loss(a: Tensor, b: Tensor, mask, point, point_grad) -> Tensor:
         weight = None
         denom = diff.size
     else:
-        weight = np.broadcast_to(np.asarray(mask, dtype=np.float64), diff.shape)
+        weight = np.broadcast_to(np.asarray(mask, dtype=diff.dtype), diff.shape)
         denom = weight.sum()
         if denom <= 0:
             raise ContractError("loss mask selects no elements")

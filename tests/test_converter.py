@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polyvox import cli
-from polyvox.audio import load_wav, resample, save_wav
+from polyvox.audio import Waveform, load_wav, resample, save_wav
 from polyvox.converter import (ConverterConfig, ConverterModel, SwaySchedule, VelocityNet,
                                VelocityNetConfig, convert, ode_sample, train_converter)
 from polyvox.errors import ContractError
@@ -110,9 +110,17 @@ class TestConvert:
         src, ref = (load_wav(manifest.parent / r["path"]) for r in rows[:2])
         model = ConverterModel.load(files["svc.pvck"])
         assert model.cfg.mask_span == ConverterConfig().mask_span
-        wave, mel = convert(src, ref, model, SwaySchedule(nfe=2), gl_iters=2)
+        wave, mel = convert(src, ref, model, SwaySchedule(nfe=2))
         assert mel.frames == src.samples.size // 441 + 1
         assert np.all(np.isfinite(mel.values))
+        assert wave.samples.size == mel.frames * 441
+
+    def test_clips_off_the_pipeline_rate_rejected(self):
+        """Resampling is the loader's job (`load_pipeline_wav`), not convert's."""
+        clip = Waveform(np.zeros(44100), 44100)
+        for pair in ((resample(clip, 48000), clip), (clip, resample(clip, 22050))):
+            with pytest.raises(ContractError, match="44.1 kHz"):
+                convert(*pair, _tiny_model(), SwaySchedule(nfe=2))
 
     def test_loaded_model_is_constant_and_samples_like_a_trainable_copy(self, tiny_runs):
         _manifest, (files, _), _ = tiny_runs
@@ -163,12 +171,11 @@ class TestConvert:
         assert z.dtype == np.float64
         assert np.array_equal(z, wide.encode_cqt(x).data)
 
-    def test_zero_griffin_lim_iterations_rejected(self, tiny_runs):
-        manifest, (files, _), _ = tiny_runs
-        rows = load_manifest(manifest)
-        src, ref = (load_wav(manifest.parent / r["path"]) for r in rows[:2])
+    def test_zero_griffin_lim_iterations_rejected(self):
+        """A converter config cannot hold a Griffin-Lim count `convert`
+        would fail on after sampling."""
         with pytest.raises(ContractError, match="gl_iters"):
-            convert(src, ref, files["svc.pvck"], SwaySchedule(nfe=2), gl_iters=0)
+            ConverterConfig(gl_iters=0)
 
 
 class TestCli:

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from polyvox import tensor as T
 from polyvox.cqt import compute_cqt, crop_to_vocal_range
 from polyvox.errors import ContractError
 from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, log_compress,
-                           prepare_clip, rs_loss, sample_training_window)
-from polyvox.synthgen import load_manifest
+                           prepare_clip, sample_training_window)
 
 from .conftest import make_sine
 
@@ -55,34 +51,6 @@ class TestEncoders:
             PitchEncoderConfig(model_dim=30, n_heads=4)
         with pytest.raises(ContractError):
             PitchEncoderConfig(window_frames=4)
-
-
-class TestRsLoss:
-    def test_identical_is_zero(self):
-        z = np.random.default_rng(1).normal(size=(20, 8))
-        assert float(rs_loss(z, z).data) == 0.0
-
-    def test_constant_offset(self):
-        z = np.random.default_rng(2).normal(size=(20, 8))
-        assert float(rs_loss(z + 1.0, z).data) == pytest.approx(1.0)
-
-    def test_hand_arithmetic(self):
-        assert float(rs_loss(np.array([[1.0, -1.0]]), np.array([[0.0, 1.0]])).data) \
-            == pytest.approx(1.5)
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_symmetric_and_nonnegative(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(6, 4))
-        b = rng.normal(size=(6, 4))
-        ab = float(rs_loss(a, b).data)
-        assert ab >= 0.0
-        assert ab == pytest.approx(float(rs_loss(b, a).data))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractError):
-            rs_loss(np.zeros((3, 4)), np.zeros((4, 3)))
 
 
 class TestWindowSampling:

@@ -107,6 +107,37 @@ class TestPrimitives:
             T.l1_loss(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
 
 
+class TestL1Loss:
+    """The pitch extractor's alignment loss."""
+
+    def test_identical_is_zero(self):
+        z = Tensor(np.random.default_rng(1).normal(size=(20, 8)))
+        assert float(T.l1_loss(z, z).data) == 0.0
+
+    def test_constant_offset(self):
+        z = np.random.default_rng(2).normal(size=(20, 8))
+        assert float(T.l1_loss(Tensor(z + 1.0), Tensor(z)).data) == pytest.approx(1.0)
+
+    def test_hand_arithmetic(self):
+        loss = T.l1_loss(Tensor(np.array([[1.0, -1.0]])), Tensor(np.array([[0.0, 1.0]])))
+        assert float(loss.data) == pytest.approx(1.5)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_symmetric_and_nonnegative(self, seed):
+        rng = np.random.default_rng(seed)
+        a = Tensor(rng.normal(size=(6, 4)))
+        b = Tensor(rng.normal(size=(6, 4)))
+        ab = float(T.l1_loss(a, b).data)
+        assert ab >= 0.0
+        assert ab == pytest.approx(float(T.l1_loss(b, a).data))
+
+    def test_shape_mismatch(self):
+        """Equal sizes in other shapes are a mismatch too."""
+        with pytest.raises(ContractError):
+            T.l1_loss(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 3))))
+
+
 class TestDtypePolicy:
     """float32 data stays float32, scalars take the dtype of the tensor they
     meet, and float64 computes what it computed before the policy."""
@@ -157,6 +188,25 @@ class TestDtypePolicy:
         assert np.array_equal((t + 1.0).data, x + 1.0)
         assert np.array_equal((t * 0.3).data, x * 0.3)
         assert np.array_equal((-t).data, x * -1.0)
+
+    def test_float32_losses_give_float32_gradients(self):
+        """`sum_`, `mean` and a masked loss seed their backward in the
+        operand's dtype, so the backward matmul stays float32."""
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+        target = Tensor(np.zeros((3, 2), np.float32))
+        mask = np.array([[1.0], [0.0], [1.0]])
+        losses = {
+            "sum_": lambda y: T.sum_(y), "mean": lambda y: T.mean(y),
+            "masked mse_loss": lambda y: T.mse_loss(y, target, mask=mask),
+            "masked l1_loss": lambda y: T.l1_loss(y, target, mask=mask),
+            "mse_loss": lambda y: T.mse_loss(y, target),
+        }
+        dtypes = {}
+        for name, loss in losses.items():
+            w = Tensor(rng.normal(size=(4, 2)).astype(np.float32), requires_grad=True)
+            dtypes[name] = backward(loss(T.matmul(x, w)))[w].dtype
+        assert dtypes == {name: np.float32 for name in losses}
 
     def test_cast_passes_the_gradient_back_in_the_source_dtype(self):
         w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
