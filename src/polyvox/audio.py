@@ -1,9 +1,10 @@
 """Audio I/O and spectral analysis: WAV read/write, sinc resampling, STFT/mel,
 and Griffin-Lim phase reconstruction.
 
-Everything here is a pure function of its inputs; the mel configuration used
-by the rest of the pipeline is `MEL_CONFIG` / `N_MELS` (44.1 kHz, hop 441, so
-all frame sequences run at 100 Hz).
+Everything here is a pure function of its inputs. The constants below are
+the pipeline's one frame geometry, read from here by every other module:
+44.1 kHz audio, a 2048-point Hann STFT every 441 samples (100 frames/s for
+mel, CQT, piano roll and YIN alike) and 80 mel bands from 40 Hz to 16 kHz.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ContractError, UnsupportedWavError, WavFormatError
 
 PIPELINE_SAMPLE_RATE = 44100
+FFT_SIZE = 2048
+HOP = 441
+FRAME_RATE = PIPELINE_SAMPLE_RATE / HOP  # 100.0
+N_MELS = 80
+MEL_FMIN = 40.0
+MEL_FMAX = 16000.0
+LOG_FLOOR = 1e-5
 
 
 @dataclass
@@ -43,24 +51,11 @@ class Waveform:
         return self.samples.size / self.sample_rate
 
 
-@dataclass(frozen=True)
-class StftConfig:
-    fft_size: int = 2048
-    hop: int = 441
-
-    def __post_init__(self):
-        if not (0 < self.hop <= self.fft_size):
-            raise ContractError(f"need 0 < hop <= fft_size, got hop={self.hop} fft={self.fft_size}")
-        if self.fft_size & (self.fft_size - 1):
-            raise ContractError(f"fft_size must be a power of two, got {self.fft_size}")
-
-
 @dataclass
 class MelSpectrogram:
-    """Log-amplitude mel spectrogram, frames x bands."""
+    """Log-amplitude mel spectrogram, frames x bands, at `FRAME_RATE`."""
 
     values: np.ndarray
-    frame_rate: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -76,13 +71,6 @@ class MelSpectrogram:
     @property
     def bands(self) -> int:
         return self.values.shape[1]
-
-
-MEL_CONFIG = StftConfig(fft_size=2048, hop=441)
-N_MELS = 80
-MEL_FMIN = 40.0
-MEL_FMAX = 16000.0
-LOG_FLOOR = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +140,9 @@ def load_pipeline_wav(path) -> Waveform:
 def save_wav(w: Waveform, path, fmt: str = "pcm16") -> None:
     """Write a mono WAV file; `fmt` is "pcm16" or "float32"."""
     if fmt == "pcm16":
-        clipped = np.clip(w.samples, -1.0, 1.0)
-        payload = np.round(clipped * 32767.0).astype("<i2").tobytes()
+        scaled = np.clip(w.samples, -1.0, 1.0)
+        scaled *= 32767.0  # in place: corpus clips are written from pool threads
+        payload = np.round(scaled, out=scaled).astype("<i2").tobytes()
         tag, bits = _WAVE_PCM, 16
     elif fmt == "float32":
         payload = w.samples.astype("<f4").tobytes()
@@ -236,23 +225,17 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 # ---------------------------------------------------------------------------
 
 
-def frame_count(n_samples: int, hop: int) -> int:
-    return n_samples // hop + 1
-
-
-def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Center-padded STFT with a Hann window; returns (frames, fft//2+1) complex.
-    The frames' FFTs run on every core through `scipy.fft`, which gives the
-    same bits as `numpy.fft` on the pipeline's 2048-point frames."""
-    fft, hop = cfg.fft_size, cfg.hop
-    pad = fft // 2
+def stft(x: np.ndarray) -> np.ndarray:
+    """Center-padded Hann STFT, frame f centred on sample f * HOP: returns
+    (len(x) // HOP + 1, FFT_SIZE//2+1) complex. The frames' FFTs run on every
+    core through `scipy.fft`, which gives the same bits as `numpy.fft` here."""
+    pad = FFT_SIZE // 2
     xp = np.concatenate([np.zeros(pad), np.asarray(x, dtype=np.float64), np.zeros(pad)])
-    n_frames = frame_count(len(x), hop)
-    window = np.hanning(fft)
-    frames = np.empty((n_frames, fft))
+    n_frames = len(x) // HOP + 1
+    frames = np.empty((n_frames, FFT_SIZE))
     for f in range(n_frames):
-        frames[f] = xp[f * hop : f * hop + fft]
-    frames *= window
+        frames[f] = xp[f * HOP : f * HOP + FFT_SIZE]
+    frames *= np.hanning(FFT_SIZE)
     return scipy.fft.rfft(frames, axis=1, workers=-1)
 
 
@@ -264,34 +247,31 @@ def _overlap_add(segs: np.ndarray, hop: int, total: int) -> np.ndarray:
     return acc
 
 
-def _istft_norm(cfg: StftConfig, n_frames: int, n_samples: int) -> np.ndarray:
+def _istft_norm(n_frames: int, n_samples: int) -> np.ndarray:
     """The overlap-added squared window over the output samples, floored
     at 1e-12: what `istft` divides by."""
-    window = np.hanning(cfg.fft_size)
+    window = np.hanning(FFT_SIZE)
     wsq = window * window
-    total = cfg.fft_size + n_samples
-    norm = _overlap_add(np.broadcast_to(wsq, (n_frames, wsq.size)), cfg.hop, total)
-    pad = cfg.fft_size // 2
+    norm = _overlap_add(np.broadcast_to(wsq, (n_frames, wsq.size)), HOP, FFT_SIZE + n_samples)
+    pad = FFT_SIZE // 2
     return np.maximum(norm[pad : pad + n_samples], 1e-12)
 
 
-def istft(spec: np.ndarray, cfg: StftConfig, n_samples: int,
-          norm: np.ndarray | None = None) -> np.ndarray:
+def istft(spec: np.ndarray, n_samples: int, norm: np.ndarray | None = None) -> np.ndarray:
     """Weighted overlap-add inverse of `stft`; exact for unmodified spectra.
     A caller that inverts many spectra of one shape passes their common
-    `norm`, `_istft_norm(cfg, frames, n_samples)`, once computed."""
-    fft = cfg.fft_size
+    `norm`, `_istft_norm(frames, n_samples)`, once computed."""
     if norm is None:
-        norm = _istft_norm(cfg, spec.shape[0], n_samples)
-    segs = scipy.fft.irfft(spec, n=fft, axis=1, workers=-1)
-    segs *= np.hanning(fft)
-    pad = fft // 2
-    return _overlap_add(segs, cfg.hop, fft + n_samples)[pad : pad + n_samples] / norm
+        norm = _istft_norm(spec.shape[0], n_samples)
+    segs = scipy.fft.irfft(spec, n=FFT_SIZE, axis=1, workers=-1)
+    segs *= np.hanning(FFT_SIZE)
+    pad = FFT_SIZE // 2
+    return _overlap_add(segs, HOP, FFT_SIZE + n_samples)[pad : pad + n_samples] / norm
 
 
-def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
+def mel_filterbank() -> np.ndarray:
     """Triangular HTK-mel filterbank from `MEL_FMIN` to `MEL_FMAX`,
-    (n_mels, fft//2+1), peak weight 1."""
+    (N_MELS, FFT_SIZE//2+1), peak weight 1."""
 
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
@@ -299,10 +279,10 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
     def mel_to_hz(m):
         return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
-    edges = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), n_mels + 2))
-    freqs = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
-    fb = np.zeros((n_mels, freqs.size))
-    for b in range(n_mels):
+    edges = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2))
+    freqs = np.fft.rfftfreq(FFT_SIZE, d=1.0 / PIPELINE_SAMPLE_RATE)
+    fb = np.zeros((N_MELS, freqs.size))
+    for b in range(N_MELS):
         lo, center, hi = edges[b], edges[b + 1], edges[b + 2]
         rising = (freqs - lo) / max(center - lo, 1e-9)
         falling = (hi - freqs) / max(hi - center, 1e-9)
@@ -310,29 +290,27 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
     return fb
 
 
-@functools.lru_cache(maxsize=8)
-def _mel_basis(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
-    fb = mel_filterbank(sample_rate, fft_size, n_mels)
+@functools.cache
+def _mel_basis() -> np.ndarray:
+    fb = mel_filterbank()
     fb.setflags(write=False)
     return fb
 
 
-@functools.lru_cache(maxsize=8)
-def _mel_basis_pinv(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
-    pinv = np.linalg.pinv(_mel_basis(sample_rate, fft_size, n_mels))
+@functools.cache
+def _mel_basis_pinv() -> np.ndarray:
+    pinv = np.linalg.pinv(_mel_basis())
     pinv.setflags(write=False)
     return pinv
 
 
 def mel_spectrogram(w: Waveform) -> MelSpectrogram:
-    """Magnitude STFT (`MEL_CONFIG`) -> `N_MELS`-band mel filterbank ->
-    natural log with floor `LOG_FLOOR`."""
+    """Magnitude `stft` -> `N_MELS`-band mel filterbank -> natural log with
+    floor `LOG_FLOOR`."""
     if w.sample_rate != PIPELINE_SAMPLE_RATE:
         raise ContractError(f"mel pipeline expects {PIPELINE_SAMPLE_RATE} Hz, got {w.sample_rate}")
-    mag = np.abs(stft(w.samples, MEL_CONFIG))
-    mel = mag @ _mel_basis(w.sample_rate, MEL_CONFIG.fft_size, N_MELS).T
-    values = np.log(np.maximum(mel, LOG_FLOOR))
-    return MelSpectrogram(values, frame_rate=w.sample_rate / MEL_CONFIG.hop)
+    mel = np.abs(stft(w.samples)) @ _mel_basis().T
+    return MelSpectrogram(np.log(np.maximum(mel, LOG_FLOOR)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,39 +320,38 @@ def mel_spectrogram(w: Waveform) -> MelSpectrogram:
 
 def mel_to_linear(m: MelSpectrogram) -> np.ndarray:
     """Pseudo-inverse of the mel filterbank, clipped to non-negative magnitudes."""
-    linear = np.exp(m.values) @ _mel_basis_pinv(PIPELINE_SAMPLE_RATE, MEL_CONFIG.fft_size,
-                                                m.bands).T
-    return np.clip(linear, 0.0, None)
+    if m.bands != N_MELS:
+        raise ContractError(f"mel inversion expects {N_MELS} mel bands, got {m.bands}")
+    return np.clip(np.exp(m.values) @ _mel_basis_pinv().T, 0.0, None)
 
 
 def griffin_lim(m: MelSpectrogram, iters: int = 32) -> Waveform:
-    """Iterative phase reconstruction from a log-mel spectrogram at the
-    pipeline rate and `MEL_CONFIG`.
+    """Iterative phase reconstruction of a `PIPELINE_SAMPLE_RATE` waveform
+    from a log-mel spectrogram.
 
-    Deterministic (zero-phase init). Output length is frames * hop; the
+    Deterministic (zero-phase init). Output length is frames * `HOP`; the
     distance between |STFT(x_i)| and the target magnitude is non-increasing
     in the iteration count.
     """
     if iters < 1:
         raise ContractError("iters must be >= 1")
-    cfg = MEL_CONFIG
     target = mel_to_linear(m)
-    n_samples = m.frames * cfg.hop
-    norm = _istft_norm(cfg, m.frames, n_samples)  # the same for every iteration
-    x = istft(target.astype(np.complex128), cfg, n_samples, norm)
+    n_samples = m.frames * HOP
+    norm = _istft_norm(m.frames, n_samples)  # the same for every iteration
+    x = istft(target.astype(np.complex128), n_samples, norm)
     for _ in range(iters - 1):
-        spec = stft(x, cfg)[: m.frames]
+        spec = stft(x)[: m.frames]
         mag = np.abs(spec)
         # S * target/|S| keeps the phase of S at the target magnitude; where
         # |S| = 0 the phase is taken as 0, whatever the sign of the zero
         silent = mag == 0
         spec *= np.divide(target, mag, out=np.zeros_like(mag), where=~silent)
         np.copyto(spec, target, where=silent)
-        x = istft(spec, cfg, n_samples, norm)
+        x = istft(spec, n_samples, norm)
     return Waveform(x, PIPELINE_SAMPLE_RATE)
 
 
 def spectral_convergence(x: np.ndarray, target_mag: np.ndarray) -> float:
     """||  |STFT(x)| - target ||_F, the Griffin-Lim convergence measure."""
-    mag = np.abs(stft(x, MEL_CONFIG))[: target_mag.shape[0]]
+    mag = np.abs(stft(x))[: target_mag.shape[0]]
     return float(np.linalg.norm(mag - target_mag))

@@ -16,10 +16,12 @@ import sys
 import time
 from pathlib import Path
 
-from .audio import Waveform, load_pipeline_wav, mel_spectrogram, save_wav, PIPELINE_SAMPLE_RATE
+from .audio import (HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, Waveform, load_pipeline_wav,
+                    mel_spectrogram, save_wav)
 from .config import ConfigError, load_config, persist_config
 from .converter import ConverterModel, SwaySchedule, convert, train_converter
-from .cqt import compute_cqt, crop_to_vocal_range, interior_frames, save_cqt, save_cqt_csv, transpose_pitch
+from .cqt import (compute_cqt, crop_to_vocal_range, interior_frames, save_cqt, save_cqt_csv,
+                  save_matrix_container, transpose_pitch)
 from .errors import ContractError
 from .evaluate import emit_report, evaluate_conversion, write_pgm
 from .midi import load_smf
@@ -34,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _progress(stage: str):
@@ -154,10 +163,8 @@ def cmd_convert(args) -> dict:
         "transpose": args.transpose,
     }
     if args.mel_out:
-        from .cqt import save_matrix_container
-
-        save_matrix_container(mel_out.values, args.mel_out, b"MEL1", f_min=40.0,
-                              hop=441, sample_rate=PIPELINE_SAMPLE_RATE, bins_per_octave=0)
+        save_matrix_container(mel_out.values, args.mel_out, b"MEL1", f_min=MEL_FMIN, hop=HOP,
+                              sample_rate=PIPELINE_SAMPLE_RATE, bins_per_octave=0)
         summary["mel_out"] = str(args.mel_out)
     if args.transpose:
         shift = _mean_profile_argmax(wave) - _mean_profile_argmax(src)
@@ -244,8 +251,8 @@ def cmd_cqt(args) -> dict:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polyvox", description=__doc__)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker cap for parallel stages")
+    parser.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
+                        help="worker cap for parallel stages (at least 1)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth-data", help="generate the synthetic corpus")

@@ -48,17 +48,26 @@ class RunConfig:
         return self.checkpoint_dir / "svc.pvck"
 
 
+# fields that hold code, not file format: `resolve_echo` writes only their ids
+_CODE_FIELDS = {"presets"}
+
+
+def _section(data: dict, section: str) -> dict:
+    """The JSON object under `section` of the config file ({} if absent)."""
+    value = data.get(section, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"field '{section}': must be an object, got {type(value).__name__}")
+    return value
+
+
 def _build_section(cls, data: dict, section: str, **extra):
-    known = {f.name for f in dataclasses.fields(cls)}
+    """`cls` from the file's `section` plus `extra`, fields the loader fills."""
+    known = {f.name for f in dataclasses.fields(cls)} - _CODE_FIELDS - extra.keys()
     for key in data:
         if key not in known:
-            raise ConfigError(f"field '{section}.{key}': unknown key (known: {sorted(known)})")
-    merged = {**data, **extra}
-    for key in ("dur_range", "note_dur_range", "lead_range"):
-        if key in merged and isinstance(merged[key], list):
-            merged[key] = tuple(merged[key])
+            raise ConfigError(f"field '{section}': unknown key '{key}' (known: {sorted(known)})")
     try:
-        return cls(**merged)
+        return cls(**data, **extra)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field '{section}': {exc}") from exc
 
@@ -91,7 +100,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     else:
         raise ConfigError("field 'seed': required (or set POLYVOX_SEED)")
 
-    paths = data.get("paths", {})
+    paths = _section(data, "paths")
     base = path.parent
 
     def respath(key, default):
@@ -100,7 +109,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
             raise ConfigError(f"field 'paths.{key}': must be a string")
         return (base / value).resolve()
 
-    pitch_raw = dict(data.get("pitch", {}))
+    pitch_raw = dict(_section(data, "pitch"))
     encoder_keys = {f.name for f in dataclasses.fields(PitchEncoderConfig)}
     encoder_raw = {k: pitch_raw.pop(k) for k in list(pitch_raw) if k in encoder_keys}
     encoder = _build_section(PitchEncoderConfig, encoder_raw, "pitch")
@@ -111,10 +120,10 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         data_dir=respath("data_dir", "data"),
         checkpoint_dir=respath("checkpoint_dir", "checkpoints"),
         report_dir=respath("report_dir", "reports"),
-        synth=_build_section(SynthConfig, data.get("synth", {}), "synth"),
+        synth=_build_section(SynthConfig, _section(data, "synth"), "synth"),
         pitch=pitch,
-        converter=_build_section(ConverterConfig, data.get("converter", {}), "converter"),
-        eval=_build_section(EvalConfig, data.get("eval", {}), "eval"),
+        converter=_build_section(ConverterConfig, _section(data, "converter"), "converter"),
+        eval=_build_section(EvalConfig, _section(data, "eval"), "eval"),
     )
     cfg.resolved = resolve_echo(cfg)
     return cfg

@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import (PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, griffin_lim,
+from .audio import (N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, griffin_lim,
                     load_pipeline_wav, mel_spectrogram)
 from .errors import ContractError
 from .features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content,
                        timbre_shift_augment, timbre_stats, train_timbre_space)
-from .midi import ROLL_FRAME_RATE
 from .nn import (LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
                  sinusoidal_positions, timestep_embedding)
 from .optim import _fit, load_checkpoint, save_checkpoint
@@ -75,7 +74,7 @@ def integrate_flow(v_fn, x0: np.ndarray, knots: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VelocityNetConfig:
-    mel_bands: int = 80
+    mel_bands: int = N_MELS
     cond_dim: int = 377
     width: int = 256
     n_layers: int = 6
@@ -192,7 +191,7 @@ class ConverterConfig:
     n_layers: int = 6
     n_heads: int = 4
     ff_mult: int = 4
-    mel_bands: int = 80
+    mel_bands: int = N_MELS
     window_frames: int = 200
     mask_span: tuple[float, float] = (0.3, 0.7)
     steps: int = 20000
@@ -215,6 +214,12 @@ class ConverterConfig:
                                 f"{self.batch}")
         if self.gl_iters < 1:
             raise ContractError(f"gl_iters must be >= 1, got {self.gl_iters}")
+        if self.n_heads < 1 or self.width % 2 or self.width % self.n_heads:
+            raise ContractError(f"width {self.width} must be even (the position table) and "
+                                f"divisible by n_heads {self.n_heads} >= 1")
+        if self.window_frames < 1 or self.prompt_frames < 0:
+            raise ContractError(f"need window_frames >= 1 and prompt_frames >= 0, got "
+                                f"{self.window_frames} and {self.prompt_frames}")
         SwaySchedule(self.sway_s, self.nfe)  # the schedule's own checks
 
 
@@ -262,8 +267,8 @@ class ConverterModel:
         them with the timbre vector broadcast over frames, the (partially
         hidden) reference mel channel, and its visibility indicator.
         Streams are (..., frames, dim) with one timbre vector per leading
-        item. Mel and CQT share the 441-sample hop, so content and pitch
-        must arrive with equal frame counts."""
+        item. Mel and CQT share the pipeline's hop, `audio.HOP`, so content
+        and pitch must arrive with equal frame counts."""
         if np.shape(content)[:-1] != np.shape(z_pitch)[:-1]:
             raise ContractError(f"content and pitch frames differ: {np.shape(content)} vs "
                                 f"{np.shape(z_pitch)}")
@@ -378,8 +383,7 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
 
             t_win = min(120, n_f)
             t_start = int(rng.integers(0, n_f - t_win + 1))
-            z_t = model.timbre.embed(MelSpectrogram(
-                clip["mel"].values[t_start : t_start + t_win], clip["mel"].frame_rate))
+            z_t = model.timbre.embed(MelSpectrogram(clip["mel"].values[t_start : t_start + t_win]))
 
             frac = float(rng.uniform(*cfg.mask_span))
             span = max(1, int(round(frac * win)))
@@ -443,6 +447,6 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel,
     cond = model.fuse(content, z_p, z_t, x_ref, visible).data
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x0DE))))
     sampled = ode_sample(model.net, cond, sched, rng)
-    mel_out = MelSpectrogram(model.destandardize(sampled[prompt:]), ROLL_FRAME_RATE)
+    mel_out = MelSpectrogram(model.destandardize(sampled[prompt:]))
     wave = griffin_lim(mel_out, iters=cfg.gl_iters)
     return wave, mel_out

@@ -1,11 +1,12 @@
 """Constant-Q transform with semitone-spaced bins, vocal-range cropping, and
 pitch transposition by shifting the frequency axis.
 
-Bins are anchored at C1 (32.7032 Hz) so bin k corresponds to MIDI pitch 24+k,
+Bins are anchored at C1 (32.7032 Hz) so bin k is MIDI pitch `midi.ROLL_LOW`+k,
 which makes piano-roll and CQT indices interchangeable after the vocal-range
-crop. Kernels are Hann-windowed complex sinusoids of length ceil(Q*sr/f_k)
-with Q = 1/(2^(1/bpo)-1), L1-normalized so a unit-amplitude tone at a bin
-center reads close to 0.5 at that bin.
+crop; the default config frames on `audio`'s clock (`HOP`). Kernels are
+Hann-windowed complex sinusoids of length ceil(Q*sr/f_k) with
+Q = 1/(2^(1/bpo)-1), L1-normalized so a unit-amplitude tone at a bin center
+reads close to 0.5 at that bin.
 """
 
 from __future__ import annotations
@@ -17,17 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import HOP, PIPELINE_SAMPLE_RATE, Waveform
 from .errors import ContractError
 
 F_MIN_C1 = 32.7032
-MIDI_OF_BIN0 = 24  # C1
 
 
 @dataclass(frozen=True)
 class CqtConfig:
-    sample_rate: int = 44100
-    hop: int = 441
+    sample_rate: int = PIPELINE_SAMPLE_RATE
+    hop: int = HOP
     bins_per_octave: int = 12
     n_bins: int = 84
     f_min: float = F_MIN_C1

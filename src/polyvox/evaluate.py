@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import MelSpectrogram, Waveform, mel_spectrogram
+from .audio import FRAME_RATE, MelSpectrogram, Waveform, mel_spectrogram
 from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, F_MIN_C1
 from .errors import ContractError
 from .features import TimbreSpace
@@ -68,24 +68,27 @@ def multipitch_from_cqt(m: CqtMatrix, threshold_db: float = -20.0,
 
 
 def f0_yin(w: Waveform) -> np.ndarray:
-    """Single-pitch YIN track over 25 ms frames every 10 ms, f0 in 60..1000
+    """Single-pitch YIN track on the pipeline's frame clock, f0 in 60..1000
     Hz: cumulative-mean-normalized difference with an absolute threshold of
     0.15 and parabolic interpolation. NaN marks unvoiced frames. One value
-    per frame -- by construction it cannot report two simultaneous pitches."""
+    per frame -- by construction it cannot report two simultaneous pitches.
+
+    Frames are framed as `stft` and `compute_cqt` frame them: len // hop + 1
+    frames at hop sr / `FRAME_RATE`, the 25 ms window of frame f centred on
+    sample f * hop, edges read against zero padding. So frame f lines up
+    with frame f of the mel, the CQT and the piano roll."""
     sr = w.sample_rate
     win = int(round(0.025 * sr))
-    hop = int(round(0.010 * sr))
+    hop = int(round(sr / FRAME_RATE))
     tau_min = max(2, int(sr / 1000.0))
     tau_max = min(win, int(np.ceil(sr / 60.0)))
-    x = w.samples
-    n_frames = max(1, (x.size - 2 * win) // hop + 1) if x.size >= 2 * win else 1
+    n_frames = w.samples.size // hop + 1
+    x = np.concatenate([np.zeros(win // 2), w.samples, np.zeros(2 * win)])
     out = np.full(n_frames, np.nan)
     fft_n = 1 << int(np.ceil(np.log2(2 * win + 1)))
 
     for f in range(n_frames):
-        buf = x[f * hop : f * hop + 2 * win]
-        if buf.size < 2 * win:
-            buf = np.pad(buf, (0, 2 * win - buf.size))
+        buf = x[f * hop : f * hop + 2 * win]  # a window centred on sample f*hop, then win lags
         head = buf[:win]
         spec_all = np.fft.rfft(buf, fft_n)
         spec_head = np.fft.rfft(head, fft_n)
@@ -155,8 +158,7 @@ def yin_recall(w: Waveform, roll: PianoRoll, tolerance: int = 1) -> float:
     """Recall of the single-pitch baseline against the polyphonic roll."""
     f0 = f0_yin(w)
     truth = _truth_bins(roll)
-    # YIN hops at 10 ms = the roll frame interval
-    n = min(f0.size, len(truth))
+    n = min(f0.size, len(truth))  # equal for a roll of the clip's frame count
     hit = total = 0
     for f in range(n):
         total += len(truth[f])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import MEL_CONFIG, MelSpectrogram, Waveform, istft, stft
+from .audio import FRAME_RATE, N_MELS, MelSpectrogram, Waveform, istft, stft
 from .errors import ContractError
 
 N_CONTENT = 20
@@ -43,8 +43,8 @@ def extract_content(m: MelSpectrogram) -> np.ndarray:
     `LOG_FLOOR`. Dropping the zeroth coefficient removes gain; mean/variance
     normalization removes the static (timbre-carrying) envelope offset.
     """
-    if m.bands != 80:
-        raise ContractError(f"content extraction expects 80 mel bands, got {m.bands}")
+    if m.bands != N_MELS:
+        raise ContractError(f"content extraction expects {N_MELS} mel bands, got {m.bands}")
     values = np.maximum(m.values, m.values.max() + np.log(CONTENT_FLOOR))
     cep = values @ _dct_rows(N_CONTENT, m.bands).T
     mu = cep.mean(axis=0, keepdims=True)
@@ -64,8 +64,8 @@ def timbre_stats(m: MelSpectrogram) -> np.ndarray:
     voiced frames. Above 4 kHz, past the formants, how much of a band the
     partials reach moves with pitch, so those bands are left out.
     """
-    if m.bands != 80:
-        raise ContractError(f"timbre statistics expect 80 mel bands, got {m.bands}")
+    if m.bands != N_MELS:
+        raise ContractError(f"timbre statistics expect {N_MELS} mel bands, got {m.bands}")
     v = m.values
     voiced = v[v.max(axis=1) >= v.max() - _VOICED_RANGE]
     k = _ENVELOPE_HALF_WIDTH
@@ -92,7 +92,7 @@ class TimbreSpace:
 
     def embed(self, m: MelSpectrogram) -> np.ndarray:
         """L2-normalized 192-d timbre embedding of a clip of at least 1 s."""
-        if m.frames < int(m.frame_rate):
+        if m.frames < int(FRAME_RATE):
             raise ContractError(f"timbre embedding needs >= 1 s, got {m.frames} frames")
         v = ((timbre_stats(m) - self.mean) / self.scale) @ self.weight
         return v / max(np.linalg.norm(v), 1e-12)
@@ -186,7 +186,7 @@ def warp_spectral_envelope(w: Waveform, offsets: np.ndarray) -> Waveform:
     if np.abs(offsets).max() > WARP_LIMIT + 1e-12:
         raise ContractError(f"breakpoint offsets exceed +/-{WARP_LIMIT}")
 
-    spec = stft(w.samples, MEL_CONFIG)
+    spec = stft(w.samples)
     mag = np.abs(spec)
     env = _envelope(np.log(np.maximum(mag, 1e-10)))
     excitation = spec / env
@@ -202,7 +202,7 @@ def warp_spectral_envelope(w: Waveform, offsets: np.ndarray) -> Waveform:
     frac = source_pos - lo
     warped_env = env[:, lo] * (1.0 - frac) + env[:, hi] * frac
 
-    out = istft(warped_env * excitation, MEL_CONFIG, w.samples.size)
+    out = istft(warped_env * excitation, w.samples.size)
     return Waveform(out, w.sample_rate)
 
 

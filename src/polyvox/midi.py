@@ -1,8 +1,9 @@
 """Standard MIDI File parsing, a minimal writer for the test corpus, and
 conversion of note lists to frame-aligned piano rolls.
 
-The roll covers MIDI pitches 24..83 (C1..B5) so that pitch index p lines up
-with cropped-CQT bin p. Frames sample note activity at the interval start,
+The roll covers `ROLL_LOW`..`ROLL_TOP` (MIDI 24..83, C1..B5), the pipeline's
+one pitch range, so that pitch index p lines up with cropped-CQT bin p. Frames
+run at `audio.FRAME_RATE` and sample note activity at the interval start,
 matching the CQT convention of frame f centered at t = f * hop / sr.
 """
 
@@ -14,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import FRAME_RATE
 from .errors import ContractError, MidiParseError
 
 logger = logging.getLogger(__name__)
 
 ROLL_LOW = 24
 ROLL_PITCHES = 60
-ROLL_FRAME_RATE = 100.0
+ROLL_TOP = ROLL_LOW + ROLL_PITCHES - 1  # 83
 DEFAULT_TEMPO_US = 500000  # 120 BPM
 TICKS_PER_BEAT = 480
 
@@ -43,10 +45,9 @@ class MidiNote:
 
 @dataclass
 class PianoRoll:
-    """Frames x 60 activity matrix; index p is MIDI pitch 24+p."""
+    """Frames x 60 activity matrix at `FRAME_RATE`; index p is MIDI pitch 24+p."""
 
     activity: np.ndarray
-    frame_rate: float = ROLL_FRAME_RATE
 
     def __post_init__(self):
         self.activity = np.asarray(self.activity, dtype=np.float64)
@@ -285,9 +286,9 @@ def write_smf(notes: list[MidiNote], path) -> None:
 
 
 def to_piano_roll(notes: list[MidiNote], n_frames: int) -> PianoRoll:
-    """Binary roll at `ROLL_FRAME_RATE`: frame f is active for pitch p iff
-    some note with that pitch satisfies onset <= f/rate < offset. Pitches
-    outside 24..83 drop."""
+    """Binary roll at `FRAME_RATE`: frame f is active for pitch p iff some
+    note with that pitch satisfies onset <= f/rate < offset. Pitches outside
+    `ROLL_LOW`..`ROLL_TOP` drop."""
     if n_frames < 1:
         raise ContractError("n_frames must be >= 1")
     activity = np.zeros((n_frames, ROLL_PITCHES))
@@ -295,8 +296,8 @@ def to_piano_roll(notes: list[MidiNote], n_frames: int) -> PianoRoll:
         idx = note.pitch - ROLL_LOW
         if not 0 <= idx < ROLL_PITCHES:
             continue
-        first = int(np.ceil(note.onset * ROLL_FRAME_RATE - 1e-9))
-        last = int(np.ceil(note.offset * ROLL_FRAME_RATE - 1e-9))  # exclusive
+        first = int(np.ceil(note.onset * FRAME_RATE - 1e-9))
+        last = int(np.ceil(note.offset * FRAME_RATE - 1e-9))  # exclusive
         first = max(first, 0)
         last = min(last, n_frames)
         if last > first:

@@ -20,7 +20,7 @@ from . import tensor as T
 from .audio import Waveform, load_pipeline_wav
 from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, transpose_pitch
 from .errors import ContractError
-from .midi import load_smf, to_piano_roll
+from .midi import ROLL_PITCHES, load_smf, to_piano_roll
 from .nn import ParamStore, SequenceEncoder
 from .optim import _fit, load_checkpoint, save_checkpoint
 from .synthgen import load_manifest
@@ -29,15 +29,16 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class PitchEncoderConfig:
-    input_bins: int = 60
+    input_bins: int = ROLL_PITCHES
     model_dim: int = 128
     n_layers: int = 4
     n_heads: int = 4
     window_frames: int = 200  # 2 s at the 100 Hz frame rate
 
     def __post_init__(self):
-        if self.model_dim % self.n_heads:
-            raise ContractError("model_dim must be divisible by n_heads")
+        if self.n_heads < 1 or self.model_dim % 2 or self.model_dim % self.n_heads:
+            raise ContractError(f"model_dim {self.model_dim} must be even (the position table) "
+                                f"and divisible by n_heads {self.n_heads} >= 1")
         if self.window_frames < 8:
             raise ContractError("window_frames must be >= 8")
 

@@ -2,26 +2,29 @@
 
 Clips are additive-synthesis "voices": a lead melody plus optional quieter
 harmony voices at musically plausible intervals. Note times live on the SMF
-tick grid (1/960 s) so the WAV / MIDI sidecars round-trip exactly, and lead
-pitches map to CQT bins by construction (bin = MIDI - 24).
+tick grid (1/960 s) so the WAV / MIDI sidecars round-trip exactly. Clips are at
+`audio.PIPELINE_SAMPLE_RATE` and pitches lie in `midi.ROLL_LOW`..`ROLL_TOP`,
+so lead pitches map to CQT bins by construction (bin = MIDI - `ROLL_LOW`).
 """
 
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, save_wav
+from .audio import PIPELINE_SAMPLE_RATE, Waveform, save_wav
 from .errors import ContractError
-from .midi import MidiNote, write_smf
+from .midi import ROLL_LOW, ROLL_TOP, MidiNote, write_smf
 
-SAMPLE_RATE = 44100
 _TICKS_PER_SECOND = 960.0  # 480 ticks/beat at 120 BPM
 _RAMP_S = 0.010
 _MIN_NOTE_S = 0.025
+_JITTER_KNOTS_PER_S = 100.0
 
 # intervals follow common backing-vocal arrangements; wider intervals are
 # favored so harmony fundamentals stay resolvable after mel-domain synthesis
@@ -48,7 +51,7 @@ class SingerPreset:
         if self.harmonic_profile[0] != 1.0 or min(self.harmonic_profile) < 0:
             raise ContractError("harmonic amplitudes must be >= 0 with amplitude[0] = 1")
         for center, _bw in self.formants:
-            if center >= SAMPLE_RATE / 2:
+            if center >= PIPELINE_SAMPLE_RATE / 2:
                 raise ContractError(f"formant center {center} Hz above Nyquist")
 
 
@@ -97,29 +100,29 @@ def _formant_gain(freq: np.ndarray | float, preset: SingerPreset) -> np.ndarray 
 def render_note(pitch: int, dur: float, preset: SingerPreset, seed: int) -> Waveform:
     """Synthesize one note: 16 formant-shaped harmonics over a vibrato- and
     jitter-modulated fundamental, 10 ms raised-cosine ramps, peak 0.5."""
-    if not 24 <= pitch <= 83:
-        raise ContractError(f"pitch {pitch} outside singable range 24..83")
+    if not ROLL_LOW <= pitch <= ROLL_TOP:
+        raise ContractError(f"pitch {pitch} outside singable range {ROLL_LOW}..{ROLL_TOP}")
     if dur < _MIN_NOTE_S:
         raise ContractError(f"duration {dur * 1e3:.1f} ms shorter than attack+release")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    n = int(round(dur * SAMPLE_RATE))
-    t = np.arange(n) / SAMPLE_RATE
+    n = int(round(dur * PIPELINE_SAMPLE_RATE))
+    t = np.arange(n) / PIPELINE_SAMPLE_RATE
     f0 = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
 
     cents = preset.vibrato_depth * np.sin(2.0 * np.pi * preset.vibrato_rate * t)
-    knots = rng.normal(0.0, preset.jitter, max(int(np.ceil(dur * 100)) + 2, 2))
-    jitter = np.interp(t * 100.0, np.arange(knots.size), knots)
+    knots = rng.normal(0.0, preset.jitter, max(int(np.ceil(dur * _JITTER_KNOTS_PER_S)) + 2, 2))
+    jitter = np.interp(t * _JITTER_KNOTS_PER_S, np.arange(knots.size), knots)
     f_inst = f0 * 2.0 ** (cents / 1200.0) * (1.0 + jitter)
-    phase = 2.0 * np.pi * np.cumsum(f_inst) / SAMPLE_RATE
+    phase = 2.0 * np.pi * np.cumsum(f_inst) / PIPELINE_SAMPLE_RATE
 
     out = np.zeros(n)
     for h, amp in enumerate(preset.harmonic_profile, start=1):
         fh = h * f0
-        if fh >= 0.45 * SAMPLE_RATE or amp == 0.0:
+        if fh >= 0.45 * PIPELINE_SAMPLE_RATE or amp == 0.0:
             continue
         out += amp * _formant_gain(fh, preset) * np.sin(h * phase)
 
-    ramp = int(_RAMP_S * SAMPLE_RATE)
+    ramp = int(_RAMP_S * PIPELINE_SAMPLE_RATE)
     env = np.ones(n)
     fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
     env[:ramp] = fade
@@ -128,7 +131,7 @@ def render_note(pitch: int, dur: float, preset: SingerPreset, seed: int) -> Wave
     peak = np.abs(out).max()
     if peak > 0:
         out *= 0.5 / peak
-    return Waveform(out, SAMPLE_RATE)
+    return Waveform(out, PIPELINE_SAMPLE_RATE)
 
 
 def render_score(score: Score, preset: SingerPreset, seed: int) -> tuple[Waveform, list[MidiNote]]:
@@ -138,29 +141,29 @@ def render_score(score: Score, preset: SingerPreset, seed: int) -> tuple[Wavefor
     for interval, gain_db, notes in score.harmony_voices:
         shifted = [MidiNote(n.pitch + interval, n.onset, n.offset, n.velocity) for n in notes]
         for n in shifted:
-            if not 24 <= n.pitch <= 83:
+            if not ROLL_LOW <= n.pitch <= ROLL_TOP:
                 raise ContractError(f"harmony pitch {n.pitch} outside range after interval {interval}")
         voices.append((10.0 ** (gain_db / 20.0), shifted))
 
     truth = sorted((n for _gain, notes in voices for n in notes), key=lambda n: (n.onset, n.pitch))
     if not truth:
-        return Waveform(np.zeros(4410), SAMPLE_RATE), []
+        return Waveform(np.zeros(PIPELINE_SAMPLE_RATE // 10), PIPELINE_SAMPLE_RATE), []
 
-    total = int(round(max(n.offset for n in truth) * SAMPLE_RATE))
+    total = int(round(max(n.offset for n in truth) * PIPELINE_SAMPLE_RATE))
     mix = np.zeros(total)
     note_idx = 0
     for gain, notes in voices:
         for note in notes:
             rendered = render_note(note.pitch, note.offset - note.onset, preset,
                                    seed * 65537 + note_idx)
-            start = int(round(note.onset * SAMPLE_RATE))
+            start = int(round(note.onset * PIPELINE_SAMPLE_RATE))
             seg = rendered.samples[: total - start]
             mix[start : start + seg.size] += gain * (note.velocity / 96.0) * seg
             note_idx += 1
     peak = np.abs(mix).max()
     if peak > 0:
         mix *= 0.9 / peak
-    return Waveform(mix, SAMPLE_RATE), truth
+    return Waveform(mix, PIPELINE_SAMPLE_RATE), truth
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +183,35 @@ class SynthConfig:
     eval_fraction: float = 0.10
 
     def __post_init__(self):
+        """Every clip must be writable: lead pitches inside the roll with room
+        for each harmony interval, and notes that outlast their attack and
+        release on the tick grid. A config file's JSON lists become tuples."""
+        self.dur_range = tuple(self.dur_range)
+        self.lead_range = tuple(self.lead_range)
+        self.note_dur_range = tuple(self.note_dur_range)
         if len(self.presets) < 4:
             raise ContractError("preset pool must hold at least 4 presets")
         if not (0 < self.dur_range[0] <= self.dur_range[1]):
             raise ContractError("bad duration range")
+        lo, hi = self.lead_range
+        if not ROLL_LOW <= lo <= hi <= ROLL_TOP:
+            raise ContractError(f"lead_range {self.lead_range} must be ordered and lie in "
+                                f"{ROLL_LOW}..{ROLL_TOP}")
+        for interval in HARMONY_INTERVALS if self.n_harmony > 0 else ():
+            h_lo, h_hi = _harmony_lead_range(self.lead_range, interval)
+            if h_lo > h_hi:
+                raise ContractError(f"lead_range {self.lead_range} leaves no lead pitch for "
+                                    f"the harmony interval {interval:+d}")
+        shortest = _MIN_NOTE_S + 1.0 / _TICKS_PER_SECOND
+        if not shortest <= self.note_dur_range[0] <= self.note_dur_range[1]:
+            raise ContractError(f"note_dur_range {self.note_dur_range} must be ordered and start "
+                                f"at >= {shortest:.4f} s")
+
+
+def _harmony_lead_range(lead_range: tuple[int, int], interval: int) -> tuple[int, int]:
+    """The lead pitches whose harmony `interval` semitones away stays in the roll."""
+    return (max(lead_range[0], ROLL_LOW - min(interval, 0)),
+            min(lead_range[1], ROLL_TOP - max(interval, 0)))
 
 
 def _ticks(seconds: float) -> float:
@@ -211,17 +239,17 @@ def make_clip_score(cfg: SynthConfig, condition: str, rng: np.random.Generator) 
     if condition == "harmony":
         interval = int(rng.choice(HARMONY_INTERVALS, p=HARMONY_WEIGHTS))
         gain_db = float(rng.uniform(*HARMONY_GAIN_DB))
-        lo = max(cfg.lead_range[0], 24 - min(interval, 0))
-        hi = min(cfg.lead_range[1], 83 - max(interval, 0))
-        lead = _random_melody(rng, cfg, lo, hi)
+        lead = _random_melody(rng, cfg, *_harmony_lead_range(cfg.lead_range, interval))
         return Score(lead, [(interval, gain_db, list(lead))])
     lead = _random_melody(rng, cfg, *cfg.lead_range)
     return Score(lead)
 
 
-def gen_dataset(cfg: SynthConfig, seed: int, out_dir, workers: int = 1) -> Path:
+def gen_dataset(cfg: SynthConfig, seed: int, out_dir,
+                workers: int = os.cpu_count() or 1) -> Path:
     """Write WAV + SMF + JSON sidecars plus manifest.jsonl; returns the
-    manifest path. Pure function of (cfg, seed): reruns are byte-identical."""
+    manifest path. Clips render on a pool of `workers` threads. Pure
+    function of (cfg, seed): reruns are byte-identical at any worker count."""
     out = Path(out_dir)
     clips_dir = out / "clips"
     clips_dir.mkdir(parents=True, exist_ok=True)
@@ -249,13 +277,8 @@ def gen_dataset(cfg: SynthConfig, seed: int, out_dir, workers: int = 1) -> Path:
         (clips_dir / f"{clip_id}.json").write_text(json.dumps(sidecar, sort_keys=True))
         return sidecar
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sidecars = list(pool.map(render_one, plans))
-    else:
-        sidecars = [render_one(p) for p in plans]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        sidecars = list(pool.map(render_one, plans))
 
     split_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x5B117))))
     order = split_rng.permutation(len(plans))

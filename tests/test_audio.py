@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvox.audio import (LOG_FLOOR, MEL_CONFIG, MelSpectrogram, StftConfig, Waveform,
-                           frame_count, griffin_lim, istft, load_wav, mel_filterbank,
+from polyvox.audio import (FFT_SIZE, FRAME_RATE, HOP, LOG_FLOOR, N_MELS, MelSpectrogram,
+                           Waveform, griffin_lim, istft, load_wav, mel_filterbank,
                            mel_spectrogram, mel_to_linear, resample, save_wav,
                            spectral_convergence, stft)
 from polyvox.errors import ContractError, UnsupportedWavError, WavFormatError
@@ -33,11 +33,11 @@ def resample_per_sample(w: Waveform, target_rate: int) -> np.ndarray:
 def griffin_lim_by_angle(m: MelSpectrogram, iters: int) -> np.ndarray:
     """Reference Griffin-Lim: the phase through `np.angle` and a complex `exp`."""
     target = mel_to_linear(m)
-    n_samples = m.frames * MEL_CONFIG.hop
-    x = istft(target.astype(np.complex128), MEL_CONFIG, n_samples)
+    n_samples = m.frames * HOP
+    x = istft(target.astype(np.complex128), n_samples)
     for _ in range(iters - 1):
-        phase = np.angle(stft(x, MEL_CONFIG)[: m.frames])
-        x = istft(target * np.exp(1j * phase), MEL_CONFIG, n_samples)
+        phase = np.angle(stft(x)[: m.frames])
+        x = istft(target * np.exp(1j * phase), n_samples)
     return x
 
 
@@ -165,13 +165,13 @@ class TestMel:
 
     def test_frame_rate_100(self, sine_440):
         m = mel_spectrogram(sine_440)
-        assert m.frame_rate == 100.0
-        assert m.bands == 80
+        assert FRAME_RATE == SR / HOP == 100.0
+        assert m.bands == N_MELS == 80
 
     def test_tone_band_matches_filterbank_center(self, sine_440):
         m = mel_spectrogram(sine_440)
-        fb = mel_filterbank(SR, MEL_CONFIG.fft_size, 80)
-        freqs = np.fft.rfftfreq(MEL_CONFIG.fft_size, 1.0 / SR)
+        fb = mel_filterbank()
+        freqs = np.fft.rfftfreq(FFT_SIZE, 1.0 / SR)
         centers = np.array([freqs[fb[b].argmax()] for b in range(80)])
         expected = int(np.abs(centers - 440.0).argmin())
         assert m.values.sum(axis=0).argmax() == expected
@@ -188,7 +188,7 @@ class TestMel:
     def test_frame_count_law(self, n):
         w = Waveform(np.zeros(max(n, 1)), SR)
         m = mel_spectrogram(w)
-        assert m.frames == n // MEL_CONFIG.hop + 1
+        assert m.frames == n // HOP + 1
 
     def test_short_waveform_single_frame(self):
         m = mel_spectrogram(Waveform(np.zeros(100), SR))
@@ -202,15 +202,8 @@ class TestMel:
 class TestStft:
     def test_istft_inverts_stft(self):
         x = np.random.default_rng(3).normal(0, 0.2, 22050)
-        cfg = StftConfig()
-        rec = istft(stft(x, cfg), cfg, x.size)
+        rec = istft(stft(x), x.size)
         assert np.abs(rec - x).max() < 1e-10
-
-    def test_config_invariants(self):
-        with pytest.raises(ContractError):
-            StftConfig(fft_size=1000, hop=100)  # not a power of two
-        with pytest.raises(ContractError):
-            StftConfig(fft_size=1024, hop=0)
 
 
 class TestGriffinLim:
@@ -223,7 +216,7 @@ class TestGriffinLim:
     def test_output_length(self, sine_440):
         m = mel_spectrogram(sine_440)
         out = griffin_lim(m, iters=2)
-        assert out.samples.size == m.frames * MEL_CONFIG.hop
+        assert out.samples.size == m.frames * HOP
 
     def test_silence_rms(self):
         m = mel_spectrogram(Waveform(np.zeros(SR), SR))
@@ -246,11 +239,15 @@ class TestGriffinLim:
         out = griffin_lim(m, iters=8)
         assert np.max(np.abs(out.samples - griffin_lim_by_angle(m, 8))) <= 1e-9
 
+    def test_mel_of_other_band_count_rejected(self):
+        with pytest.raises(ContractError):
+            mel_to_linear(MelSpectrogram(np.zeros((10, N_MELS // 2))))
+
     @pytest.mark.parametrize("level", [np.log(LOG_FLOOR), -1000.0])
     def test_floor_mel_gives_finite_waveform(self, level):
         """At -1000 the target magnitude is exactly 0, so |STFT| is 0
         everywhere and the phase comes from the |S| = 0 branch."""
-        m = MelSpectrogram(np.full((40, 80), level), 100.0)
+        m = MelSpectrogram(np.full((40, 80), level))
         out = griffin_lim(m, iters=4)
         assert np.all(np.isfinite(out.samples))
         assert np.sqrt(np.mean(out.samples**2)) < 1e-3

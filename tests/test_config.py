@@ -12,44 +12,86 @@ ENCODER = {"model_dim": 16, "n_layers": 1, "n_heads": 4, "window_frames": 40}
 PITCH = {**ENCODER, "steps": 1, "batch": 2}
 CONVERTER = {"width": 32, "n_layers": 1, "n_heads": 4, "window_frames": 60, "batch": 2,
              "steps": 1, "prompt_frames": 50, "nfe": 2, "sway_s": -1.0, "gl_iters": 2}
-CHECKPOINT = {"pitch": "pitch.pvck", "converter": "svc.pvck"}
+# the command each section's bad value is given to: the one that would use it
+COMMAND = {"pitch": "train-pitch", "converter": "train-svc", "paths": "train-pitch",
+           "synth": "synth-data"}
 
 
 def _write_config(tmp_path, corpus, **sections):
-    """A run config over the corpus, with checkpoints under tmp_path."""
+    """A run config over the corpus, with checkpoints under tmp_path. A
+    section given as a dict is merged into the valid one; anything else
+    replaces the section."""
     ckpt = tmp_path / "ckpt"
     ckpt.mkdir()
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({
+    config = {
         "seed": 0,
         "paths": {"data_dir": str(corpus.parent), "checkpoint_dir": str(ckpt)},
-        "pitch": {**PITCH, **sections.get("pitch", {})},
-        "converter": {**CONVERTER, **sections.get("converter", {})},
-    }))
+        "pitch": PITCH,
+        "converter": CONVERTER,
+    }
+    for section, value in sections.items():
+        merge = isinstance(value, dict) and isinstance(config.get(section), dict)
+        config[section] = {**config[section], **value} if merge else value
+    path.write_text(json.dumps(config))
     return path, ckpt
+
+
+def _files(root):
+    return sorted(p for p in root.rglob("*") if p.is_file())
 
 
 @pytest.mark.parametrize("section, bad", [
     ("pitch", {"steps": 0}),
     ("pitch", {"batch": 0}),
+    ("pitch", {"model_dim": 15, "n_heads": 5}),  # odd: no position table
     ("converter", {"steps": 0}),
     ("converter", {"batch": 0}),
     ("converter", {"gl_iters": 0}),
     ("converter", {"nfe": 0}),
     ("converter", {"sway_s": 3}),
-], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()))
+    ("converter", {"width": 30}),  # not divisible by 4 heads
+    ("converter", {"width": 15, "n_heads": 5}),  # odd: no position table
+    ("converter", {"window_frames": 0}),
+    ("converter", {"prompt_frames": -5}),
+    ("pitch", {"encoder": {"model_dim": 8}}),  # encoder fields sit flat in "pitch"
+    ("pitch", 5),
+    ("paths", []),
+    ("converter", []),
+    ("synth", "x"),
+    ("synth", {"presets": [1, 2, 3, 4]}),  # presets are code, not file format
+    ("synth", {"lead_range": [70, 55]}),
+    ("synth", {"lead_range": [80, 83]}),  # no room for a harmony a major third or more above
+    ("synth", {"note_dur_range": [0.5, 0.1]}),
+    ("synth", {"note_dur_range": [0.001, 0.1]}),  # shorter than a note's attack and release
+], ids=lambda v: v if isinstance(v, str) else (",".join(f"{k}={x}" for k, x in v.items())
+                                              if isinstance(v, dict) else repr(v)))
 def test_bad_value_exits_1_before_training(tiny_corpus, tmp_path, section, bad):
     path, ckpt = _write_config(tmp_path, tiny_corpus, **{section: bad})
     if section == "converter":  # so that only the config stands between train-svc and training
         PitchExtractor(PitchEncoderConfig(**ENCODER)).save(ckpt / "pitch.pvck")
-    command = "train-pitch" if section == "pitch" else "train-svc"
+    argv = [COMMAND[section], "--config", str(path)]
+    if section == "synth":
+        argv += ["--out", str(tmp_path / "synth")]
+    before = _files(tmp_path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main([command, "--config", str(path)])
+        code = cli.main(argv)
     summary = json.loads(out.getvalue().splitlines()[-1])
     assert (code, summary["status"]) == (1, "config-error"), summary
     assert f"'{section}'" in summary["error"]
-    assert not (ckpt / CHECKPOINT[section]).exists()
+    assert _files(tmp_path) == before
+
+
+def test_zero_threads_is_a_usage_error(tiny_corpus, tmp_path):
+    """Corpus rendering always runs on a pool of `--threads` workers, so 0
+    workers is refused before the config is read."""
+    path, _ckpt = _write_config(tmp_path, tiny_corpus)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["--threads", "0", "synth-data", "--config", str(path),
+                         "--out", str(tmp_path / "synth")])
+    assert code == 1
+    assert not (tmp_path / "synth").exists()
 
 
 def test_valid_config_loads(tiny_corpus, tmp_path):

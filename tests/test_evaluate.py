@@ -3,8 +3,9 @@ import math
 import numpy as np
 
 from polyvox.cqt import CqtConfig, CqtMatrix
-from polyvox.evaluate import (EvalConfig, emit_report, harmony_retention, multipitch_from_cqt,
-                              multipitch_scores, yin_recall)
+from polyvox.audio import HOP, Waveform
+from polyvox.evaluate import (EvalConfig, emit_report, f0_yin, harmony_retention,
+                              multipitch_from_cqt, multipitch_scores, yin_recall)
 from polyvox.midi import ROLL_PITCHES, MidiNote, PianoRoll, to_piano_roll
 
 from .conftest import make_sine
@@ -56,6 +57,21 @@ class TestYin:
         # 220 Hz is MIDI 57, roll column 33
         roll = to_piano_roll([MidiNote(57, 0.0, 1.0)], 100)
         assert yin_recall(make_sine(220.0, dur=1.0), roll) > 0.9
+
+    def test_frames_run_on_the_roll_clock(self):
+        """A 220 Hz tone from 1.0 s to 2.0 s in a 3 s clip: one YIN value per
+        roll frame, and the voiced span centred where the note's frames are."""
+        tone = make_sine(220.0, dur=3.0)
+        t = np.arange(tone.samples.size) / tone.sample_rate
+        clip = Waveform(np.where((t >= 1.0) & (t < 2.0), 0.5 * tone.samples, 0.0),
+                        tone.sample_rate)
+        roll = to_piano_roll([MidiNote(57, 1.0, 2.0)], clip.samples.size // HOP + 1)
+        f0 = f0_yin(clip)
+        assert f0.size == roll.frames
+        voiced = np.flatnonzero(~np.isnan(f0))
+        active = np.flatnonzero(roll.activity.any(axis=1))
+        midpoint = (voiced[0] + voiced[-1]) / 2
+        assert abs(midpoint - (active[0] + active[-1]) / 2) <= 0.5
 
 
 class TestReport:
