@@ -60,12 +60,15 @@ def _section(data: dict, section: str) -> dict:
     return value
 
 
-def _build_section(cls, data: dict, section: str, **extra):
-    """`cls` from the file's `section` plus `extra`, fields the loader fills."""
+def _build_section(cls, data: dict, section: str, siblings=frozenset(), **extra):
+    """`cls` from the file's `section` plus `extra`, fields the loader fills.
+    `siblings` are the section's keys that another dataclass takes; the
+    loader has split them off, and an unknown key's message names them too."""
     known = {f.name for f in dataclasses.fields(cls)} - _CODE_FIELDS - extra.keys()
     for key in data:
         if key not in known:
-            raise ConfigError(f"field '{section}': unknown key '{key}' (known: {sorted(known)})")
+            raise ConfigError(f"field '{section}': unknown key '{key}' "
+                              f"(known: {sorted(known | siblings)})")
     try:
         return cls(**data, **extra)
     except (TypeError, ValueError) as exc:
@@ -113,7 +116,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     encoder_keys = {f.name for f in dataclasses.fields(PitchEncoderConfig)}
     encoder_raw = {k: pitch_raw.pop(k) for k in list(pitch_raw) if k in encoder_keys}
     encoder = _build_section(PitchEncoderConfig, encoder_raw, "pitch")
-    pitch = _build_section(PitchTrainConfig, pitch_raw, "pitch", encoder=encoder)
+    pitch = _build_section(PitchTrainConfig, pitch_raw, "pitch", encoder_keys, encoder=encoder)
 
     cfg = RunConfig(
         seed=seed,

@@ -7,12 +7,19 @@ crop; the default config frames on `audio`'s clock (`HOP`). Kernels are
 Hann-windowed complex sinusoids of length ceil(Q*sr/f_k) with
 Q = 1/(2^(1/bpo)-1), L1-normalized so a unit-amplitude tone at a bin center
 reads close to 0.5 at that bin.
+
+The kernels are applied block-sparse: the centred kernel window is cut into
+hop-row blocks, and each block multiplies only the bins whose kernel reaches
+it (52 blocks holding 23 % of the dense window's cells at the default
+config). The result is the dense time-domain projection, exact up to the
+order of summation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -94,47 +101,59 @@ def kernel_length(k: int, cfg: CqtConfig) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def _kernel_bank(cfg: CqtConfig):
-    """Stacked zero-padded kernels: (max_len, 2*n_bins) with interleaved
-    real/imag columns, each kernel centered in the max-length window."""
-    n_max = kernel_length(0, cfg)
-    bank = np.zeros((n_max, 2 * cfg.n_bins))
-    for k in range(cfg.n_bins):
-        f = bin_center_frequency(k, cfg)
-        n = kernel_length(k, cfg)
+def _kernel_blocks(cfg: CqtConfig) -> tuple[np.ndarray, ...]:
+    """The kernels cut into hop-row blocks of the centred max-length window.
+
+    Kernel k is `kernel_length(k)` taps centred at n_max//2 - n//2, so the
+    spans are nested and shrink as k rises: the bins whose kernel reaches
+    block j are a prefix 0..c_j-1, and block j is (hop, 2*c_j) with
+    interleaved real/imag columns (zero past n_max). Each block is filled
+    straight from the per-bin kernels; no dense (n_max, 2*n_bins) bank is
+    built."""
+    hop, n_max = cfg.hop, kernel_length(0, cfg)
+    lengths = [kernel_length(k, cfg) for k in range(cfg.n_bins)]
+    offsets = [n_max // 2 - n // 2 for n in lengths]
+    blocks = []
+    for j in range(-(-n_max // hop)):
+        lo = j * hop
+        reach = sum(off < lo + hop and off + n > lo for off, n in zip(offsets, lengths))
+        blocks.append(np.zeros((hop, 2 * reach)))
+    for k, (off, n) in enumerate(zip(offsets, lengths)):
         window = np.hanning(n)
         window /= window.sum()
-        t = np.arange(n)
-        phase = -2.0 * np.pi * f * t / cfg.sample_rate
-        off = n_max // 2 - n // 2
-        bank[off : off + n, 2 * k] = window * np.cos(phase)
-        bank[off : off + n, 2 * k + 1] = window * np.sin(phase)
-    return n_max, bank
+        phase = -2.0 * np.pi * bin_center_frequency(k, cfg) * np.arange(n) / cfg.sample_rate
+        taps = np.stack([window * np.cos(phase), window * np.sin(phase)], axis=1)
+        for j in range(off // hop, -(-(off + n) // hop)):
+            a, b = max(off, j * hop), min(off + n, (j + 1) * hop)
+            blocks[j][a - j * hop : b - j * hop, 2 * k : 2 * k + 2] = taps[a - off : b - off]
+    for block in blocks:  # cached and shared by every caller
+        block.flags.writeable = False
+    return tuple(blocks)
 
 
 def compute_cqt(w: Waveform, cfg: CqtConfig = CqtConfig()) -> CqtMatrix:
     """Magnitude CQT with center-padded framing: frames = len // hop + 1,
-    frame f centered at sample f*hop, edges evaluated against zero padding."""
+    frame f centered at sample f*hop, edges evaluated against zero padding.
+
+    Frame f's window starts at padded sample f*hop, so with the padded signal
+    viewed as hop-sample rows x, block j of the kernels meets row f + j:
+    the projection is the sum over blocks of x[j : j + frames] @ block_j."""
     if w.sample_rate != cfg.sample_rate:
         raise ContractError(f"waveform at {w.sample_rate} Hz, config wants {cfg.sample_rate} Hz")
-    n_max, bank = _kernel_bank(cfg)
+    blocks = _kernel_blocks(cfg)
+    n_max = kernel_length(0, cfg)
     n = w.samples.size
     n_frames = n // cfg.hop + 1
-    xp = np.concatenate([np.zeros(n_max // 2), w.samples, np.zeros(n_max)])
+    # n_max // 2 zeros before the signal and zeros after it to the last row
+    # any block meets, as the dense framing padded
+    xp = np.zeros((n_frames + len(blocks)) * cfg.hop)
+    xp[n_max // 2 : n_max // 2 + n] = w.samples
+    x = xp.reshape(-1, cfg.hop)
 
-    mags = np.empty((n_frames, cfg.n_bins))
-    stride = xp.strides[0]
-    chunk = 128
-    for lo in range(0, n_frames, chunk):
-        hi = min(lo + chunk, n_frames)
-        rows = np.lib.stride_tricks.as_strided(
-            xp[lo * cfg.hop :],
-            shape=(hi - lo, n_max),
-            strides=(cfg.hop * stride, stride),
-        )
-        proj = rows @ bank
-        mags[lo:hi] = np.hypot(proj[:, 0::2], proj[:, 1::2])
-    return CqtMatrix(mags, cfg)
+    proj = np.zeros((n_frames, 2 * cfg.n_bins))
+    for j, block in enumerate(blocks):
+        proj[:, : block.shape[1]] += x[j : j + n_frames] @ block
+    return CqtMatrix(np.hypot(proj[:, 0::2], proj[:, 1::2]), cfg)
 
 
 def interior_frames(n_frames: int, cfg: CqtConfig = CqtConfig(), lowest_bin: int = 0) -> range:
@@ -216,9 +235,11 @@ def load_cqt(path, magic: bytes = b"CQT1") -> CqtMatrix:
         tag, frames, bins, f_min, hop, sr, bpo = _HEADER.unpack(head)
         if tag != magic:
             raise ContractError(f"{path}: bad magic {tag!r}, expected {magic!r}")
-        payload = fh.read(frames * bins * 4)
-    if len(payload) < frames * bins * 4:
-        raise ContractError(f"{path}: truncated payload")
+        size = frames * bins * 4
+        # checked before reading, so a hostile header allocates nothing
+        if size > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ContractError(f"{path}: truncated payload")
+        payload = fh.read(size)
     mags = np.frombuffer(payload, dtype="<f4").reshape(frames, bins).astype(np.float64)
     cfg = CqtConfig(sample_rate=sr, hop=hop, bins_per_octave=bpo, n_bins=bins, f_min=f_min)
     return CqtMatrix(mags, cfg)

@@ -83,6 +83,20 @@ def test_bad_value_exits_1_before_training(tiny_corpus, tmp_path, section, bad):
     assert _files(tmp_path) == before
 
 
+def test_unknown_pitch_key_lists_encoder_keys(tiny_corpus, tmp_path):
+    """The flat encoder keys are valid in "pitch", so the unknown-key
+    message lists them beside the trainer's."""
+    path, _ckpt = _write_config(tmp_path, tiny_corpus, pitch={"foo": 1})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["train-pitch", "--config", str(path)])
+    summary = json.loads(out.getvalue().splitlines()[-1])
+    assert (code, summary["status"]) == (1, "config-error"), summary
+    assert "'foo'" in summary["error"]
+    for key in ("model_dim", "n_layers", "n_heads", "window_frames", "input_bins", "steps"):
+        assert f"'{key}'" in summary["error"]
+
+
 def test_zero_threads_is_a_usage_error(tiny_corpus, tmp_path):
     """Corpus rendering always runs on a pool of `--threads` workers, so 0
     workers is refused before the config is read."""

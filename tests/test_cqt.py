@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvox.cqt import (CqtConfig, CqtMatrix, bin_center_frequency, compute_cqt,
+from polyvox.audio import HOP, Waveform
+from polyvox.cqt import (CqtConfig, CqtMatrix, _kernel_blocks, bin_center_frequency, compute_cqt,
                          crop_to_vocal_range, interior_frames, kernel_length,
                          load_cqt, save_cqt, save_cqt_csv, save_matrix_container,
                          transpose_pitch)
@@ -114,6 +117,56 @@ class TestComputeCqt:
         assert np.all(ratio >= 0.5)
 
 
+def dense_cqt(x: np.ndarray, cfg: CqtConfig) -> np.ndarray:
+    """Reference CQT: every frame's explicit dot product with each bin's full
+    kernel, on the centre-padded signal."""
+    n_max = kernel_length(0, cfg)
+    xp = np.concatenate([np.zeros(n_max // 2), x, np.zeros(n_max)])
+    frames = x.size // cfg.hop + 1
+    out = np.empty((frames, cfg.n_bins))
+    for k in range(cfg.n_bins):
+        n = kernel_length(k, cfg)
+        window = np.hanning(n)
+        window /= window.sum()
+        kernel = window * np.exp(-2j * np.pi * bin_center_frequency(k, cfg)
+                                 * np.arange(n) / cfg.sample_rate)
+        start = n_max // 2 - n // 2
+        rows = np.lib.stride_tricks.sliding_window_view(xp[start:], n)[::cfg.hop][:frames]
+        out[:, k] = np.abs(rows @ kernel)
+    return out
+
+
+class TestBlockSparse:
+    """`compute_cqt` multiplies only the taps each kernel has; it must give
+    the dense transform up to summation order."""
+
+    @pytest.mark.parametrize("n", [1, HOP - 1, int(0.3 * 44100), 2 * 44100,
+                                   int(5.5 * 44100) + 7],
+                             ids=["1", "hop-1", "0.3s", "2s", "5.5s+7"])
+    def test_matches_dense_reference(self, n):
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        got = compute_cqt(Waveform(x, 44100)).magnitudes
+        want = dense_cqt(x, CFG)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 255, 5000, 22050])
+    def test_matches_dense_reference_other_config(self, n):
+        cfg = CqtConfig(sample_rate=22050, hop=256, n_bins=60)
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        got = compute_cqt(Waveform(x, 22050), cfg).magnitudes
+        want = dense_cqt(x, cfg)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_blocks_hold_a_quarter_of_the_dense_bank(self):
+        n_max = kernel_length(0, CFG)
+        blocks = _kernel_blocks(CFG)
+        assert len(blocks) == -(-n_max // CFG.hop)
+        assert all(b.shape[0] == CFG.hop for b in blocks)
+        assert sum(b.size for b in blocks) <= 0.25 * n_max * 2 * CFG.n_bins
+
+
 class TestCrop:
     def test_default_crop_is_60_bins(self, sine_440):
         m = crop_to_vocal_range(compute_cqt(sine_440))
@@ -213,6 +266,16 @@ class TestSerialization:
                               sample_rate=44100, bins_per_octave=bins_per_octave)
         with pytest.raises(ContractError):
             load_cqt(path, b"MEL1")
+
+    @pytest.mark.parametrize("frames, bins", [(0xFFFFFFFF, 0xFFFFFFFF), (2**31, 1), (1, 2**31)])
+    def test_oversized_header(self, tmp_path, frames, bins):
+        """A header declaring more cells than the file holds raises
+        ContractError before anything that size is read or allocated."""
+        path = tmp_path / "big.cqt"
+        head = struct.pack("<4sIIdIII", b"CQT1", frames, bins, 32.7032, 441, 44100, 12)
+        path.write_bytes(head + b"\x00" * 64)
+        with pytest.raises(ContractError, match="truncated payload"):
+            load_cqt(path)
 
     def test_csv_export(self, tmp_path, sine_440):
         m = crop_to_vocal_range(compute_cqt(sine_440))
