@@ -1,14 +1,18 @@
-"""Kernel timings for `polyvox convert` and for one converter train step.
+"""Kernel timings for `polyvox convert` and for one train step of each
+trainer.
 
 Inference shapes are those of the `convert-long` benchmark workload:
 attention over about 740 frames (150 prompt + 590 source) at width 128 x 4
 layers, a GELU over the (740, 512) feed-forward hidden layer, 48
 Griffin-Lim iterations over 600 frames, a 5.5 s source resampled from 48 to
 44.1 kHz, and the STFT, inverse STFT, mel spectrogram, CQT and training
-timbre warp of that 5.5 s source at 44.1 kHz. The train step is the smoke
-recipe's: batch 2 x 200 frames, forward (`cfm_loss`) and backward timed
-apart. Run from the repository root with the installed pytest-benchmark
-plugin (this directory is outside tier-1's `testpaths`):
+timbre warp of that 5.5 s source at 44.1 kHz. The train steps are the
+smoke recipe's, with forward and backward timed apart: the converter's
+(`cfm_loss`, batch 2 x 200 frames, w128 x 4) in float32 and in float64, and
+the pitch extractor's (two d64 x 2 encoders and the masked L1 loss, batch
+3 x 160 frames) as `train_pitch_extractor` runs it, in the dtype of new
+parameters. Run from the repository root with the installed
+pytest-benchmark plugin (this directory is outside tier-1's `testpaths`):
 
     python -m pytest benches -q --benchmark-json=<file>
 """
@@ -23,12 +27,15 @@ from polyvox.converter import VelocityNet, VelocityNetConfig, cfm_loss
 from polyvox.cqt import compute_cqt
 from polyvox.features import timbre_shift_augment
 from polyvox.nn import MultiHeadAttention, ParamStore
+from polyvox.pitch import PitchEncoderConfig, PitchExtractor
 
 FRAMES = 740
 WIDTH, LAYERS, HEADS = 128, 4, 4
 COND_DIM = 377  # N_CONTENT + pitch model_dim 64 + TIMBRE_DIM + 80 mel bands + 1
 SOURCE = Waveform(np.random.default_rng(4).uniform(-0.5, 0.5, int(5.5 * 44100)), 44100)
 TRAIN_BATCH, TRAIN_FRAMES = 2, 200
+PITCH_ENCODER = PitchEncoderConfig(model_dim=64, n_layers=2, n_heads=4, window_frames=160)
+PITCH_BATCH = 3
 DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 
 
@@ -77,9 +84,8 @@ def test_gelu(benchmark, dtype):
 
 @DTYPES
 def test_velocity_net_forward(benchmark, dtype):
-    """One network evaluation (one NFE) with constant parameters. A loaded
-    converter runs it in float32, the dtype its checkpoint stores; float64
-    is what fresh parameters compute in."""
+    """One network evaluation (one NFE) with constant parameters. The
+    converter runs it in float32, the dtype of its parameters."""
     rng = np.random.default_rng(1)
     net, _store = _velocity_net(rng, dtype)
     psi = rng.standard_normal((FRAMES, 80))
@@ -128,13 +134,13 @@ def test_timbre_shift_augment(benchmark):
     assert out.samples.size == SOURCE.samples.size
 
 
-def _train_step_inputs():
-    """A trainable float64 velocity net, its parameters and one
+def _train_step_inputs(dtype):
+    """A trainable velocity net in `dtype`, its parameters and one
     smoke-shaped batch."""
     rng = np.random.default_rng(8)
-    net, store = _velocity_net(rng, np.float64, trainable=True)
+    net, store = _velocity_net(rng, dtype, trainable=True)
     x1 = rng.standard_normal((TRAIN_BATCH, TRAIN_FRAMES, 80))
-    cond = T.Tensor(rng.standard_normal((TRAIN_BATCH, TRAIN_FRAMES, COND_DIM)))
+    cond = T.Tensor(rng.standard_normal((TRAIN_BATCH, TRAIN_FRAMES, COND_DIM)).astype(dtype))
     hidden = np.zeros((TRAIN_BATCH, TRAIN_FRAMES, 1))
     hidden[:, TRAIN_FRAMES // 2:] = 1.0
 
@@ -144,20 +150,53 @@ def _train_step_inputs():
     return loss, list(store.params.values())
 
 
-def test_cfm_loss_forward(benchmark):
-    """The forward half of a converter train step, which builds the tape."""
-    loss, _params = _train_step_inputs()
-    assert np.isfinite(benchmark(loss).data)
+def _pitch_step_inputs():
+    """A new pitch extractor, its parameters and one smoke-shaped batch of
+    CQT and roll windows in the dtype of those parameters, as
+    `train_pitch_extractor` feeds them."""
+    model = PitchExtractor(PITCH_ENCODER)
+    params = list(model.store.params.values())
+    rng = np.random.default_rng(10)
+    shape = (PITCH_BATCH, PITCH_ENCODER.window_frames, PITCH_ENCODER.input_bins)
+    values = rng.uniform(0.0, 1.0, shape).astype(params[0].data.dtype)
+    rolls = (rng.uniform(size=shape) < 0.05).astype(params[0].data.dtype)
+    mask = np.ones((*shape[:2], 1))
+
+    def loss():
+        return T.l1_loss(model.encode_cqt(values), model.encode_midi(rolls), mask=mask)
+
+    return loss, params
 
 
-def test_backward(benchmark):
-    """The backward half of a converter train step, on a fresh tape each
-    round."""
-    loss, params = _train_step_inputs()
-
+def _time_backward(benchmark, loss, params) -> None:
+    """Time `T.backward` on a fresh tape each round."""
     def fresh_tape():
         T.zero_grads(params)
         return (loss(),), {}
 
     grads = benchmark.pedantic(T.backward, setup=fresh_tape, rounds=10, warmup_rounds=1)
     assert len(grads) == len(params)
+
+
+@DTYPES
+def test_cfm_loss_forward(benchmark, dtype):
+    """The forward half of a converter train step, which builds the tape."""
+    loss, _params = _train_step_inputs(dtype)
+    assert np.isfinite(benchmark(loss).data)
+
+
+@DTYPES
+def test_backward(benchmark, dtype):
+    """The backward half of a converter train step."""
+    _time_backward(benchmark, *_train_step_inputs(dtype))
+
+
+def test_pitch_step_forward(benchmark):
+    """The forward half of a pitch train step: both encoders and the loss."""
+    loss, _params = _pitch_step_inputs()
+    assert np.isfinite(benchmark(loss).data)
+
+
+def test_pitch_step_backward(benchmark):
+    """The backward half of a pitch train step."""
+    _time_backward(benchmark, *_pitch_step_inputs())

@@ -10,6 +10,7 @@ frozen CQT encoder and is never updated here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -122,14 +123,20 @@ class VelocityNet:
         self.final_mod = Linear(store, f"{name}.final_mod", w, 2 * w, zero_init=True)
         self.head = Linear(store, f"{name}.head", w, cfg.mel_bands, zero_init=True)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the parameters, which the net computes in."""
+        return self.input.w.data.dtype
+
     def __call__(self, psi, t, cond) -> Tensor:
         """psi: (..., frames, bands); t: flow time, a scalar or one per
         leading item of psi; cond: fused conditioning, frame-aligned.
 
-        Runs in the dtype of the parameters: the state, condition, position
-        table and time embedding are cast to it, so a net loaded from a
-        float32 checkpoint computes and returns float32."""
-        dtype = self.input.w.data.dtype
+        Runs in `dtype`: the state, condition, position table and time
+        embedding are cast to it, so a new net and one loaded from a
+        checkpoint both compute and return float32, whatever the dtype of
+        `psi` and `cond`."""
+        dtype = self.dtype
         psi_t = T.cast(psi if isinstance(psi, Tensor) else Tensor(psi), dtype)
         cond_t = T.cast(cond if isinstance(cond, Tensor) else Tensor(cond), dtype)
         if psi_t.shape[:-1] != cond_t.shape[:-1]:
@@ -137,7 +144,7 @@ class VelocityNet:
                 f"state and condition frames differ: {psi_t.shape} vs {cond_t.shape}")
         w = self.cfg.width
         x = self.input(T.concat([psi_t, cond_t], axis=-1))
-        x = x + Tensor(sinusoidal_positions(x.shape[-2], w).astype(dtype, copy=False))
+        x = x + Tensor(sinusoidal_positions(x.shape[-2], w, dtype))
         temb = np.stack([timestep_embedding(float(ti), w) for ti in np.atleast_1d(t)])
         temb = temb.reshape(np.shape(t) + (1, w))  # (..., 1, width), broadcast over frames
         tvec = self.time2(T.gelu(self.time1(Tensor(temb.astype(dtype, copy=False)))))
@@ -155,11 +162,13 @@ def cfm_loss(net, x1: np.ndarray, cond, rng: np.random.Generator,
     x1), form the linear path (1 - t) * x0 + t * x1, and return the squared
     error between the predicted velocity and the path velocity x1 - x0
     (t-independent). `loss_mask` rows weighted 1 contribute; the hidden
-    prompt span is the usual choice."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    x0 = rng.standard_normal(x1.shape)
+    prompt span is the usual choice. The draws are float64; the path state
+    and the target are built in the net's dtype."""
+    dtype = net.dtype
+    x1 = np.asarray(x1, dtype=dtype)
+    x0 = rng.standard_normal(x1.shape).astype(dtype, copy=False)
     t = rng.uniform(size=x1.shape[:-2])
-    tb = t[..., None, None]
+    tb = t[..., None, None].astype(dtype, copy=False)
     psi = (1.0 - tb) * x0 + tb * x1
     pred = net(psi, t, cond)
     return T.mse_loss(pred, Tensor(x1 - x0), mask=loss_mask)
@@ -229,11 +238,12 @@ class ConverterModel:
     frozen pitch encoder. With `trainable=False` the parameters are
     constants and inference records no autograd tape.
 
-    Fresh parameters are float64. `load` keeps a checkpoint's float32
-    arrays, so a loaded velocity net runs in float32; the pitch encoder,
-    the projections in `fuse`, the mel statistics and the timbre space meet
-    float64 data there and give float64 results, and the ODE state of
-    `ode_sample` stays float64."""
+    Parameters are float32, new or loaded (`load` keeps a checkpoint's
+    float32 arrays), and the velocity net always runs in float32. Training
+    feeds `fuse` float32 streams, so the whole step is float32. At
+    inference the pitch encoder, the projections in `fuse`, the mel
+    statistics and the timbre space meet float64 data and give float64
+    results, and the ODE state of `ode_sample` stays float64."""
 
     def __init__(self, cfg: ConverterConfig, pitch: PitchExtractor, timbre: TimbreSpace,
                  mel_mean: np.ndarray, mel_std: np.ndarray, seed: int = 0,
@@ -268,7 +278,8 @@ class ConverterModel:
         hidden) reference mel channel, and its visibility indicator.
         Streams are (..., frames, dim) with one timbre vector per leading
         item. Mel and CQT share the pipeline's hop, `audio.HOP`, so content
-        and pitch must arrive with equal frame counts."""
+        and pitch must arrive with equal frame counts. Float32 streams stay
+        float32 (training builds them so); anything else is float64."""
         if np.shape(content)[:-1] != np.shape(z_pitch)[:-1]:
             raise ContractError(f"content and pitch frames differ: {np.shape(content)} vs "
                                 f"{np.shape(z_pitch)}")
@@ -276,7 +287,7 @@ class ConverterModel:
         zp = self.reg_pitch(Tensor(z_pitch))
         # unit-norm timbre vectors have ~1/sqrt(dim) elements; rescale so all
         # conditioning channels enter the input projection at similar variance
-        zt = np.asarray(z_timbre, dtype=np.float64) * np.sqrt(TIMBRE_DIM)
+        zt = T.as_data(z_timbre) * math.sqrt(TIMBRE_DIM)
         zt_full = np.broadcast_to(zt[..., None, :], zc.shape[:-1] + zt.shape[-1:])
         return T.concat([zc, zp, Tensor(zt_full), Tensor(x_ref), Tensor(visible)], axis=-1)
 
@@ -343,7 +354,9 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     the target mel from the conditioning, rebuild content features from
     envelope-warped audio, embed pitch with the frozen CQT encoder and
     timbre from an unwarped window, then regress the path velocity on the
-    hidden span. Writes a (step, lr, loss) CSV next to the checkpoint.
+    hidden span. The batch streams are built in the net's dtype, float32,
+    so forward, backward and AdamW all run in float32. Writes a
+    (step, lr, loss) CSV next to the checkpoint.
     """
     steps = cfg.steps if steps is None else steps
     pitch_ckpt = Path(pitch_ckpt)
@@ -398,9 +411,11 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
             xrefs.append(x1 * (1.0 - hidden))
             visibles.append(1.0 - hidden)
             hiddens.append(hidden)
-        cond = model.fuse(np.stack(contents), np.stack(zps), np.stack(zts),
-                          np.stack(xrefs), np.stack(visibles))
-        return cfm_loss(model.net, np.stack(x1s), cond, rng, loss_mask=np.stack(hiddens))
+        x1, content, z_p, z_t, x_ref, visible, hidden = (
+            np.stack(items, dtype=model.net.dtype)
+            for items in (x1s, contents, zps, zts, xrefs, visibles, hiddens))
+        cond = model.fuse(content, z_p, z_t, x_ref, visible)
+        return cfm_loss(model.net, x1, cond, rng, loss_mask=hidden)
 
     return _fit(model.store.params, batch_loss, steps, cfg, model.save, ckpt_path,
                 log_path, progress)

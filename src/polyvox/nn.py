@@ -1,7 +1,9 @@
 """Transformer building blocks on top of the autodiff tensors.
 
 Modules register their parameters in a shared ParamStore under dotted names
-so checkpoints and the optimizer see one flat dictionary. All sequence
+so checkpoints and the optimizer see one flat dictionary. Every new
+parameter is float32 (`PARAM_DTYPE`), the dtype a checkpoint stores, so a
+new model trains in the dtype a loaded one runs in. All sequence
 inputs are (..., frames, dim); attention splits the heads onto a leading
 axis and runs them all through one `tensor.attention` call.
 """
@@ -16,6 +18,8 @@ from . import tensor as T
 from .errors import ContractError
 from .tensor import Tensor
 
+PARAM_DTYPE = np.float32
+
 
 class ParamStore:
     def __init__(self, rng: np.random.Generator, trainable: bool = True):
@@ -24,9 +28,10 @@ class ParamStore:
         self.params: dict[str, Tensor] = {}
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
+        """Register `data`, rounded to `PARAM_DTYPE`, as parameter `name`."""
         if name in self.params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=self.trainable)
+        t = Tensor(np.asarray(data, dtype=PARAM_DTYPE), requires_grad=self.trainable)
         self.params[name] = t
         return t
 
@@ -46,7 +51,8 @@ class ParamStore:
     def load(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
         """Copy `arrays[prefix + name]` into each parameter. A float32 array
         stays float32, as `Tensor` keeps it, so a store loaded from a
-        checkpoint computes in float32; any other array becomes float64."""
+        checkpoint computes in float32 like a new one; any other array
+        becomes float64, which is how a float64 store is built."""
         for name, p in self.params.items():
             key = prefix + name
             if key not in arrays:
@@ -143,22 +149,24 @@ class TransformerBlock:
 
 
 @functools.lru_cache(maxsize=16)
-def _position_table(frames: int, dim: int) -> np.ndarray:
+def _position_table(frames: int, dim: int, dtype: np.dtype) -> np.ndarray:
     pos = np.arange(frames)[:, None]
     idx = np.arange(dim // 2)[None, :]
     angles = pos / (10000.0 ** (2.0 * idx / dim))
     table = np.zeros((frames, dim))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
+    table = table.astype(dtype, copy=False)
     table.setflags(write=False)
     return table
 
 
-def sinusoidal_positions(frames: int, dim: int) -> np.ndarray:
-    """Fixed sin/cos position table, (frames, dim); dim must be even."""
+def sinusoidal_positions(frames: int, dim: int, dtype) -> np.ndarray:
+    """Fixed sin/cos position table, (frames, dim), computed in float64 and
+    rounded to `dtype`; dim must be even. The table is cached read-only."""
     if dim % 2:
         raise ContractError(f"position table needs an even dim, got {dim}")
-    return _position_table(frames, dim)
+    return _position_table(frames, dim, np.dtype(dtype))
 
 
 def timestep_embedding(t: float, dim: int) -> np.ndarray:
@@ -174,7 +182,11 @@ def timestep_embedding(t: float, dim: int) -> np.ndarray:
 
 class SequenceEncoder:
     """Linear input projection, sinusoidal positions, pre-norm transformer
-    stack, final layer norm: (frames, d_in) -> (frames, dim)."""
+    stack, final layer norm: (frames, d_in) -> (frames, dim).
+
+    The position table takes the dtype of the projected input, so float32
+    input keeps the float32 parameters in float32 and float64 input
+    computes in float64, as the projection's promotion left it."""
 
     def __init__(self, store: ParamStore, name: str, d_in: int, dim: int,
                  n_layers: int, n_heads: int):
@@ -186,7 +198,8 @@ class SequenceEncoder:
         self.dim = dim
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = self.proj(x) + Tensor(sinusoidal_positions(x.shape[-2], self.dim))
+        h = self.proj(x)
+        h = h + Tensor(sinusoidal_positions(h.shape[-2], self.dim, h.data.dtype))
         for block in self.blocks:
             h = block(h)
         return self.final(h)

@@ -51,27 +51,42 @@ class AdamW:
 
     def step(self) -> float:
         """Apply one update from the parameters' `.grad` fields (a missing
-        gradient counts as zero); returns the learning rate used. Non-finite
-        gradients reject the step."""
+        gradient counts as zero); returns the learning rate used. A
+        non-finite gradient rejects the step as a whole: it raises before
+        any parameter, moment or the step count changes. Each update runs
+        in one scratch buffer per parameter, in the parameter's dtype."""
+        grads = {}
+        for name, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if not np.all(np.isfinite(g)):
+                raise ContractError(f"non-finite gradient for parameter {name!r}; step rejected")
+            grads[name] = g
         lr = self.lr_at(self.step_count)
         self.step_count += 1
-        c = self.cfg
         bc1 = 1.0 - _BETA1**self.step_count
         bc2 = 1.0 - _BETA2**self.step_count
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise ContractError(f"non-finite gradient for parameter {name!r}; step rejected")
-            m = self._m[name]
-            v = self._v[name]
-            m += (1.0 - _BETA1) * (g - m)
-            v += (1.0 - _BETA2) * (g * g - v)
-            update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
-            p.data -= lr * update
-            if c.weight_decay:
-                p.data -= lr * c.weight_decay * p.data
+            g, m, v = grads[name], self._m[name], self._v[name]
+            num, den = np.empty((2, *p.data.shape), dtype=p.data.dtype)
+            # m += (1 - beta1) (g - m);  v += (1 - beta2) (g² - v)
+            np.subtract(g, m, out=num)
+            num *= 1.0 - _BETA1
+            m += num
+            np.multiply(g, g, out=num)
+            num -= v
+            num *= 1.0 - _BETA2
+            v += num
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), then p -= lr wd p
+            np.divide(m, bc1, out=num)
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += _EPS
+            num /= den
+            num *= lr
+            p.data -= num
+            if self.cfg.weight_decay:
+                np.multiply(p.data, lr * self.cfg.weight_decay, out=num)
+                p.data -= num
         return lr
 
 

@@ -6,8 +6,11 @@ array operand is float32. A Python scalar or 0-d value lifted into an
 operation takes the dtype of the tensor it meets, so `x + 1.0` leaves a
 float32 `x` float32, and so do the scalar constants inside the primitives
 (the softmax and attention `scale`, the GELU constants, the layer-norm
-`eps`). Fresh parameters are float64; a loaded checkpoint gives float32
-ones (see `optim.load_checkpoint`). Every primitive computes the same
+`eps`). Parameters are float32, new ones (`nn.ParamStore`) and loaded
+ones (`optim.load_checkpoint`) alike, so training computes in float32;
+float64 inputs at inference promote the float32 weights exactly, and
+float64 is kept where a caller builds float64 parameters itself, as the
+finite-difference gradient tests do. Every primitive computes the same
 formula in both dtypes except `gelu`: float64 takes erf from scipy, and
 float32 from a rational minimax fit evaluated in float32, which stays
 within 5e-7 of the exact erf and runs several times faster.

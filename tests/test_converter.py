@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from polyvox import cli
+from polyvox import converter as converter_module
+from polyvox import pitch as pitch_module
+from polyvox import tensor as T
 from polyvox.audio import Waveform, load_wav, resample, save_wav
 from polyvox.converter import (ConverterConfig, ConverterModel, SwaySchedule, VelocityNet,
                                VelocityNetConfig, convert, ode_sample, train_converter)
 from polyvox.errors import ContractError
 from polyvox.features import N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace
 from polyvox.nn import ParamStore
+from polyvox.optim import load_checkpoint
 from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, PitchTrainConfig,
                            train_pitch_extractor)
 from polyvox.synthgen import SynthConfig, gen_dataset, load_manifest
@@ -101,6 +105,52 @@ class TestTraining:
                 rows = list(csv.reader(fh))
             assert rows[0] == ["step", "lr", "loss"]
             assert [int(r[0]) for r in rows[1:]] == list(range(STEPS))
+
+
+def _one_train_step(monkeypatch, module, train) -> dict:
+    """Run `train()` with `module._fit` replaced by one `batch_loss` and
+    `backward`; returns the loss dtype and each parameter's gradient dtype."""
+    seen = {}
+
+    def one_step(params, batch_loss, steps, cfg, save, ckpt_path, log_path, progress):
+        loss = batch_loss()
+        T.backward(loss)
+        seen["loss"] = loss.data.dtype
+        seen["grads"] = {name: getattr(p.grad, "dtype", None) for name, p in params.items()}
+        return ckpt_path
+
+    monkeypatch.setattr(module, "_fit", one_step)
+    train()
+    return seen
+
+
+class TestFloat32Training:
+    """New parameters are float32, so both trainers compute in float32."""
+
+    def test_new_parameters_are_float32(self):
+        for store in (PitchExtractor(TINY_ENCODER).store, _tiny_model().store):
+            assert {p.data.dtype for p in store.params.values()} == {np.dtype(np.float32)}
+
+    def test_one_step_of_each_trainer_is_float32(self, tiny_runs, tmp_path, monkeypatch):
+        manifest, (files, _), _ = tiny_runs
+        pitch_step = _one_train_step(monkeypatch, pitch_module, lambda: train_pitch_extractor(
+            manifest, PitchTrainConfig(encoder=TINY_ENCODER, batch=2), 1, tmp_path / "p"))
+        svc_step = _one_train_step(monkeypatch, converter_module, lambda: train_converter(
+            manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"], tmp_path / "s"))
+        assert {"reg_content.w", "reg_pitch.w"} <= svc_step["grads"].keys()
+        for step in (pitch_step, svc_step):
+            assert step["loss"] == np.float32
+            assert step["grads"] == {name: np.float32 for name in step["grads"]}
+
+    def test_new_store_round_trips_through_a_checkpoint(self, tmp_path):
+        model = PitchExtractor(TINY_ENCODER)
+        model.save(tmp_path / "p.pvck")
+        back, _step, _header = load_checkpoint(tmp_path / "p.pvck")
+        arrays = model.store.arrays()
+        assert back.keys() == arrays.keys()
+        for name, data in arrays.items():
+            assert back[name].dtype == data.dtype == np.float32
+            assert back[name].tobytes() == data.tobytes(), name
 
 
 class TestConvert:

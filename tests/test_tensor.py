@@ -35,6 +35,12 @@ def finite_difference_check(make_loss, params, h=1e-5, tol=1e-4):
             assert rel < tol, f"param grad mismatch: {analytic[i]} vs {fd}"
 
 
+def widen_to_float64(store: ParamStore) -> None:
+    """Make a store's float32 parameters float64, in place: central
+    differences at h = 1e-5 resolve gradients only in float64."""
+    store.load({name: data.astype(np.float64) for name, data in store.arrays().items()})
+
+
 class TestPrimitives:
     def test_matmul_shape(self):
         out = T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))))
@@ -227,6 +233,7 @@ class TestGradientCorrectness:
         w2 = store.xavier("w2", 8, 8)
         b2 = store.zeros("b2", (8,))
         w3 = store.xavier("w3", 8, 2)
+        widen_to_float64(store)
         x = Tensor(rng.normal(size=(5, 4)))
         y = Tensor(rng.normal(size=(5, 2)))
 
@@ -249,6 +256,7 @@ class TestGradientCorrectness:
         gains = [store.ones(f"g{i}", (d,)) for i, d in enumerate(dims[1:])]
         biases = [store.zeros(f"bn{i}", (d,)) for i, d in enumerate(dims[1:])]
         weights = [store.xavier(f"w{i}", a, b) for i, (a, b) in enumerate(zip(dims, dims[1:]))]
+        widen_to_float64(store)
 
         def loss():
             T.zero_grads(store.params.values())
@@ -402,6 +410,30 @@ class TestOptimizer:
         p.grad = np.array([np.nan])
         with pytest.raises(ContractError, match="p"):
             opt.step()
+
+    def test_rejected_step_changes_nothing(self):
+        """A NaN in the last parameter rejects the step before the first
+        parameter, any moment or the step count moves."""
+        params = {name: Tensor(np.ones(3, np.float32), requires_grad=True) for name in "ab"}
+        opt = AdamW(params, AdamWConfig(peak_lr=0.1, min_lr=0.01, total_steps=10,
+                                        weight_decay=0.1))
+        for p in params.values():
+            p.grad = np.full(3, 0.5, np.float32)
+        opt.step()
+
+        def state():
+            return ([p.data.copy() for p in params.values()],
+                    [m.copy() for m in opt._m.values()], [v.copy() for v in opt._v.values()],
+                    opt.step_count)
+
+        before = state()
+        params["b"].grad = np.array([0.5, np.nan, 0.5], np.float32)
+        with pytest.raises(ContractError, match="'b'"):
+            opt.step()
+        after = state()
+        for got, want in zip(after[:3], before[:3]):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert after[3] == before[3] == 1
 
     def test_deterministic_trajectory(self):
         def run():
