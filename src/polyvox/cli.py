@@ -5,6 +5,9 @@ to stderr) and exits 0 on success, 1 on usage or configuration errors, and
 2 on runtime failures. The `convert` and `evaluate` summaries carry the
 command's wall time `wall_s` and its real-time factor `rtf`, wall time over
 the seconds of source audio converted.
+
+Corpora are read with `synthgen.load_clips`: a malformed manifest line and a
+split with no clips are runtime failures, so every command exits 2 on them.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from .cqt import (compute_cqt, crop_to_vocal_range, interior_frames, save_cqt, s
                   save_matrix_container, transpose_pitch)
 from .errors import ContractError
 from .evaluate import emit_report, evaluate_conversion, write_pgm
-from .midi import load_smf
 from .pitch import train_pitch_extractor
-from .synthgen import gen_dataset, load_manifest
+from .synthgen import gen_dataset, load_clips
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,11 +70,10 @@ def cmd_synth_data(args) -> dict:
     out = Path(args.out)
     manifest = gen_dataset(cfg.synth, cfg.seed, out, workers=args.threads)
     persist_config(cfg, out)
-    rows = load_manifest(manifest)
     return {
         "status": "ok",
         "command": "synth-data",
-        "clips": len(rows),
+        "clips": cfg.synth.n_single + cfg.synth.n_harmony,
         "manifest": str(manifest),
         "seed": cfg.seed,
     }
@@ -178,35 +179,24 @@ def cmd_evaluate(args) -> dict:
     cfg = load_config(args.config, args.seed)
     manifest = _require(Path(args.manifest) if args.manifest else cfg.manifest_path,
                         "data manifest")
-    model = ConverterModel.load(_require(Path(args.ckpt) if args.ckpt else cfg.svc_ckpt,
-                                         "converter checkpoint"))
-    root = manifest.parent
-    rows_all = load_manifest(manifest)
-    eval_rows = [r for r in rows_all if r["split"] == "eval"]
-    train_rows = [r for r in rows_all if r["split"] == "train"]
-    if not eval_rows or not train_rows:
-        raise ConfigError(f"manifest {manifest} needs both train and eval splits")
+    ckpt = _require(Path(args.ckpt) if args.ckpt else cfg.svc_ckpt, "converter checkpoint")
+    eval_clips = load_clips(manifest, "eval")
+    train_clips = load_clips(manifest, "train")
+    model = ConverterModel.load(ckpt)
 
     report_rows = []
-    source_s = 0.0
-    for row in eval_rows:
-        src = load_pipeline_wav(root / row["path"])
-        source_s += src.duration
-        ref_row = next((r for r in train_rows if r["preset"] != row["preset"]), train_rows[0])
-        ref = load_pipeline_wav(root / ref_row["path"])
-        truth = load_smf((root / row["path"]).with_suffix(".mid"))
-        wave, mel_out = convert(src, ref, model, seed=cfg.seed)
-        scored = evaluate_conversion(wave, truth, ref, cfg.eval, model.timbre,
-                                     target_mel=mel_spectrogram(src), output_mel=mel_out)
-        scored["id"] = row["id"]
-        scored["condition"] = row["condition"]
-        scored["ref"] = ref_row["id"]
+    for clip in eval_clips:
+        ref = next((c for c in train_clips if c.preset != clip.preset), train_clips[0])
+        wave, mel_out = convert(clip.wave, ref.wave, model, seed=cfg.seed)
+        scored = evaluate_conversion(wave, clip.notes, ref.wave, cfg.eval, model.timbre,
+                                     target_mel=mel_spectrogram(clip.wave), output_mel=mel_out)
+        scored.update(id=clip.id, condition=clip.condition, ref=ref.id)
         report_rows.append(scored)
-        print(f"[evaluate] {row['id']}: f1={scored['f1']:.3f}", file=sys.stderr)
+        print(f"[evaluate] {clip.id}: f1={scored['f1']:.3f}", file=sys.stderr)
         if args.pgm:
             pgm_dir = cfg.report_dir / "pgm"
             pgm_dir.mkdir(parents=True, exist_ok=True)
-            write_pgm(mel_out.values, pgm_dir / f"{row['id']}_mel.pgm")
+            write_pgm(mel_out.values, pgm_dir / f"{clip.id}_mel.pgm")
 
     report = emit_report(report_rows, cfg.report_dir, config_echo=cfg.resolved,
                          seed=cfg.seed, cfg=cfg.eval)
@@ -219,7 +209,7 @@ def cmd_evaluate(args) -> dict:
         "recall_mean": agg.get("recall", {}).get("mean"),
         "f1_mean": agg.get("f1", {}).get("mean"),
         "seed": cfg.seed,
-        **_timings(start, source_s),
+        **_timings(start, sum(c.wave.duration for c in eval_clips)),
     }
 
 

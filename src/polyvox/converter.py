@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .audio import (N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, griffin_lim,
-                    load_pipeline_wav, mel_spectrogram)
+                    mel_spectrogram)
 from .errors import ContractError
 from .features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content,
                        timbre_shift_augment, timbre_stats, train_timbre_space)
@@ -26,7 +26,7 @@ from .nn import (LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
                  sinusoidal_positions, timestep_embedding)
 from .optim import _fit, load_checkpoint, save_checkpoint
 from .pitch import PitchEncoderConfig, PitchExtractor, cqt_input
-from .synthgen import load_manifest
+from .synthgen import load_clips
 from .tensor import Tensor
 
 
@@ -325,30 +325,11 @@ class ConverterModel:
 # ---------------------------------------------------------------------------
 
 
-def _load_corpus(manifest_path, pitch: PitchExtractor):
-    """The train split: each clip's waveform, mel and pitch embedding."""
-    root = Path(manifest_path).parent
-    corpus = []
-    for row in load_manifest(manifest_path):
-        if row["split"] != "train":
-            continue
-        w = load_pipeline_wav(root / row["path"])
-        mel = mel_spectrogram(w)
-        z_p = pitch.encode_cqt(cqt_input(w)).data
-        corpus.append({
-            "id": row["id"],
-            "preset": row.get("preset", ""),
-            "wave": w,
-            "mel": mel,
-            "z_p": z_p,
-        })
-    return corpus
-
-
 def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
                     pitch_ckpt, ckpt_path, log_path=None, seed: int = 0,
                     progress=None) -> Path:
-    """Flow-matching training over masked windows of the train split.
+    """Flow-matching training over masked windows of the train split, read
+    with `synthgen.load_clips`.
 
     Per step and batch item: crop a window, hide a random 30-70% span of
     the target mel from the conditioning, rebuild content features from
@@ -362,41 +343,40 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     pitch_ckpt = Path(pitch_ckpt)
     if not pitch_ckpt.exists():
         raise ContractError(f"pitch checkpoint {pitch_ckpt} not found")
+    clips = load_clips(manifest_path, "train")
     pitch = PitchExtractor.load(pitch_ckpt)
-    corpus = _load_corpus(manifest_path, pitch)
-    if not corpus:
-        raise ContractError(f"no train clips in manifest {manifest_path}")
+    mels = [mel_spectrogram(c.wave) for c in clips]
+    z_ps = [pitch.encode_cqt(cqt_input(c.wave)).data for c in clips]
 
-    all_mels = np.concatenate([c["mel"].values for c in corpus], axis=0)
+    all_mels = np.concatenate([m.values for m in mels], axis=0)
     mel_mean = all_mels.mean(axis=0)
     mel_std = np.maximum(all_mels.std(axis=0), 1e-3)
 
-    presets = sorted({c["preset"] for c in corpus})
-    label_of = {p: i for i, p in enumerate(presets)}
-    stats = np.stack([timbre_stats(c["mel"]) for c in corpus])
-    labels = np.array([label_of[c["preset"]] for c in corpus])
-    timbre = train_timbre_space(stats, labels, n_classes=max(len(presets), 2))
+    presets, labels = np.unique([c.preset for c in clips], return_inverse=True)
+    stats = np.stack([timbre_stats(m) for m in mels])
+    timbre = train_timbre_space(stats, labels, n_classes=len(presets))
 
     model = ConverterModel(cfg, pitch, timbre, mel_mean, mel_std, seed=seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xCF4))))
 
     # one window length for the whole run so batch items stack
-    win = min(cfg.window_frames, min(c["mel"].frames for c in corpus))
+    win = min(cfg.window_frames, min(m.frames for m in mels))
 
     def batch_loss() -> Tensor:
         x1s, contents, zps, zts, xrefs, visibles, hiddens = [], [], [], [], [], [], []
         for _ in range(cfg.batch):
-            clip = corpus[int(rng.integers(len(corpus)))]
-            n_f = clip["mel"].frames
+            i = int(rng.integers(len(clips)))
+            mel = mels[i]
+            n_f = mel.frames
             start = int(rng.integers(0, n_f - win + 1))
-            x1 = model.standardize(clip["mel"].values[start : start + win])
+            x1 = model.standardize(mel.values[start : start + win])
 
-            warped = timbre_shift_augment(clip["wave"], rng)
+            warped = timbre_shift_augment(clips[i].wave, rng)
             content = extract_content(mel_spectrogram(warped))[start : start + win]
 
             t_win = min(120, n_f)
             t_start = int(rng.integers(0, n_f - t_win + 1))
-            z_t = model.timbre.embed(MelSpectrogram(clip["mel"].values[t_start : t_start + t_win]))
+            z_t = model.timbre.embed(MelSpectrogram(mel.values[t_start : t_start + t_win]))
 
             frac = float(rng.uniform(*cfg.mask_span))
             span = max(1, int(round(frac * win)))
@@ -406,7 +386,7 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
 
             x1s.append(x1)
             contents.append(content)
-            zps.append(clip["z_p"][start : start + win])
+            zps.append(z_ps[i][start : start + win])
             zts.append(z_t)
             xrefs.append(x1 * (1.0 - hidden))
             visibles.append(1.0 - hidden)

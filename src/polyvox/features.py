@@ -124,8 +124,8 @@ def train_timbre_space(stats: np.ndarray, labels: np.ndarray, n_classes: int) ->
     orthonormal cosine basis spreads that span over the `TIMBRE_DIM` outputs:
     it keeps every cosine and gives the unit-norm embedding elements of about
     1/sqrt(TIMBRE_DIM), the scale the converter's conditioning expects. With
-    a single singer there is no discriminant direction and every clip maps
-    to the zero vector.
+    a single singer there is no discriminant direction: the weight is zero,
+    nothing is factorised, and every clip maps to the zero vector.
     """
     if stats.ndim != 2 or stats.shape[0] != labels.shape[0] or stats.shape[1] != TIMBRE_BANDS:
         raise ContractError(f"bad timbre-space inputs: stats {stats.shape}, labels {labels.shape}")
@@ -136,6 +136,8 @@ def train_timbre_space(stats: np.ndarray, labels: np.ndarray, n_classes: int) ->
     x = (stats - mu) / scale
 
     classes, idx, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    if classes.size < 2:
+        return TimbreSpace(np.zeros((TIMBRE_BANDS, TIMBRE_DIM)), mu, scale)
     means = np.stack([x[idx == c].mean(axis=0) for c in range(classes.size)])
     resid = x - means[idx]
     n, d = x.shape

@@ -6,7 +6,9 @@ Two independent transformer encoders map the cropped (60-bin) CQT and the
 piano roll into a shared embedding space. After training, the CQT encoder is
 frozen and feeds the converter; the MIDI encoder exists only to supervise it.
 `cqt_input` is the one definition of what the CQT encoder reads, for
-training, the converter's corpus and conversion alike.
+training, the converter's corpus and conversion alike. Training reads the
+train split through `synthgen.load_clips` and pairs each clip's `cqt_input`
+with the piano roll of its notes at the same frame count.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import Waveform, load_pipeline_wav
+from .audio import Waveform
 from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, transpose_pitch
 from .errors import ContractError
-from .midi import ROLL_PITCHES, load_smf, to_piano_roll
+from .midi import ROLL_PITCHES, to_piano_roll
 from .nn import PARAM_DTYPE, ParamStore, SequenceEncoder
 from .optim import _fit, load_checkpoint, save_checkpoint
-from .synthgen import load_manifest
+from .synthgen import load_clips
 from .tensor import Tensor
 
 
@@ -142,13 +144,6 @@ class PitchTrainConfig:
                                 f"{self.batch}")
 
 
-def prepare_clip(wav_path, mid_path) -> tuple[np.ndarray, np.ndarray]:
-    """WAV + SMF -> (`cqt_input` of the clip, aligned piano roll)."""
-    values = cqt_input(load_pipeline_wav(wav_path))
-    roll = to_piano_roll(load_smf(mid_path), n_frames=values.shape[0])
-    return values, roll.activity
-
-
 def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | None,
                           ckpt_path, log_path=None, seed: int = 0,
                           progress=None) -> Path:
@@ -157,11 +152,10 @@ def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | Non
     (step, lr, loss) CSV and the checkpoint. Returns the checkpoint
     path. The CQT encoder inside the checkpoint is what downstream loads."""
     steps = cfg.steps if steps is None else steps
-    root = Path(manifest_path).parent
-    wavs = [root / row["path"] for row in load_manifest(manifest_path) if row["split"] == "train"]
-    if not wavs:
-        raise ContractError(f"no train clips in manifest {manifest_path}")
-    clips = [prepare_clip(wav, wav.with_suffix(".mid")) for wav in wavs]
+    clips = []
+    for c in load_clips(manifest_path, "train"):
+        values = cqt_input(c.wave)
+        clips.append((values, to_piano_roll(c.notes, n_frames=values.shape[0]).activity))
 
     model = PitchExtractor(cfg.encoder, seed=seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xB0B))))

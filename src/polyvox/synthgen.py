@@ -5,6 +5,10 @@ harmony voices at musically plausible intervals. Note times live on the SMF
 tick grid (1/960 s) so the WAV / MIDI sidecars round-trip exactly. Clips are at
 `audio.PIPELINE_SAMPLE_RATE` and pitches lie in `midi.ROLL_LOW`..`ROLL_TOP`,
 so lead pitches map to CQT bins by construction (bin = MIDI - `ROLL_LOW`).
+
+`gen_dataset` writes the corpus and its `manifest.jsonl`; `load_clips` is the
+one reader of it, for both trainers and for evaluation. A malformed manifest
+line or a split with no clips raises `ContractError`.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import PIPELINE_SAMPLE_RATE, Waveform, save_wav
+from .audio import PIPELINE_SAMPLE_RATE, Waveform, load_pipeline_wav, save_wav
 from .errors import ContractError
-from .midi import ROLL_LOW, ROLL_TOP, MidiNote, write_smf
+from .midi import ROLL_LOW, ROLL_TOP, MidiNote, load_smf, write_smf
 
 _TICKS_PER_SECOND = 960.0  # 480 ticks/beat at 120 BPM
 _RAMP_S = 0.010
@@ -296,11 +300,55 @@ def gen_dataset(cfg: SynthConfig, seed: int, out_dir,
     return manifest_path
 
 
+_ROW_FIELDS = ("id", "condition", "preset", "path", "split")
+_SPLITS = ("train", "eval")
+
+
 def load_manifest(manifest_path) -> list[dict]:
+    """The manifest's rows, in file order. Each line must be a JSON object
+    whose id, condition, preset, path and split are strings, the split
+    "train" or "eval"; any other line raises `ContractError` naming the file
+    and the line."""
     rows = []
     with open(manifest_path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            if not line:
+                continue
+            where = f"manifest {manifest_path} line {lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ContractError(f"{where}: {exc.msg}") from None
+            if not isinstance(row, dict):
+                raise ContractError(f"{where}: expected an object, got {type(row).__name__}")
+            bad = [key for key in _ROW_FIELDS if not isinstance(row.get(key), str)]
+            if bad:
+                raise ContractError(f"{where}: {', '.join(bad)} missing or not a string")
+            if row["split"] not in _SPLITS:
+                raise ContractError(f"{where}: split {row['split']!r} is not one of {_SPLITS}")
+            rows.append(row)
     return rows
+
+
+@dataclass(frozen=True)
+class Clip:
+    """One manifest row, read: its 44.1 kHz waveform and its `.mid` sidecar's notes."""
+
+    id: str
+    condition: str
+    preset: str
+    wave: Waveform
+    notes: list[MidiNote]
+
+
+def load_clips(manifest_path, split: str) -> list[Clip]:
+    """The clips of one split, in manifest order, with paths relative to the
+    manifest: each WAV read by `load_pipeline_wav`, its notes by `load_smf`.
+    A split with no clips raises `ContractError`."""
+    root = Path(manifest_path).parent
+    rows = [row for row in load_manifest(manifest_path) if row["split"] == split]
+    if not rows:
+        raise ContractError(f"no {split} clips in manifest {manifest_path}")
+    return [Clip(row["id"], row["condition"], row["preset"], load_pipeline_wav(root / row["path"]),
+                 load_smf((root / row["path"]).with_suffix(".mid"))) for row in rows]

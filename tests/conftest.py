@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polyvox.audio import Waveform
-from polyvox.synthgen import DEFAULT_PRESETS, SynthConfig, gen_dataset, load_manifest
+from polyvox.synthgen import DEFAULT_PRESETS, SynthConfig, gen_dataset, load_clips, load_manifest
 
 SR = 44100
 
@@ -45,8 +45,9 @@ def tiny_rows(tiny_corpus):
 def pitch_run(tmp_path_factory):
     """Criterion-scale pitch training: 50 train clips, 2000 steps, plus a
     20-clip held-out retrieval probe set."""
+    from polyvox.midi import to_piano_roll
     from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, PitchTrainConfig,
-                               prepare_clip, retrieval_probe, train_pitch_extractor)
+                               cqt_input, retrieval_probe, train_pitch_extractor)
 
     root = tmp_path_factory.mktemp("pitch_run")
     manifest = gen_dataset(SynthConfig(n_single=28, n_harmony=28), seed=101,
@@ -60,10 +61,10 @@ def pitch_run(tmp_path_factory):
                                  log_path=log_path, seed=7,
                                  progress=lambda s, l: print(f"[pitch_run] {s} {l:.4f}",
                                                              file=sys.stderr))
-    probe_root = probe_manifest.parent
-    probe_clips = [prepare_clip(probe_root / r["path"],
-                                (probe_root / r["path"]).with_suffix(".mid"))
-                   for r in load_manifest(probe_manifest)]
+    probe_clips = []
+    for clip in load_clips(probe_manifest, "train") + load_clips(probe_manifest, "eval"):
+        values = cqt_input(clip.wave)
+        probe_clips.append((values, to_piano_roll(clip.notes, n_frames=values.shape[0]).activity))
     model = PitchExtractor.load(ckpt)
     untrained = PitchExtractor(encoder, seed=99)
     return {

@@ -114,3 +114,56 @@ def test_valid_config_loads(tiny_corpus, tmp_path):
     assert (cfg.pitch.steps, cfg.pitch.batch, cfg.pitch.encoder.model_dim) == (1, 2, 16)
     assert (cfg.converter.steps, cfg.converter.gl_iters, cfg.converter.nfe) == (1, 2, 2)
     assert cfg.manifest_path == tiny_corpus and cfg.pitch_ckpt == ckpt / "pitch.pvck"
+
+
+# one well-formed manifest row with each field in turn taken out, or the split changed
+_ROW = {"id": "x", "condition": "single", "preset": "alto_warm", "path": "clips/x.wav",
+        "split": "train"}
+HOSTILE_LINES = {
+    "invalid-json": '{"id": "x",',
+    "not-an-object": "[1, 2]",
+    "unknown-split": json.dumps({**_ROW, "split": "test"}),
+    "null-preset": json.dumps({**_ROW, "preset": None}),
+    **{f"no-{key}": json.dumps({k: v for k, v in _ROW.items() if k != key}) for key in _ROW},
+}
+
+
+def _run_on_manifest(tmp_path, corpus, rows, command, insert=None):
+    """Run `command` on a manifest of `rows` (paths into `corpus`) with the
+    line `insert` as line 3. The checkpoints the command requires exist;
+    evaluate's is a placeholder, because it reads the manifest first."""
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = [json.dumps(dict(row, path=str(corpus.parent / row["path"]))) for row in rows]
+    if insert is not None:
+        lines.insert(2, insert)
+    manifest = data / "manifest.jsonl"
+    manifest.write_text("\n".join(lines) + "\n")
+    path, ckpt = _write_config(tmp_path, manifest)
+    PitchExtractor(PitchEncoderConfig(**ENCODER)).save(ckpt / "pitch.pvck")
+    (ckpt / "svc.pvck").write_bytes(b"")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, "--config", str(path)])
+    return code, json.loads(out.getvalue().splitlines()[-1]), manifest
+
+
+@pytest.mark.parametrize("kind", sorted(HOSTILE_LINES))
+@pytest.mark.parametrize("command", ["train-pitch", "train-svc", "evaluate"])
+def test_hostile_manifest_line_exits_2_naming_it(tiny_corpus, tiny_rows, tmp_path, command,
+                                                 kind):
+    code, summary, manifest = _run_on_manifest(tmp_path, tiny_corpus, tiny_rows, command,
+                                               insert=HOSTILE_LINES[kind])
+    assert (code, summary["status"]) == (2, "error"), summary
+    assert f"manifest {manifest} line 3:" in summary["error"]
+
+
+@pytest.mark.parametrize("command, split", [("train-pitch", "train"), ("train-svc", "train"),
+                                            ("evaluate", "train"), ("evaluate", "eval")])
+def test_empty_split_exits_2(tiny_corpus, tiny_rows, tmp_path, command, split):
+    """Every command that needs a split fails the same way without it."""
+    other = "eval" if split == "train" else "train"
+    rows = [dict(row, split=other) for row in tiny_rows]
+    code, summary, manifest = _run_on_manifest(tmp_path, tiny_corpus, rows, command)
+    assert (code, summary["status"]) == (2, "error"), summary
+    assert f"ContractError: no {split} clips in manifest {manifest}" == summary["error"]

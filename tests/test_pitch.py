@@ -4,7 +4,7 @@ import pytest
 from polyvox.cqt import compute_cqt, crop_to_vocal_range
 from polyvox.errors import ContractError
 from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, log_compress,
-                           prepare_clip, sample_training_window)
+                           sample_training_window)
 
 from .conftest import make_sine
 
@@ -124,11 +124,3 @@ class TestCheckpoint:
         again = PitchExtractor.load(path)
         assert np.array_equal(b, again.encode_cqt(x).data)
         assert not any(p.requires_grad for p in back.store.params.values())
-
-    def test_prepare_clip_aligns_frames(self, tiny_corpus, tiny_rows):
-        root = tiny_corpus.parent
-        row = tiny_rows[0]
-        values, roll = prepare_clip(root / row["path"],
-                                    (root / row["path"]).with_suffix(".mid"))
-        assert values.shape[0] == roll.shape[0]
-        assert values.shape[1] == 60 and roll.shape[1] == 60

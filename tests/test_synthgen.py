@@ -1,13 +1,16 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from polyvox.audio import FRAME_RATE, PIPELINE_SAMPLE_RATE, load_wav, resample, save_wav
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, interior_frames
 from polyvox.errors import ContractError
 from polyvox.midi import MidiNote, load_smf, to_piano_roll
+from polyvox.pitch import cqt_input
 from polyvox.synthgen import (DEFAULT_PRESETS, Score, SingerPreset, SynthConfig,
-                              gen_dataset, load_manifest, render_note, render_score)
+                              gen_dataset, load_clips, load_manifest, render_note, render_score)
 
 FLAT = SingerPreset("flat", tuple([1.0] + [0.0] * 15), ((400.0, 200.0),),
                     vibrato_rate=5.0, vibrato_depth=0.0, jitter=0.0)
@@ -146,6 +149,57 @@ class TestGenDataset(object):
     def test_preset_pool_minimum(self):
         with pytest.raises(ContractError):
             SynthConfig(presets=DEFAULT_PRESETS[:2])
+
+
+class TestLoadClips:
+    def test_manifest_order_and_split(self, tiny_corpus, tiny_rows):
+        for split in ("train", "eval"):
+            rows = [r for r in tiny_rows if r["split"] == split]
+            assert [(c.id, c.condition, c.preset) for c in load_clips(tiny_corpus, split)] == \
+                   [(r["id"], r["condition"], r["preset"]) for r in rows]
+
+    def test_wave_and_notes_are_the_files(self, tiny_corpus):
+        for clip in load_clips(tiny_corpus, "train"):
+            wav = tiny_corpus.parent / "clips" / f"{clip.id}.wav"
+            assert clip.wave.sample_rate == PIPELINE_SAMPLE_RATE
+            assert np.array_equal(clip.wave.samples, load_wav(wav).samples)
+            assert clip.notes == load_smf(wav.with_suffix(".mid"))
+
+    def test_48k_corpus_is_read_at_44k(self, tmp_path):
+        manifest = gen_dataset(SynthConfig(n_single=1, n_harmony=1, dur_range=(1.5, 1.5),
+                                           eval_fraction=0.5), seed=6, out_dir=tmp_path)
+        sizes = {}
+        for row in load_manifest(manifest):
+            w = load_wav(tmp_path / row["path"])
+            sizes[row["id"]] = w.samples.size
+            save_wav(resample(w, 48000), tmp_path / row["path"])
+        for split in ("train", "eval"):
+            for clip in load_clips(manifest, split):
+                assert clip.wave.sample_rate == PIPELINE_SAMPLE_RATE
+                assert abs(clip.wave.samples.size - sizes[clip.id]) <= 1
+
+    def test_cqt_input_and_roll_share_frames(self, tiny_corpus):
+        """The pitch trainer's pair: the CQT has one frame per hop plus the
+        frame at the last sample, so it ends with the notes or one frame
+        after them, and the roll at the CQT's frame count holds every note."""
+        for split in ("train", "eval"):
+            for clip in load_clips(tiny_corpus, split):
+                values = cqt_input(clip.wave)
+                notes_end = int(np.ceil(max(n.offset for n in clip.notes) * FRAME_RATE - 1e-9))
+                assert notes_end <= values.shape[0] <= notes_end + 1
+                roll = to_piano_roll(clip.notes, n_frames=values.shape[0]).activity
+                assert roll.shape == values.shape
+                longer = to_piano_roll(clip.notes, n_frames=notes_end + 10).activity
+                assert roll.sum() == longer.sum()
+
+    def test_missing_sidecar_names_the_file(self, tmp_path):
+        manifest = gen_dataset(SynthConfig(n_single=2, n_harmony=0, dur_range=(1.0, 1.0)),
+                               seed=2, out_dir=tmp_path)
+        row = next(r for r in load_manifest(manifest) if r["split"] == "train")
+        mid = (tmp_path / row["path"]).with_suffix(".mid")
+        mid.unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(mid.name)):
+            load_clips(manifest, "train")
 
 
 class TestTimbreSeparability:
