@@ -8,6 +8,9 @@ the seconds of source audio converted.
 
 Corpora are read with `synthgen.load_clips`: a malformed manifest line and a
 split with no clips are runtime failures, so every command exits 2 on them.
+
+`convert` and `evaluate` read the source CQT and mel and the reference's
+timbre vector from the `converter.Conversion` that `convert()` returns.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ import sys
 import time
 from pathlib import Path
 
-from .audio import (HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, Waveform, load_pipeline_wav,
-                    mel_spectrogram, save_wav)
+from .audio import HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, load_pipeline_wav, save_wav
 from .config import ConfigError, load_config, persist_config
 from .converter import ConverterModel, SwaySchedule, convert, train_converter
-from .cqt import (compute_cqt, crop_to_vocal_range, interior_frames, save_cqt, save_cqt_csv,
-                  save_matrix_container, transpose_pitch)
+from .cqt import (CqtMatrix, compute_cqt, crop_to_vocal_range, interior_frames, save_cqt,
+                  save_cqt_csv, save_matrix_container, transpose_pitch)
 from .errors import ContractError
 from .evaluate import emit_report, evaluate_conversion, write_pgm
 from .pitch import train_pitch_extractor
@@ -120,8 +122,8 @@ def cmd_train_svc(args) -> dict:
     }
 
 
-def _mean_profile_argmax(w: Waveform) -> int:
-    cropped = crop_to_vocal_range(compute_cqt(w))
+def _mean_profile_argmax(m: CqtMatrix) -> int:
+    cropped = crop_to_vocal_range(m)
     rows = list(interior_frames(cropped.frames)) or list(range(cropped.frames))
     return int(cropped.magnitudes[rows].mean(axis=0).argmax())
 
@@ -149,27 +151,26 @@ def cmd_convert(args) -> dict:
     src = load_pipeline_wav(_require(args.src, "source audio"))
     ref = load_pipeline_wav(_require(args.ref, "reference audio"))
     sched = SwaySchedule(**{"s": model.cfg.sway_s, "nfe": model.cfg.nfe, **overrides})
-    wave, mel_out = convert(src, ref, model, sched, transpose=args.transpose,
-                            seed=args.seed or 0)
+    conversion = convert(src, ref, model, sched, transpose=args.transpose, seed=args.seed or 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_wav(wave, out)
+    save_wav(conversion.wave, out)
     summary = {
         "status": "ok",
         "command": "convert",
         "out": str(out),
-        "frames": mel_out.frames,
+        "frames": conversion.mel.frames,
         "nfe": sched.nfe,
         "sway": sched.s,
         "transpose": args.transpose,
     }
     if args.mel_out:
-        save_matrix_container(mel_out.values, args.mel_out, b"MEL1", f_min=MEL_FMIN, hop=HOP,
-                              sample_rate=PIPELINE_SAMPLE_RATE, bins_per_octave=0)
+        save_matrix_container(conversion.mel.values, args.mel_out, b"MEL1", f_min=MEL_FMIN,
+                              hop=HOP, sample_rate=PIPELINE_SAMPLE_RATE, bins_per_octave=0)
         summary["mel_out"] = str(args.mel_out)
     if args.transpose:
-        shift = _mean_profile_argmax(wave) - _mean_profile_argmax(src)
-        summary["measured_shift_bins"] = shift
+        summary["measured_shift_bins"] = (_mean_profile_argmax(compute_cqt(conversion.wave))
+                                          - _mean_profile_argmax(conversion.source_cqt))
     summary.update(_timings(start, src.duration))
     return summary
 
@@ -187,16 +188,15 @@ def cmd_evaluate(args) -> dict:
     report_rows = []
     for clip in eval_clips:
         ref = next((c for c in train_clips if c.preset != clip.preset), train_clips[0])
-        wave, mel_out = convert(clip.wave, ref.wave, model, seed=cfg.seed)
-        scored = evaluate_conversion(wave, clip.notes, ref.wave, cfg.eval, model.timbre,
-                                     target_mel=mel_spectrogram(clip.wave), output_mel=mel_out)
+        conversion = convert(clip.wave, ref.wave, model, seed=cfg.seed)
+        scored = evaluate_conversion(conversion, clip.notes, cfg.eval, model.timbre)
         scored.update(id=clip.id, condition=clip.condition, ref=ref.id)
         report_rows.append(scored)
         print(f"[evaluate] {clip.id}: f1={scored['f1']:.3f}", file=sys.stderr)
         if args.pgm:
             pgm_dir = cfg.report_dir / "pgm"
             pgm_dir.mkdir(parents=True, exist_ok=True)
-            write_pgm(mel_out.values, pgm_dir / f"{clip.id}_mel.pgm")
+            write_pgm(conversion.mel.values, pgm_dir / f"{clip.id}_mel.pgm")
 
     report = emit_report(report_rows, cfg.report_dir, config_echo=cfg.resolved,
                          seed=cfg.seed, cfg=cfg.eval)

@@ -19,6 +19,7 @@ import numpy as np
 from . import tensor as T
 from .audio import (N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, griffin_lim,
                     mel_spectrogram)
+from .cqt import CqtMatrix, compute_cqt
 from .errors import ContractError
 from .features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content,
                        timbre_shift_augment, timbre_stats, train_timbre_space)
@@ -346,7 +347,7 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     clips = load_clips(manifest_path, "train")
     pitch = PitchExtractor.load(pitch_ckpt)
     mels = [mel_spectrogram(c.wave) for c in clips]
-    z_ps = [pitch.encode_cqt(cqt_input(c.wave)).data for c in clips]
+    z_ps = [pitch.encode_cqt(cqt_input(compute_cqt(c.wave))).data for c in clips]
 
     all_mels = np.concatenate([m.values for m in mels], axis=0)
     mel_mean = all_mels.mean(axis=0)
@@ -406,15 +407,27 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Conversion:
+    """The output waveform and generated mel, with the source's mel and full
+    untransposed CQT and the reference's timbre vector that `convert` took."""
+
+    wave: Waveform
+    mel: MelSpectrogram
+    source_mel: MelSpectrogram
+    source_cqt: CqtMatrix
+    z_t: np.ndarray
+
+
 def convert(src: Waveform, ref: Waveform, model: ConverterModel,
             sched: SwaySchedule | None = None, transpose: int = 0,
-            seed: int = 0) -> tuple[Waveform, MelSpectrogram]:
+            seed: int = 0) -> Conversion:
     """Convert `src` to the timbre of `ref`: content and (optionally
     transposed) pitch come from the source, timbre and the mel prompt from
     the reference. Both clips must be at 44.1 kHz (`audio.load_pipeline_wav`
     reads a file at that rate). `sched` defaults to the checkpoint's sway and
     NFE, and Griffin-Lim runs the checkpoint's `gl_iters` iterations.
-    Returns the waveform and the generated mel."""
+    Returns the `Conversion`, so callers need not recompute its features."""
     cfg = model.cfg
     sched = sched or SwaySchedule(cfg.sway_s, cfg.nfe)
     if src.sample_rate != PIPELINE_SAMPLE_RATE or ref.sample_rate != PIPELINE_SAMPLE_RATE:
@@ -425,10 +438,11 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel,
 
     mel_src = mel_spectrogram(src)
     mel_ref = mel_spectrogram(ref)
+    cqt_src = compute_cqt(src)
     content_src = extract_content(mel_src)
     content_ref = extract_content(mel_ref)
-    z_p_src = model.pitch.encode_cqt(cqt_input(src, transpose)).data
-    z_p_ref = model.pitch.encode_cqt(cqt_input(ref)).data
+    z_p_src = model.pitch.encode_cqt(cqt_input(cqt_src, transpose)).data
+    z_p_ref = model.pitch.encode_cqt(cqt_input(compute_cqt(ref))).data
     z_t = model.timbre.embed(mel_ref)
 
     prompt = min(cfg.prompt_frames, mel_ref.frames)
@@ -444,4 +458,4 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel,
     sampled = ode_sample(model.net, cond, sched, rng)
     mel_out = MelSpectrogram(model.destandardize(sampled[prompt:]))
     wave = griffin_lim(mel_out, iters=cfg.gl_iters)
-    return wave, mel_out
+    return Conversion(wave, mel_out, mel_src, cqt_src, z_t)

@@ -2,18 +2,25 @@
 guard, a YIN single-pitch baseline (the failure mode the pipeline is built
 around), conversion metrics against ground-truth MIDI, and report emission
 with bootstrap confidence intervals.
+
+A detection is a boolean (frames x bins) mask, the shape of
+`PianoRoll.activity`; the metrics match it to the roll within +/-tolerance
+bins. `evaluate_conversion` scores a `converter.Conversion` record.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import FRAME_RATE, MelSpectrogram, Waveform, mel_spectrogram
+from .audio import FRAME_RATE, Waveform, mel_spectrogram
+from .converter import Conversion
 from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, F_MIN_C1
 from .errors import ContractError
 from .features import TimbreSpace
@@ -29,37 +36,32 @@ class EvalConfig:
     def __post_init__(self):
         if self.threshold_db >= 0:
             raise ContractError("threshold_db must be negative (relative to the frame maximum)")
-
-
-def _frame_peaks(row: np.ndarray, floor: float) -> list[int]:
-    """Strict interior local maxima above the threshold floor."""
-    return [k for k in range(1, row.size - 1)
-            if row[k] > floor and row[k] > row[k - 1] and row[k] > row[k + 1]]
+        if self.tolerance_bins < 0 or self.bootstrap_resamples < 1:
+            raise ContractError(f"need tolerance_bins >= 0 and bootstrap_resamples >= 1, got "
+                                f"{self.tolerance_bins} and {self.bootstrap_resamples}")
 
 
 def multipitch_from_cqt(m: CqtMatrix, threshold_db: float = -20.0,
-                        octave_guard: bool = True) -> list[set[int]]:
-    """Per-frame sets of sounding bins: local maxima within threshold_db of
-    the frame maximum. With the guard, a peak at k is dropped when a peak
-    also sits at k-12 with at least half its magnitude (the second harmonic
-    of a strong fundamental lands exactly one octave up)."""
+                        octave_guard: bool = True) -> np.ndarray:
+    """Boolean (frames x bins) mask of the strict interior local maxima
+    within threshold_db of their frame's maximum. With the guard, a peak at k
+    is dropped when a peak also sits at k-12 with at least half its magnitude
+    (the second harmonic of a strong fundamental lands exactly one octave up)."""
     if threshold_db >= 0:
         raise ContractError("threshold_db must be negative")
-    rel = 10.0 ** (threshold_db / 20.0)
-    frames = []
-    for f in range(m.frames):
-        row = m.magnitudes[f]
-        top = row.max()
-        if top <= 0:
-            frames.append(set())
-            continue
-        peaks = _frame_peaks(row, top * rel)
-        if octave_guard:
-            peak_set = set(peaks)
-            peaks = [k for k in peaks
-                     if not (k - 12 in peak_set and row[k - 12] >= 0.5 * row[k])]
-        frames.append(set(peaks))
-    return frames
+    mags, rel = m.magnitudes, 10.0 ** (threshold_db / 20.0)
+    inner = mags[:, 1:-1]
+    peaks = np.zeros(mags.shape, dtype=bool)
+    peaks[:, 1:-1] = ((inner > mags.max(axis=1, keepdims=True) * rel)
+                      & (inner > mags[:, :-2]) & (inner > mags[:, 2:]))
+    return guard_octaves(peaks, m) if octave_guard else peaks
+
+
+def guard_octaves(peaks: np.ndarray, m: CqtMatrix) -> np.ndarray:
+    """The octave guard of `multipitch_from_cqt`, applied to its unguarded mask."""
+    echo = np.zeros_like(peaks)
+    echo[:, 12:] = peaks[:, :-12] & (m.magnitudes[:, :-12] >= 0.5 * m.magnitudes[:, 12:])
+    return peaks & ~echo
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +112,14 @@ def f0_yin(w: Waveform) -> np.ndarray:
                     cand += 1
                 tau = cand
                 break
-        if tau is None or tau <= 0:
+        if tau is None:
             continue
-        if 1 <= tau < win:
-            a, b, c = cmndf[tau - 1], cmndf[tau], cmndf[tau + 1]
-            denom = a - 2 * b + c
-            shift = 0.5 * (a - c) / denom if abs(denom) > 1e-12 else 0.0
-            tau_star = tau + np.clip(shift, -1.0, 1.0)
-        else:
-            tau_star = float(tau)
-        out[f] = sr / tau_star
+        # tau_min <= tau < tau_max <= win, so both neighbours exist
+        a, b, c = cmndf[tau - 1], cmndf[tau], cmndf[tau + 1]
+        denom = a - 2 * b + c
+        shift = 0.5 * (a - c) / denom if abs(denom) > 1e-12 else 0.0
+        out[f] = sr / (tau + np.clip(shift, -1.0, 1.0))
     return out
-
-
-def hz_to_cropped_bin(f0: float) -> float:
-    return 12.0 * np.log2(f0 / F_MIN_C1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,78 +127,69 @@ def hz_to_cropped_bin(f0: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _truth_bins(roll: PianoRoll) -> list[set[int]]:
-    return [set(np.flatnonzero(roll.activity[f]).tolist()) for f in range(roll.frames)]
+def _aligned(detected: np.ndarray, roll: PianoRoll) -> tuple[np.ndarray, np.ndarray]:
+    """A per-frame detection and the roll's activity mask over their common frames."""
+    n = min(len(detected), roll.frames)
+    return detected[:n], roll.activity[:n] != 0
 
 
-def multipitch_scores(detected: list[set[int]], roll: PianoRoll,
+def _dilate(mask: np.ndarray, tolerance: int) -> np.ndarray:
+    """`mask` with every set bin spread to the bins within +/-tolerance."""
+    padded = np.pad(mask, ((0, 0), (tolerance, tolerance)))
+    return sliding_window_view(padded, 2 * tolerance + 1, axis=1).any(axis=-1)
+
+
+def _share(mask: np.ndarray, hits: np.ndarray) -> float:
+    """Fraction of the set cells of `mask` that are set in `hits`; 0 if none is set."""
+    total = int(mask.sum())
+    return int((mask & hits).sum()) / total if total else 0.0
+
+
+def multipitch_scores(detected: np.ndarray, roll: PianoRoll,
                       tolerance: int = 1) -> dict[str, float]:
-    """Frame-level precision/recall/F1 with +/-tolerance bin matching."""
-    truth = _truth_bins(roll)
-    n = min(len(detected), len(truth))
-    tp_r = total_t = tp_p = total_d = 0
-    for f in range(n):
-        t_bins, d_bins = truth[f], detected[f]
-        total_t += len(t_bins)
-        total_d += len(d_bins)
-        tp_r += sum(1 for t in t_bins if any(abs(d - t) <= tolerance for d in d_bins))
-        tp_p += sum(1 for d in d_bins if any(abs(d - t) <= tolerance for t in t_bins))
-    precision = tp_p / total_d if total_d else 0.0
-    recall = tp_r / total_t if total_t else 0.0
+    """Frame-level precision/recall/F1 of a detection mask with
+    +/-tolerance bin matching."""
+    detected, truth = _aligned(detected, roll)
+    precision = _share(detected, _dilate(truth, tolerance))
+    recall = _share(truth, _dilate(detected, tolerance))
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
 def yin_recall(w: Waveform, roll: PianoRoll, tolerance: int = 1) -> float:
-    """Recall of the single-pitch baseline against the polyphonic roll."""
-    f0 = f0_yin(w)
-    truth = _truth_bins(roll)
-    n = min(f0.size, len(truth))  # equal for a roll of the clip's frame count
-    hit = total = 0
-    for f in range(n):
-        total += len(truth[f])
-        if np.isnan(f0[f]) or not truth[f]:
-            continue
-        b = hz_to_cropped_bin(f0[f])
-        hit += sum(1 for t in truth[f] if abs(b - t) <= tolerance + 0.5)
-    return hit / total if total else 0.0
+    """Recall of the single-pitch baseline against the polyphonic roll: a
+    truth bin is hit when YIN's pitch lies within tolerance + 0.5 bins of it."""
+    f0, truth = _aligned(f0_yin(w), roll)  # equal frames for a roll of the clip's length
+    f0_bins = 12.0 * np.log2(f0[:, None] / F_MIN_C1)  # NaN (unvoiced) is near no bin
+    return _share(truth, np.abs(f0_bins - np.arange(truth.shape[1])) <= tolerance + 0.5)
 
 
-def harmony_retention(m: CqtMatrix, roll: PianoRoll, threshold_db: float = -20.0,
-                      tolerance: int = 1) -> float:
+def harmony_retention(detected: np.ndarray, roll: PianoRoll, tolerance: int = 1) -> float:
     """Fraction of polyphonic frames in which at least two ground-truth
-    pitches survive as CQT local maxima (no octave guard: genuine octave
-    harmonies must count)."""
-    detected = multipitch_from_cqt(m, threshold_db, octave_guard=False)
-    truth = _truth_bins(roll)
-    n = min(len(detected), len(truth))
-    poly = kept = 0
-    for f in range(n):
-        if len(truth[f]) < 2:
-            continue
-        poly += 1
-        hits = sum(1 for t in truth[f] if any(abs(d - t) <= tolerance for d in detected[f]))
-        kept += int(hits >= 2)
-    return kept / poly if poly else float("nan")
+    pitches survive in a detection mask; NaN without polyphonic frames. Pass
+    the unguarded mask: genuine octave harmonies must count."""
+    detected, truth = _aligned(detected, roll)
+    poly = truth.sum(axis=1) >= 2
+    kept = (truth & _dilate(detected, tolerance)).sum(axis=1) >= 2
+    return _share(poly, kept) if poly.any() else float("nan")
 
 
-def evaluate_conversion(output: Waveform, source_truth: list[MidiNote], ref: Waveform,
-                        cfg: EvalConfig, timbre_space: TimbreSpace,
-                        target_mel: MelSpectrogram, output_mel: MelSpectrogram) -> dict:
-    """One report row: multipitch precision/recall/F1 and harmony retention
-    of the output CQT against the ground-truth roll, the timbre cosine of
-    the output to the reference in `timbre_space`, and the mel L1 between
-    `target_mel` and `output_mel` over their common frames."""
-    cropped = crop_to_vocal_range(compute_cqt(output))
+def evaluate_conversion(conversion: Conversion, source_truth: list[MidiNote], cfg: EvalConfig,
+                        timbre_space: TimbreSpace) -> dict:
+    """One report row for a `convert` result: multipitch precision/recall/F1
+    (octave-guarded) and harmony retention (unguarded) of one peak mask of
+    the output CQT against the ground-truth roll, the timbre cosine of the
+    output to the reference's `z_t` in `timbre_space` (the space `convert`
+    used), and the mel L1 between the source and generated mels (one frame
+    each per source frame)."""
+    cropped = crop_to_vocal_range(compute_cqt(conversion.wave))
     roll = to_piano_roll(source_truth, n_frames=cropped.frames)
-    row = dict(multipitch_scores(
-        multipitch_from_cqt(cropped, cfg.threshold_db), roll, cfg.tolerance_bins))
-    row["harmony_retention"] = harmony_retention(cropped, roll, cfg.threshold_db,
-                                                 cfg.tolerance_bins)
-    row["timbre_cos"] = float(np.dot(timbre_space.embed(mel_spectrogram(output)),
-                                     timbre_space.embed(mel_spectrogram(ref))))
-    n = min(target_mel.frames, output_mel.frames)
-    row["mel_l1"] = float(np.abs(target_mel.values[:n] - output_mel.values[:n]).mean())
+    found = multipitch_from_cqt(cropped, cfg.threshold_db, octave_guard=False)
+    row = multipitch_scores(guard_octaves(found, cropped), roll, cfg.tolerance_bins)
+    row["harmony_retention"] = harmony_retention(found, roll, cfg.tolerance_bins)
+    row["timbre_cos"] = float(np.dot(timbre_space.embed(mel_spectrogram(conversion.wave)),
+                                     conversion.z_t))
+    row["mel_l1"] = float(np.abs(conversion.source_mel.values - conversion.mel.values).mean())
     return row
 
 
@@ -226,25 +212,27 @@ def _aggregate(values: np.ndarray, resamples: int, rng: np.random.Generator) -> 
 def emit_report(rows: list[dict], out_dir, config_echo: dict, seed: int,
                 cfg: EvalConfig) -> Path:
     """Write report.json (rows + aggregates + config echo) and a flat
-    report.csv; bootstrap CIs are seeded so reruns agree exactly."""
+    report.csv; bootstrap CIs are seeded so reruns agree exactly. The JSON
+    is strict: a non-finite row value is null, and aggregates skip it."""
     if not rows:
         raise ContractError("cannot emit a report without rows")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    json_rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                  for k, v in row.items()} for row in rows]
     metrics = sorted({k for row in rows for k, v in row.items()
                       if isinstance(v, (int, float)) and not isinstance(v, bool)})
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xC1))))
     aggregates = {}
     for key in metrics:
-        values = np.array([row[key] for row in rows
-                           if key in row and np.isfinite(row[key])])
+        values = np.array([row[key] for row in json_rows if row.get(key) is not None])
         if values.size:
             aggregates[key] = _aggregate(values, cfg.bootstrap_resamples, rng)
 
-    report = {"seed": seed, "config": config_echo, "rows": rows, "aggregates": aggregates}
+    report = {"seed": seed, "config": config_echo, "rows": json_rows, "aggregates": aggregates}
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True))
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 
     columns = sorted({k for row in rows for k in row})
     with open(out / "report.csv", "w", newline="") as fh:

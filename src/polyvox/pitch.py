@@ -5,10 +5,10 @@ frames) on randomly sampled time windows.
 Two independent transformer encoders map the cropped (60-bin) CQT and the
 piano roll into a shared embedding space. After training, the CQT encoder is
 frozen and feeds the converter; the MIDI encoder exists only to supervise it.
-`cqt_input` is the one definition of what the CQT encoder reads, for
-training, the converter's corpus and conversion alike. Training reads the
-train split through `synthgen.load_clips` and pairs each clip's `cqt_input`
-with the piano roll of its notes at the same frame count.
+`cqt_input` is the one definition of what the CQT encoder reads of a clip's
+CQT, for training, the converter's corpus and conversion alike. Training
+reads the train split through `synthgen.load_clips` and pairs each clip's
+`cqt_input` with the piano roll of its notes at the same frame count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import Waveform
 from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, transpose_pitch
 from .errors import ContractError
 from .midi import ROLL_PITCHES, to_piano_roll
@@ -60,14 +59,12 @@ def log_compress(m: CqtMatrix | np.ndarray) -> np.ndarray:
     return np.log1p(mags / ref)
 
 
-def cqt_input(w: Waveform, transpose: int = 0) -> np.ndarray:
-    """What the CQT encoder reads from a 44.1 kHz clip: its CQT, shifted by
-    `transpose` semitones, cropped to the vocal range and log-compressed;
-    (frames, 60)."""
-    mat = compute_cqt(w)
-    if transpose:
-        mat = transpose_pitch(mat, transpose)
-    return log_compress(crop_to_vocal_range(mat))
+def cqt_input(mat: CqtMatrix, transpose: int = 0) -> np.ndarray:
+    """What the CQT encoder reads from a clip's full `compute_cqt`: the
+    matrix shifted by `transpose` semitones, then cropped to the vocal range
+    and log-compressed; (frames, 60). The shift comes first, so bins that a
+    negative shift brings down from above the vocal range keep their energy."""
+    return log_compress(crop_to_vocal_range(transpose_pitch(mat, transpose)))
 
 
 class PitchExtractor:
@@ -154,7 +151,7 @@ def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | Non
     steps = cfg.steps if steps is None else steps
     clips = []
     for c in load_clips(manifest_path, "train"):
-        values = cqt_input(c.wave)
+        values = cqt_input(compute_cqt(c.wave))
         clips.append((values, to_piano_roll(c.notes, n_frames=values.shape[0]).activity))
 
     model = PitchExtractor(cfg.encoder, seed=seed)

@@ -45,6 +45,7 @@ def tiny_rows(tiny_corpus):
 def pitch_run(tmp_path_factory):
     """Criterion-scale pitch training: 50 train clips, 2000 steps, plus a
     20-clip held-out retrieval probe set."""
+    from polyvox.cqt import compute_cqt
     from polyvox.midi import to_piano_roll
     from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, PitchTrainConfig,
                                cqt_input, retrieval_probe, train_pitch_extractor)
@@ -63,7 +64,7 @@ def pitch_run(tmp_path_factory):
                                                              file=sys.stderr))
     probe_clips = []
     for clip in load_clips(probe_manifest, "train") + load_clips(probe_manifest, "eval"):
-        values = cqt_input(clip.wave)
+        values = cqt_input(compute_cqt(clip.wave))
         probe_clips.append((values, to_piano_roll(clip.notes, n_frames=values.shape[0]).activity))
     model = PitchExtractor.load(ckpt)
     untrained = PitchExtractor(encoder, seed=99)

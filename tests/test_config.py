@@ -14,7 +14,7 @@ CONVERTER = {"width": 32, "n_layers": 1, "n_heads": 4, "window_frames": 60, "bat
              "steps": 1, "prompt_frames": 50, "nfe": 2, "sway_s": -1.0, "gl_iters": 2}
 # the command each section's bad value is given to: the one that would use it
 COMMAND = {"pitch": "train-pitch", "converter": "train-svc", "paths": "train-pitch",
-           "synth": "synth-data"}
+           "synth": "synth-data", "eval": "evaluate"}
 
 
 def _write_config(tmp_path, corpus, **sections):
@@ -64,6 +64,9 @@ def _files(root):
     ("synth", {"lead_range": [80, 83]}),  # no room for a harmony a major third or more above
     ("synth", {"note_dur_range": [0.5, 0.1]}),
     ("synth", {"note_dur_range": [0.001, 0.1]}),  # shorter than a note's attack and release
+    ("eval", {"bootstrap_resamples": 0}),
+    ("eval", {"bootstrap_resamples": -1}),
+    ("eval", {"tolerance_bins": -1}),  # would match no bin, scoring every clip 0
 ], ids=lambda v: v if isinstance(v, str) else (",".join(f"{k}={x}" for k, x in v.items())
                                               if isinstance(v, dict) else repr(v)))
 def test_bad_value_exits_1_before_training(tiny_corpus, tmp_path, section, bad):

@@ -1,18 +1,25 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
+import pkgutil
+import struct
 
 import numpy as np
 import pytest
 
+import polyvox
 from polyvox import cli
 from polyvox import converter as converter_module
+from polyvox import evaluate as evaluate_module
 from polyvox import pitch as pitch_module
 from polyvox import tensor as T
-from polyvox.audio import Waveform, load_wav, resample, save_wav
+from polyvox.audio import (Waveform, load_pipeline_wav, load_wav, mel_spectrogram, resample,
+                           save_wav)
 from polyvox.converter import (ConverterConfig, ConverterModel, SwaySchedule, VelocityNet,
                                VelocityNetConfig, convert, ode_sample, train_converter)
+from polyvox.cqt import compute_cqt, crop_to_vocal_range, load_cqt, transpose_pitch
 from polyvox.errors import ContractError
 from polyvox.features import N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace
 from polyvox.nn import ParamStore
@@ -160,10 +167,11 @@ class TestConvert:
         src, ref = (load_wav(manifest.parent / r["path"]) for r in rows[:2])
         model = ConverterModel.load(files["svc.pvck"])
         assert model.cfg.mask_span == ConverterConfig().mask_span
-        wave, mel = convert(src, ref, model, SwaySchedule(nfe=2))
+        conversion = convert(src, ref, model, SwaySchedule(nfe=2))
+        mel = conversion.mel
         assert mel.frames == src.samples.size // 441 + 1
         assert np.all(np.isfinite(mel.values))
-        assert wave.samples.size == mel.frames * 441
+        assert conversion.wave.samples.size == mel.frames * 441
 
     def test_clips_off_the_pipeline_rate_rejected(self):
         """Resampling is the loader's job (`load_pipeline_wav`), not convert's."""
@@ -287,3 +295,120 @@ class TestCli:
         assert code == 0, evaluated
         for s in (summary, evaluated):
             assert all(np.isfinite(s[k]) and s[k] > 0 for k in ("wall_s", "rtf")), s
+
+    @staticmethod
+    def _eval_manifest(tiny_runs, tmp_path, n_eval=2):
+        """The tiny corpus with its first `n_eval` clips moved to the eval
+        split, and a config that writes reports under tmp_path."""
+        manifest, (files, _), _ = tiny_runs
+        rows = [dict(row, path=str(manifest.parent / row["path"]),
+                     split="eval" if i < n_eval else "train")
+                for i, row in enumerate(load_manifest(manifest))]
+        eval_manifest = tmp_path / "manifest.jsonl"
+        eval_manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = tmp_path / "evaluate.json"
+        config.write_text(json.dumps({"seed": 0, "paths": {"report_dir": str(tmp_path / "r")}}))
+        argv = ["evaluate", "--config", str(config), "--manifest", str(eval_manifest),
+                "--ckpt", str(files["svc.pvck"])]
+        return rows[:n_eval], argv
+
+    def test_transposed_convert_reports_its_shift_and_writes_its_mel(self, tiny_runs, tmp_path):
+        manifest, (files, _), _ = tiny_runs
+        src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
+        out, mel_path = tmp_path / "out.wav", tmp_path / "out.mel"
+        code, summary = self._run(["convert", "--src", str(src), "--ref", str(ref),
+                                   "--ckpt", str(files["svc.pvck"]), "--out", str(out),
+                                   "--transpose", "2", "--mel-out", str(mel_path)])
+        assert code == 0, summary
+        shift = summary["measured_shift_bins"]
+        assert type(shift) is int
+        assert shift == (cli._mean_profile_argmax(compute_cqt(load_pipeline_wav(out)))
+                         - cli._mean_profile_argmax(compute_cqt(load_pipeline_wav(src))))
+
+        model = ConverterModel.load(files["svc.pvck"])
+        conversion = convert(load_pipeline_wav(src), load_pipeline_wav(ref), model,
+                             SwaySchedule(model.cfg.sway_s, model.cfg.nfe), transpose=2)
+        raw = mel_path.read_bytes()
+        header = struct.Struct("<4sIIdIII")
+        magic, frames, bands = header.unpack(raw[: header.size])[:3]
+        assert (magic, frames, bands) == (b"MEL1", summary["frames"], 80)
+        assert raw[header.size :] == conversion.mel.values.astype("<f4").tobytes()
+
+    def test_evaluate_dumps_one_mel_image_per_eval_clip(self, tiny_runs, tmp_path):
+        eval_rows, argv = self._eval_manifest(tiny_runs, tmp_path)
+        code, summary = self._run(argv + ["--pgm"])
+        assert code == 0, summary
+        pgm_dir = tmp_path / "r" / "pgm"
+        assert sorted(p.name for p in pgm_dir.iterdir()) == sorted(
+            f"{row['id']}_mel.pgm" for row in eval_rows)
+        for row in eval_rows:
+            frames = load_pipeline_wav(row["path"]).samples.size // 441 + 1
+            data = (pgm_dir / f"{row['id']}_mel.pgm").read_bytes()
+            head = f"P5\n80 {frames}\n255\n".encode()
+            assert data.startswith(head)
+            assert len(data) == len(head) + 80 * frames
+
+    def test_cqt_command_writes_csv_and_a_container_that_loads(self, tiny_runs, tmp_path):
+        manifest, _, _ = tiny_runs
+        src = manifest.parent / load_manifest(manifest)[0]["path"]
+        expected = crop_to_vocal_range(transpose_pitch(compute_cqt(load_pipeline_wav(src)), 2))
+        for name in ("c.csv", "c.cqt"):
+            code, summary = self._run(["cqt", "--in", str(src), "--out", str(tmp_path / name),
+                                       "--crop", "--transpose", "2"])
+            assert code == 0, summary
+            assert (summary["frames"], summary["bins"]) == (expected.frames, 60)
+        with open(tmp_path / "c.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert len(table) == expected.frames + 1 and len(table[0]) == 61
+        values = np.array([[float(v) for v in line[1:]] for line in table[1:]])
+        assert np.allclose(values, expected.magnitudes, rtol=1e-7, atol=0)
+        loaded = load_cqt(tmp_path / "c.cqt")
+        assert loaded.bins == 60
+        assert np.array_equal(loaded.magnitudes,
+                              expected.magnitudes.astype(np.float32).astype(np.float64))
+        assert np.isclose(loaded.bin_frequency(0), expected.bin_frequency(0), rtol=1e-12)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Rebind `fn` under every polyvox module name that refers to it, to a
+    wrapper that records each call; returns the record."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(polyvox.__path__):
+        module = importlib.import_module(f"polyvox.{info.name}")
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+class TestEachFeatureOnce:
+    """`convert` returns what it computed, so no command takes a mel, CQT,
+    timbre embedding or peak mask of the same clip twice."""
+
+    def test_transposed_convert_takes_three_cqts(self, tiny_runs, tmp_path, monkeypatch):
+        manifest, (files, _), _ = tiny_runs
+        src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
+        cqts = _count_calls(monkeypatch, compute_cqt)
+        code, summary = TestCli._run(["convert", "--src", str(src), "--ref", str(ref),
+                                      "--ckpt", str(files["svc.pvck"]),
+                                      "--out", str(tmp_path / "out.wav"), "--transpose", "2"])
+        assert code == 0, summary
+        assert len(cqts) == 3  # source, reference, output
+
+    def test_evaluate_takes_three_mels_and_one_peak_mask_per_clip(self, tiny_runs, tmp_path,
+                                                                   monkeypatch):
+        eval_rows, argv = TestCli._eval_manifest(tiny_runs, tmp_path)
+        mels = _count_calls(monkeypatch, mel_spectrogram)
+        masks = _count_calls(monkeypatch, evaluate_module.multipitch_from_cqt)
+        embeds = []
+        embed = TimbreSpace.embed
+        monkeypatch.setattr(TimbreSpace, "embed",
+                            lambda self, mel: embeds.append(None) or embed(self, mel))
+        code, summary = TestCli._run(argv)
+        assert code == 0, summary
+        n = len(eval_rows)
+        assert (len(mels), len(masks), len(embeds)) == (3 * n, n, 2 * n)

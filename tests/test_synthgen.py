@@ -184,7 +184,7 @@ class TestLoadClips:
         after them, and the roll at the CQT's frame count holds every note."""
         for split in ("train", "eval"):
             for clip in load_clips(tiny_corpus, split):
-                values = cqt_input(clip.wave)
+                values = cqt_input(compute_cqt(clip.wave))
                 notes_end = int(np.ceil(max(n.offset for n in clip.notes) * FRAME_RATE - 1e-9))
                 assert notes_end <= values.shape[0] <= notes_end + 1
                 roll = to_piano_roll(clip.notes, n_frames=values.shape[0]).activity
