@@ -5,8 +5,10 @@ Inference shapes are those of the `convert-long` benchmark workload:
 attention over about 740 frames (150 prompt + 590 source) at width 128 x 4
 layers, a GELU over the (740, 512) feed-forward hidden layer, 48
 Griffin-Lim iterations over 600 frames, a 5.5 s source resampled from 48 to
-44.1 kHz, and the STFT, inverse STFT, mel spectrogram, CQT and training
-timbre warp of that 5.5 s source at 44.1 kHz. The train steps are the
+44.1 kHz, and the STFT, inverse STFT, mel spectrogram, CQT and whole-clip
+timbre warp of that 5.5 s source at 44.1 kHz. The converter's training data
+is timed as it is prepared: the content of one 200-frame window of the
+source, with only the window and its context warped. The train steps are the
 smoke recipe's, with forward and backward timed apart: the converter's
 (`cfm_loss`, batch 2 x 200 frames, w128 x 4) in float32 and in float64, and
 the pitch extractor's (two d64 x 2 encoders and the masked L1 loss, batch
@@ -25,7 +27,7 @@ from polyvox.audio import (FFT_SIZE, HOP, MelSpectrogram, Waveform, griffin_lim,
                            mel_spectrogram, resample, stft)
 from polyvox.converter import VelocityNet, VelocityNetConfig, cfm_loss
 from polyvox.cqt import compute_cqt
-from polyvox.features import timbre_shift_augment
+from polyvox.features import N_CONTENT, timbre_shift_augment, window_content
 from polyvox.nn import MultiHeadAttention, ParamStore
 from polyvox.pitch import PitchEncoderConfig, PitchExtractor
 
@@ -132,6 +134,14 @@ def test_compute_cqt(benchmark):
 def test_timbre_shift_augment(benchmark):
     out = benchmark(lambda: timbre_shift_augment(SOURCE, np.random.default_rng(7)))
     assert out.samples.size == SOURCE.samples.size
+
+
+def test_window_content(benchmark):
+    """One batch item's content stream in a converter train step, for a
+    window inside the clip."""
+    content = benchmark(lambda: window_content(SOURCE, 173, TRAIN_FRAMES,
+                                               np.random.default_rng(7)))
+    assert content.shape == (TRAIN_FRAMES, N_CONTENT)
 
 
 def _train_step_inputs(dtype):

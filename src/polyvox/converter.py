@@ -21,8 +21,8 @@ from .audio import (N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, grif
                     mel_spectrogram)
 from .cqt import CqtMatrix, compute_cqt
 from .errors import ContractError
-from .features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content,
-                       timbre_shift_augment, timbre_stats, train_timbre_space)
+from .features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content, timbre_stats,
+                       train_timbre_space, window_content)
 from .nn import (LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
                  sinusoidal_positions, timestep_embedding)
 from .optim import _fit, load_checkpoint, save_checkpoint
@@ -336,9 +336,11 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     the target mel from the conditioning, rebuild content features from
     envelope-warped audio, embed pitch with the frozen CQT encoder and
     timbre from an unwarped window, then regress the path velocity on the
-    hidden span. The batch streams are built in the net's dtype, float32,
-    so forward, backward and AdamW all run in float32. Writes a
-    (step, lr, loss) CSV next to the checkpoint.
+    hidden span. The warp covers the window plus `features.WARP_CONTEXT`
+    samples on each side, not the clip (`features.window_content`), and the
+    content is normalised over the window. The batch streams are built in
+    the net's dtype, float32, so forward, backward and AdamW all run in
+    float32. Writes a (step, lr, loss) CSV next to the checkpoint.
     """
     steps = cfg.steps if steps is None else steps
     pitch_ckpt = Path(pitch_ckpt)
@@ -372,8 +374,7 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
             start = int(rng.integers(0, n_f - win + 1))
             x1 = model.standardize(mel.values[start : start + win])
 
-            warped = timbre_shift_augment(clips[i].wave, rng)
-            content = extract_content(mel_spectrogram(warped))[start : start + win]
+            content = window_content(clips[i].wave, start, win, rng)
 
             t_win = min(120, n_f)
             t_start = int(rng.integers(0, n_f - t_win + 1))

@@ -199,9 +199,7 @@ def evaluate_conversion(conversion: Conversion, source_truth: list[MidiNote], cf
 
 
 def _aggregate(values: np.ndarray, resamples: int, rng: np.random.Generator) -> dict:
-    boot = np.empty(resamples)
-    for i in range(resamples):
-        boot[i] = rng.choice(values, size=values.size, replace=True).mean()
+    boot = values[rng.integers(0, values.size, size=(resamples, values.size))].mean(axis=1)
     return {
         "mean": float(values.mean()),
         "median": float(np.median(values)),

@@ -2,18 +2,21 @@
 plus the pitch-preserving spectral-envelope warp used to reduce timbre
 leakage into the content features during converter training.
 
-Content: low-order mel cepstra (energy coefficient dropped, per-clip
-normalized). Timbre: a pitch-independent spectral envelope through a linear
-discriminant projection fitted in closed form on singer labels, then frozen.
+Content: low-order mel cepstra (energy coefficient dropped, normalized over
+a clip or a training window). Timbre: a pitch-independent spectral envelope
+through a linear discriminant projection fitted in closed form on singer
+labels, then frozen.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import FRAME_RATE, N_MELS, MelSpectrogram, Waveform, istft, stft
+from .audio import (FFT_SIZE, FRAME_RATE, HOP, N_MELS, MelSpectrogram, Waveform, istft,
+                    mel_spectrogram, stft)
 from .errors import ContractError
 
 N_CONTENT = 20
@@ -33,15 +36,18 @@ def _dct_rows(n_out: int, n_in: int) -> np.ndarray:
 
 
 def extract_content(m: MelSpectrogram) -> np.ndarray:
-    """Per-frame cepstral content features, (frames, 20), per-clip normalized.
+    """Per-frame cepstral content features, (frames, 20), normalized over the
+    frames given: the whole clip at inference, one window in training
+    (`window_content`).
 
-    Cells are first floored at `CONTENT_FLOOR` times the clip's loudest mel
-    cell. A gain change scales every cell by one factor, and a floor relative
-    to the clip follows it, where the absolute `LOG_FLOOR` of the mel does not
-    (a band clamped there stays put while the rest shift). So the features do
-    not move with gain while the clip peaks more than 1/CONTENT_FLOOR above
-    `LOG_FLOOR`. Dropping the zeroth coefficient removes gain; mean/variance
-    normalization removes the static (timbre-carrying) envelope offset.
+    Cells are first floored at `CONTENT_FLOOR` times the loudest mel cell
+    given. A gain change scales every cell by one factor, and a floor relative
+    to the frames follows it, where the absolute `LOG_FLOOR` of the mel does
+    not (a band clamped there stays put while the rest shift). So the features
+    do not move with gain while the frames peak more than 1/CONTENT_FLOOR
+    above `LOG_FLOOR`. Dropping the zeroth coefficient removes gain;
+    mean/variance normalization removes the static (timbre-carrying)
+    envelope offset.
     """
     if m.bands != N_MELS:
         raise ContractError(f"content extraction expects {N_MELS} mel bands, got {m.bands}")
@@ -212,3 +218,32 @@ def timbre_shift_augment(w: Waveform, rng: np.random.Generator) -> Waveform:
     """Random formant-style warp used on the content-encoder input during
     converter training."""
     return warp_spectral_envelope(w, rng.uniform(-WARP_LIMIT, WARP_LIMIT, _WARP_BREAKPOINTS.size))
+
+
+# Samples warped on each side of a training window. A segment frame within
+# FFT_SIZE/2 of a cut reads zeros the clip does not have, overlap-add carries
+# its warped output up to FFT_SIZE into the segment, and a mel frame reads
+# FFT_SIZE/2 on either side of its centre: so a window frame 3*FFT_SIZE/2 or
+# more from each cut reads only samples equal to the whole clip's warp. A
+# whole number of hops keeps the segment's frames on the clip's frame grid.
+WARP_CONTEXT = HOP * math.ceil(1.5 * FFT_SIZE / HOP)
+
+
+def window_content(w: Waveform, start: int, frames: int, rng: np.random.Generator) -> np.ndarray:
+    """Content features of mel frames `start` .. `start + frames - 1` of `w`
+    after a `timbre_shift_augment` warp: the content stream of one training
+    window.
+
+    Only the window and `WARP_CONTEXT` samples on each side of it, fewer at
+    the clip's ends, are warped. The warp acts on each STFT frame alone
+    before the overlap-add, so the window's mel frames are those of the
+    whole warped clip, bit for bit. `extract_content` normalises them over
+    the window."""
+    if start < 0 or frames < 1 or start + frames > w.samples.size // HOP + 1:
+        raise ContractError(f"window of {frames} frames at {start} lies outside a clip of "
+                            f"{w.samples.size // HOP + 1} frames")
+    first = max(0, start * HOP - WARP_CONTEXT)
+    stop = min(w.samples.size, (start + frames - 1) * HOP + WARP_CONTEXT)
+    warped = timbre_shift_augment(Waveform(w.samples[first:stop], w.sample_rate), rng)
+    offset = start - first // HOP
+    return extract_content(MelSpectrogram(mel_spectrogram(warped).values[offset : offset + frames]))

@@ -13,15 +13,16 @@ import polyvox
 from polyvox import cli
 from polyvox import converter as converter_module
 from polyvox import evaluate as evaluate_module
+from polyvox import features as features_module
 from polyvox import pitch as pitch_module
 from polyvox import tensor as T
-from polyvox.audio import (Waveform, load_pipeline_wav, load_wav, mel_spectrogram, resample,
+from polyvox.audio import (HOP, Waveform, load_pipeline_wav, load_wav, mel_spectrogram, resample,
                            save_wav)
 from polyvox.converter import (ConverterConfig, ConverterModel, SwaySchedule, VelocityNet,
                                VelocityNetConfig, convert, ode_sample, train_converter)
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, load_cqt, transpose_pitch
 from polyvox.errors import ContractError
-from polyvox.features import N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace
+from polyvox.features import N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, WARP_CONTEXT, TimbreSpace
 from polyvox.nn import ParamStore
 from polyvox.optim import load_checkpoint
 from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, PitchTrainConfig,
@@ -371,11 +372,12 @@ class TestCli:
 
 def _count_calls(monkeypatch, fn) -> list:
     """Rebind `fn` under every polyvox module name that refers to it, to a
-    wrapper that records each call; returns the record."""
+    wrapper that records the positional arguments of each call; returns the
+    record."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for info in pkgutil.iter_modules(polyvox.__path__):
@@ -412,3 +414,17 @@ class TestEachFeatureOnce:
         assert code == 0, summary
         n = len(eval_rows)
         assert (len(mels), len(masks), len(embeds)) == (3 * n, n, 2 * n)
+
+
+class TestWindowedAugment:
+    """A converter train step warps each batch item's window and its
+    context, not the clip it was cut from."""
+
+    def test_warped_inputs_are_window_sized(self, tiny_runs, tmp_path, monkeypatch):
+        manifest, (files, _), _ = tiny_runs
+        warps = _count_calls(monkeypatch, features_module.timbre_shift_augment)
+        _one_train_step(monkeypatch, converter_module, lambda: train_converter(
+            manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"], tmp_path / "s"))
+        limit = TINY_CONVERTER["window_frames"] * HOP + 2 * WARP_CONTEXT + HOP
+        assert len(warps) == TINY_CONVERTER["batch"]
+        assert max(wave.samples.size for wave, _rng in warps) <= limit

@@ -208,6 +208,19 @@ class TestReport:
         assert ((tmp_path / "first" / "report.csv").read_bytes()
                 == (tmp_path / "second" / "report.csv").read_bytes())
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 200])
+    def test_bootstrap_draws_as_the_per_resample_loop(self, n):
+        """One (resamples, n) index draw gives the loop's resampled means
+        bit for bit and leaves the generator where the loop leaves it."""
+        values = np.random.default_rng(n).normal(size=n)
+        loop_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+        boot = np.array([loop_rng.choice(values, size=n, replace=True).mean()
+                         for _ in range(100)])
+        expected = {"mean": float(values.mean()), "median": float(np.median(values)),
+                    "ci95": [float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))]}
+        assert evaluate._aggregate(values, 100, rng) == expected
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
     def test_report_json_is_strict_json(self, tmp_path):
         """A single-voice clip has no harmony retention: its row holds null,
         not the NaN token strict parsers reject, and the aggregate skips it."""

@@ -3,11 +3,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from polyvox.audio import MelSpectrogram, Waveform, mel_spectrogram
+from polyvox import features
+from polyvox.audio import FFT_SIZE, HOP, MelSpectrogram, Waveform, mel_spectrogram
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, interior_frames
 from polyvox.errors import ContractError
-from polyvox.features import (TIMBRE_DIM, TimbreSpace, extract_content, timbre_shift_augment,
-                              timbre_stats, train_timbre_space, warp_spectral_envelope)
+from polyvox.features import (TIMBRE_DIM, WARP_CONTEXT, WARP_LIMIT, TimbreSpace,
+                              extract_content, timbre_shift_augment, timbre_stats,
+                              train_timbre_space, warp_spectral_envelope, window_content)
 from polyvox.midi import MidiNote
 from polyvox.synthgen import DEFAULT_PRESETS, Score, render_score
 
@@ -159,3 +161,38 @@ class TestWarp:
         a = timbre_shift_augment(sung_clip, np.random.default_rng(11))
         b = timbre_shift_augment(sung_clip, np.random.default_rng(11))
         assert np.array_equal(a.samples, b.samples)
+
+
+class TestWindowContent:
+    """Training warps one window and its context, not the whole clip."""
+
+    FRAMES = 120
+
+    def test_context_is_whole_hops_past_the_edge_frames_reach(self):
+        assert WARP_CONTEXT % HOP == 0
+        assert WARP_CONTEXT >= 3 * FFT_SIZE // 2
+
+    @pytest.mark.parametrize("where", ["start", "interior", "end", "one window"])
+    def test_window_mel_equals_whole_clip_warp(self, sung_clip, where, monkeypatch):
+        """The mel frames `window_content` normalises are the whole warped
+        clip's, bit for bit, wherever the window sits."""
+        wave = sung_clip
+        if where == "one window":
+            wave = Waveform(sung_clip.samples[: (self.FRAMES - 1) * HOP], sung_clip.sample_rate)
+        n_frames = wave.samples.size // HOP + 1
+        start = {"start": 0, "interior": 90, "end": n_frames - self.FRAMES,
+                 "one window": 0}[where]
+        offsets = np.random.default_rng(12).uniform(-WARP_LIMIT, WARP_LIMIT, 3)
+        whole = mel_spectrogram(warp_spectral_envelope(wave, offsets)).values
+        seen = []
+        monkeypatch.setattr(features, "extract_content",
+                            lambda m: seen.append(m.values) or extract_content(m))
+        content = window_content(wave, start, self.FRAMES, np.random.default_rng(12))
+        assert np.array_equal(seen[0], whole[start : start + self.FRAMES])
+        assert np.array_equal(content, extract_content(MelSpectrogram(seen[0])))
+
+    def test_window_outside_clip_rejected(self, sung_clip):
+        n_frames = sung_clip.samples.size // HOP + 1
+        for start in (-1, n_frames - self.FRAMES + 1):
+            with pytest.raises(ContractError):
+                window_content(sung_clip, start, self.FRAMES, np.random.default_rng(0))
