@@ -4,9 +4,12 @@ trainer.
 Inference shapes are those of the `convert-long` benchmark workload:
 attention over about 740 frames (150 prompt + 590 source) at width 128 x 4
 layers, a GELU over the (740, 512) feed-forward hidden layer, 48
-Griffin-Lim iterations over 600 frames, a 5.5 s source resampled from 48 to
-44.1 kHz, and the STFT, inverse STFT, mel spectrogram, CQT and whole-clip
-timbre warp of that 5.5 s source at 44.1 kHz. The converter's training data
+Griffin-Lim iterations over 600 frames (`test_griffin_lim` times the
+public `griffin_lim`, whose loop runs in float32), a 5.5 s source resampled
+from 48 to 44.1 kHz, and the STFT, inverse STFT (each in float32, as
+Griffin-Lim runs them, and in float64, as the mel and the training
+features do), mel spectrogram, CQT and whole-clip timbre warp of that 5.5 s
+source at 44.1 kHz. The converter's training data
 is timed as it is prepared: the content of one 200-frame window of the
 source, with only the window and its context warped. The train steps are the
 smoke recipe's, with forward and backward timed apart: the converter's
@@ -110,15 +113,17 @@ def test_resample(benchmark):
     assert out.samples.size == int(5.5 * 44100)
 
 
-def test_stft(benchmark):
-    spec = benchmark(stft, SOURCE.samples)
+@DTYPES
+def test_stft(benchmark, dtype):
+    spec = benchmark(stft, SOURCE.samples.astype(dtype))
     assert spec.shape == (SOURCE.samples.size // HOP + 1, FFT_SIZE // 2 + 1)
 
 
-def test_istft(benchmark):
-    spec = stft(SOURCE.samples)
-    x = benchmark(istft, spec, SOURCE.samples.size)
-    assert np.max(np.abs(x - SOURCE.samples)) < 1e-9
+@DTYPES
+def test_istft(benchmark, dtype):
+    x = SOURCE.samples.astype(dtype)
+    rec = benchmark(istft, stft(x), x.size)
+    assert np.max(np.abs(rec - x)) < (1e-5 if dtype == np.float32 else 1e-9)
 
 
 def test_mel_spectrogram(benchmark):

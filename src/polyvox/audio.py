@@ -5,6 +5,11 @@ Everything here is a pure function of its inputs. The constants below are
 the pipeline's one frame geometry, read from here by every other module:
 44.1 kHz audio, a 2048-point Hann STFT every 441 samples (100 frames/s for
 mel, CQT, piano roll and YIN alike) and 80 mel bands from 40 Hz to 16 kHz.
+
+`stft`, `istft` and their overlap-add follow the one dtype rule of
+`tensor.as_data`: float32 input stays float32 (complex64 spectra), anything
+else is computed in float64. The mel, the envelope warp and the CQT pass
+float64; Griffin-Lim rounds its target to float32 and iterates in float32.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, UnsupportedWavError, WavFormatError
+from .tensor import as_data
 
 PIPELINE_SAMPLE_RATE = 44100
 FFT_SIZE = 2048
@@ -225,23 +231,37 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _window(dtype) -> np.ndarray:
+    """The Hann analysis/synthesis window in `dtype`, read-only."""
+    window = np.hanning(FFT_SIZE).astype(dtype)
+    window.setflags(write=False)
+    return window
+
+
 def stft(x: np.ndarray) -> np.ndarray:
     """Center-padded Hann STFT, frame f centred on sample f * HOP: returns
     (len(x) // HOP + 1, FFT_SIZE//2+1) complex. The frames' FFTs run on every
-    core through `scipy.fft`, which gives the same bits as `numpy.fft` here."""
+    core through `scipy.fft`, which gives the same bits as `numpy.fft` here.
+
+    The dtype follows `tensor.as_data`'s rule: float32 samples give float32
+    frames and window and a complex64 spectrum; any other input is computed
+    in float64 and gives complex128."""
+    x = as_data(x)
     pad = FFT_SIZE // 2
-    xp = np.concatenate([np.zeros(pad), np.asarray(x, dtype=np.float64), np.zeros(pad)])
+    xp = np.concatenate([np.zeros(pad, x.dtype), x, np.zeros(pad, x.dtype)])
     n_frames = len(x) // HOP + 1
-    frames = np.empty((n_frames, FFT_SIZE))
+    frames = np.empty((n_frames, FFT_SIZE), x.dtype)
     for f in range(n_frames):
         frames[f] = xp[f * HOP : f * HOP + FFT_SIZE]
-    frames *= np.hanning(FFT_SIZE)
+    frames *= _window(x.dtype)
     return scipy.fft.rfft(frames, axis=1, workers=-1)
 
 
 def _overlap_add(segs: np.ndarray, hop: int, total: int) -> np.ndarray:
-    """Sum of the rows of `segs` placed `hop` samples apart in `total` samples."""
-    acc = np.zeros(total)
+    """Sum of the rows of `segs` placed `hop` samples apart in `total`
+    samples, accumulated in the rows' dtype (float32 or float64)."""
+    acc = np.zeros(total, segs.dtype)
     for f in range(segs.shape[0]):
         acc[f * hop : f * hop + segs.shape[1]] += segs[f]
     return acc
@@ -249,8 +269,8 @@ def _overlap_add(segs: np.ndarray, hop: int, total: int) -> np.ndarray:
 
 def _istft_norm(n_frames: int, n_samples: int) -> np.ndarray:
     """The overlap-added squared window over the output samples, floored
-    at 1e-12: what `istft` divides by."""
-    window = np.hanning(FFT_SIZE)
+    at 1e-12: what `istft` divides by. Always float64."""
+    window = _window(np.float64)
     wsq = window * window
     norm = _overlap_add(np.broadcast_to(wsq, (n_frames, wsq.size)), HOP, FFT_SIZE + n_samples)
     pad = FFT_SIZE // 2
@@ -260,13 +280,21 @@ def _istft_norm(n_frames: int, n_samples: int) -> np.ndarray:
 def istft(spec: np.ndarray, n_samples: int, norm: np.ndarray | None = None) -> np.ndarray:
     """Weighted overlap-add inverse of `stft`; exact for unmodified spectra.
     A caller that inverts many spectra of one shape passes their common
-    `norm`, `_istft_norm(frames, n_samples)`, once computed."""
+    `norm`, `_istft_norm(frames, n_samples)`, once computed.
+
+    The dtype rule is `stft`'s: a complex64 (or float32) spectrum is
+    inverted, windowed, overlap-added and normalised in float32, with
+    `norm` rounded to float32; any other spectrum is computed in float64."""
+    spec = np.asarray(spec)
+    dtype = np.float32 if spec.dtype in (np.complex64, np.float32) else np.float64
     if norm is None:
         norm = _istft_norm(spec.shape[0], n_samples)
-    segs = scipy.fft.irfft(spec, n=FFT_SIZE, axis=1, workers=-1)
-    segs *= np.hanning(FFT_SIZE)
+    segs = scipy.fft.irfft(spec.astype(np.result_type(dtype, np.complex64), copy=False),
+                           n=FFT_SIZE, axis=1, workers=-1)
+    segs *= _window(dtype)
     pad = FFT_SIZE // 2
-    return _overlap_add(segs, HOP, FFT_SIZE + n_samples)[pad : pad + n_samples] / norm
+    ola = _overlap_add(segs, HOP, FFT_SIZE + n_samples)[pad : pad + n_samples]
+    return ola / norm.astype(dtype, copy=False)
 
 
 def mel_filterbank() -> np.ndarray:
@@ -327,20 +355,34 @@ def mel_to_linear(m: MelSpectrogram) -> np.ndarray:
 
 def griffin_lim(m: MelSpectrogram, iters: int = 32) -> Waveform:
     """Iterative phase reconstruction of a `PIPELINE_SAMPLE_RATE` waveform
-    from a log-mel spectrogram.
+    from a log-mel spectrogram (Griffin & Lim, IEEE TASSP 1984).
 
-    Deterministic (zero-phase init). Output length is frames * `HOP`; the
-    distance between |STFT(x_i)| and the target magnitude is non-increasing
-    in the iteration count.
+    Deterministic (zero-phase init). Output length is frames * `HOP`. The
+    target magnitude `mel_to_linear(m)` is rounded to float32 once and every
+    iteration runs in float32 (`_griffin_lim`). In exact arithmetic the
+    distance between |STFT(x_i)| and the target is non-increasing in the
+    iteration count; the float32 loop keeps that promise up to its rounding.
+    Its relative spectral convergence, that distance over |target|, came
+    within 4.6e-5 of the float64 loop's at 8 and 48 iterations on a
+    two-tone clip and on 8 synthetic corpus clips.
     """
     if iters < 1:
         raise ContractError("iters must be >= 1")
-    target = mel_to_linear(m)
-    n_samples = m.frames * HOP
-    norm = _istft_norm(m.frames, n_samples)  # the same for every iteration
-    x = istft(target.astype(np.complex128), n_samples, norm)
+    target = mel_to_linear(m).astype(np.float32)
+    return Waveform(_griffin_lim(target, iters), PIPELINE_SAMPLE_RATE)
+
+
+def _griffin_lim(target: np.ndarray, iters: int) -> np.ndarray:
+    """`iters` Griffin-Lim iterations towards the (frames, bins) magnitude
+    `target`, in `target`'s dtype by `stft`/`istft`'s rule: float32 for a
+    float32 target, float64 for a float64 one. Returns frames * `HOP`
+    samples in that dtype."""
+    frames = target.shape[0]
+    n_samples = frames * HOP
+    norm = _istft_norm(frames, n_samples).astype(target.dtype)  # the same for every iteration
+    x = istft(target.astype(np.result_type(target.dtype, np.complex64)), n_samples, norm)
     for _ in range(iters - 1):
-        spec = stft(x)[: m.frames]
+        spec = stft(x)[:frames]
         mag = np.abs(spec)
         # S * target/|S| keeps the phase of S at the target magnitude; where
         # |S| = 0 the phase is taken as 0, whatever the sign of the zero
@@ -348,7 +390,7 @@ def griffin_lim(m: MelSpectrogram, iters: int = 32) -> Waveform:
         spec *= np.divide(target, mag, out=np.zeros_like(mag), where=~silent)
         np.copyto(spec, target, where=silent)
         x = istft(spec, n_samples, norm)
-    return Waveform(x, PIPELINE_SAMPLE_RATE)
+    return x
 
 
 def spectral_convergence(x: np.ndarray, target_mag: np.ndarray) -> float:

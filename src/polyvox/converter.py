@@ -239,23 +239,24 @@ class ConverterModel:
     frozen pitch encoder. With `trainable=False` the parameters are
     constants and inference records no autograd tape.
 
-    Parameters are float32, new or loaded (`load` keeps a checkpoint's
-    float32 arrays), and the velocity net always runs in float32. Training
-    feeds `fuse` float32 streams, so the whole step is float32. At
-    inference the pitch encoder, the projections in `fuse`, the mel
-    statistics and the timbre space meet float64 data and give float64
-    results, and the ODE state of `ode_sample` stays float64."""
+    Parameters are float32, new or loaded (`load` passes a checkpoint's
+    float32 `arrays`, which the store takes with no random draw), and the
+    velocity net always runs in float32. Training feeds `fuse` float32
+    streams, so the whole step is float32. At inference the pitch encoder,
+    the projections in `fuse`, the mel statistics and the timbre space meet
+    float64 data and give float64 results, and the ODE state of
+    `ode_sample` stays float64."""
 
     def __init__(self, cfg: ConverterConfig, pitch: PitchExtractor, timbre: TimbreSpace,
                  mel_mean: np.ndarray, mel_std: np.ndarray, seed: int = 0,
-                 trainable: bool = True):
+                 trainable: bool = True, arrays: dict[str, np.ndarray] | None = None):
         self.cfg = cfg
         self.pitch = pitch
         self.timbre = timbre
         self.mel_mean = mel_mean
         self.mel_std = mel_std
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xD17))))
-        self.store = ParamStore(rng, trainable=trainable)
+        self.store = ParamStore(rng, trainable=trainable, arrays=arrays)
         self.pitch_dim = pitch.cfg.model_dim
         cond_dim = N_CONTENT + self.pitch_dim + TIMBRE_DIM + cfg.mel_bands + 1
         self.net = VelocityNet(self.store, VelocityNetConfig(
@@ -311,14 +312,14 @@ class ConverterModel:
     def load(cls, path) -> "ConverterModel":
         arrays, _step, header = load_checkpoint(path)
         cfg = ConverterConfig(**header["config"]["converter"])
+        pitch_arrays = {k.removeprefix("pitch."): v for k, v in arrays.items()
+                        if k.startswith("pitch.")}
         pitch = PitchExtractor(PitchEncoderConfig(**header["config"]["pitch_encoder"]),
-                               trainable=False)
-        pitch.store.load(arrays, prefix="pitch.")
+                               trainable=False, arrays=pitch_arrays)
         timbre = TimbreSpace(arrays["timbre.weight"], arrays["timbre.mean"],
                              arrays["timbre.scale"])
-        model = cls(cfg, pitch, timbre, arrays["mel.mean"], arrays["mel.std"], trainable=False)
-        model.store.load(arrays)
-        return model
+        return cls(cfg, pitch, timbre, arrays["mel.mean"], arrays["mel.std"], trainable=False,
+                   arrays=arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -21,46 +21,63 @@ from .tensor import Tensor
 PARAM_DTYPE = np.float32
 
 
+def xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Glorot-uniform initial value of a (fan_in, fan_out) weight."""
+    bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-bound, bound, shape)
+
+
 class ParamStore:
-    def __init__(self, rng: np.random.Generator, trainable: bool = True):
+    """One model's parameters under dotted names.
+
+    A new store makes each parameter from its initializer as it is
+    registered, so its Xavier weights are drawn from `rng` in registration
+    order. A store built on a checkpoint's `arrays` takes every parameter
+    from them instead, as `load` would, and makes none: a loaded model
+    draws no weights only to overwrite them."""
+
+    def __init__(self, rng: np.random.Generator, trainable: bool = True,
+                 arrays: dict[str, np.ndarray] | None = None):
         self.rng = rng
         self.trainable = trainable
         self.params: dict[str, Tensor] = {}
+        self._source = arrays
 
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        """Register `data`, rounded to `PARAM_DTYPE`, as parameter `name`."""
+    def param(self, name: str, shape: tuple, init) -> Tensor:
+        """Register parameter `name` of `shape`. In a new store its value
+        is `init`, an array or scalar broadcast to `shape` or a function
+        `(rng, shape)` such as `xavier_uniform`, rounded to `PARAM_DTYPE`.
+        A store built on arrays takes `arrays[name]` and ignores `init`."""
         if name in self.params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data, dtype=PARAM_DTYPE), requires_grad=self.trainable)
+        if self._source is not None:
+            data = _checkpoint_array(self._source, name, shape)
+        else:
+            value = init(self.rng, shape) if callable(init) else np.broadcast_to(init, shape)
+            data = np.array(value, dtype=PARAM_DTYPE)
+        t = Tensor(data, requires_grad=self.trainable)
         self.params[name] = t
         return t
-
-    def xavier(self, name: str, fan_in: int, fan_out: int) -> Tensor:
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return self.add(name, self.rng.uniform(-bound, bound, (fan_in, fan_out)))
-
-    def zeros(self, name: str, shape) -> Tensor:
-        return self.add(name, np.zeros(shape))
-
-    def ones(self, name: str, shape) -> Tensor:
-        return self.add(name, np.ones(shape))
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.params.items()}
 
-    def load(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-        """Copy `arrays[prefix + name]` into each parameter. A float32 array
-        stays float32, as `Tensor` keeps it, so a store loaded from a
-        checkpoint computes in float32 like a new one; any other array
-        becomes float64, which is how a float64 store is built."""
+    def load(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy `arrays[name]` into each parameter. A float32 array stays
+        float32, as `Tensor` keeps it, so a store loaded from a checkpoint
+        computes in float32 like a new one; any other array becomes
+        float64, which is how a float64 store is built."""
         for name, p in self.params.items():
-            key = prefix + name
-            if key not in arrays:
-                raise ContractError(f"checkpoint missing parameter {key!r}")
-            if arrays[key].shape != p.data.shape:
-                raise ContractError(
-                    f"shape mismatch for {key!r}: {arrays[key].shape} vs {p.data.shape}")
-            p.data = np.array(T.as_data(arrays[key]))
+            p.data = _checkpoint_array(arrays, name, p.data.shape)
+
+
+def _checkpoint_array(arrays: dict[str, np.ndarray], key: str, shape: tuple) -> np.ndarray:
+    """A copy of `arrays[key]` as tensor data, checked to have `shape`."""
+    if key not in arrays:
+        raise ContractError(f"checkpoint missing parameter {key!r}")
+    if arrays[key].shape != tuple(shape):
+        raise ContractError(f"shape mismatch for {key!r}: {arrays[key].shape} vs {tuple(shape)}")
+    return np.array(T.as_data(arrays[key]))
 
 
 class Linear:
@@ -69,12 +86,11 @@ class Linear:
         if identity_init:
             if d_in != d_out:
                 raise ContractError("identity init needs square weight")
-            self.w = store.add(f"{name}.w", np.eye(d_in))
-        elif zero_init:
-            self.w = store.zeros(f"{name}.w", (d_in, d_out))
+            init = np.eye(d_in)
         else:
-            self.w = store.xavier(f"{name}.w", d_in, d_out)
-        self.b = store.zeros(f"{name}.b", (d_out,))
+            init = 0.0 if zero_init else xavier_uniform
+        self.w = store.param(f"{name}.w", (d_in, d_out), init)
+        self.b = store.param(f"{name}.b", (d_out,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.w) + self.b
@@ -84,9 +100,9 @@ class LayerNorm:
     def __init__(self, store: ParamStore, name: str, dim: int, affine: bool = True):
         # without affine parameters the gain and bias are exact float32 ones
         # and zeros: they keep a float32 input float32 and a float64 one float64
-        self.gain = (store.ones(f"{name}.g", (dim,)) if affine
+        self.gain = (store.param(f"{name}.g", (dim,), 1.0) if affine
                      else Tensor(np.ones(dim, dtype=np.float32)))
-        self.bias = (store.zeros(f"{name}.b", (dim,)) if affine
+        self.bias = (store.param(f"{name}.b", (dim,), 0.0) if affine
                      else Tensor(np.zeros(dim, dtype=np.float32)))
 
     def __call__(self, x: Tensor) -> Tensor:

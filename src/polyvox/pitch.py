@@ -68,10 +68,13 @@ def cqt_input(mat: CqtMatrix, transpose: int = 0) -> np.ndarray:
 
 
 class PitchExtractor:
-    def __init__(self, cfg: PitchEncoderConfig, seed: int = 0, trainable: bool = True):
+    def __init__(self, cfg: PitchEncoderConfig, seed: int = 0, trainable: bool = True,
+                 arrays: dict[str, np.ndarray] | None = None):
+        """New parameters drawn from `seed`, or, given a checkpoint's
+        `arrays`, those parameters with no draw (`nn.ParamStore`)."""
         self.cfg = cfg
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xA11))))
-        self.store = ParamStore(rng, trainable=trainable)
+        self.store = ParamStore(rng, trainable=trainable, arrays=arrays)
         self.cqt_encoder = SequenceEncoder(
             self.store, "cqt_encoder", cfg.input_bins, cfg.model_dim, cfg.n_layers, cfg.n_heads)
         self.midi_encoder = SequenceEncoder(
@@ -98,9 +101,7 @@ class PitchExtractor:
         """The frozen extractor of a checkpoint: its parameters are constants."""
         arrays, _step, header = load_checkpoint(path)
         cfg = PitchEncoderConfig(**header["config"]["pitch_encoder"])
-        model = cls(cfg, trainable=False)
-        model.store.load(arrays)
-        return model
+        return cls(cfg, trainable=False, arrays=arrays)
 
 
 def sample_training_window(clip: tuple[np.ndarray, np.ndarray], rng: np.random.Generator,

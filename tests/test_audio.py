@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvox.audio import (FFT_SIZE, FRAME_RATE, HOP, LOG_FLOOR, N_MELS, MelSpectrogram,
-                           Waveform, griffin_lim, istft, load_wav, mel_filterbank,
+                           Waveform, _griffin_lim, griffin_lim, istft, load_wav, mel_filterbank,
                            mel_spectrogram, mel_to_linear, resample, save_wav,
                            spectral_convergence, stft)
 from polyvox.errors import ContractError, UnsupportedWavError, WavFormatError
+from polyvox.synthgen import load_clips
 
 from .conftest import SR, make_sine
 
@@ -39,6 +40,36 @@ def griffin_lim_by_angle(m: MelSpectrogram, iters: int) -> np.ndarray:
         phase = np.angle(stft(x)[: m.frames])
         x = istft(target * np.exp(1j * phase), n_samples)
     return x
+
+
+def stft_by_numpy(x: np.ndarray) -> np.ndarray:
+    """Reference STFT: float64 frames sliced one by one, `np.hanning`, `np.fft.rfft`."""
+    pad = FFT_SIZE // 2
+    xp = np.pad(np.asarray(x, dtype=np.float64), pad)
+    frames = np.stack([xp[f * HOP : f * HOP + FFT_SIZE] for f in range(x.size // HOP + 1)])
+    return np.fft.rfft(frames * np.hanning(FFT_SIZE), axis=1)
+
+
+def istft_by_numpy(spec: np.ndarray, n_samples: int) -> np.ndarray:
+    """Reference inverse: `np.fft.irfft`, then the windowed frames and the
+    squared window overlap-added frame by frame."""
+    window = np.hanning(FFT_SIZE)
+    segs = np.fft.irfft(spec, n=FFT_SIZE, axis=1) * window
+    acc, wsq = np.zeros(FFT_SIZE + n_samples), np.zeros(FFT_SIZE + n_samples)
+    for f in range(spec.shape[0]):
+        acc[f * HOP : f * HOP + FFT_SIZE] += segs[f]
+        wsq[f * HOP : f * HOP + FFT_SIZE] += window * window
+    pad = FFT_SIZE // 2
+    return acc[pad : pad + n_samples] / np.maximum(wsq[pad : pad + n_samples], 1e-12)
+
+
+def two_tone_mel() -> MelSpectrogram:
+    w = make_sine(330.0, dur=0.5)
+    return mel_spectrogram(Waveform(w.samples + 0.3 * make_sine(523.25, dur=0.5).samples, SR))
+
+
+def relative_convergence(x: np.ndarray, target: np.ndarray) -> float:
+    return spectral_convergence(x, target) / float(np.linalg.norm(target))
 
 
 def dft_peak_hz(w: Waveform) -> float:
@@ -205,6 +236,26 @@ class TestStft:
         rec = istft(stft(x), x.size)
         assert np.abs(rec - x).max() < 1e-10
 
+    def test_float32_stays_float32(self):
+        x = np.random.default_rng(3).normal(0, 0.2, 22050).astype(np.float32)
+        spec = stft(x)
+        assert spec.dtype == np.complex64
+        rec = istft(spec, x.size)
+        assert rec.dtype == np.float32
+        assert np.abs(rec - x).max() <= 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int16])
+    def test_other_input_is_float64_bit_for_bit(self, dtype):
+        """Anything but float32 is computed in float64, with the bits of a
+        plain `np.fft` reference."""
+        x = (np.random.default_rng(4).normal(0, 0.2, 9000) * 1000).astype(dtype)
+        spec = stft(x)
+        assert spec.dtype == np.complex128
+        assert np.array_equal(spec, stft_by_numpy(x))
+        rec = istft(spec, x.size)
+        assert rec.dtype == np.float64
+        assert np.array_equal(rec, istft_by_numpy(spec, x.size))
+
 
 class TestGriffinLim:
     def test_tone_peak_recovered(self, sine_440):
@@ -224,20 +275,33 @@ class TestGriffinLim:
         assert np.sqrt(np.mean(out.samples**2)) < 1e-3
 
     def test_convergence_non_increasing(self):
-        w = make_sine(330.0, dur=0.5)
-        w = Waveform(w.samples + 0.3 * make_sine(523.25, dur=0.5).samples, SR)
-        m = mel_spectrogram(w)
+        m = two_tone_mel()
         target = mel_to_linear(m)
         errors = [spectral_convergence(griffin_lim(m, iters=k).samples, target)
                   for k in (1, 2, 4, 8, 16)]
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
     def test_matches_angle_reference(self):
-        w = make_sine(330.0, dur=0.5)
-        w = Waveform(w.samples + 0.3 * make_sine(523.25, dur=0.5).samples, SR)
-        m = mel_spectrogram(w)
-        out = griffin_lim(m, iters=8)
-        assert np.max(np.abs(out.samples - griffin_lim_by_angle(m, 8))) <= 1e-9
+        """The loop given a float64 target runs in float64, as the reference does."""
+        m = two_tone_mel()
+        out = _griffin_lim(mel_to_linear(m), 8)
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - griffin_lim_by_angle(m, 8))) <= 1e-9
+
+    @pytest.fixture(scope="class")
+    def harmony_mel(self, tiny_corpus):
+        clip = next(c for c in load_clips(tiny_corpus, "train") if c.condition == "harmony")
+        return mel_spectrogram(clip.wave)
+
+    @pytest.mark.parametrize("iters", [8, 48])
+    @pytest.mark.parametrize("clip", ["two_tone", "harmony"])
+    def test_float32_loop_converges_as_the_float64_loop(self, clip, iters, request):
+        m = two_tone_mel() if clip == "two_tone" else request.getfixturevalue("harmony_mel")
+        target = mel_to_linear(m)
+        assert _griffin_lim(target.astype(np.float32), 2).dtype == np.float32
+        fast = relative_convergence(griffin_lim(m, iters=iters).samples, target)
+        wide = relative_convergence(_griffin_lim(target, iters), target)
+        assert abs(fast - wide) <= 1e-3
 
     def test_mel_of_other_band_count_rejected(self):
         with pytest.raises(ContractError):

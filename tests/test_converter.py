@@ -23,7 +23,7 @@ from polyvox.converter import (ConverterConfig, ConverterModel, SwaySchedule, Ve
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, load_cqt, transpose_pitch
 from polyvox.errors import ContractError
 from polyvox.features import N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, WARP_CONTEXT, TimbreSpace
-from polyvox.nn import ParamStore
+from polyvox.nn import ParamStore, xavier_uniform
 from polyvox.optim import load_checkpoint
 from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, PitchTrainConfig,
                            train_pitch_extractor)
@@ -198,6 +198,20 @@ class TestConvert:
         assert np.array_equal(samples[0], samples[1])
         assert loaded.net(samples[0], 0.5, cond)._parents == ()
 
+    def test_loading_draws_no_weights(self, tiny_runs, monkeypatch):
+        """A loaded model takes every parameter from its checkpoint; only a
+        new model draws Xavier weights."""
+        _manifest, (files, _), _ = tiny_runs
+        draws = _count_calls(monkeypatch, xavier_uniform)
+        loaded = ConverterModel.load(files["svc.pvck"])
+        PitchExtractor.load(files["pitch.pvck"])
+        assert draws == []
+        arrays, _step, _header = load_checkpoint(files["svc.pvck"])
+        for name, p in loaded.pitch.store.params.items():
+            assert p.data.tobytes() == arrays[f"pitch.{name}"].tobytes(), name
+        _tiny_model()
+        assert draws
+
     def test_loaded_net_runs_in_float32_and_the_ode_state_in_float64(self, tiny_runs):
         _manifest, (files, _), _ = tiny_runs
         loaded = ConverterModel.load(files["svc.pvck"])
@@ -296,6 +310,26 @@ class TestCli:
         assert code == 0, evaluated
         for s in (summary, evaluated):
             assert all(np.isfinite(s[k]) and s[k] > 0 for k in ("wall_s", "rtf")), s
+
+    @pytest.mark.parametrize("silent", ["source", "reference", "both"])
+    def test_silent_input_converts_to_a_finite_wav(self, tiny_runs, tmp_path, silent):
+        """Silent audio as the source, the reference or both converts to a
+        finite WAV of frames * HOP samples."""
+        manifest, (files, _), _ = tiny_runs
+        src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
+        quiet = tmp_path / "silence.wav"
+        save_wav(Waveform(np.zeros(int(1.5 * 44100)), 44100), quiet)
+        if silent in ("source", "both"):
+            src = quiet
+        if silent in ("reference", "both"):
+            ref = quiet
+        out = tmp_path / "out.wav"
+        code, summary = self._run(["convert", "--src", str(src), "--ref", str(ref),
+                                   "--ckpt", str(files["svc.pvck"]), "--out", str(out)])
+        assert code == 0, summary
+        samples = load_wav(out).samples
+        assert samples.size == summary["frames"] * HOP
+        assert np.all(np.isfinite(samples))
 
     @staticmethod
     def _eval_manifest(tiny_runs, tmp_path, n_eval=2):

@@ -10,7 +10,7 @@ from scipy.special import erf
 
 from polyvox import tensor as T
 from polyvox.errors import ContractError
-from polyvox.nn import LayerNorm, ParamStore
+from polyvox.nn import LayerNorm, ParamStore, xavier_uniform
 from polyvox.optim import AdamW, AdamWConfig, config_hash, load_checkpoint, save_checkpoint
 from polyvox.tensor import Tensor, backward
 
@@ -228,11 +228,11 @@ class TestGradientCorrectness:
     def test_three_layer_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         store = ParamStore(rng)
-        w1 = store.xavier("w1", 4, 8)
-        b1 = store.zeros("b1", (8,))
-        w2 = store.xavier("w2", 8, 8)
-        b2 = store.zeros("b2", (8,))
-        w3 = store.xavier("w3", 8, 2)
+        w1 = store.param("w1", (4, 8), xavier_uniform)
+        b1 = store.param("b1", (8,), 0.0)
+        w2 = store.param("w2", (8, 8), xavier_uniform)
+        b2 = store.param("b2", (8,), 0.0)
+        w3 = store.param("w3", (8, 2), xavier_uniform)
         widen_to_float64(store)
         x = Tensor(rng.normal(size=(5, 4)))
         y = Tensor(rng.normal(size=(5, 2)))
@@ -253,9 +253,10 @@ class TestGradientCorrectness:
         dims = [6] + [int(rng.integers(4, 9)) for _ in range(int(rng.integers(3, 6)))]
         x = Tensor(rng.normal(size=(4, dims[0])))
         target = Tensor(rng.normal(size=(4, dims[-1])))
-        gains = [store.ones(f"g{i}", (d,)) for i, d in enumerate(dims[1:])]
-        biases = [store.zeros(f"bn{i}", (d,)) for i, d in enumerate(dims[1:])]
-        weights = [store.xavier(f"w{i}", a, b) for i, (a, b) in enumerate(zip(dims, dims[1:]))]
+        gains = [store.param(f"g{i}", (d,), 1.0) for i, d in enumerate(dims[1:])]
+        biases = [store.param(f"bn{i}", (d,), 0.0) for i, d in enumerate(dims[1:])]
+        weights = [store.param(f"w{i}", (a, b), xavier_uniform)
+                   for i, (a, b) in enumerate(zip(dims, dims[1:]))]
         widen_to_float64(store)
 
         def loss():
@@ -470,7 +471,7 @@ class TestCheckpoint:
         back, _step, _header = load_checkpoint(path)
         assert back["w"].dtype == np.float32
         store = ParamStore(np.random.default_rng(0), trainable=False)
-        w = store.zeros("w", (2, 3))
+        w = store.param("w", (2, 3), 0.0)
         store.load(back)
         assert w.data.dtype == np.float32 and np.array_equal(w.data, back["w"])
         store.load({"w": back["w"].astype(np.float64)})
