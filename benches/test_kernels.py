@@ -16,8 +16,10 @@ smoke recipe's, with forward and backward timed apart: the converter's
 (`cfm_loss`, batch 2 x 200 frames, w128 x 4) in float32 and in float64, and
 the pitch extractor's (two d64 x 2 encoders and the masked L1 loss, batch
 3 x 160 frames) as `train_pitch_extractor` runs it, in the dtype of new
-parameters. Run from the repository root with the installed
-pytest-benchmark plugin (this directory is outside tier-1's `testpaths`):
+parameters. `test_pitch_encode` times a loaded d64 x 2 CQT encoder on the
+(740, 60) `cqt_input` of a 740-frame clip, as `convert` embeds pitch. Run
+from the repository root with the installed pytest-benchmark plugin (this
+directory is outside tier-1's `testpaths`):
 
     python -m pytest benches -q --benchmark-json=<file>
 """
@@ -32,7 +34,7 @@ from polyvox.converter import VelocityNet, VelocityNetConfig, cfm_loss
 from polyvox.cqt import compute_cqt
 from polyvox.features import N_CONTENT, timbre_shift_augment, window_content
 from polyvox.nn import MultiHeadAttention, ParamStore
-from polyvox.pitch import PitchEncoderConfig, PitchExtractor
+from polyvox.pitch import PitchEncoderConfig, PitchExtractor, cqt_input
 
 FRAMES = 740
 WIDTH, LAYERS, HEADS = 128, 4, 4
@@ -97,6 +99,17 @@ def test_velocity_net_forward(benchmark, dtype):
     cond = T.Tensor(rng.standard_normal((FRAMES, COND_DIM)))
     v = benchmark(lambda: net(psi, 0.5, cond).data)
     assert v.shape == (FRAMES, 80) and np.all(np.isfinite(v))
+
+
+def test_pitch_encode(benchmark, tmp_path):
+    """The frozen CQT encoder of a loaded checkpoint over a convert-long
+    length of frames."""
+    PitchExtractor(PITCH_ENCODER).save(tmp_path / "pitch.pvck")
+    model = PitchExtractor.load(tmp_path / "pitch.pvck")
+    clip = Waveform(np.random.default_rng(11).uniform(-0.5, 0.5, (FRAMES - 1) * HOP), 44100)
+    values = cqt_input(compute_cqt(clip))
+    z = benchmark(lambda: model.encode_cqt(values).data)
+    assert z.shape == (FRAMES, PITCH_ENCODER.model_dim) and np.all(np.isfinite(z))
 
 
 def test_griffin_lim(benchmark):
@@ -167,8 +180,7 @@ def _train_step_inputs(dtype):
 
 def _pitch_step_inputs():
     """A new pitch extractor, its parameters and one smoke-shaped batch of
-    CQT and roll windows in the dtype of those parameters, as
-    `train_pitch_extractor` feeds them."""
+    CQT and roll windows in float32, the dtype of those parameters."""
     model = PitchExtractor(PITCH_ENCODER)
     params = list(model.store.params.values())
     rng = np.random.default_rng(10)

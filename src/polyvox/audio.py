@@ -250,21 +250,26 @@ def stft(x: np.ndarray) -> np.ndarray:
     x = as_data(x)
     pad = FFT_SIZE // 2
     xp = np.concatenate([np.zeros(pad, x.dtype), x, np.zeros(pad, x.dtype)])
-    n_frames = len(x) // HOP + 1
-    frames = np.empty((n_frames, FFT_SIZE), x.dtype)
-    for f in range(n_frames):
-        frames[f] = xp[f * HOP : f * HOP + FFT_SIZE]
-    frames *= _window(x.dtype)
+    # len(x) + 1 windows start in xp, and every HOP-th is one of the
+    # len(x) // HOP + 1 frames
+    frames = sliding_window_view(xp, FFT_SIZE)[::HOP] * _window(x.dtype)
     return scipy.fft.rfft(frames, axis=1, workers=-1)
 
 
 def _overlap_add(segs: np.ndarray, hop: int, total: int) -> np.ndarray:
     """Sum of the rows of `segs` placed `hop` samples apart in `total`
-    samples, accumulated in the rows' dtype (float32 or float64)."""
-    acc = np.zeros(total, segs.dtype)
-    for f in range(segs.shape[0]):
-        acc[f * hop : f * hop + segs.shape[1]] += segs[f]
-    return acc
+    samples, accumulated in the rows' dtype (float32 or float64).
+
+    The output is viewed as hop-sample rows, so block j (samples j*hop on)
+    of every segment lands on output row f + j at once. The blocks are
+    added from the last to the first: each sample then sums its segments
+    in ascending order, as a per-segment loop would, to the same bits."""
+    n_segs, width = segs.shape
+    acc = np.zeros((-(-total // hop), hop), segs.dtype)
+    for j in reversed(range(-(-width // hop))):
+        block = segs[:, j * hop : (j + 1) * hop]
+        acc[j : j + n_segs, : block.shape[1]] += block
+    return acc.reshape(-1)[:total]
 
 
 def _istft_norm(n_frames: int, n_samples: int) -> np.ndarray:
@@ -391,9 +396,3 @@ def _griffin_lim(target: np.ndarray, iters: int) -> np.ndarray:
         np.copyto(spec, target, where=silent)
         x = istft(spec, n_samples, norm)
     return x
-
-
-def spectral_convergence(x: np.ndarray, target_mag: np.ndarray) -> float:
-    """||  |STFT(x)| - target ||_F, the Griffin-Lim convergence measure."""
-    mag = np.abs(stft(x))[: target_mag.shape[0]]
-    return float(np.linalg.norm(mag - target_mag))

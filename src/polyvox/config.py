@@ -2,14 +2,13 @@
 
 Paths are resolved relative to the config file location; the fully resolved
 config is persisted next to each stage's outputs and echoed into reports.
-`POLYVOX_SEED` overrides the file's seed.
+A command's `--seed` overrides the file's seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,20 +87,14 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
-    env_seed = os.environ.get("POLYVOX_SEED")
     if seed_override is not None:
         seed = seed_override
-    elif env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"POLYVOX_SEED={env_seed!r} is not an integer") from exc
     elif "seed" in data:
         if not isinstance(data["seed"], int):
             raise ConfigError(f"field 'seed': must be an integer, got {data['seed']!r}")
         seed = data["seed"]
     else:
-        raise ConfigError("field 'seed': required (or set POLYVOX_SEED)")
+        raise ConfigError("field 'seed': required (or pass --seed)")
 
     paths = _section(data, "paths")
     base = path.parent

@@ -23,7 +23,7 @@ from .cqt import CqtMatrix, compute_cqt
 from .errors import ContractError
 from .features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content, timbre_stats,
                        train_timbre_space, window_content)
-from .nn import (LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
+from .nn import (FF_MULT, LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
                  sinusoidal_positions, timestep_embedding)
 from .optim import _fit, load_checkpoint, save_checkpoint
 from .pitch import PitchEncoderConfig, PitchExtractor, cqt_input
@@ -81,7 +81,6 @@ class VelocityNetConfig:
     width: int = 256
     n_layers: int = 6
     n_heads: int = 4
-    ff_mult: int = 4
 
 
 class _DiTBlock:
@@ -89,11 +88,11 @@ class _DiTBlock:
     embedding; modulation projections are zero-initialized so the block
     starts as identity plus nothing."""
 
-    def __init__(self, store: ParamStore, name: str, width: int, n_heads: int, ff_mult: int):
+    def __init__(self, store: ParamStore, name: str, width: int, n_heads: int):
         self.ln1 = LayerNorm(store, f"{name}.ln1", width, affine=False)
         self.attn = MultiHeadAttention(store, f"{name}.attn", width, n_heads)
         self.ln2 = LayerNorm(store, f"{name}.ln2", width, affine=False)
-        self.ff = FeedForward(store, f"{name}.ff", width, ff_mult * width)
+        self.ff = FeedForward(store, f"{name}.ff", width, FF_MULT * width)
         self.mod = Linear(store, f"{name}.mod", width, 6 * width, zero_init=True)
 
     def __call__(self, x: Tensor, tvec: Tensor) -> Tensor:
@@ -118,7 +117,7 @@ class VelocityNet:
         self.input = Linear(store, f"{name}.input", cfg.mel_bands + cfg.cond_dim, w)
         self.time1 = Linear(store, f"{name}.time1", w, w)
         self.time2 = Linear(store, f"{name}.time2", w, w)
-        self.blocks = [_DiTBlock(store, f"{name}.block{i}", w, cfg.n_heads, cfg.ff_mult)
+        self.blocks = [_DiTBlock(store, f"{name}.block{i}", w, cfg.n_heads)
                        for i in range(cfg.n_layers)]
         self.final_ln = LayerNorm(store, f"{name}.final_ln", w, affine=False)
         self.final_mod = Linear(store, f"{name}.final_mod", w, 2 * w, zero_init=True)
@@ -132,23 +131,18 @@ class VelocityNet:
     def __call__(self, psi, t, cond) -> Tensor:
         """psi: (..., frames, bands); t: flow time, a scalar or one per
         leading item of psi; cond: fused conditioning, frame-aligned.
-
-        Runs in `dtype`: the state, condition, position table and time
-        embedding are cast to it, so a new net and one loaded from a
-        checkpoint both compute and return float32, whatever the dtype of
-        `psi` and `cond`."""
-        dtype = self.dtype
-        psi_t = T.cast(psi if isinstance(psi, Tensor) else Tensor(psi), dtype)
-        cond_t = T.cast(cond if isinstance(cond, Tensor) else Tensor(cond), dtype)
+        Computes and returns `dtype`, as every `nn` layer does."""
+        psi_t = psi if isinstance(psi, Tensor) else Tensor(psi)
+        cond_t = cond if isinstance(cond, Tensor) else Tensor(cond)
         if psi_t.shape[:-1] != cond_t.shape[:-1]:
             raise ContractError(
                 f"state and condition frames differ: {psi_t.shape} vs {cond_t.shape}")
         w = self.cfg.width
         x = self.input(T.concat([psi_t, cond_t], axis=-1))
-        x = x + Tensor(sinusoidal_positions(x.shape[-2], w, dtype))
+        x = x + Tensor(sinusoidal_positions(x.shape[-2], w, x.data.dtype))
         temb = np.stack([timestep_embedding(float(ti), w) for ti in np.atleast_1d(t)])
         temb = temb.reshape(np.shape(t) + (1, w))  # (..., 1, width), broadcast over frames
-        tvec = self.time2(T.gelu(self.time1(Tensor(temb.astype(dtype, copy=False)))))
+        tvec = self.time2(T.gelu(self.time1(Tensor(temb))))
         for block in self.blocks:
             x = block(x, tvec)
         mods = self.final_mod(tvec)
@@ -180,9 +174,8 @@ def ode_sample(net: VelocityNet, cond, sched: SwaySchedule,
     """Transport Gaussian noise to a mel, one frame per row of `cond` and
     `net.cfg.mel_bands` bands, by Euler steps over the sway knots; invokes
     the network exactly sched.nfe times."""
-    cond_data = cond.data if isinstance(cond, Tensor) else np.asarray(cond, dtype=np.float64)
-    x0 = rng.standard_normal((cond_data.shape[0], net.cfg.mel_bands))
-    cond_t = Tensor(cond_data)
+    cond_t = cond if isinstance(cond, Tensor) else Tensor(cond)
+    x0 = rng.standard_normal((cond_t.shape[0], net.cfg.mel_bands))
 
     def v_fn(x, t):
         return net(x, t, cond_t).data
@@ -200,8 +193,6 @@ class ConverterConfig:
     width: int = 256
     n_layers: int = 6
     n_heads: int = 4
-    ff_mult: int = 4
-    mel_bands: int = N_MELS
     window_frames: int = 200
     mask_span: tuple[float, float] = (0.3, 0.7)
     steps: int = 20000
@@ -240,12 +231,9 @@ class ConverterModel:
     constants and inference records no autograd tape.
 
     Parameters are float32, new or loaded (`load` passes a checkpoint's
-    float32 `arrays`, which the store takes with no random draw), and the
-    velocity net always runs in float32. Training feeds `fuse` float32
-    streams, so the whole step is float32. At inference the pitch encoder,
-    the projections in `fuse`, the mel statistics and the timbre space meet
-    float64 data and give float64 results, and the ODE state of
-    `ode_sample` stays float64."""
+    float32 `arrays`, which the store takes with no random draw), and every
+    network runs in them (`nn`). The mel statistics and the timbre space
+    are float64 numpy, and the ODE state of `ode_sample` stays float64."""
 
     def __init__(self, cfg: ConverterConfig, pitch: PitchExtractor, timbre: TimbreSpace,
                  mel_mean: np.ndarray, mel_std: np.ndarray, seed: int = 0,
@@ -258,10 +246,9 @@ class ConverterModel:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xD17))))
         self.store = ParamStore(rng, trainable=trainable, arrays=arrays)
         self.pitch_dim = pitch.cfg.model_dim
-        cond_dim = N_CONTENT + self.pitch_dim + TIMBRE_DIM + cfg.mel_bands + 1
+        cond_dim = N_CONTENT + self.pitch_dim + TIMBRE_DIM + N_MELS + 1
         self.net = VelocityNet(self.store, VelocityNetConfig(
-            mel_bands=cfg.mel_bands, cond_dim=cond_dim, width=cfg.width,
-            n_layers=cfg.n_layers, n_heads=cfg.n_heads, ff_mult=cfg.ff_mult))
+            cond_dim=cond_dim, width=cfg.width, n_layers=cfg.n_layers, n_heads=cfg.n_heads))
         self.reg_content = Linear(self.store, "reg_content", N_CONTENT, N_CONTENT,
                                   identity_init=True)
         self.reg_pitch = Linear(self.store, "reg_pitch", self.pitch_dim, self.pitch_dim,
@@ -280,8 +267,8 @@ class ConverterModel:
         hidden) reference mel channel, and its visibility indicator.
         Streams are (..., frames, dim) with one timbre vector per leading
         item. Mel and CQT share the pipeline's hop, `audio.HOP`, so content
-        and pitch must arrive with equal frame counts. Float32 streams stay
-        float32 (training builds them so); anything else is float64."""
+        and pitch must arrive with equal frame counts. The three unprojected
+        streams are rounded to the projections' dtype."""
         if np.shape(content)[:-1] != np.shape(z_pitch)[:-1]:
             raise ContractError(f"content and pitch frames differ: {np.shape(content)} vs "
                                 f"{np.shape(z_pitch)}")
@@ -289,9 +276,10 @@ class ConverterModel:
         zp = self.reg_pitch(Tensor(z_pitch))
         # unit-norm timbre vectors have ~1/sqrt(dim) elements; rescale so all
         # conditioning channels enter the input projection at similar variance
-        zt = T.as_data(z_timbre) * math.sqrt(TIMBRE_DIM)
+        zt = np.asarray(z_timbre) * math.sqrt(TIMBRE_DIM)
         zt_full = np.broadcast_to(zt[..., None, :], zc.shape[:-1] + zt.shape[-1:])
-        return T.concat([zc, zp, Tensor(zt_full), Tensor(x_ref), Tensor(visible)], axis=-1)
+        rest = [Tensor(np.asarray(s, dtype=zc.data.dtype)) for s in (zt_full, x_ref, visible)]
+        return T.concat([zc, zp, *rest], axis=-1)
 
     def save(self, path, step: int) -> None:
         arrays = dict(self.store.arrays())
@@ -339,9 +327,8 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     timbre from an unwarped window, then regress the path velocity on the
     hidden span. The warp covers the window plus `features.WARP_CONTEXT`
     samples on each side, not the clip (`features.window_content`), and the
-    content is normalised over the window. The batch streams are built in
-    the net's dtype, float32, so forward, backward and AdamW all run in
-    float32. Writes a (step, lr, loss) CSV next to the checkpoint.
+    content is normalised over the window. Writes a (step, lr, loss) CSV
+    next to the checkpoint.
     """
     steps = cfg.steps if steps is None else steps
     pitch_ckpt = Path(pitch_ckpt)
@@ -395,8 +382,7 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
             visibles.append(1.0 - hidden)
             hiddens.append(hidden)
         x1, content, z_p, z_t, x_ref, visible, hidden = (
-            np.stack(items, dtype=model.net.dtype)
-            for items in (x1s, contents, zps, zts, xrefs, visibles, hiddens))
+            np.stack(items) for items in (x1s, contents, zps, zts, xrefs, visibles, hiddens))
         cond = model.fuse(content, z_p, z_t, x_ref, visible)
         return cfm_loss(model.net, x1, cond, rng, loss_mask=hidden)
 
@@ -452,10 +438,10 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel,
     content = np.concatenate([content_ref[:prompt], content_src], axis=0)
     z_p = np.concatenate([z_p_ref[:prompt], z_p_src], axis=0)
     x_ref = np.concatenate(
-        [model.standardize(mel_ref.values[:prompt]), np.zeros((n_src, cfg.mel_bands))], axis=0)
+        [model.standardize(mel_ref.values[:prompt]), np.zeros((n_src, N_MELS))], axis=0)
     visible = np.concatenate([np.ones((prompt, 1)), np.zeros((n_src, 1))], axis=0)
 
-    cond = model.fuse(content, z_p, z_t, x_ref, visible).data
+    cond = model.fuse(content, z_p, z_t, x_ref, visible)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x0DE))))
     sampled = ode_sample(model.net, cond, sched, rng)
     mel_out = MelSpectrogram(model.destandardize(sampled[prompt:]))

@@ -41,12 +41,10 @@ class EvalConfig:
                                 f"{self.tolerance_bins} and {self.bootstrap_resamples}")
 
 
-def multipitch_from_cqt(m: CqtMatrix, threshold_db: float = -20.0,
-                        octave_guard: bool = True) -> np.ndarray:
+def multipitch_from_cqt(m: CqtMatrix, threshold_db: float = -20.0) -> np.ndarray:
     """Boolean (frames x bins) mask of the strict interior local maxima
-    within threshold_db of their frame's maximum. With the guard, a peak at k
-    is dropped when a peak also sits at k-12 with at least half its magnitude
-    (the second harmonic of a strong fundamental lands exactly one octave up)."""
+    within threshold_db of their frame's maximum, with no octave guard
+    (`guard_octaves` applies it)."""
     if threshold_db >= 0:
         raise ContractError("threshold_db must be negative")
     mags, rel = m.magnitudes, 10.0 ** (threshold_db / 20.0)
@@ -54,11 +52,13 @@ def multipitch_from_cqt(m: CqtMatrix, threshold_db: float = -20.0,
     peaks = np.zeros(mags.shape, dtype=bool)
     peaks[:, 1:-1] = ((inner > mags.max(axis=1, keepdims=True) * rel)
                       & (inner > mags[:, :-2]) & (inner > mags[:, 2:]))
-    return guard_octaves(peaks, m) if octave_guard else peaks
+    return peaks
 
 
 def guard_octaves(peaks: np.ndarray, m: CqtMatrix) -> np.ndarray:
-    """The octave guard of `multipitch_from_cqt`, applied to its unguarded mask."""
+    """The octave guard, applied to a `multipitch_from_cqt` mask: a peak at k
+    is dropped when a peak also sits at k-12 with at least half its magnitude
+    (the second harmonic of a strong fundamental lands exactly one octave up)."""
     echo = np.zeros_like(peaks)
     echo[:, 12:] = peaks[:, :-12] & (m.magnitudes[:, :-12] >= 0.5 * m.magnitudes[:, 12:])
     return peaks & ~echo
@@ -184,7 +184,7 @@ def evaluate_conversion(conversion: Conversion, source_truth: list[MidiNote], cf
     each per source frame)."""
     cropped = crop_to_vocal_range(compute_cqt(conversion.wave))
     roll = to_piano_roll(source_truth, n_frames=cropped.frames)
-    found = multipitch_from_cqt(cropped, cfg.threshold_db, octave_guard=False)
+    found = multipitch_from_cqt(cropped, cfg.threshold_db)
     row = multipitch_scores(guard_octaves(found, cropped), roll, cfg.tolerance_bins)
     row["harmony_retention"] = harmony_retention(found, roll, cfg.tolerance_bins)
     row["timbre_cos"] = float(np.dot(timbre_space.embed(mel_spectrogram(conversion.wave)),

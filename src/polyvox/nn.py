@@ -1,11 +1,17 @@
 """Transformer building blocks on top of the autodiff tensors.
 
 Modules register their parameters in a shared ParamStore under dotted names
-so checkpoints and the optimizer see one flat dictionary. Every new
-parameter is float32 (`PARAM_DTYPE`), the dtype a checkpoint stores, so a
-new model trains in the dtype a loaded one runs in. All sequence
+so checkpoints and the optimizer see one flat dictionary. All sequence
 inputs are (..., frames, dim); attention splits the heads onto a leading
 axis and runs them all through one `tensor.attention` call.
+
+One precision rule: a layer computes in its parameters' dtype. Every new
+parameter is float32 (`PARAM_DTYPE`), the dtype a checkpoint stores, and
+`Linear` casts its input to its weight's dtype, so a network's first
+projection decides the dtype of everything after it. New and loaded models
+compute in float32 whatever dtype their callers' data has; float64 compute
+happens only where a store is built on float64 `arrays`, as the tests'
+finite-difference and reference copies are.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .errors import ContractError
 from .tensor import Tensor
 
 PARAM_DTYPE = np.float32
+FF_MULT = 4  # feed-forward hidden width over model width
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -33,8 +40,9 @@ class ParamStore:
     A new store makes each parameter from its initializer as it is
     registered, so its Xavier weights are drawn from `rng` in registration
     order. A store built on a checkpoint's `arrays` takes every parameter
-    from them instead, as `load` would, and makes none: a loaded model
-    draws no weights only to overwrite them."""
+    from them instead, checked against its shape and kept in its dtype
+    (float32 stays float32, anything else becomes float64), and makes none:
+    a loaded model draws no weights only to overwrite them."""
 
     def __init__(self, rng: np.random.Generator, trainable: bool = True,
                  arrays: dict[str, np.ndarray] | None = None):
@@ -62,14 +70,6 @@ class ParamStore:
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.params.items()}
 
-    def load(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy `arrays[name]` into each parameter. A float32 array stays
-        float32, as `Tensor` keeps it, so a store loaded from a checkpoint
-        computes in float32 like a new one; any other array becomes
-        float64, which is how a float64 store is built."""
-        for name, p in self.params.items():
-            p.data = _checkpoint_array(arrays, name, p.data.shape)
-
 
 def _checkpoint_array(arrays: dict[str, np.ndarray], key: str, shape: tuple) -> np.ndarray:
     """A copy of `arrays[key]` as tensor data, checked to have `shape`."""
@@ -93,7 +93,7 @@ class Linear:
         self.b = store.param(f"{name}.b", (d_out,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.w) + self.b
+        return T.matmul(T.cast(x, self.w.data.dtype), self.w) + self.b
 
 
 class LayerNorm:
@@ -153,11 +153,11 @@ class FeedForward:
 class TransformerBlock:
     """Pre-norm block: x + attn(ln(x)), then x + ff(ln(x))."""
 
-    def __init__(self, store: ParamStore, name: str, dim: int, n_heads: int, ff_mult: int = 4):
+    def __init__(self, store: ParamStore, name: str, dim: int, n_heads: int):
         self.ln1 = LayerNorm(store, f"{name}.ln1", dim)
         self.attn = MultiHeadAttention(store, f"{name}.attn", dim, n_heads)
         self.ln2 = LayerNorm(store, f"{name}.ln2", dim)
-        self.ff = FeedForward(store, f"{name}.ff", dim, ff_mult * dim)
+        self.ff = FeedForward(store, f"{name}.ff", dim, FF_MULT * dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
@@ -198,11 +198,8 @@ def timestep_embedding(t: float, dim: int) -> np.ndarray:
 
 class SequenceEncoder:
     """Linear input projection, sinusoidal positions, pre-norm transformer
-    stack, final layer norm: (frames, d_in) -> (frames, dim).
-
-    The position table takes the dtype of the projected input, so float32
-    input keeps the float32 parameters in float32 and float64 input
-    computes in float64, as the projection's promotion left it."""
+    stack, final layer norm: (frames, d_in) -> (frames, dim). The position
+    table takes the projection's dtype, the parameters' dtype."""
 
     def __init__(self, store: ParamStore, name: str, d_in: int, dim: int,
                  n_layers: int, n_heads: int):

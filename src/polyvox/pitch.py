@@ -22,7 +22,7 @@ from . import tensor as T
 from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, transpose_pitch
 from .errors import ContractError
 from .midi import ROLL_PITCHES, to_piano_roll
-from .nn import PARAM_DTYPE, ParamStore, SequenceEncoder
+from .nn import ParamStore, SequenceEncoder
 from .optim import _fit, load_checkpoint, save_checkpoint
 from .synthgen import load_clips
 from .tensor import Tensor
@@ -145,9 +145,8 @@ class PitchTrainConfig:
 def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | None,
                           ckpt_path, log_path=None, seed: int = 0,
                           progress=None) -> Path:
-    """Minimize the alignment loss over random windows of the train split,
-    fed as float32 so that the step runs in the parameters' dtype; writes a
-    (step, lr, loss) CSV and the checkpoint. Returns the checkpoint
+    """Minimize the alignment loss over random windows of the train split;
+    writes a (step, lr, loss) CSV and the checkpoint. Returns the checkpoint
     path. The CQT encoder inside the checkpoint is what downstream loads."""
     steps = cfg.steps if steps is None else steps
     clips = []
@@ -166,8 +165,8 @@ def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | Non
             values.append(v)
             rolls.append(r)
             masks.append(m)
-        z_cqt = model.encode_cqt(np.stack(values, dtype=PARAM_DTYPE))
-        z_midi = model.encode_midi(np.stack(rolls, dtype=PARAM_DTYPE))
+        z_cqt = model.encode_cqt(np.stack(values))
+        z_midi = model.encode_midi(np.stack(rolls))
         return T.l1_loss(z_cqt, z_midi, mask=np.stack(masks))
 
     return _fit(model.store.params, batch_loss, steps, cfg, model.save, ckpt_path,

@@ -7,8 +7,8 @@ operation takes the dtype of the tensor it meets, so `x + 1.0` leaves a
 float32 `x` float32, and so do the scalar constants inside the primitives
 (the softmax and attention `scale`, the GELU constants, the layer-norm
 `eps`). Parameters are float32, new ones (`nn.ParamStore`) and loaded
-ones (`optim.load_checkpoint`) alike, so training computes in float32;
-float64 inputs at inference promote the float32 weights exactly, and
+ones (`optim.load_checkpoint`) alike, and `nn.Linear` casts its input to
+its weights' dtype, so training and inference both compute in float32;
 float64 is kept where a caller builds float64 parameters itself, as the
 finite-difference gradient tests do. Every primitive computes the same
 formula in both dtypes except `gelu`: float64 takes erf from scipy, and

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvox.audio import (FFT_SIZE, FRAME_RATE, HOP, LOG_FLOOR, N_MELS, MelSpectrogram,
-                           Waveform, _griffin_lim, griffin_lim, istft, load_wav, mel_filterbank,
-                           mel_spectrogram, mel_to_linear, resample, save_wav,
-                           spectral_convergence, stft)
+                           Waveform, _griffin_lim, _overlap_add, griffin_lim, istft, load_wav,
+                           mel_filterbank, mel_spectrogram, mel_to_linear, resample, save_wav,
+                           stft)
 from polyvox.errors import ContractError, UnsupportedWavError, WavFormatError
 from polyvox.synthgen import load_clips
 
@@ -66,6 +66,12 @@ def istft_by_numpy(spec: np.ndarray, n_samples: int) -> np.ndarray:
 def two_tone_mel() -> MelSpectrogram:
     w = make_sine(330.0, dur=0.5)
     return mel_spectrogram(Waveform(w.samples + 0.3 * make_sine(523.25, dur=0.5).samples, SR))
+
+
+def spectral_convergence(x: np.ndarray, target_mag: np.ndarray) -> float:
+    """||  |STFT(x)| - target ||_F, the Griffin-Lim convergence measure."""
+    mag = np.abs(stft(x))[: target_mag.shape[0]]
+    return float(np.linalg.norm(mag - target_mag))
 
 
 def relative_convergence(x: np.ndarray, target: np.ndarray) -> float:
@@ -255,6 +261,20 @@ class TestStft:
         rec = istft(spec, x.size)
         assert rec.dtype == np.float64
         assert np.array_equal(rec, istft_by_numpy(spec, x.size))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_frames", [1, 2, 601])
+    def test_overlap_add_sums_as_a_per_frame_loop(self, dtype, n_frames):
+        """The block-wise overlap-add gives the bits of adding the frames one
+        by one, in the frames' dtype."""
+        segs = np.random.default_rng(n_frames).normal(size=(n_frames, FFT_SIZE)).astype(dtype)
+        total = FFT_SIZE + n_frames * HOP
+        expected = np.zeros(total, dtype)
+        for f in range(n_frames):
+            expected[f * HOP : f * HOP + FFT_SIZE] += segs[f]
+        out = _overlap_add(segs, HOP, total)
+        assert out.dtype == dtype
+        assert np.array_equal(out, expected)
 
 
 class TestGriffinLim:

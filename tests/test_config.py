@@ -100,6 +100,19 @@ def test_unknown_pitch_key_lists_encoder_keys(tiny_corpus, tmp_path):
         assert f"'{key}'" in summary["error"]
 
 
+@pytest.mark.parametrize("key, value", [("mel_bands", 40), ("ff_mult", 2)])
+def test_fixed_converter_shape_is_an_unknown_key(tiny_corpus, tmp_path, key, value):
+    """The mel band count and the feed-forward width are constants of the
+    converter, not options: a config that sets one exits 1 naming it."""
+    path, _ckpt = _write_config(tmp_path, tiny_corpus, converter={key: value})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["train-svc", "--config", str(path)])
+    summary = json.loads(out.getvalue().splitlines()[-1])
+    assert (code, summary["status"]) == (1, "config-error"), summary
+    assert f"unknown key '{key}'" in summary["error"]
+
+
 def test_zero_threads_is_a_usage_error(tiny_corpus, tmp_path):
     """Corpus rendering always runs on a pool of `--threads` workers, so 0
     workers is refused before the config is read."""

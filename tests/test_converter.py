@@ -43,6 +43,11 @@ def _tiny_model() -> ConverterModel:
                           timbre, np.zeros(80), np.ones(80))
 
 
+def _widened(store: ParamStore) -> dict[str, np.ndarray]:
+    """A store's parameters as float64 arrays, to build a float64 copy of a model."""
+    return {name: data.astype(np.float64) for name, data in store.arrays().items()}
+
+
 def _train(manifest, out, seed=0):
     """Pitch then converter training at tiny shapes; returns the written
     files and the steps at which each trainer reported progress."""
@@ -83,8 +88,8 @@ class TestFuse:
                           np.zeros((2, 7, 80)), np.ones((2, 7, 1))).data
         lo = N_CONTENT + TINY_ENCODER.model_dim
         for i in range(2):
-            assert np.array_equal(cond[i, :, lo : lo + TIMBRE_DIM],
-                                  np.tile(z_t[i] * np.sqrt(TIMBRE_DIM), (7, 1)))
+            columns = (z_t[i] * np.sqrt(TIMBRE_DIM)).astype(np.float32)
+            assert np.array_equal(cond[i, :, lo : lo + TIMBRE_DIM], np.tile(columns, (7, 1)))
 
 
 class TestVelocityNet:
@@ -185,8 +190,7 @@ class TestConvert:
         _manifest, (files, _), _ = tiny_runs
         loaded = ConverterModel.load(files["svc.pvck"])
         trainable = ConverterModel(loaded.cfg, loaded.pitch, loaded.timbre, loaded.mel_mean,
-                                   loaded.mel_std)
-        trainable.store.load(loaded.store.arrays())
+                                   loaded.mel_std, arrays=loaded.store.arrays())
         assert not any(p.requires_grad for p in loaded.store.params.values())
         assert all(p.requires_grad for p in trainable.store.params.values())
 
@@ -224,8 +228,7 @@ class TestConvert:
         _manifest, (files, _), _ = tiny_runs
         loaded = ConverterModel.load(files["svc.pvck"])
         wide = ConverterModel(loaded.cfg, loaded.pitch, loaded.timbre, loaded.mel_mean,
-                              loaded.mel_std, trainable=False)
-        wide.store.load({k: v.astype(np.float64) for k, v in loaded.store.arrays().items()})
+                              loaded.mel_std, trainable=False, arrays=_widened(loaded.store))
         assert all(p.data.dtype == np.float64 for p in wide.store.params.values())
 
         cond = np.random.default_rng(6).normal(size=(40, loaded.net.cfg.cond_dim))
@@ -234,15 +237,33 @@ class TestConvert:
         assert np.max(np.abs(samples[0] - samples[1])) <= 1e-4
 
     def test_float32_pitch_encoder_gives_the_float64_embedding(self, tiny_runs):
-        """float64 input promotes the stored float32 weights exactly."""
+        """The loaded encoder computes float64 input in its float32 weights,
+        within float32 rounding of a float64 copy of them."""
         _manifest, (files, _), _ = tiny_runs
         loaded = PitchExtractor.load(files["pitch.pvck"])
-        wide = PitchExtractor(loaded.cfg, trainable=False)
-        wide.store.load({k: v.astype(np.float64) for k, v in loaded.store.arrays().items()})
+        wide = PitchExtractor(loaded.cfg, trainable=False, arrays=_widened(loaded.store))
         x = np.random.default_rng(7).uniform(size=(50, loaded.cfg.input_bins))
-        z = loaded.encode_cqt(x).data
-        assert z.dtype == np.float64
-        assert np.array_equal(z, wide.encode_cqt(x).data)
+        z, z_wide = loaded.encode_cqt(x).data, wide.encode_cqt(x).data
+        assert (z.dtype, z_wide.dtype) == (np.float32, np.float64)
+        assert np.max(np.abs(z - z_wide)) <= 1e-5
+
+    def test_every_network_op_of_a_conversion_is_float32(self, tiny_runs, monkeypatch):
+        """The pitch encoder, `fuse`'s projections and the velocity net all
+        compute in the loaded checkpoint's float32, whatever the dtype of
+        the features they are given."""
+        manifest, (files, _), _ = tiny_runs
+        src, ref = (load_wav(manifest.parent / r["path"]) for r in load_manifest(manifest)[:2])
+        model = ConverterModel.load(files["svc.pvck"])
+        seen = {}
+        for name in ("matmul", "attention", "gelu", "layer_norm"):
+            def recorded(*args, _op=getattr(T, name), _name=name, **kwargs):
+                out = _op(*args, **kwargs)
+                seen.setdefault(_name, []).append(out.data.dtype)
+                return out
+            monkeypatch.setattr(T, name, recorded)
+        convert(src, ref, model, SwaySchedule(nfe=2))
+        assert seen.keys() == {"matmul", "attention", "gelu", "layer_norm"}
+        assert {dtype for dtypes in seen.values() for dtype in dtypes} == {np.dtype(np.float32)}
 
     def test_zero_griffin_lim_iterations_rejected(self):
         """A converter config cannot hold a Griffin-Lim count `convert`

@@ -34,9 +34,9 @@ class TestMultipitch:
     def test_octave_guard_drops_the_second_harmonic(self):
         # a strong fundamental at bin 20 and its weaker octave at bin 32
         cqt, truth = _cqt({20: 1.0, 32: 0.6}), _roll(20)
-        guarded = multipitch_scores(multipitch_from_cqt(cqt, octave_guard=True), truth, 0)
+        guarded = multipitch_scores(guard_octaves(multipitch_from_cqt(cqt), cqt), truth, 0)
         assert guarded == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
-        unguarded = multipitch_scores(multipitch_from_cqt(cqt, octave_guard=False), truth, 0)
+        unguarded = multipitch_scores(multipitch_from_cqt(cqt), truth, 0)
         assert unguarded["precision"] == 0.5 and unguarded["recall"] == 1.0
         assert math.isclose(unguarded["f1"], 2.0 / 3.0)
 
@@ -49,11 +49,11 @@ class TestMultipitch:
                                                          "f1": 1.0}
 
     def test_harmony_retention_is_nan_without_polyphonic_frames(self):
-        detected = multipitch_from_cqt(_cqt({20: 1.0}), octave_guard=False)
+        detected = multipitch_from_cqt(_cqt({20: 1.0}))
         assert math.isnan(harmony_retention(detected, _roll(20)))
 
     def test_harmony_retention_counts_an_octave_harmony(self):
-        detected = multipitch_from_cqt(_cqt({20: 1.0, 32: 0.6}), octave_guard=False)
+        detected = multipitch_from_cqt(_cqt({20: 1.0, 32: 0.6}))
         assert harmony_retention(detected, _roll(20, 32)) == 1.0
 
 
@@ -146,10 +146,9 @@ class TestMaskMetricsMatchTheSetReference:
     def test_peaks_scores_and_harmony(self, seed):
         cqt, roll = _random_case(np.random.default_rng(seed))
         for threshold_db in (-20.0, -6.0):
-            found = multipitch_from_cqt(cqt, threshold_db, octave_guard=False)
-            guarded = multipitch_from_cqt(cqt, threshold_db, octave_guard=True)
+            found = multipitch_from_cqt(cqt, threshold_db)
+            guarded = guard_octaves(found, cqt)
             assert found.shape == guarded.shape == cqt.magnitudes.shape
-            assert np.array_equal(guard_octaves(found, cqt), guarded)
             pairs = [(found, _set_peaks(cqt, threshold_db, False)),
                      (guarded, _set_peaks(cqt, threshold_db, True))]
             for mask, reference in pairs:

@@ -38,7 +38,8 @@ def finite_difference_check(make_loss, params, h=1e-5, tol=1e-4):
 def widen_to_float64(store: ParamStore) -> None:
     """Make a store's float32 parameters float64, in place: central
     differences at h = 1e-5 resolve gradients only in float64."""
-    store.load({name: data.astype(np.float64) for name, data in store.arrays().items()})
+    for p in store.params.values():
+        p.data = p.data.astype(np.float64)
 
 
 class TestPrimitives:
@@ -470,12 +471,12 @@ class TestCheckpoint:
         save_checkpoint(path, {"w": np.full((2, 3), 0.1)}, 0, {})
         back, _step, _header = load_checkpoint(path)
         assert back["w"].dtype == np.float32
-        store = ParamStore(np.random.default_rng(0), trainable=False)
-        w = store.param("w", (2, 3), 0.0)
-        store.load(back)
+        w = ParamStore(np.random.default_rng(0), trainable=False, arrays=back).param(
+            "w", (2, 3), 0.0)
         assert w.data.dtype == np.float32 and np.array_equal(w.data, back["w"])
-        store.load({"w": back["w"].astype(np.float64)})
-        assert w.data.dtype == np.float64
+        wide = ParamStore(np.random.default_rng(0), trainable=False,
+                          arrays={"w": back["w"].astype(np.float64)}).param("w", (2, 3), 0.0)
+        assert wide.data.dtype == np.float64
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "c.pvck"
