@@ -19,7 +19,8 @@ the pitch extractor's (two d64 x 2 encoders and the masked L1 loss, batch
 parameters. `test_pitch_encode` times a loaded d64 x 2 CQT encoder on the
 (740, 60) `cqt_input` of a 740-frame clip, as `convert` embeds pitch. Run
 from the repository root with the installed pytest-benchmark plugin (this
-directory is outside tier-1's `testpaths`):
+directory is outside tier-1's `testpaths`); every row runs one untimed
+warm-up round before its timed rounds:
 
     python -m pytest benches -q --benchmark-json=<file>
 """
@@ -30,9 +31,10 @@ import pytest
 from polyvox import tensor as T
 from polyvox.audio import (FFT_SIZE, HOP, MelSpectrogram, Waveform, griffin_lim, istft,
                            mel_spectrogram, resample, stft)
-from polyvox.converter import VelocityNet, VelocityNetConfig, cfm_loss
+from polyvox.converter import VelocityNet, cfm_loss
 from polyvox.cqt import compute_cqt
 from polyvox.features import N_CONTENT, timbre_shift_augment, window_content
+from polyvox.midi import ROLL_PITCHES
 from polyvox.nn import MultiHeadAttention, ParamStore
 from polyvox.pitch import PitchEncoderConfig, PitchExtractor, cqt_input
 
@@ -45,6 +47,10 @@ PITCH_ENCODER = PitchEncoderConfig(model_dim=64, n_layers=2, n_heads=4, window_f
 PITCH_BATCH = 3
 DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 
+# one untimed warm-up round before the timed ones in every `benchmark(...)` row;
+# the `benchmark.pedantic` rows pass `warmup_rounds=1` themselves
+pytestmark = pytest.mark.benchmark(warmup=True, warmup_iterations=1)
+
 
 def _randomize(store: ParamStore, rng: np.random.Generator, dtype) -> None:
     """Small random values in place of the initial ones, whose zero
@@ -55,8 +61,7 @@ def _randomize(store: ParamStore, rng: np.random.Generator, dtype) -> None:
 
 def _velocity_net(rng: np.random.Generator, dtype, trainable: bool = False):
     store = ParamStore(rng, trainable=trainable)
-    net = VelocityNet(store, VelocityNetConfig(cond_dim=COND_DIM, width=WIDTH,
-                                               n_layers=LAYERS, n_heads=HEADS))
+    net = VelocityNet(store, COND_DIM, WIDTH, LAYERS, HEADS)
     _randomize(store, rng, dtype)
     return net, store
 
@@ -184,7 +189,7 @@ def _pitch_step_inputs():
     model = PitchExtractor(PITCH_ENCODER)
     params = list(model.store.params.values())
     rng = np.random.default_rng(10)
-    shape = (PITCH_BATCH, PITCH_ENCODER.window_frames, PITCH_ENCODER.input_bins)
+    shape = (PITCH_BATCH, PITCH_ENCODER.window_frames, ROLL_PITCHES)
     values = rng.uniform(0.0, 1.0, shape).astype(params[0].data.dtype)
     rolls = (rng.uniform(size=shape) < 0.05).astype(params[0].data.dtype)
     mask = np.ones((*shape[:2], 1))

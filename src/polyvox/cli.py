@@ -16,6 +16,7 @@ timbre vector from the `converter.Conversion` that `convert()` returns.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from .audio import HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, load_pipeline_wav, save_wav
 from .config import ConfigError, load_config, persist_config
-from .converter import ConverterModel, SwaySchedule, convert, train_converter
+from .converter import ConverterConfig, ConverterModel, convert, train_converter
 from .cqt import (CqtMatrix, compute_cqt, crop_to_vocal_range, interior_frames, save_cqt,
                   save_cqt_csv, save_matrix_container, transpose_pitch)
 from .errors import ContractError
@@ -47,13 +48,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _progress(stage: str):
-    def report(step, loss):
-        print(f"[{stage}] step {step} loss {loss:.4f}", file=sys.stderr)
-
-    return report
 
 
 def _require(path: Path, what: str) -> Path:
@@ -81,62 +75,53 @@ def cmd_synth_data(args) -> dict:
     }
 
 
-def cmd_train_pitch(args) -> dict:
-    cfg = load_config(args.config, args.seed)
-    manifest = _require(cfg.manifest_path, "data manifest")
+def _train(cfg, command: str, steps: int, log_name: str, train) -> dict:
+    """Run `train(log_path, progress)` with its progress on stderr and the
+    CSV under the checkpoint directory, persist the config there and
+    summarise the run. `final_loss` is the loss of the last step, which the
+    training loop always reports."""
     cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    log_path = cfg.checkpoint_dir / "pitch_train.csv"
-    ckpt = train_pitch_extractor(manifest, cfg.pitch, None, cfg.pitch_ckpt,
-                                 log_path=log_path, seed=cfg.seed,
-                                 progress=_progress("train-pitch"))
+    losses = []
+
+    def progress(step, loss):
+        losses.append(loss)
+        print(f"[{command}] step {step} loss {loss:.4f}", file=sys.stderr)
+
+    ckpt = train(cfg.checkpoint_dir / log_name, progress)
     persist_config(cfg, cfg.checkpoint_dir)
-    last = log_path.read_text().strip().splitlines()[-1].split(",")
     return {
         "status": "ok",
-        "command": "train-pitch",
-        "steps": cfg.pitch.steps,
-        "final_loss": float(last[2]),
+        "command": command,
+        "steps": steps,
+        "final_loss": losses[-1],
         "checkpoint": str(ckpt),
         "seed": cfg.seed,
     }
+
+
+def cmd_train_pitch(args) -> dict:
+    cfg = load_config(args.config, args.seed)
+    manifest = _require(cfg.manifest_path, "data manifest")
+    return _train(cfg, "train-pitch", cfg.pitch.steps, "pitch_train.csv",
+                  lambda log_path, progress: train_pitch_extractor(
+                      manifest, cfg.pitch, None, cfg.pitch_ckpt, log_path=log_path,
+                      seed=cfg.seed, progress=progress))
 
 
 def cmd_train_svc(args) -> dict:
     cfg = load_config(args.config, args.seed)
     manifest = _require(cfg.manifest_path, "data manifest")
     _require(cfg.pitch_ckpt, "pitch checkpoint")
-    cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    log_path = cfg.checkpoint_dir / "converter_train.csv"
-    ckpt = train_converter(manifest, cfg.converter, None, cfg.pitch_ckpt, cfg.svc_ckpt,
-                           log_path=log_path, seed=cfg.seed,
-                           progress=_progress("train-svc"))
-    persist_config(cfg, cfg.checkpoint_dir)
-    last = log_path.read_text().strip().splitlines()[-1].split(",")
-    return {
-        "status": "ok",
-        "command": "train-svc",
-        "steps": cfg.converter.steps,
-        "final_loss": float(last[2]),
-        "checkpoint": str(ckpt),
-        "seed": cfg.seed,
-    }
+    return _train(cfg, "train-svc", cfg.converter.steps, "converter_train.csv",
+                  lambda log_path, progress: train_converter(
+                      manifest, cfg.converter, None, cfg.pitch_ckpt, cfg.svc_ckpt,
+                      log_path=log_path, seed=cfg.seed, progress=progress))
 
 
 def _mean_profile_argmax(m: CqtMatrix) -> int:
     cropped = crop_to_vocal_range(m)
     rows = list(interior_frames(cropped.frames)) or list(range(cropped.frames))
     return int(cropped.magnitudes[rows].mean(axis=0).argmax())
-
-
-def _schedule_overrides(args) -> dict:
-    """The `--sway`/`--nfe` values given, as `SwaySchedule` fields, checked
-    by `SwaySchedule` itself before any checkpoint work starts."""
-    given = {k: v for k, v in (("s", args.sway), ("nfe", args.nfe)) if v is not None}
-    try:
-        SwaySchedule(**given)
-    except ContractError as exc:
-        raise ConfigError(f"--sway/--nfe: {exc}") from None
-    return given
 
 
 def _timings(start: float, source_s: float) -> dict:
@@ -146,12 +131,17 @@ def _timings(start: float, source_s: float) -> dict:
 
 def cmd_convert(args) -> dict:
     start = time.perf_counter()
-    overrides = _schedule_overrides(args)
+    # the --sway/--nfe values given, checked by ConverterConfig before any checkpoint work
+    given = {k: v for k, v in (("sway_s", args.sway), ("nfe", args.nfe)) if v is not None}
+    try:
+        ConverterConfig(**given)
+    except ContractError as exc:
+        raise ConfigError(f"--sway/--nfe: {exc}") from None
     model = ConverterModel.load(_require(args.ckpt, "checkpoint"))
     src = load_pipeline_wav(_require(args.src, "source audio"))
     ref = load_pipeline_wav(_require(args.ref, "reference audio"))
-    sched = SwaySchedule(**{"s": model.cfg.sway_s, "nfe": model.cfg.nfe, **overrides})
-    conversion = convert(src, ref, model, sched, transpose=args.transpose, seed=args.seed or 0)
+    model.cfg = dataclasses.replace(model.cfg, **given)
+    conversion = convert(src, ref, model, transpose=args.transpose, seed=args.seed or 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_wav(conversion.wave, out)
@@ -160,8 +150,8 @@ def cmd_convert(args) -> dict:
         "command": "convert",
         "out": str(out),
         "frames": conversion.mel.frames,
-        "nfe": sched.nfe,
-        "sway": sched.s,
+        "nfe": model.cfg.nfe,
+        "sway": model.cfg.sway_s,
         "transpose": args.transpose,
     }
     if args.mel_out:

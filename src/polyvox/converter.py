@@ -1,5 +1,7 @@
 """Flow-matching mel converter: feature fusion, linear-path velocity
-training, and sway-scheduled Euler ODE inference.
+training, and sway-scheduled Euler ODE inference. The velocity net, its
+training path state and its ODE state all compute in the net's parameter
+dtype, float32 for new and loaded models (`nn`'s one precision rule).
 
 Training follows the in-context prompt recipe: a random contiguous span of
 the target mel is hidden from the conditioning channel and becomes the
@@ -25,62 +27,15 @@ from .features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content, timb
                        train_timbre_space, window_content)
 from .nn import (FF_MULT, LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
                  sinusoidal_positions, timestep_embedding)
-from .optim import _fit, load_checkpoint, save_checkpoint
+from .optim import _fit, header_config, load_checkpoint, save_checkpoint
 from .pitch import PitchEncoderConfig, PitchExtractor, cqt_input
 from .synthgen import load_clips
 from .tensor import Tensor
 
 
 # ---------------------------------------------------------------------------
-# Flow path and sway schedule
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SwaySchedule:
-    s: float = -1.0
-    nfe: int = 32
-
-    def __post_init__(self):
-        if not -1.0 <= self.s <= 1.0:
-            raise ContractError(f"sway coefficient {self.s} outside [-1, 1]")
-        if self.nfe < 1:
-            raise ContractError("nfe must be >= 1")
-
-
-def f_sway(u, s: float):
-    """Timestep warp u + s * (cos(pi*u/2) - 1 + u); fixes 0 and 1."""
-    u = np.asarray(u, dtype=np.float64)
-    return u + s * (np.cos(np.pi * u / 2.0) - 1.0 + u)
-
-
-def sway_timesteps(sched: SwaySchedule) -> np.ndarray:
-    """nfe+1 knots t_i = f_sway(i/nfe; s) spanning [0, 1]."""
-    return f_sway(np.arange(sched.nfe + 1) / sched.nfe, sched.s)
-
-
-def integrate_flow(v_fn, x0: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    """Euler integration of dx/dt = v(x, t) over the given knots: exactly
-    len(knots) - 1 velocity evaluations. The state stays float64 whatever
-    dtype `v_fn` returns."""
-    x = np.asarray(x0, dtype=np.float64)
-    for i in range(len(knots) - 1):
-        x = x + (knots[i + 1] - knots[i]) * v_fn(x, float(knots[i]))
-    return x
-
-
-# ---------------------------------------------------------------------------
 # Velocity network (DiT-style)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VelocityNetConfig:
-    mel_bands: int = N_MELS
-    cond_dim: int = 377
-    width: int = 256
-    n_layers: int = 6
-    n_heads: int = 4
 
 
 class _DiTBlock:
@@ -108,20 +63,21 @@ class _DiTBlock:
 
 
 class VelocityNet:
-    """Predicts the transport velocity for a noisy mel given fused
-    conditioning and the scalar flow time."""
+    """Predicts the transport velocity for a noisy (frames, `N_MELS`) mel
+    given `cond_dim` channels of fused conditioning and the scalar flow
+    time."""
 
-    def __init__(self, store: ParamStore, cfg: VelocityNetConfig, name: str = "velocity"):
-        self.cfg = cfg
-        w = cfg.width
-        self.input = Linear(store, f"{name}.input", cfg.mel_bands + cfg.cond_dim, w)
-        self.time1 = Linear(store, f"{name}.time1", w, w)
-        self.time2 = Linear(store, f"{name}.time2", w, w)
-        self.blocks = [_DiTBlock(store, f"{name}.block{i}", w, cfg.n_heads)
-                       for i in range(cfg.n_layers)]
-        self.final_ln = LayerNorm(store, f"{name}.final_ln", w, affine=False)
-        self.final_mod = Linear(store, f"{name}.final_mod", w, 2 * w, zero_init=True)
-        self.head = Linear(store, f"{name}.head", w, cfg.mel_bands, zero_init=True)
+    def __init__(self, store: ParamStore, cond_dim: int, width: int, n_layers: int,
+                 n_heads: int, name: str = "velocity"):
+        self.width = width
+        self.input = Linear(store, f"{name}.input", N_MELS + cond_dim, width)
+        self.time1 = Linear(store, f"{name}.time1", width, width)
+        self.time2 = Linear(store, f"{name}.time2", width, width)
+        self.blocks = [_DiTBlock(store, f"{name}.block{i}", width, n_heads)
+                       for i in range(n_layers)]
+        self.final_ln = LayerNorm(store, f"{name}.final_ln", width, affine=False)
+        self.final_mod = Linear(store, f"{name}.final_mod", width, 2 * width, zero_init=True)
+        self.head = Linear(store, f"{name}.head", width, N_MELS, zero_init=True)
 
     @property
     def dtype(self) -> np.dtype:
@@ -137,7 +93,7 @@ class VelocityNet:
         if psi_t.shape[:-1] != cond_t.shape[:-1]:
             raise ContractError(
                 f"state and condition frames differ: {psi_t.shape} vs {cond_t.shape}")
-        w = self.cfg.width
+        w = self.width
         x = self.input(T.concat([psi_t, cond_t], axis=-1))
         x = x + Tensor(sinusoidal_positions(x.shape[-2], w, x.data.dtype))
         temb = np.stack([timestep_embedding(float(ti), w) for ti in np.atleast_1d(t)])
@@ -169,18 +125,22 @@ def cfm_loss(net, x1: np.ndarray, cond, rng: np.random.Generator,
     return T.mse_loss(pred, Tensor(x1 - x0), mask=loss_mask)
 
 
-def ode_sample(net: VelocityNet, cond, sched: SwaySchedule,
+def ode_sample(net: VelocityNet, cond, nfe: int, sway: float,
                rng: np.random.Generator) -> np.ndarray:
     """Transport Gaussian noise to a mel, one frame per row of `cond` and
-    `net.cfg.mel_bands` bands, by Euler steps over the sway knots; invokes
-    the network exactly sched.nfe times."""
+    `N_MELS` bands, by `nfe` Euler steps: exactly `nfe` network calls. The
+    steps run between the sway-warped knots t_i = u + s * (cos(pi*u/2) - 1
+    + u), u = i / nfe, s = `sway` in [-1, 1], which fix t_0 = 0 and t_nfe = 1
+    (sway sampling, F5-TTS). The noise is drawn in float64; the state is
+    held in the net's dtype, as `cfm_loss` holds its path state."""
     cond_t = cond if isinstance(cond, Tensor) else Tensor(cond)
-    x0 = rng.standard_normal((cond_t.shape[0], net.cfg.mel_bands))
-
-    def v_fn(x, t):
-        return net(x, t, cond_t).data
-
-    return integrate_flow(v_fn, x0, sway_timesteps(sched))
+    u = np.arange(nfe + 1) / nfe
+    # Python floats, so that a step times a float32 state stays float32
+    knots = (u + sway * (np.cos(np.pi * u / 2.0) - 1.0 + u)).tolist()
+    x = rng.standard_normal((cond_t.shape[0], N_MELS)).astype(net.dtype, copy=False)
+    for t, t_next in zip(knots, knots[1:]):
+        x = x + (t_next - t) * net(x, t, cond_t).data
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +181,10 @@ class ConverterConfig:
         if self.window_frames < 1 or self.prompt_frames < 0:
             raise ContractError(f"need window_frames >= 1 and prompt_frames >= 0, got "
                                 f"{self.window_frames} and {self.prompt_frames}")
-        SwaySchedule(self.sway_s, self.nfe)  # the schedule's own checks
+        if not -1.0 <= self.sway_s <= 1.0:
+            raise ContractError(f"sway_s {self.sway_s} outside [-1, 1]")
+        if self.nfe < 1:
+            raise ContractError(f"nfe must be >= 1, got {self.nfe}")
 
 
 class ConverterModel:
@@ -232,8 +195,8 @@ class ConverterModel:
 
     Parameters are float32, new or loaded (`load` passes a checkpoint's
     float32 `arrays`, which the store takes with no random draw), and every
-    network runs in them (`nn`). The mel statistics and the timbre space
-    are float64 numpy, and the ODE state of `ode_sample` stays float64."""
+    network runs in them (`nn`), as does the ODE state of `ode_sample`. The
+    mel statistics and the timbre space are float64 numpy."""
 
     def __init__(self, cfg: ConverterConfig, pitch: PitchExtractor, timbre: TimbreSpace,
                  mel_mean: np.ndarray, mel_std: np.ndarray, seed: int = 0,
@@ -247,8 +210,7 @@ class ConverterModel:
         self.store = ParamStore(rng, trainable=trainable, arrays=arrays)
         self.pitch_dim = pitch.cfg.model_dim
         cond_dim = N_CONTENT + self.pitch_dim + TIMBRE_DIM + N_MELS + 1
-        self.net = VelocityNet(self.store, VelocityNetConfig(
-            cond_dim=cond_dim, width=cfg.width, n_layers=cfg.n_layers, n_heads=cfg.n_heads))
+        self.net = VelocityNet(self.store, cond_dim, cfg.width, cfg.n_layers, cfg.n_heads)
         self.reg_content = Linear(self.store, "reg_content", N_CONTENT, N_CONTENT,
                                   identity_init=True)
         self.reg_pitch = Linear(self.store, "reg_pitch", self.pitch_dim, self.pitch_dim,
@@ -299,10 +261,10 @@ class ConverterModel:
     @classmethod
     def load(cls, path) -> "ConverterModel":
         arrays, _step, header = load_checkpoint(path)
-        cfg = ConverterConfig(**header["config"]["converter"])
+        cfg = header_config(path, header, "converter", ConverterConfig)
         pitch_arrays = {k.removeprefix("pitch."): v for k, v in arrays.items()
                         if k.startswith("pitch.")}
-        pitch = PitchExtractor(PitchEncoderConfig(**header["config"]["pitch_encoder"]),
+        pitch = PitchExtractor(header_config(path, header, "pitch_encoder", PitchEncoderConfig),
                                trainable=False, arrays=pitch_arrays)
         timbre = TimbreSpace(arrays["timbre.weight"], arrays["timbre.mean"],
                              arrays["timbre.scale"])
@@ -407,17 +369,15 @@ class Conversion:
     z_t: np.ndarray
 
 
-def convert(src: Waveform, ref: Waveform, model: ConverterModel,
-            sched: SwaySchedule | None = None, transpose: int = 0,
+def convert(src: Waveform, ref: Waveform, model: ConverterModel, transpose: int = 0,
             seed: int = 0) -> Conversion:
     """Convert `src` to the timbre of `ref`: content and (optionally
     transposed) pitch come from the source, timbre and the mel prompt from
     the reference. Both clips must be at 44.1 kHz (`audio.load_pipeline_wav`
-    reads a file at that rate). `sched` defaults to the checkpoint's sway and
-    NFE, and Griffin-Lim runs the checkpoint's `gl_iters` iterations.
-    Returns the `Conversion`, so callers need not recompute its features."""
+    reads a file at that rate). The ODE runs `model.cfg`'s `nfe` and
+    `sway_s`, and Griffin-Lim its `gl_iters` iterations. Returns the
+    `Conversion`, so callers need not recompute its features."""
     cfg = model.cfg
-    sched = sched or SwaySchedule(cfg.sway_s, cfg.nfe)
     if src.sample_rate != PIPELINE_SAMPLE_RATE or ref.sample_rate != PIPELINE_SAMPLE_RATE:
         raise ContractError(f"convert needs 44.1 kHz clips, got source {src.sample_rate} Hz "
                             f"and reference {ref.sample_rate} Hz")
@@ -443,7 +403,7 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel,
 
     cond = model.fuse(content, z_p, z_t, x_ref, visible)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x0DE))))
-    sampled = ode_sample(model.net, cond, sched, rng)
+    sampled = ode_sample(model.net, cond, cfg.nfe, cfg.sway_s, rng)
     mel_out = MelSpectrogram(model.destandardize(sampled[prompt:]))
     wave = griffin_lim(mel_out, iters=cfg.gl_iters)
     return Conversion(wave, mel_out, mel_src, cqt_src, z_t)

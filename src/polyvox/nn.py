@@ -11,7 +11,9 @@ parameter is float32 (`PARAM_DTYPE`), the dtype a checkpoint stores, and
 projection decides the dtype of everything after it. New and loaded models
 compute in float32 whatever dtype their callers' data has; float64 compute
 happens only where a store is built on float64 `arrays`, as the tests'
-finite-difference and reference copies are.
+finite-difference and reference copies are. State carried from one network
+call to the next follows the same rule: `converter.cfm_loss` builds its path
+state and `converter.ode_sample` its ODE state in the net's dtype.
 """
 
 from __future__ import annotations
@@ -186,14 +188,12 @@ def sinusoidal_positions(frames: int, dim: int, dtype) -> np.ndarray:
 
 
 def timestep_embedding(t: float, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of a scalar time in [0, 1], shape (dim,)."""
+    """Sinusoidal embedding of a scalar time in [0, 1], shape (dim,); dim is
+    even, as `sinusoidal_positions` requires of the same width."""
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     angles = 1000.0 * t * freqs
-    emb = np.concatenate([np.sin(angles), np.cos(angles)])
-    if emb.size < dim:
-        emb = np.concatenate([emb, np.zeros(dim - emb.size)])
-    return emb
+    return np.concatenate([np.sin(angles), np.cos(angles)])
 
 
 class SequenceEncoder:

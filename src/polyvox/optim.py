@@ -5,6 +5,7 @@ trained modules."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import struct
@@ -184,3 +185,20 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int, dict]:
                 raise ContractError(f"{path}: truncated payload for {entry['name']!r}")
             params[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     return params, int(header["step"]), header
+
+
+def header_config(path, header: dict, section: str, cls):
+    """`cls` built from the `section` object of a checkpoint header's
+    config, which must carry exactly the dataclass's fields. A checkpoint
+    written before a field was added or removed raises ContractError naming
+    the unknown and missing keys and the known ones."""
+    config = header.get("config")
+    entry = config.get(section) if isinstance(config, dict) else None
+    if not isinstance(entry, dict):
+        raise ContractError(f"{path}: checkpoint config has no '{section}' object")
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown, missing = sorted(entry.keys() - known), sorted(known - entry.keys())
+    if unknown or missing:
+        raise ContractError(f"{path}: checkpoint config '{section}' has unknown keys {unknown} "
+                            f"and missing keys {missing} (known: {sorted(known)})")
+    return cls(**entry)

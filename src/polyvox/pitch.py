@@ -23,14 +23,13 @@ from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, transpose_pitch
 from .errors import ContractError
 from .midi import ROLL_PITCHES, to_piano_roll
 from .nn import ParamStore, SequenceEncoder
-from .optim import _fit, load_checkpoint, save_checkpoint
+from .optim import _fit, header_config, load_checkpoint, save_checkpoint
 from .synthgen import load_clips
 from .tensor import Tensor
 
 
 @dataclass(frozen=True)
 class PitchEncoderConfig:
-    input_bins: int = ROLL_PITCHES
     model_dim: int = 128
     n_layers: int = 4
     n_heads: int = 4
@@ -76,21 +75,21 @@ class PitchExtractor:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xA11))))
         self.store = ParamStore(rng, trainable=trainable, arrays=arrays)
         self.cqt_encoder = SequenceEncoder(
-            self.store, "cqt_encoder", cfg.input_bins, cfg.model_dim, cfg.n_layers, cfg.n_heads)
+            self.store, "cqt_encoder", ROLL_PITCHES, cfg.model_dim, cfg.n_layers, cfg.n_heads)
         self.midi_encoder = SequenceEncoder(
-            self.store, "midi_encoder", cfg.input_bins, cfg.model_dim, cfg.n_layers, cfg.n_heads)
+            self.store, "midi_encoder", ROLL_PITCHES, cfg.model_dim, cfg.n_layers, cfg.n_heads)
 
     def encode_cqt(self, values: np.ndarray | Tensor) -> Tensor:
         """Frame-wise pitch embedding of a log-compressed, cropped CQT."""
         x = values if isinstance(values, Tensor) else Tensor(values)
-        if x.shape[-1] != self.cfg.input_bins:
-            raise ContractError(f"expected {self.cfg.input_bins} bins, got {x.shape[-1]}")
+        if x.shape[-1] != ROLL_PITCHES:
+            raise ContractError(f"expected {ROLL_PITCHES} bins, got {x.shape[-1]}")
         return self.cqt_encoder(x)
 
     def encode_midi(self, activity: np.ndarray | Tensor) -> Tensor:
         x = activity if isinstance(activity, Tensor) else Tensor(activity)
-        if x.shape[-1] != self.cfg.input_bins:
-            raise ContractError(f"expected {self.cfg.input_bins} pitch columns, got {x.shape[-1]}")
+        if x.shape[-1] != ROLL_PITCHES:
+            raise ContractError(f"expected {ROLL_PITCHES} pitch columns, got {x.shape[-1]}")
         return self.midi_encoder(x)
 
     def save(self, path, step: int = 0) -> None:
@@ -100,7 +99,7 @@ class PitchExtractor:
     def load(cls, path) -> "PitchExtractor":
         """The frozen extractor of a checkpoint: its parameters are constants."""
         arrays, _step, header = load_checkpoint(path)
-        cfg = PitchEncoderConfig(**header["config"]["pitch_encoder"])
+        cfg = header_config(path, header, "pitch_encoder", PitchEncoderConfig)
         return cls(cfg, trainable=False, arrays=arrays)
 
 

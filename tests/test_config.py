@@ -96,18 +96,24 @@ def test_unknown_pitch_key_lists_encoder_keys(tiny_corpus, tmp_path):
     summary = json.loads(out.getvalue().splitlines()[-1])
     assert (code, summary["status"]) == (1, "config-error"), summary
     assert "'foo'" in summary["error"]
-    for key in ("model_dim", "n_layers", "n_heads", "window_frames", "input_bins", "steps"):
+    for key in ("model_dim", "n_layers", "n_heads", "window_frames", "steps"):
         assert f"'{key}'" in summary["error"]
 
 
-@pytest.mark.parametrize("key, value", [("mel_bands", 40), ("ff_mult", 2)])
-def test_fixed_converter_shape_is_an_unknown_key(tiny_corpus, tmp_path, key, value):
-    """The mel band count and the feed-forward width are constants of the
-    converter, not options: a config that sets one exits 1 naming it."""
-    path, _ckpt = _write_config(tmp_path, tiny_corpus, converter={key: value})
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param("converter", "mel_bands", 40, id="mel_bands-40"),
+    pytest.param("converter", "ff_mult", 2, id="ff_mult-2"),
+    pytest.param("pitch", "input_bins", 60, id="input_bins-60"),
+])
+def test_fixed_converter_shape_is_an_unknown_key(tiny_corpus, tmp_path, section, key, value):
+    """The mel band count, the feed-forward width and the pitch encoder's
+    input width (`midi.ROLL_PITCHES` CQT bins) are constants of the
+    converter and its pitch encoder, not options: a config that sets one
+    exits 1 naming it."""
+    path, _ckpt = _write_config(tmp_path, tiny_corpus, **{section: {key: value}})
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(["train-svc", "--config", str(path)])
+        code = cli.main([COMMAND[section], "--config", str(path)])
     summary = json.loads(out.getvalue().splitlines()[-1])
     assert (code, summary["status"]) == (1, "config-error"), summary
     assert f"unknown key '{key}'" in summary["error"]

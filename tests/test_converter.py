@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -16,15 +17,16 @@ from polyvox import evaluate as evaluate_module
 from polyvox import features as features_module
 from polyvox import pitch as pitch_module
 from polyvox import tensor as T
-from polyvox.audio import (HOP, Waveform, load_pipeline_wav, load_wav, mel_spectrogram, resample,
-                           save_wav)
-from polyvox.converter import (ConverterConfig, ConverterModel, SwaySchedule, VelocityNet,
-                               VelocityNetConfig, convert, ode_sample, train_converter)
+from polyvox.audio import (HOP, N_MELS, Waveform, load_pipeline_wav, load_wav, mel_spectrogram,
+                           resample, save_wav)
+from polyvox.converter import (ConverterConfig, ConverterModel, VelocityNet, convert, ode_sample,
+                               train_converter)
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, load_cqt, transpose_pitch
 from polyvox.errors import ContractError
 from polyvox.features import N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, WARP_CONTEXT, TimbreSpace
+from polyvox.midi import ROLL_PITCHES
 from polyvox.nn import ParamStore, xavier_uniform
-from polyvox.optim import load_checkpoint
+from polyvox.optim import config_hash, load_checkpoint
 from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, PitchTrainConfig,
                            train_pitch_extractor)
 from polyvox.synthgen import SynthConfig, gen_dataset, load_manifest
@@ -46,6 +48,31 @@ def _tiny_model() -> ConverterModel:
 def _widened(store: ParamStore) -> dict[str, np.ndarray]:
     """A store's parameters as float64 arrays, to build a float64 copy of a model."""
     return {name: data.astype(np.float64) for name, data in store.arrays().items()}
+
+
+def _float64_copy(model: ConverterModel) -> ConverterModel:
+    """A constant copy of `model` whose converter parameters are float64."""
+    return ConverterModel(model.cfg, model.pitch, model.timbre, model.mel_mean, model.mel_std,
+                          trainable=False, arrays=_widened(model.store))
+
+
+def _random_cond(model: ConverterModel, frames: int, seed: int) -> np.ndarray:
+    """Random fused conditioning of `frames` rows for `model`'s velocity net."""
+    cond_dim = model.net.input.w.shape[0] - N_MELS
+    return np.random.default_rng(seed).normal(size=(frames, cond_dim))
+
+
+def _edit_header(src, dst, section: str, edit) -> None:
+    """Copy checkpoint `src` to `dst` with `edit` applied to the `section`
+    object of its header's config and the config hash recomputed, as an
+    older writer would have written it."""
+    raw = src.read_bytes()
+    (size,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + size])
+    edit(header["config"][section])
+    header["config_hash"] = config_hash(header["config"])
+    blob = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + size :])
 
 
 def _train(manifest, out, seed=0):
@@ -94,14 +121,46 @@ class TestFuse:
 
 class TestVelocityNet:
     def test_batch_of_one_equals_unbatched_call(self):
-        cfg = VelocityNetConfig(mel_bands=8, cond_dim=5, width=16, n_layers=2, n_heads=4)
-        net = VelocityNet(ParamStore(np.random.default_rng(2)), cfg)
+        net = VelocityNet(ParamStore(np.random.default_rng(2)), cond_dim=5, width=16,
+                          n_layers=2, n_heads=4)
         rng = np.random.default_rng(3)
-        psi, cond = rng.normal(size=(12, 8)), rng.normal(size=(12, 5))
+        psi, cond = rng.normal(size=(12, N_MELS)), rng.normal(size=(12, 5))
         single = net(psi, 0.37, cond).data
         batched = net(psi[None], np.array([0.37]), cond[None]).data
-        assert batched.shape == (1, 12, 8)
+        assert batched.shape == (1, 12, N_MELS)
         assert np.array_equal(batched[0], single)
+
+
+class _ConstantVelocity:
+    """A stand-in velocity net that records the flow time of each call and
+    returns the same velocity everywhere."""
+
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, value: float):
+        self.value = value
+        self.times = []
+
+    def __call__(self, psi, t, cond):
+        self.times.append(t)
+        return T.Tensor(np.full(psi.shape, self.value, dtype=self.dtype))
+
+
+class TestOdeSample:
+    @pytest.mark.parametrize("nfe, sway", [(1, -1.0), (4, -1.0), (5, 0.0), (3, 0.6)])
+    def test_one_net_call_per_step_at_the_sway_knots_from_zero(self, nfe, sway):
+        """`nfe` calls, the i-th at t = u + s * (cos(pi*u/2) - 1 + u) for
+        u = i / nfe; the Euler steps span [0, 1], so a constant velocity v
+        moves the noise by exactly v, in the net's dtype."""
+        net = _ConstantVelocity(0.25)
+        out = ode_sample(net, np.zeros((7, 5)), nfe, sway, np.random.default_rng(0))
+        u = np.arange(nfe) / nfe
+        assert len(net.times) == nfe and net.times[0] == 0.0
+        assert np.allclose(net.times, u + sway * (np.cos(np.pi * u / 2.0) - 1.0 + u),
+                           rtol=0.0, atol=1e-12)
+        noise = np.random.default_rng(0).standard_normal((7, N_MELS)).astype(np.float32)
+        assert out.dtype == np.float32
+        assert np.max(np.abs(out - (noise + 0.25))) <= 1e-6
 
 
 class TestTraining:
@@ -173,7 +232,7 @@ class TestConvert:
         src, ref = (load_wav(manifest.parent / r["path"]) for r in rows[:2])
         model = ConverterModel.load(files["svc.pvck"])
         assert model.cfg.mask_span == ConverterConfig().mask_span
-        conversion = convert(src, ref, model, SwaySchedule(nfe=2))
+        conversion = convert(src, ref, model)
         mel = conversion.mel
         assert mel.frames == src.samples.size // 441 + 1
         assert np.all(np.isfinite(mel.values))
@@ -184,7 +243,7 @@ class TestConvert:
         clip = Waveform(np.zeros(44100), 44100)
         for pair in ((resample(clip, 48000), clip), (clip, resample(clip, 22050))):
             with pytest.raises(ContractError, match="44.1 kHz"):
-                convert(*pair, _tiny_model(), SwaySchedule(nfe=2))
+                convert(*pair, _tiny_model())
 
     def test_loaded_model_is_constant_and_samples_like_a_trainable_copy(self, tiny_runs):
         _manifest, (files, _), _ = tiny_runs
@@ -194,11 +253,11 @@ class TestConvert:
         assert not any(p.requires_grad for p in loaded.store.params.values())
         assert all(p.requires_grad for p in trainable.store.params.values())
 
-        cond = np.random.default_rng(4).normal(size=(30, loaded.net.cfg.cond_dim))
+        cond = _random_cond(loaded, 30, 4)
         samples = []
         for model in (loaded, trainable):
             rng = np.random.default_rng(8)
-            samples.append(ode_sample(model.net, cond, SwaySchedule(nfe=3), rng))
+            samples.append(ode_sample(model.net, cond, 3, -1.0, rng))
         assert np.array_equal(samples[0], samples[1])
         assert loaded.net(samples[0], 0.5, cond)._parents == ()
 
@@ -216,23 +275,23 @@ class TestConvert:
         _tiny_model()
         assert draws
 
-    def test_loaded_net_runs_in_float32_and_the_ode_state_in_float64(self, tiny_runs):
+    def test_loaded_net_runs_in_float32_and_the_ode_state_in_the_nets_dtype(self, tiny_runs):
         _manifest, (files, _), _ = tiny_runs
         loaded = ConverterModel.load(files["svc.pvck"])
-        cond = np.random.default_rng(5).normal(size=(30, loaded.net.cfg.cond_dim))
-        assert loaded.net(np.zeros((30, 80)), 0.5, cond).data.dtype == np.float32
-        sampled = ode_sample(loaded.net, cond, SwaySchedule(nfe=3), np.random.default_rng(8))
-        assert sampled.dtype == np.float64
+        cond = _random_cond(loaded, 30, 5)
+        assert loaded.net(np.zeros((30, N_MELS)), 0.5, cond).data.dtype == np.float32
+        for model, dtype in ((loaded, np.float32), (_float64_copy(loaded), np.float64)):
+            sampled = ode_sample(model.net, cond, 3, -1.0, np.random.default_rng(8))
+            assert sampled.dtype == dtype
 
     def test_loaded_model_samples_like_a_float64_copy(self, tiny_runs):
         _manifest, (files, _), _ = tiny_runs
         loaded = ConverterModel.load(files["svc.pvck"])
-        wide = ConverterModel(loaded.cfg, loaded.pitch, loaded.timbre, loaded.mel_mean,
-                              loaded.mel_std, trainable=False, arrays=_widened(loaded.store))
+        wide = _float64_copy(loaded)
         assert all(p.data.dtype == np.float64 for p in wide.store.params.values())
 
-        cond = np.random.default_rng(6).normal(size=(40, loaded.net.cfg.cond_dim))
-        samples = [ode_sample(model.net, cond, SwaySchedule(nfe=8), np.random.default_rng(9))
+        cond = _random_cond(loaded, 40, 6)
+        samples = [ode_sample(model.net, cond, 8, -1.0, np.random.default_rng(9))
                    for model in (loaded, wide)]
         assert np.max(np.abs(samples[0] - samples[1])) <= 1e-4
 
@@ -242,7 +301,7 @@ class TestConvert:
         _manifest, (files, _), _ = tiny_runs
         loaded = PitchExtractor.load(files["pitch.pvck"])
         wide = PitchExtractor(loaded.cfg, trainable=False, arrays=_widened(loaded.store))
-        x = np.random.default_rng(7).uniform(size=(50, loaded.cfg.input_bins))
+        x = np.random.default_rng(7).uniform(size=(50, ROLL_PITCHES))
         z, z_wide = loaded.encode_cqt(x).data, wide.encode_cqt(x).data
         assert (z.dtype, z_wide.dtype) == (np.float32, np.float64)
         assert np.max(np.abs(z - z_wide)) <= 1e-5
@@ -250,19 +309,20 @@ class TestConvert:
     def test_every_network_op_of_a_conversion_is_float32(self, tiny_runs, monkeypatch):
         """The pitch encoder, `fuse`'s projections and the velocity net all
         compute in the loaded checkpoint's float32, whatever the dtype of
-        the features they are given."""
+        the features they are given, and so do the concatenations that build
+        the condition and the net's input from the ODE state."""
         manifest, (files, _), _ = tiny_runs
         src, ref = (load_wav(manifest.parent / r["path"]) for r in load_manifest(manifest)[:2])
         model = ConverterModel.load(files["svc.pvck"])
         seen = {}
-        for name in ("matmul", "attention", "gelu", "layer_norm"):
+        for name in ("matmul", "attention", "gelu", "layer_norm", "concat"):
             def recorded(*args, _op=getattr(T, name), _name=name, **kwargs):
                 out = _op(*args, **kwargs)
                 seen.setdefault(_name, []).append(out.data.dtype)
                 return out
             monkeypatch.setattr(T, name, recorded)
-        convert(src, ref, model, SwaySchedule(nfe=2))
-        assert seen.keys() == {"matmul", "attention", "gelu", "layer_norm"}
+        convert(src, ref, model)
+        assert seen.keys() == {"matmul", "attention", "gelu", "layer_norm", "concat"}
         assert {dtype for dtypes in seen.values() for dtype in dtypes} == {np.dtype(np.float32)}
 
     def test_zero_griffin_lim_iterations_rejected(self):
@@ -270,6 +330,37 @@ class TestConvert:
         would fail on after sampling."""
         with pytest.raises(ContractError, match="gl_iters"):
             ConverterConfig(gl_iters=0)
+
+
+class TestCheckpointConfig:
+    """A checkpoint header must carry exactly its config's fields: a stale
+    or missing key fails naming it and the known keys."""
+
+    @pytest.mark.parametrize("section, edit, named, known", [
+        ("converter", lambda c: c.update(ff_mult=4), "unknown keys ['ff_mult']", "'gl_iters'"),
+        ("pitch_encoder", lambda c: c.update(input_bins=60), "unknown keys ['input_bins']",
+         "'model_dim'"),
+        ("converter", lambda c: c.pop("nfe"), "missing keys ['nfe']", "'gl_iters'"),
+    ], ids=["converter-extra", "pitch_encoder-extra", "converter-missing"])
+    def test_converter_checkpoint_convert_exits_2_naming_the_key(self, tiny_runs, tmp_path,
+                                                                  section, edit, named, known):
+        manifest, (files, _), _ = tiny_runs
+        src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
+        ckpt = tmp_path / "stale.pvck"
+        _edit_header(files["svc.pvck"], ckpt, section, edit)
+        code, summary = TestCli._run(["convert", "--src", str(src), "--ref", str(ref),
+                                      "--ckpt", str(ckpt), "--out", str(tmp_path / "out.wav")])
+        assert (code, summary["status"]) == (2, "error"), summary
+        assert summary["error"].startswith("ContractError")
+        assert named in summary["error"] and known in summary["error"]
+        assert not (tmp_path / "out.wav").exists()
+
+    def test_pitch_checkpoint_with_a_stale_key_names_it(self, tiny_runs, tmp_path):
+        _manifest, (files, _), _ = tiny_runs
+        ckpt = tmp_path / "stale.pvck"
+        _edit_header(files["pitch.pvck"], ckpt, "pitch_encoder", lambda c: c.update(input_bins=60))
+        with pytest.raises(ContractError, match=r"unknown keys \['input_bins'\].*'model_dim'"):
+            PitchExtractor.load(ckpt)
 
 
 class TestCli:
@@ -298,6 +389,26 @@ class TestCli:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         return code, json.loads(out.getvalue().splitlines()[-1])
+
+    def test_train_commands_report_the_last_logged_loss(self, tiny_runs, tmp_path):
+        """`final_loss` of each train command is the loss of its CSV's last row."""
+        manifest, _, _ = tiny_runs
+        ckpt = tmp_path / "ckpt"
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({
+            "seed": 0,
+            "paths": {"data_dir": str(manifest.parent), "checkpoint_dir": str(ckpt)},
+            "pitch": {**dataclasses.asdict(TINY_ENCODER), "steps": STEPS, "batch": 2},
+            "converter": {**TINY_CONVERTER, "steps": STEPS},
+        }))
+        for command, log in (("train-pitch", "pitch_train.csv"),
+                             ("train-svc", "converter_train.csv")):
+            code, summary = self._run([command, "--config", str(config)])
+            assert code == 0, summary
+            with open(ckpt / log, newline="") as fh:
+                last = list(csv.reader(fh))[-1]
+            assert int(last[0]) == STEPS - 1
+            assert summary["final_loss"] == float(last[2])
 
     @pytest.mark.parametrize("flag", [["--nfe", "0"], ["--sway", "3"], ["--sway", "nan"]])
     def test_invalid_schedule_is_a_usage_error(self, tiny_runs, tmp_path, flag):
@@ -382,8 +493,7 @@ class TestCli:
                          - cli._mean_profile_argmax(compute_cqt(load_pipeline_wav(src))))
 
         model = ConverterModel.load(files["svc.pvck"])
-        conversion = convert(load_pipeline_wav(src), load_pipeline_wav(ref), model,
-                             SwaySchedule(model.cfg.sway_s, model.cfg.nfe), transpose=2)
+        conversion = convert(load_pipeline_wav(src), load_pipeline_wav(ref), model, transpose=2)
         raw = mel_path.read_bytes()
         header = struct.Struct("<4sIIdIII")
         magic, frames, bands = header.unpack(raw[: header.size])[:3]
