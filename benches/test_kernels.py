@@ -17,7 +17,11 @@ smoke recipe's, with forward and backward timed apart: the converter's
 the pitch extractor's (two d64 x 2 encoders and the masked L1 loss, batch
 3 x 160 frames) as `train_pitch_extractor` runs it, in the dtype of new
 parameters. `test_pitch_encode` times a loaded d64 x 2 CQT encoder on the
-(740, 60) `cqt_input` of a 740-frame clip, as `convert` embeds pitch. Run
+(740, 60) `cqt_input` of a 740-frame clip, as `convert` embeds pitch.
+`test_render_score` renders one 5.5 s harmony clip of the corpus.
+`test_converter_fit` times 4 converter `_fit` steps at the train-step shapes
+and records their `tracemalloc` peak, the most Python-allocated memory
+(numpy buffers included) alive at once, in `extra_info`. Run
 from the repository root with the installed pytest-benchmark plugin (this
 directory is outside tier-1's `testpaths`); every row runs one untimed
 warm-up round before its timed rounds:
@@ -25,18 +29,22 @@ warm-up round before its timed rounds:
     python -m pytest benches -q --benchmark-json=<file>
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from polyvox import tensor as T
 from polyvox.audio import (FFT_SIZE, HOP, MelSpectrogram, Waveform, griffin_lim, istft,
                            mel_spectrogram, resample, stft)
-from polyvox.converter import VelocityNet, cfm_loss
+from polyvox.converter import ConverterConfig, VelocityNet, cfm_loss
 from polyvox.cqt import compute_cqt
 from polyvox.features import N_CONTENT, timbre_shift_augment, window_content
 from polyvox.midi import ROLL_PITCHES
 from polyvox.nn import MultiHeadAttention, ParamStore
+from polyvox.optim import _fit
 from polyvox.pitch import PitchEncoderConfig, PitchExtractor, cqt_input
+from polyvox.synthgen import DEFAULT_PRESETS, SynthConfig, make_clip_score, render_score
 
 FRAMES = 740
 WIDTH, LAYERS, HEADS = 128, 4, 4
@@ -232,3 +240,30 @@ def test_pitch_step_forward(benchmark):
 def test_pitch_step_backward(benchmark):
     """The backward half of a pitch train step."""
     _time_backward(benchmark, *_pitch_step_inputs())
+
+
+def test_render_score(benchmark):
+    """One 5.5 s harmony clip of the corpus: lead and harmony voice."""
+    score = make_clip_score(SynthConfig(dur_range=(5.5, 5.5)), "harmony",
+                            np.random.default_rng(12))
+    wave, truth = benchmark(render_score, score, DEFAULT_PRESETS[1], 12)
+    assert wave.duration >= 5.5 and len(truth) == 2 * len(score.lead)
+
+
+def test_converter_fit(benchmark, tmp_path):
+    """4 converter train steps through `_fit` (forward, backward, AdamW) in
+    float32; `extra_info` holds the traced peak of one untimed run."""
+    loss, params = _train_step_inputs(np.float32)
+    named = {str(i): p for i, p in enumerate(params)}
+
+    def fit():
+        return _fit(named, loss, 4, ConverterConfig(), lambda path, step: None,
+                    tmp_path / "unused", None, None)
+
+    benchmark.pedantic(fit, rounds=3, warmup_rounds=1)
+    tracemalloc.start()
+    try:
+        fit()
+        benchmark.extra_info["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -147,7 +147,7 @@ def save_wav(w: Waveform, path, fmt: str = "pcm16") -> None:
     """Write a mono WAV file; `fmt` is "pcm16" or "float32"."""
     if fmt == "pcm16":
         scaled = np.clip(w.samples, -1.0, 1.0)
-        scaled *= 32767.0  # in place: corpus clips are written from pool threads
+        scaled *= 32767.0  # in place: np.clip already made the one copy this needs
         payload = np.round(scaled, out=scaled).astype("<i2").tobytes()
         tag, bits = _WAVE_PCM, 16
     elif fmt == "float32":

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -43,13 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _require(path: Path, what: str) -> Path:
     if not Path(path).exists():
         raise ConfigError(f"{what} not found at {path}")
@@ -64,7 +56,7 @@ def _require(path: Path, what: str) -> Path:
 def cmd_synth_data(args) -> dict:
     cfg = load_config(args.config, args.seed)
     out = Path(args.out)
-    manifest = gen_dataset(cfg.synth, cfg.seed, out, workers=args.threads)
+    manifest = gen_dataset(cfg.synth, cfg.seed, out)
     persist_config(cfg, out)
     return {
         "status": "ok",
@@ -231,8 +223,6 @@ def cmd_cqt(args) -> dict:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polyvox", description=__doc__)
-    parser.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                        help="worker cap for parallel stages (at least 1)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth-data", help="generate the synthetic corpus")

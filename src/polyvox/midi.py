@@ -230,8 +230,13 @@ def parse_smf(data: bytes) -> list[MidiNote]:
 
 
 def load_smf(path) -> list[MidiNote]:
+    """`parse_smf` of a file's bytes; a parse error names the file."""
     with open(path, "rb") as fh:
-        return parse_smf(fh.read())
+        data = fh.read()
+    try:
+        return parse_smf(data)
+    except MidiParseError as exc:
+        raise MidiParseError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,11 @@ def _fit(params: dict[str, Tensor], batch_loss, steps: int, cfg, save, ckpt_path
     over the run, with `cfg.weight_decay`. `progress(step, loss)` fires at
     step 0, every 100 steps and the last step. Afterwards `save(ckpt_path,
     step=steps)` writes the checkpoint and, when `log_path` is given, a
-    (step, lr, loss) CSV goes there. Returns the checkpoint path."""
+    (step, lr, loss) CSV goes there. Returns the checkpoint path.
+
+    One step's graph is alive at a time: the loss is read and dropped
+    before the update, so the tape of step k is freed before `batch_loss()`
+    builds step k + 1's."""
     opt = AdamW(params, AdamWConfig(
         peak_lr=cfg.peak_lr, min_lr=cfg.peak_lr * cfg.min_lr_ratio,
         weight_decay=cfg.weight_decay, total_steps=max(steps, 1)))
@@ -108,10 +112,12 @@ def _fit(params: dict[str, Tensor], batch_loss, steps: int, cfg, save, ckpt_path
         zero_grads(params.values())
         loss = batch_loss()
         backward(loss)
+        value = float(loss.data)
+        del loss
         lr = opt.step()
-        rows.append((step, lr, float(loss.data)))
+        rows.append((step, lr, value))
         if progress and (step % 100 == 0 or step == steps - 1):
-            progress(step, float(loss.data))
+            progress(step, value)
 
     save(ckpt_path, step=steps)
     if log_path is not None:

@@ -6,16 +6,17 @@ tick grid (1/960 s) so the WAV / MIDI sidecars round-trip exactly. Clips are at
 `audio.PIPELINE_SAMPLE_RATE` and pitches lie in `midi.ROLL_LOW`..`ROLL_TOP`,
 so lead pitches map to CQT bins by construction (bin = MIDI - `ROLL_LOW`).
 
-`gen_dataset` writes the corpus and its `manifest.jsonl`; `load_clips` is the
-one reader of it, for both trainers and for evaluation. A malformed manifest
-line or a split with no clips raises `ContractError`.
+`gen_dataset` writes the corpus and its `manifest.jsonl`, rendering the clips
+one after another on the calling thread; each note's harmonics come from
+powers of one complex phasor, so a note costs one cos and one sin of its
+phase. `load_clips` is the one reader of the corpus, for both trainers and
+for evaluation. A malformed manifest line or a split with no clips raises
+`ContractError`.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,7 +104,10 @@ def _formant_gain(freq: np.ndarray | float, preset: SingerPreset) -> np.ndarray 
 
 def render_note(pitch: int, dur: float, preset: SingerPreset, seed: int) -> Waveform:
     """Synthesize one note: 16 formant-shaped harmonics over a vibrato- and
-    jitter-modulated fundamental, 10 ms raised-cosine ramps, peak 0.5."""
+    jitter-modulated fundamental, 10 ms raised-cosine ramps, peak 0.5.
+    Harmonic h is the imaginary part of the h-th power of the fundamental's
+    phasor: within 2e-15 of the exact sin(h * phase), where float64
+    `np.sin(h * phase)` rounds h * phase first and is off by up to 4e-12."""
     if not ROLL_LOW <= pitch <= ROLL_TOP:
         raise ContractError(f"pitch {pitch} outside singable range {ROLL_LOW}..{ROLL_TOP}")
     if dur < _MIN_NOTE_S:
@@ -119,12 +123,20 @@ def render_note(pitch: int, dur: float, preset: SingerPreset, seed: int) -> Wave
     f_inst = f0 * 2.0 ** (cents / 1200.0) * (1.0 + jitter)
     phase = 2.0 * np.pi * np.cumsum(f_inst) / PIPELINE_SAMPLE_RATE
 
+    # harmonic h is Im(z^h) for the unit phasor z = e^{i phase}: one cos and
+    # one sin, then one complex product per harmonic
+    step = np.empty(n, dtype=np.complex128)
+    step.real = np.cos(phase)
+    step.imag = np.sin(phase)
+    z = step.copy()
     out = np.zeros(n)
     for h, amp in enumerate(preset.harmonic_profile, start=1):
+        if h > 1:
+            z *= step
         fh = h * f0
         if fh >= 0.45 * PIPELINE_SAMPLE_RATE or amp == 0.0:
             continue
-        out += amp * _formant_gain(fh, preset) * np.sin(h * phase)
+        out += amp * _formant_gain(fh, preset) * z.imag
 
     ramp = int(_RAMP_S * PIPELINE_SAMPLE_RATE)
     env = np.ones(n)
@@ -249,11 +261,10 @@ def make_clip_score(cfg: SynthConfig, condition: str, rng: np.random.Generator) 
     return Score(lead)
 
 
-def gen_dataset(cfg: SynthConfig, seed: int, out_dir,
-                workers: int = os.cpu_count() or 1) -> Path:
+def gen_dataset(cfg: SynthConfig, seed: int, out_dir) -> Path:
     """Write WAV + SMF + JSON sidecars plus manifest.jsonl; returns the
-    manifest path. Clips render on a pool of `workers` threads. Pure
-    function of (cfg, seed): reruns are byte-identical at any worker count."""
+    manifest path. Clips render one after another on the calling thread.
+    Pure function of (cfg, seed): reruns are byte-identical."""
     out = Path(out_dir)
     clips_dir = out / "clips"
     clips_dir.mkdir(parents=True, exist_ok=True)
@@ -266,8 +277,8 @@ def gen_dataset(cfg: SynthConfig, seed: int, out_dir,
         score = make_clip_score(cfg, condition, rng)
         plans.append((f"{condition}_{idx:04d}", condition, preset, score, seed * 1009 + idx))
 
-    def render_one(plan):
-        clip_id, condition, preset, score, clip_seed = plan
+    sidecars = []
+    for clip_id, condition, preset, score, clip_seed in plans:
         wav, truth = render_score(score, preset, clip_seed)
         save_wav(wav, clips_dir / f"{clip_id}.wav")
         write_smf(truth, clips_dir / f"{clip_id}.mid")
@@ -279,10 +290,7 @@ def gen_dataset(cfg: SynthConfig, seed: int, out_dir,
             "duration_s": wav.duration,
         }
         (clips_dir / f"{clip_id}.json").write_text(json.dumps(sidecar, sort_keys=True))
-        return sidecar
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        sidecars = list(pool.map(render_one, plans))
+        sidecars.append(sidecar)
 
     split_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x5B117))))
     order = split_rng.permutation(len(plans))

@@ -19,10 +19,12 @@ Each primitive records its inputs and a backward closure on the produced
 tensor when one of the inputs needs a gradient, and nothing otherwise, so
 a network whose parameters are constants runs without a tape.
 `backward(loss)` topologically sorts the implicit tape and replays it in
-reverse, accumulating gradients exactly once per node. The primitive
-set is only what transformer-style networks need; `attention` is
-softmax(scale·q kᵀ) v as one primitive, so that a call holds one
-(…, T, T) array instead of the scores and the weights apart.
+reverse, accumulating gradients exactly once per node; an interior node's
+gradient is freed as soon as its closure has consumed it, so only the
+leaves keep a `.grad` afterwards. The primitive set is only what
+transformer-style networks need; `attention` is softmax(scale·q kᵀ) v as
+one primitive, so that a call holds one (…, T, T) array instead of the
+scores and the weights apart.
 """
 
 from __future__ import annotations
@@ -432,8 +434,11 @@ def mse_loss(a: Tensor, b: Tensor, mask=None) -> Tensor:
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
-    Returns a map from each requires_grad leaf to its gradient; every
-    reachable tensor's `.grad` is populated as a side effect.
+    Returns a map from each requires_grad leaf to its gradient, which is
+    also left on the leaf's `.grad`. An interior node's `.grad` is dropped
+    once its backward closure has run, so the sweep holds only the
+    gradients still owed to nodes below it; its closure and parents stay
+    until the caller drops the graph.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -459,6 +464,8 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad = None
 
     return {t: t.grad for t in topo if t.requires_grad and not t._parents and t.grad is not None}
 

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import shutil
 
 import pytest
 
 from polyvox import cli
 from polyvox.config import load_config
 from polyvox.pitch import PitchEncoderConfig, PitchExtractor
+from polyvox.synthgen import load_manifest
 
 ENCODER = {"model_dim": 16, "n_layers": 1, "n_heads": 4, "window_frames": 40}
 PITCH = {**ENCODER, "steps": 1, "batch": 2}
@@ -119,15 +121,42 @@ def test_fixed_converter_shape_is_an_unknown_key(tiny_corpus, tmp_path, section,
     assert f"unknown key '{key}'" in summary["error"]
 
 
-def test_zero_threads_is_a_usage_error(tiny_corpus, tmp_path):
-    """Corpus rendering always runs on a pool of `--threads` workers, so 0
-    workers is refused before the config is read."""
+def test_threads_is_an_unknown_option(tiny_corpus, tmp_path):
+    """Corpus rendering runs on the calling thread and no stage reads a
+    worker count, so `--threads` is an unknown option: a usage error that
+    exits 1 before the config is read."""
     path, _ckpt = _write_config(tmp_path, tiny_corpus)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(["--threads", "0", "synth-data", "--config", str(path),
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["--threads=2", "synth-data", "--config", str(path),
                          "--out", str(tmp_path / "synth")])
     assert code == 1
+    assert "unrecognized arguments: --threads=2" in err.getvalue()
     assert not (tmp_path / "synth").exists()
+
+
+@pytest.mark.parametrize("command, split", [("train-pitch", "train"), ("evaluate", "eval")])
+def test_corrupt_smf_exits_2_naming_the_file(tiny_corpus, tmp_path, command, split):
+    """A truncated `.mid` sidecar in the corpus is a runtime failure whose
+    message names that file, as a bad WAV's does."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(tiny_corpus.parent, corpus)
+    manifest = corpus / tiny_corpus.name
+    row = next(r for r in load_manifest(manifest) if r["split"] == split)
+    mid = (corpus / row["path"]).with_suffix(".mid")
+    mid.write_bytes(mid.read_bytes()[:30])
+    path, ckpt = _write_config(tmp_path, manifest)
+    argv = [command, "--config", str(path)]
+    if command == "evaluate":  # the clips are read before the checkpoint is opened
+        (ckpt / "unread.pvck").write_bytes(b"")
+        argv += ["--ckpt", str(ckpt / "unread.pvck")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    summary = json.loads(out.getvalue().splitlines()[-1])
+    assert (code, summary["status"]) == (2, "error"), summary
+    assert f"MidiParseError: {mid}: truncated MTrk chunk" in err.getvalue()
+    assert str(mid) in summary["error"]
 
 
 def test_valid_config_loads(tiny_corpus, tmp_path):

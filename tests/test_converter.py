@@ -6,6 +6,7 @@ import io
 import json
 import pkgutil
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import polyvox
 from polyvox import cli
 from polyvox import converter as converter_module
+from polyvox import optim as optim_module
 from polyvox import evaluate as evaluate_module
 from polyvox import features as features_module
 from polyvox import pitch as pitch_module
@@ -223,6 +225,98 @@ class TestFloat32Training:
         for name, data in arrays.items():
             assert back[name].dtype == data.dtype == np.float32
             assert back[name].tobytes() == data.tobytes(), name
+
+
+def _topo(loss) -> list:
+    """The nodes reachable from `loss`, parents before children, in the
+    order `T.backward` visits them."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in visited)
+    return topo
+
+
+def _sweep_keeping_every_grad(loss) -> list:
+    """Reference reverse sweep that leaves every node's gradient in place."""
+    topo = _topo(loss)
+    loss.grad = np.asarray(1.0)
+    loss._grad_owned = True
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+    return topo
+
+
+def _trainers(tiny_runs, tmp_path):
+    """(module, train) for each trainer at tiny shapes; `train(steps)` runs it."""
+    manifest, (files, _), _ = tiny_runs
+    return [
+        (pitch_module, lambda steps: train_pitch_extractor(
+            manifest, PitchTrainConfig(encoder=TINY_ENCODER, batch=2), steps, tmp_path / "p")),
+        (converter_module, lambda steps: train_converter(
+            manifest, ConverterConfig(**TINY_CONVERTER), steps, files["pitch.pvck"],
+            tmp_path / "s")),
+    ]
+
+
+class TestTrainingMemory:
+    """A train step holds one step's graph, and of its gradients only the
+    parameters' outlive the backward sweep."""
+
+    def test_backward_frees_interior_gradients(self, tiny_runs, tmp_path, monkeypatch):
+        for module, train in _trainers(tiny_runs, tmp_path):
+            graphs = []
+
+            def build_only(params, batch_loss, steps, cfg, save, ckpt_path, log_path, progress):
+                graphs.append(batch_loss())
+                return ckpt_path
+
+            monkeypatch.setattr(module, "_fit", build_only)
+            train(1)
+            loss = graphs.pop()
+            topo = _sweep_keeping_every_grad(loss)
+            interior = [n for n in topo if n._parents]
+            leaves = [n for n in topo if n.requires_grad and not n._parents]
+            assert leaves and all(n.grad is not None for n in interior)
+            reference = {id(n): n.grad.copy() for n in leaves}
+            T.zero_grads(topo)
+
+            grads = T.backward(loss)
+            assert [n for n in interior if n.grad is not None] == [], module.__name__
+            assert {id(n) for n in grads} == reference.keys()
+            for node in leaves:
+                assert grads[node] is node.grad
+                assert np.array_equal(node.grad, reference[id(node)])
+            assert all(n._backward is not None for n in interior)  # the graph itself is kept
+
+    def test_fit_drops_each_steps_graph(self, tiny_runs, tmp_path, monkeypatch):
+        """Step k's loss, and the tape under it, are dead when step k + 1's
+        `batch_loss()` starts. A tensor keeps its data alive, so a dead
+        weak reference to the data means a dead tensor."""
+        for module, train in _trainers(tiny_runs, tmp_path):
+            refs, alive_at_start = [], []
+
+            def tracking_fit(params, batch_loss, *args):
+                def tracked():
+                    alive_at_start.append(sum(ref() is not None for ref in refs))
+                    loss = batch_loss()
+                    refs.append(weakref.ref(loss.data))
+                    refs.extend(weakref.ref(p.data) for p in loss._parents)
+                    return loss
+
+                return optim_module._fit(params, tracked, *args)
+
+            monkeypatch.setattr(module, "_fit", tracking_fit)
+            train(STEPS)
+            assert alive_at_start == [0] * STEPS, module.__name__
 
 
 class TestConvert:

@@ -1,10 +1,12 @@
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
 
-from polyvox.audio import FRAME_RATE, PIPELINE_SAMPLE_RATE, load_wav, resample, save_wav
+from polyvox import synthgen
+from polyvox.audio import FRAME_RATE, PIPELINE_SAMPLE_RATE, Waveform, load_wav, resample, save_wav
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, interior_frames
 from polyvox.errors import ContractError
 from polyvox.midi import MidiNote, load_smf, to_piano_roll
@@ -149,6 +151,62 @@ class TestGenDataset(object):
     def test_preset_pool_minimum(self):
         with pytest.raises(ContractError):
             SynthConfig(presets=DEFAULT_PRESETS[:2])
+
+
+def _render_note_with_sines(pitch: int, dur: float, preset: SingerPreset, seed: int):
+    """`render_note` with one float64 `np.sin(h * phase)` per harmonic, as
+    it was written before the phasor: the reference the corpus must match."""
+    sr = PIPELINE_SAMPLE_RATE
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    n = int(round(dur * sr))
+    t = np.arange(n) / sr
+    f0 = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
+    cents = preset.vibrato_depth * np.sin(2.0 * np.pi * preset.vibrato_rate * t)
+    knots = rng.normal(0.0, preset.jitter, max(int(np.ceil(dur * 100.0)) + 2, 2))
+    jitter = np.interp(t * 100.0, np.arange(knots.size), knots)
+    f_inst = f0 * 2.0 ** (cents / 1200.0) * (1.0 + jitter)
+    phase = 2.0 * np.pi * np.cumsum(f_inst) / sr
+    out = np.zeros(n)
+    for h, amp in enumerate(preset.harmonic_profile, start=1):
+        fh = h * f0
+        if fh >= 0.45 * sr or amp == 0.0:
+            continue
+        out += amp * synthgen._formant_gain(fh, preset) * np.sin(h * phase)
+    ramp = int(0.010 * sr)
+    env = np.ones(n)
+    fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
+    env[:ramp] = fade
+    env[-ramp:] *= fade[::-1]
+    out *= env
+    out *= 0.5 / np.abs(out).max()
+    return Waveform(out, sr)
+
+
+class TestSerialRendering:
+    @pytest.mark.parametrize("seed", [3, 59])
+    def test_no_thread_and_the_bytes_of_the_sine_renderer(self, tmp_path, monkeypatch, seed):
+        """`gen_dataset` renders on the calling thread, and its phasor
+        harmonics write the same WAV, MID and JSON bytes as 16 sines do."""
+        cfg = SynthConfig(n_single=2, n_harmony=3, dur_range=(1.5, 2.5))
+        with monkeypatch.context() as patch:
+            patch.setattr(synthgen, "render_note", _render_note_with_sines)
+            gen_dataset(cfg, seed, tmp_path / "sines")
+
+        def refuse(thread):
+            raise AssertionError(f"gen_dataset started thread {thread.name}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", refuse)
+            manifest = gen_dataset(cfg, seed, tmp_path / "phasor")
+        assert sum(r["condition"] == "harmony" for r in load_manifest(manifest)) == 3
+        files = sorted(p.relative_to(tmp_path / "sines")
+                       for p in (tmp_path / "sines").rglob("*") if p.is_file())
+        assert len(files) == 1 + 3 * 5
+        assert files == sorted(p.relative_to(tmp_path / "phasor")
+                               for p in (tmp_path / "phasor").rglob("*") if p.is_file())
+        for rel in files:
+            assert (tmp_path / "phasor" / rel).read_bytes() == \
+                (tmp_path / "sines" / rel).read_bytes(), rel
 
 
 class TestLoadClips:
