@@ -21,7 +21,10 @@ parameters. `test_pitch_encode` times a loaded d64 x 2 CQT encoder on the
 `test_render_score` renders one 5.5 s harmony clip of the corpus.
 `test_converter_fit` times 4 converter `_fit` steps at the train-step shapes
 and records their `tracemalloc` peak, the most Python-allocated memory
-(numpy buffers included) alive at once, in `extra_info`. Run
+(numpy buffers included) alive at once, in `extra_info`. `test_load_clips`
+reads both splits of a 20-clip corpus of 5.5 s PCM16 files, the `train`
+workload's, and records in `extra_info` the bytes the loaded clips keep
+alive, as `tracemalloc` counts them, beside the bytes of the WAV files. Run
 from the repository root with the installed pytest-benchmark plugin (this
 directory is outside tier-1's `testpaths`); every row runs one untimed
 warm-up round before its timed rounds:
@@ -44,7 +47,8 @@ from polyvox.midi import ROLL_PITCHES
 from polyvox.nn import MultiHeadAttention, ParamStore
 from polyvox.optim import _fit
 from polyvox.pitch import PitchEncoderConfig, PitchExtractor, cqt_input
-from polyvox.synthgen import DEFAULT_PRESETS, SynthConfig, make_clip_score, render_score
+from polyvox.synthgen import (DEFAULT_PRESETS, SynthConfig, gen_dataset, load_clips,
+                              make_clip_score, render_score)
 
 FRAMES = 740
 WIDTH, LAYERS, HEADS = 128, 4, 4
@@ -267,3 +271,24 @@ def test_converter_fit(benchmark, tmp_path):
         benchmark.extra_info["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_load_clips(benchmark, tmp_path):
+    """Both splits of a 20 x 5.5 s PCM16 corpus, as the trainers and
+    `evaluate` read them."""
+    manifest = gen_dataset(SynthConfig(n_single=10, n_harmony=10, dur_range=(5.5, 5.5)), 12,
+                           tmp_path)
+
+    def load():
+        return load_clips(manifest, "train") + load_clips(manifest, "eval")
+
+    assert len(benchmark(load)) == 20
+    tracemalloc.start()
+    try:
+        clips = load()
+        benchmark.extra_info["resident_mb"] = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(clips) == 20
+    benchmark.extra_info["wav_files_mb"] = sum(
+        p.stat().st_size for p in tmp_path.rglob("*.wav")) / 2**20

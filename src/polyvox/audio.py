@@ -6,6 +6,13 @@ the pipeline's one frame geometry, read from here by every other module:
 44.1 kHz audio, a 2048-point Hann STFT every 441 samples (100 frames/s for
 mel, CQT, piano roll and YIN alike) and 80 mel bands from 40 Hz to 16 kHz.
 
+A WAV file is read in two steps with one decode rule. `read_wav` parses and
+checks the container and keeps the samples as the file stores them (int16
+PCM16 codes or float32 samples), and `decode_wav` turns those codes into a
+float64 `Waveform`. `load_wav` is the two in a row, and
+`read_pipeline_wav` / `load_pipeline_wav` add one resampling to
+`PIPELINE_SAMPLE_RATE` for a file at another rate.
+
 `stft`, `istft` and their overlap-add follow the one dtype rule of
 `tensor.as_data`: float32 input stays float32 (complex64 spectra), anything
 else is computed in float64. The mel, the envelope warp and the CQT pass
@@ -87,32 +94,44 @@ _WAVE_PCM = 1
 _WAVE_FLOAT = 3
 
 
-def load_wav(path) -> Waveform:
-    """Read a RIFF/WAVE file (PCM16 or float32, mono or stereo).
+@dataclass(frozen=True)
+class WavCodes:
+    """A WAV file's samples as the file stores them: int16 PCM16 codes or
+    float32 IEEE samples, interleaved when there are two channels, plus the
+    channel count and rate. `decode_wav` turns them into a `Waveform`. A
+    caller that resamples keeps the float64 result here with one channel."""
 
-    Stereo is downmixed by averaging the channels. PCM16 samples are scaled
-    by 1/32767 so full-scale positive code maps to exactly 1.0.
-    """
+    codes: np.ndarray
+    channels: int
+    sample_rate: int
+
+
+def read_wav(path) -> WavCodes:
+    """Read a RIFF/WAVE file (PCM16 or float32, mono or stereo) into its
+    sample codes, without decoding them. Every check of the file happens
+    here: a malformed container or an empty data chunk raises
+    `WavFormatError`, another codec or channel count `UnsupportedWavError`,
+    and a non-finite float sample `ContractError`. A trailing partial frame
+    is dropped."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
-    payload = None
+    payload = None  # (offset, size) of the data chunk's body
     pos = 12
     while pos + 8 <= len(data):
         cid = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
-        if len(body) < size:
+        if pos + 8 + size > len(data):
             raise WavFormatError(f"{path}: truncated {cid!r} chunk")
         if cid == b"fmt ":
             if size < 16:
                 raise WavFormatError(f"{path}: fmt chunk too short ({size} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = struct.unpack_from("<HHIIHH", data, pos + 8)
         elif cid == b"data":
-            payload = body
+            payload = (pos + 8, size)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None or payload is None:
@@ -121,19 +140,39 @@ def load_wav(path) -> Waveform:
     if channels not in (1, 2):
         raise UnsupportedWavError(f"{path}: {channels} channels unsupported (mono/stereo only)")
     if tag == _WAVE_PCM and bits == 16:
-        raw = np.frombuffer(payload[: len(payload) // 2 * 2], dtype="<i2")
-        samples = raw.astype(np.float64) / 32767.0
+        dtype = np.dtype("<i2")
     elif tag == _WAVE_FLOAT and bits == 32:
-        raw = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4")
-        samples = raw.astype(np.float64)
+        dtype = np.dtype("<f4")
     else:
         raise UnsupportedWavError(f"{path}: format tag {tag} / {bits}-bit unsupported")
 
-    if channels == 2:
-        samples = samples[: samples.size // 2 * 2].reshape(-1, 2).mean(axis=1)
-    if samples.size == 0:
+    offset, size = payload
+    frames = size // dtype.itemsize // channels
+    if frames == 0:
         raise WavFormatError(f"{path}: empty data chunk")
-    return Waveform(samples, int(rate))
+    # a read-only view of the file's bytes: the codes are not copied
+    codes = np.frombuffer(data, dtype, count=frames * channels, offset=offset)
+    if dtype.kind == "f" and not np.all(np.isfinite(codes)):
+        raise ContractError(f"{path}: waveform contains non-finite samples")
+    return WavCodes(codes, channels, int(rate))
+
+
+def decode_wav(w: WavCodes) -> Waveform:
+    """The one decode rule: PCM16 codes are scaled by 1/32767, so the
+    full-scale positive code maps to exactly 1.0, any other codes are taken
+    as float64, and stereo is downmixed by averaging the channels."""
+    samples = w.codes.astype(np.float64)
+    if w.codes.dtype.kind == "i":
+        samples /= 32767.0
+    if w.channels == 2:
+        samples = samples.reshape(-1, 2).mean(axis=1)
+    return Waveform(samples, w.sample_rate)
+
+
+def load_wav(path) -> Waveform:
+    """`decode_wav(read_wav(path))`: a RIFF/WAVE file (PCM16 or float32, mono
+    or stereo) as a float64 `Waveform`."""
+    return decode_wav(read_wav(path))
 
 
 def load_pipeline_wav(path) -> Waveform:
@@ -141,6 +180,18 @@ def load_pipeline_wav(path) -> Waveform:
     file is at another rate: how every pipeline stage reads a clip."""
     w = load_wav(path)
     return w if w.sample_rate == PIPELINE_SAMPLE_RATE else resample(w, PIPELINE_SAMPLE_RATE)
+
+
+def read_pipeline_wav(path) -> WavCodes:
+    """`load_pipeline_wav(path)` still encoded, for a caller that holds many
+    clips: `read_wav(path)` for a file at `PIPELINE_SAMPLE_RATE`, and for
+    one at another rate its resampled float64 samples as mono codes.
+    `decode_wav` of the result is `load_pipeline_wav(path)`, bit for bit."""
+    codes = read_wav(path)
+    if codes.sample_rate == PIPELINE_SAMPLE_RATE:
+        return codes
+    w = resample(decode_wav(codes), PIPELINE_SAMPLE_RATE)
+    return WavCodes(w.samples, 1, w.sample_rate)
 
 
 def save_wav(w: Waveform, path, fmt: str = "pcm16") -> None:
@@ -390,9 +441,12 @@ def _griffin_lim(target: np.ndarray, iters: int) -> np.ndarray:
         spec = stft(x)[:frames]
         mag = np.abs(spec)
         # S * target/|S| keeps the phase of S at the target magnitude; where
-        # |S| = 0 the phase is taken as 0, whatever the sign of the zero
-        silent = mag == 0
-        spec *= np.divide(target, mag, out=np.zeros_like(mag), where=~silent)
-        np.copyto(spec, target, where=silent)
+        # |S| = 0 the ratio is inf or nan, and the phase is taken as 0,
+        # whatever the sign of the zero, by writing the target there after
+        silent = np.flatnonzero(mag == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(target, mag, out=mag)
+            spec *= mag
+        spec.flat[silent] = target.flat[silent]
         x = istft(spec, n_samples, norm)
     return x

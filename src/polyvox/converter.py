@@ -304,6 +304,7 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     all_mels = np.concatenate([m.values for m in mels], axis=0)
     mel_mean = all_mels.mean(axis=0)
     mel_std = np.maximum(all_mels.std(axis=0), 1e-3)
+    del all_mels  # a second copy of every mel, dead from here on
 
     presets, labels = np.unique([c.preset for c in clips], return_inverse=True)
     stats = np.stack([timbre_stats(m) for m in mels])

@@ -95,17 +95,18 @@ class Linear:
         self.b = store.param(f"{name}.b", (d_out,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(T.cast(x, self.w.data.dtype), self.w) + self.b
+        return T.matmul(T.cast(x, self.w.data.dtype), self.w, self.b)
 
 
 class LayerNorm:
+    """`tensor.layer_norm` over the last axis. With `affine` it registers a
+    gain and a bias (initial ones and zeros) and applies them; without, it
+    has no parameters and returns the normalized input in the input's
+    dtype."""
+
     def __init__(self, store: ParamStore, name: str, dim: int, affine: bool = True):
-        # without affine parameters the gain and bias are exact float32 ones
-        # and zeros: they keep a float32 input float32 and a float64 one float64
-        self.gain = (store.param(f"{name}.g", (dim,), 1.0) if affine
-                     else Tensor(np.ones(dim, dtype=np.float32)))
-        self.bias = (store.param(f"{name}.b", (dim,), 0.0) if affine
-                     else Tensor(np.zeros(dim, dtype=np.float32)))
+        self.gain = store.param(f"{name}.g", (dim,), 1.0) if affine else None
+        self.bias = store.param(f"{name}.b", (dim,), 0.0) if affine else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias)

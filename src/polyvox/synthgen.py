@@ -10,8 +10,10 @@ so lead pitches map to CQT bins by construction (bin = MIDI - `ROLL_LOW`).
 one after another on the calling thread; each note's harmonics come from
 powers of one complex phasor, so a note costs one cos and one sin of its
 phase. `load_clips` is the one reader of the corpus, for both trainers and
-for evaluation. A malformed manifest line or a split with no clips raises
-`ContractError`.
+for evaluation. It holds each clip in its file's precision, int16 codes for
+the PCM16 files written here, and `Clip.wave` decodes them to float64 on
+each access by `audio`'s one decode rule. A malformed manifest line or a
+split with no clips raises `ContractError`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import PIPELINE_SAMPLE_RATE, Waveform, load_pipeline_wav, save_wav
+from .audio import (PIPELINE_SAMPLE_RATE, WavCodes, Waveform, decode_wav, read_pipeline_wav,
+                    save_wav)
 from .errors import ContractError
 from .midi import ROLL_LOW, ROLL_TOP, MidiNote, load_smf, write_smf
 
@@ -341,22 +344,35 @@ def load_manifest(manifest_path) -> list[dict]:
 
 @dataclass(frozen=True)
 class Clip:
-    """One manifest row, read: its 44.1 kHz waveform and its `.mid` sidecar's notes."""
+    """One manifest row, read: its WAV file's sample codes and its `.mid`
+    sidecar's notes. The codes stay in the file's precision, int16 for a
+    PCM16 file, so a corpus held in memory takes the size of its files;
+    a file at another rate is resampled once, when it is read, and kept as
+    float64."""
 
     id: str
     condition: str
     preset: str
-    wave: Waveform
+    codes: WavCodes
     notes: list[MidiNote]
+
+    @property
+    def wave(self) -> Waveform:
+        """The 44.1 kHz float64 waveform, decoded by `audio.decode_wav` on
+        every access and not cached: a caller that holds it holds the one
+        float64 copy."""
+        return decode_wav(self.codes)
 
 
 def load_clips(manifest_path, split: str) -> list[Clip]:
     """The clips of one split, in manifest order, with paths relative to the
-    manifest: each WAV read by `load_pipeline_wav`, its notes by `load_smf`.
-    A split with no clips raises `ContractError`."""
+    manifest: each WAV read by `audio.read_pipeline_wav` (every check of the
+    file fires here, not at first access), its notes by `load_smf`. `Clip.wave`
+    gives the samples `load_pipeline_wav` gives, bit for bit. A split with
+    no clips raises `ContractError`."""
     root = Path(manifest_path).parent
     rows = [row for row in load_manifest(manifest_path) if row["split"] == split]
     if not rows:
         raise ContractError(f"no {split} clips in manifest {manifest_path}")
-    return [Clip(row["id"], row["condition"], row["preset"], load_pipeline_wav(root / row["path"]),
+    return [Clip(row["id"], row["condition"], row["preset"], read_pipeline_wav(root / row["path"]),
                  load_smf((root / row["path"]).with_suffix(".mid"))) for row in rows]

@@ -22,9 +22,11 @@ a network whose parameters are constants runs without a tape.
 reverse, accumulating gradients exactly once per node; an interior node's
 gradient is freed as soon as its closure has consumed it, so only the
 leaves keep a `.grad` afterwards. The primitive set is only what
-transformer-style networks need; `attention` is softmax(scale·q kᵀ) v as
-one primitive, so that a call holds one (…, T, T) array instead of the
-scores and the weights apart.
+transformer-style networks need, and each keeps the tape small:
+`attention` is softmax(scale·q kᵀ) v as one primitive, so that a call
+holds one (…, T, T) array instead of the scores and the weights apart;
+`matmul` adds a linear layer's bias in place, in its own node; and
+`layer_norm` without a gain and bias records x̂ alone.
 """
 
 from __future__ import annotations
@@ -193,20 +195,42 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ContractError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast. A
+    `bias` is added to the product in place, inside this node, so a linear
+    layer records one array on the tape rather than the product and its
+    sum; it broadcasts against the product and may not widen its shape.
+    The backward forms a product's gradient only for an operand that needs
+    one: a constant input costs no g @ bᵀ."""
     try:
-        out_data = a.data @ b.data
+        if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+            raise ValueError("inner axes differ")
+        out_data = a.data @ b.data  # raises on leading axes that do not broadcast
+        parents = (a, b)
+        if bias is not None:
+            # in place, unless the bias widens the product's dtype (float64
+            # onto float32); `out=` raises if it would widen the shape
+            dtype = np.result_type(out_data, bias.data)
+            out = out_data if dtype == out_data.dtype else np.empty(out_data.shape, dtype)
+            out_data = np.add(out_data, bias.data, out=out)
+            parents = (a, b, bias)
     except ValueError as exc:
-        raise ContractError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
+        tail = "" if bias is None else f" + {bias.shape}"
+        raise ContractError(f"matmul shape mismatch: {a.shape} @ {b.shape}{tail}") from exc
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g @ _swap(b.data), a.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(_swap(a.data) @ g, b.shape))
+        if bias is not None:
+            _accumulate(bias, _unbroadcast(g, bias.shape))
 
-    return _node(out_data, (a, b), bwd)
+    return _node(out_data, parents, bwd)
 
 
 def cast(a: Tensor, dtype) -> Tensor:
@@ -275,10 +299,6 @@ def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
     return _node(y, (a,), bwd)
 
 
-def _swap(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """softmax(scale * q kᵀ) v over the last two axes, for q (…, T, d),
     k (…, S, d) and v (…, S, e); leading axes broadcast. `q` is scaled
@@ -318,25 +338,36 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     return _node(out_data, (q, k, v), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis with learnable gain and bias."""
+def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Normalization over the last axis, x̂ = (x - mean) / sqrt(var + eps),
+    then x̂ · gain + bias when the learnable pair is given. Without them
+    the result is x̂ itself, and the backward forms no gain or bias sums:
+    an affine-free norm records one array on the tape. Pass both or
+    neither."""
+    if (gain is None) != (bias is None):
+        raise ContractError("layer_norm takes a gain and a bias together, or neither")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out_data = xhat * gain.data + bias.data
+    if gain is None:
+        out_data, parents = xhat, (x,)
+    else:
+        out_data, parents = xhat * gain.data + bias.data, (x, gain, bias)
 
     def bwd(g):
-        gg = g * gain.data
+        gg = g if gain is None else g * gain.data
         m1 = gg.mean(axis=-1, keepdims=True)
         m2 = (gg * xhat).mean(axis=-1, keepdims=True)
         _accumulate(x, (gg - m1 - xhat * m2) * inv)
-        axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=axes))
-        _accumulate(bias, g.sum(axis=axes))
+        if gain is not None:
+            axes = tuple(range(g.ndim - 1))
+            _accumulate(gain, (g * xhat).sum(axis=axes))
+            _accumulate(bias, g.sum(axis=axes))
 
-    return _node(out_data, (x, gain, bias), bwd)
+    return _node(out_data, parents, bwd)
 
 
 def _horner(t: np.ndarray, coeffs: tuple) -> np.ndarray:

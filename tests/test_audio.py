@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvox.audio import (FFT_SIZE, FRAME_RATE, HOP, LOG_FLOOR, N_MELS, MelSpectrogram,
-                           Waveform, _griffin_lim, _overlap_add, griffin_lim, istft, load_wav,
+                           Waveform, _griffin_lim, _istft_norm, _overlap_add, griffin_lim, istft,
+                           load_wav,
                            mel_filterbank, mel_spectrogram, mel_to_linear, resample, save_wav,
                            stft)
 from polyvox.errors import ContractError, UnsupportedWavError, WavFormatError
@@ -40,6 +41,26 @@ def griffin_lim_by_angle(m: MelSpectrogram, iters: int) -> np.ndarray:
         phase = np.angle(stft(x)[: m.frames])
         x = istft(target * np.exp(1j * phase), n_samples)
     return x
+
+
+def griffin_lim_masked(target: np.ndarray, iters: int) -> tuple[np.ndarray, int]:
+    """Reference `_griffin_lim` with the masked magnitude update: a ratio of
+    0 where |S| = 0, then the target copied there. Also returns how many
+    spectrum bins took that branch."""
+    frames = target.shape[0]
+    n_samples = frames * HOP
+    norm = _istft_norm(frames, n_samples).astype(target.dtype)
+    x = istft(target.astype(np.result_type(target.dtype, np.complex64)), n_samples, norm)
+    silent_bins = 0
+    for _ in range(iters - 1):
+        spec = stft(x)[:frames]
+        mag = np.abs(spec)
+        silent = mag == 0
+        silent_bins += int(silent.sum())
+        spec *= np.divide(target, mag, out=np.zeros_like(mag), where=~silent)
+        np.copyto(spec, target, where=silent)
+        x = istft(spec, n_samples, norm)
+    return x, silent_bins
 
 
 def stft_by_numpy(x: np.ndarray) -> np.ndarray:
@@ -307,6 +328,19 @@ class TestGriffinLim:
         out = _griffin_lim(mel_to_linear(m), 8)
         assert out.dtype == np.float64
         assert np.max(np.abs(out - griffin_lim_by_angle(m, 8))) <= 1e-9
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_update_matches_the_masked_form(self, dtype):
+        """16 frames at a mel of -1000 have a target of exactly 0, so the
+        middle of that run has |S| = 0 in every bin."""
+        values = two_tone_mel().values.copy()
+        values[12:28] = -1000.0
+        target = mel_to_linear(MelSpectrogram(values)).astype(dtype)
+        reference, silent_bins = griffin_lim_masked(target, 6)
+        assert silent_bins > 0
+        out = _griffin_lim(target, 6)
+        assert out.dtype == dtype
+        assert np.array_equal(out, reference)
 
     @pytest.fixture(scope="class")
     def harmony_mel(self, tiny_corpus):

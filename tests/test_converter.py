@@ -6,12 +6,14 @@ import io
 import json
 import pkgutil
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import polyvox
+from polyvox import audio as audio_module
 from polyvox import cli
 from polyvox import converter as converter_module
 from polyvox import optim as optim_module
@@ -31,7 +33,7 @@ from polyvox.nn import ParamStore, xavier_uniform
 from polyvox.optim import config_hash, load_checkpoint
 from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, PitchTrainConfig,
                            train_pitch_extractor)
-from polyvox.synthgen import SynthConfig, gen_dataset, load_manifest
+from polyvox.synthgen import SynthConfig, gen_dataset, load_clips, load_manifest
 
 TINY_ENCODER = PitchEncoderConfig(model_dim=16, n_layers=1, n_heads=4, window_frames=40)
 TINY_CONVERTER = dict(width=32, n_layers=1, n_heads=4, window_frames=60, batch=2,
@@ -317,6 +319,30 @@ class TestTrainingMemory:
             monkeypatch.setattr(module, "_fit", tracking_fit)
             train(STEPS)
             assert alive_at_start == [0] * STEPS, module.__name__
+
+    def test_fit_holds_no_whole_clip_beside_the_window(self, tiny_runs, tmp_path, monkeypatch):
+        """While `_fit` prepares a window, the decoded clip that window is
+        cut from is the one float64 array the size of a whole train clip
+        that `audio` allocated and that is alive: the corpus itself stays
+        in its int16 codes."""
+        manifest, (files, _), _ = tiny_runs
+        clip_bytes = 8 * min(c.wave.samples.size for c in load_clips(manifest, "train"))
+        only_audio = [tracemalloc.Filter(True, audio_module.__file__)]
+        whole_clips = []
+
+        def counting(w, *args):
+            traces = tracemalloc.take_snapshot().filter_traces(only_audio).traces
+            whole_clips.append(sum(t.size >= clip_bytes for t in traces))
+            return features_module.window_content(w, *args)
+
+        monkeypatch.setattr(converter_module, "window_content", counting)
+        tracemalloc.start()
+        try:
+            train_converter(manifest, ConverterConfig(**TINY_CONVERTER), STEPS,
+                            files["pitch.pvck"], tmp_path / "s")
+        finally:
+            tracemalloc.stop()
+        assert whole_clips == [1] * (STEPS * TINY_CONVERTER["batch"])
 
 
 class TestConvert:

@@ -10,7 +10,7 @@ from scipy.special import erf
 
 from polyvox import tensor as T
 from polyvox.errors import ContractError
-from polyvox.nn import LayerNorm, ParamStore, xavier_uniform
+from polyvox.nn import LayerNorm, Linear, ParamStore, xavier_uniform
 from polyvox.optim import AdamW, AdamWConfig, config_hash, load_checkpoint, save_checkpoint
 from polyvox.tensor import Tensor, backward
 
@@ -297,6 +297,106 @@ class TestGradientCorrectness:
             return T.mean((a + b) * b)
 
         finite_difference_check(loss, [a, b])
+
+
+class _ProductSpy(np.ndarray):
+    """An array that logs every matrix product it takes part in."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _ProductSpy.log.append(ufunc)
+        plain = [x.view(np.ndarray) if isinstance(x, _ProductSpy) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestFusedBiasAndPlainNorm:
+    """`matmul` takes a linear layer's bias into its own node, and a norm
+    without gain and bias returns x̂ itself."""
+
+    def test_matmul_bias_broadcast_over_a_batch_matches_finite_differences(self):
+        rng = np.random.default_rng(31)
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(5,)), requires_grad=True)
+        r = Tensor(rng.normal(size=(2, 3, 5)))
+
+        def loss():
+            T.zero_grads([a, w, bias])
+            return T.sum_(T.gelu(T.matmul(a, w, bias)) * r)
+
+        finite_difference_check(loss, [a, w, bias])
+
+    def test_plain_layer_norm_matches_finite_differences(self):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        r = Tensor(rng.normal(size=(2, 3, 6)))
+
+        def loss():
+            T.zero_grads([x])
+            return T.sum_(T.layer_norm(x) * r)
+
+        finite_difference_check(loss, [x])
+
+    def test_matmul_bias_is_the_sum_in_one_node(self):
+        rng = np.random.default_rng(33)
+        for dtype in (np.float32, np.float64):
+            a = Tensor(rng.normal(size=(3, 4)).astype(dtype))
+            w = Tensor(rng.normal(size=(4, 5)).astype(dtype), requires_grad=True)
+            bias = Tensor(rng.normal(size=(5,)).astype(dtype), requires_grad=True)
+            out = T.matmul(a, w, bias)
+            assert out.data.dtype == dtype
+            assert out._parents == (a, w, bias)
+            assert np.array_equal(out.data, a.data @ w.data + bias.data)
+            grads = backward(T.sum_(out * 2.0))
+            assert np.array_equal(grads[bias], np.full(5, 6.0, dtype))
+        widening = T.matmul(Tensor(np.ones((2, 3), np.float32)), Tensor(np.ones((3, 2), np.float32)),
+                            Tensor(np.full(2, 0.1)))
+        assert widening.data.dtype == np.float64 and np.all(widening.data == 3.1)
+        with pytest.raises(ContractError, match=r"\(2, 3\) @ \(3, 2\) \+ \(4, 2, 2\)"):
+            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2, 2))))
+
+    @pytest.mark.parametrize("a_needs_grad", [False, True])
+    def test_constant_input_gets_no_gradient_product(self, a_needs_grad):
+        """In the backward w's data takes part in one product, a's gradient
+        g @ wᵀ (w's own is aᵀ @ g), which runs only when `a` needs it."""
+        rng = np.random.default_rng(34)
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=a_needs_grad)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        w.data = w.data.view(_ProductSpy)
+        loss = T.sum_(T.matmul(a, w, Tensor(np.zeros(5))))
+        _ProductSpy.log.clear()
+        grads = backward(loss)
+        assert len(_ProductSpy.log) == int(a_needs_grad)
+        assert grads[w].shape == (4, 5) and (a in grads) == a_needs_grad
+
+    def test_linear_records_one_node(self):
+        rng = np.random.default_rng(35)
+        store = ParamStore(rng)
+        lin = Linear(store, "lin", 4, 3)
+        x = Tensor(rng.normal(size=(5, 4)).astype(np.float32))
+        out = lin(x)
+        assert out._parents == (x, lin.w, lin.b)
+        assert np.array_equal(out.data, x.data @ lin.w.data + lin.b.data)
+
+    def test_plain_layer_norm_returns_xhat_with_no_parameters(self):
+        rng = np.random.default_rng(36)
+        store = ParamStore(rng)
+        plain = LayerNorm(store, "ln", 6, affine=False)
+        assert store.params == {}
+        for dtype in (np.float32, np.float64):
+            x = Tensor(rng.normal(size=(3, 6)).astype(dtype), requires_grad=True)
+            out = plain(x)
+            assert out.data.dtype == dtype and out._parents == (x,)
+            affine = T.layer_norm(x, Tensor(np.ones(6, dtype)), Tensor(np.zeros(6, dtype)))
+            assert np.array_equal(out.data, affine.data)
+            r = rng.normal(size=(3, 6)).astype(dtype)
+            g_plain = backward(T.sum_(out * Tensor(r)))[x].copy()
+            T.zero_grads([x])
+            assert np.array_equal(g_plain, backward(T.sum_(affine * Tensor(r)))[x])
+        with pytest.raises(ContractError, match="together"):
+            T.layer_norm(x, gain=Tensor(np.ones(6)))
 
 
 class TestAttention:
