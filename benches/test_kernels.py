@@ -8,11 +8,9 @@ Griffin-Lim iterations over 600 frames (`test_griffin_lim` times the
 public `griffin_lim`, whose loop runs in float32), a 5.5 s source resampled
 from 48 to 44.1 kHz, and the STFT, inverse STFT (each in float32, as
 Griffin-Lim runs them, and in float64, as the mel and the training
-features do), mel spectrogram, CQT and whole-clip timbre warp of that 5.5 s
-source at 44.1 kHz. The converter's training data
-is timed as it is prepared: the content of one 200-frame window of the
-source, with only the window and its context warped. The train steps are the
-smoke recipe's, with forward and backward timed apart: the converter's
+features do), mel spectrogram and CQT of that 5.5 s source at 44.1 kHz.
+The train steps are the smoke recipe's, with forward and backward timed
+apart: the converter's
 (`cfm_loss`, batch 2 x 200 frames, w128 x 4) in float32 and in float64, and
 the pitch extractor's (two d64 x 2 encoders and the masked L1 loss, batch
 3 x 160 frames) as `train_pitch_extractor` runs it, in the dtype of new
@@ -38,11 +36,11 @@ import numpy as np
 import pytest
 
 from polyvox import tensor as T
-from polyvox.audio import (FFT_SIZE, HOP, MelSpectrogram, Waveform, griffin_lim, istft,
+from polyvox.audio import (FFT_SIZE, HOP, N_MELS, MelSpectrogram, Waveform, griffin_lim, istft,
                            mel_spectrogram, resample, stft)
 from polyvox.converter import ConverterConfig, VelocityNet, cfm_loss
 from polyvox.cqt import compute_cqt
-from polyvox.features import N_CONTENT, timbre_shift_augment, window_content
+from polyvox.features import N_CONTENT, TIMBRE_DIM
 from polyvox.midi import ROLL_PITCHES
 from polyvox.nn import MultiHeadAttention, ParamStore
 from polyvox.optim import _fit
@@ -52,10 +50,11 @@ from polyvox.synthgen import (DEFAULT_PRESETS, SynthConfig, gen_dataset, load_cl
 
 FRAMES = 740
 WIDTH, LAYERS, HEADS = 128, 4, 4
-COND_DIM = 377  # N_CONTENT + pitch model_dim 64 + TIMBRE_DIM + 80 mel bands + 1
 SOURCE = Waveform(np.random.default_rng(4).uniform(-0.5, 0.5, int(5.5 * 44100)), 44100)
 TRAIN_BATCH, TRAIN_FRAMES = 2, 200
 PITCH_ENCODER = PitchEncoderConfig(model_dim=64, n_layers=2, n_heads=4, window_frames=160)
+# the fused condition: content, z_p, timbre, the reference mel and its visibility
+COND_DIM = N_CONTENT + PITCH_ENCODER.model_dim + TIMBRE_DIM + N_MELS + 1
 PITCH_BATCH = 3
 DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 
@@ -164,19 +163,6 @@ def test_mel_spectrogram(benchmark):
 def test_compute_cqt(benchmark):
     mat = benchmark.pedantic(compute_cqt, args=(SOURCE,), rounds=5, warmup_rounds=1)
     assert np.all(np.isfinite(mat.magnitudes))
-
-
-def test_timbre_shift_augment(benchmark):
-    out = benchmark(lambda: timbre_shift_augment(SOURCE, np.random.default_rng(7)))
-    assert out.samples.size == SOURCE.samples.size
-
-
-def test_window_content(benchmark):
-    """One batch item's content stream in a converter train step, for a
-    window inside the clip."""
-    content = benchmark(lambda: window_content(SOURCE, 173, TRAIN_FRAMES,
-                                               np.random.default_rng(7)))
-    assert content.shape == (TRAIN_FRAMES, N_CONTENT)
 
 
 def _train_step_inputs(dtype):

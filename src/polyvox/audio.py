@@ -15,8 +15,8 @@ float64 `Waveform`. `load_wav` is the two in a row, and
 
 `stft`, `istft` and their overlap-add follow the one dtype rule of
 `tensor.as_data`: float32 input stays float32 (complex64 spectra), anything
-else is computed in float64. The mel, the envelope warp and the CQT pass
-float64; Griffin-Lim rounds its target to float32 and iterates in float32.
+else is computed in float64. The mel and the CQT pass float64; Griffin-Lim
+rounds its target to float32 and iterates in float32.
 """
 
 from __future__ import annotations

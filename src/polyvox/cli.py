@@ -151,7 +151,8 @@ def cmd_convert(args) -> dict:
                               hop=HOP, sample_rate=PIPELINE_SAMPLE_RATE, bins_per_octave=0)
         summary["mel_out"] = str(args.mel_out)
     if args.transpose:
-        summary["measured_shift_bins"] = (_mean_profile_argmax(compute_cqt(conversion.wave))
+        written = compute_cqt(load_pipeline_wav(out))  # the file's shift, PCM16 clipping included
+        summary["measured_shift_bins"] = (_mean_profile_argmax(written)
                                           - _mean_profile_argmax(conversion.source_cqt))
     summary.update(_timings(start, src.duration))
     return summary

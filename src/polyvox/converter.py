@@ -8,6 +8,12 @@ the target mel is hidden from the conditioning channel and becomes the
 prediction region; at inference the reference clip's mel is prepended as a
 visible prompt and stripped from the output. The pitch path runs through the
 frozen CQT encoder and is never updated here.
+
+Every stream is computed once per clip, in training as at inference: the
+mel, the content (`features.extract_content`, loudness and onset) and the
+CQT embedding z_p. With statistics of the training corpus that the
+checkpoint stores, the mel is standardised per band and z_p is whitened, and
+a training step only cuts windows out of the per-clip arrays.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from .audio import (N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, grif
                     mel_spectrogram)
 from .cqt import CqtMatrix, compute_cqt
 from .errors import ContractError
-from .features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content, timbre_stats,
-                       train_timbre_space, window_content)
+from .features import (N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace, extract_content,
+                       timbre_stats, train_timbre_space)
 from .nn import (FF_MULT, LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
-                 sinusoidal_positions, timestep_embedding)
+                 _checkpoint_array, sinusoidal_positions, timestep_embedding)
 from .optim import _fit, header_config, load_checkpoint, save_checkpoint
 from .pitch import PitchEncoderConfig, PitchExtractor, cqt_input
 from .synthgen import load_clips
@@ -188,33 +194,31 @@ class ConverterConfig:
 
 
 class ConverterModel:
-    """Trained converter state: velocity net, identity-initialised content
-    and pitch projections, timbre space, corpus mel statistics, and the
-    frozen pitch encoder. With `trainable=False` the parameters are
-    constants and inference records no autograd tape.
+    """Trained converter state: velocity net, timbre space, corpus mel
+    statistics and z_p whitening, and the frozen pitch encoder. With `trainable=False` the
+    parameters are constants and inference records no autograd tape.
 
     Parameters are float32, new or loaded (`load` passes a checkpoint's
     float32 `arrays`, which the store takes with no random draw), and every
     network runs in them (`nn`), as does the ODE state of `ode_sample`. The
-    mel statistics and the timbre space are float64 numpy."""
+    statistics and the timbre space are numpy: float64 when trained, float32
+    when loaded."""
 
     def __init__(self, cfg: ConverterConfig, pitch: PitchExtractor, timbre: TimbreSpace,
-                 mel_mean: np.ndarray, mel_std: np.ndarray, seed: int = 0,
-                 trainable: bool = True, arrays: dict[str, np.ndarray] | None = None):
+                 mel_mean: np.ndarray, mel_std: np.ndarray, z_p_mean: np.ndarray,
+                 z_p_whiten: np.ndarray, seed: int = 0, trainable: bool = True,
+                 arrays: dict[str, np.ndarray] | None = None):
         self.cfg = cfg
         self.pitch = pitch
         self.timbre = timbre
         self.mel_mean = mel_mean
         self.mel_std = mel_std
+        self.z_p_mean = z_p_mean
+        self.z_p_whiten = z_p_whiten
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xD17))))
         self.store = ParamStore(rng, trainable=trainable, arrays=arrays)
-        self.pitch_dim = pitch.cfg.model_dim
-        cond_dim = N_CONTENT + self.pitch_dim + TIMBRE_DIM + N_MELS + 1
+        cond_dim = N_CONTENT + pitch.cfg.model_dim + TIMBRE_DIM + N_MELS + 1
         self.net = VelocityNet(self.store, cond_dim, cfg.width, cfg.n_layers, cfg.n_heads)
-        self.reg_content = Linear(self.store, "reg_content", N_CONTENT, N_CONTENT,
-                                  identity_init=True)
-        self.reg_pitch = Linear(self.store, "reg_pitch", self.pitch_dim, self.pitch_dim,
-                                identity_init=True)
 
     def standardize(self, mel_values: np.ndarray) -> np.ndarray:
         return (mel_values - self.mel_mean) / self.mel_std
@@ -223,25 +227,24 @@ class ConverterModel:
         return values * self.mel_std + self.mel_mean
 
     def fuse(self, content: np.ndarray, z_pitch: np.ndarray, z_timbre: np.ndarray,
-             x_ref: np.ndarray, visible: np.ndarray) -> Tensor:
-        """Project the per-frame content and pitch streams and concatenate
-        them with the timbre vector broadcast over frames, the (partially
-        hidden) reference mel channel, and its visibility indicator.
-        Streams are (..., frames, dim) with one timbre vector per leading
-        item. Mel and CQT share the pipeline's hop, `audio.HOP`, so content
-        and pitch must arrive with equal frame counts. The three unprojected
-        streams are rounded to the projections' dtype."""
+             x_ref: np.ndarray, visible: np.ndarray) -> np.ndarray:
+        """Whiten the pitch stream with the corpus z_p statistics and
+        concatenate it after the content, then the timbre vector broadcast
+        over frames, the (partially hidden) reference mel channel, and its
+        visibility indicator, in the net's dtype. Streams are (..., frames,
+        dim) with one timbre vector per leading item. Mel and CQT share the
+        pipeline's hop, `audio.HOP`, so content and pitch must arrive with
+        equal frame counts."""
         if np.shape(content)[:-1] != np.shape(z_pitch)[:-1]:
             raise ContractError(f"content and pitch frames differ: {np.shape(content)} vs "
                                 f"{np.shape(z_pitch)}")
-        zc = self.reg_content(Tensor(content))
-        zp = self.reg_pitch(Tensor(z_pitch))
+        z_p = (z_pitch - self.z_p_mean) @ self.z_p_whiten
         # unit-norm timbre vectors have ~1/sqrt(dim) elements; rescale so all
         # conditioning channels enter the input projection at similar variance
         zt = np.asarray(z_timbre) * math.sqrt(TIMBRE_DIM)
-        zt_full = np.broadcast_to(zt[..., None, :], zc.shape[:-1] + zt.shape[-1:])
-        rest = [Tensor(np.asarray(s, dtype=zc.data.dtype)) for s in (zt_full, x_ref, visible)]
-        return T.concat([zc, zp, *rest], axis=-1)
+        zt_full = np.broadcast_to(zt[..., None, :], z_p.shape[:-1] + zt.shape[-1:])
+        return np.concatenate([content, z_p, zt_full, x_ref, visible], axis=-1,
+                              dtype=self.net.dtype)
 
     def save(self, path, step: int) -> None:
         arrays = dict(self.store.arrays())
@@ -252,6 +255,8 @@ class ConverterModel:
         arrays["timbre.scale"] = self.timbre.scale
         arrays["mel.mean"] = self.mel_mean
         arrays["mel.std"] = self.mel_std
+        arrays["z_p.mean"] = self.z_p_mean
+        arrays["z_p.whiten"] = self.z_p_whiten
         config = {
             "converter": asdict(self.cfg),
             "pitch_encoder": asdict(self.pitch.cfg),
@@ -266,15 +271,36 @@ class ConverterModel:
                         if k.startswith("pitch.")}
         pitch = PitchExtractor(header_config(path, header, "pitch_encoder", PitchEncoderConfig),
                                trainable=False, arrays=pitch_arrays)
-        timbre = TimbreSpace(arrays["timbre.weight"], arrays["timbre.mean"],
-                             arrays["timbre.scale"])
-        return cls(cfg, pitch, timbre, arrays["mel.mean"], arrays["mel.std"], trainable=False,
-                   arrays=arrays)
+        dim = pitch.cfg.model_dim
+        shapes = {"timbre.weight": (TIMBRE_BANDS, TIMBRE_DIM), "timbre.mean": (TIMBRE_BANDS,),
+                  "timbre.scale": (TIMBRE_BANDS,), "mel.mean": (N_MELS,), "mel.std": (N_MELS,),
+                  "z_p.mean": (dim,), "z_p.whiten": (dim, dim)}
+        a = {key: _checkpoint_array(arrays, key, shape) for key, shape in shapes.items()}
+        timbre = TimbreSpace(a["timbre.weight"], a["timbre.mean"], a["timbre.scale"])
+        return cls(cfg, pitch, timbre, a["mel.mean"], a["mel.std"], a["z_p.mean"],
+                   a["z_p.whiten"], trainable=False, arrays=arrays)
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+
+# Whitening raises every eigendirection of the z_p covariance weaker than
+# this fraction of the strongest to it, so that none gains more than
+# 1000 ** 0.5, about 32, times the strongest one's gain.
+_WHITEN_FLOOR = 1e-3
+
+
+def _whitening(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean of the rows of `z` and the symmetric (ZCA) whitening matrix
+    W of their covariance: (z - mean) @ W has identity covariance, except
+    along eigendirections weaker than `_WHITEN_FLOOR` times the strongest,
+    which are scaled as if they had that variance."""
+    mean = z.mean(axis=0)
+    centred = z - mean
+    lam, vec = np.linalg.eigh(centred.T @ centred / len(centred))
+    lam = np.maximum(lam, _WHITEN_FLOOR * lam.max())
+    return mean, (vec / np.sqrt(lam)) @ vec.T
 
 
 def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
@@ -283,13 +309,13 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     """Flow-matching training over masked windows of the train split, read
     with `synthgen.load_clips`.
 
-    Per step and batch item: crop a window, hide a random 30-70% span of
-    the target mel from the conditioning, rebuild content features from
-    envelope-warped audio, embed pitch with the frozen CQT encoder and
-    timbre from an unwarped window, then regress the path velocity on the
-    hidden span. The warp covers the window plus `features.WARP_CONTEXT`
-    samples on each side, not the clip (`features.window_content`), and the
-    content is normalised over the window. Writes a (step, lr, loss) CSV
+    Before the first step, each clip's mel, content and z_p (the frozen CQT
+    encoder's embedding) are computed once, as `convert` computes them, and
+    the corpus mel statistics and z_p whitening are taken from them. Per step and
+    batch item: cut a window out of those arrays, hide a random 30-70% span
+    of the target mel from the conditioning, embed timbre from a 1.2 s
+    window of the clip's mel, then regress the path velocity on the hidden
+    span. A step does no signal processing. Writes a (step, lr, loss) CSV
     next to the checkpoint.
     """
     steps = cfg.steps if steps is None else steps
@@ -300,32 +326,34 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     pitch = PitchExtractor.load(pitch_ckpt)
     mels = [mel_spectrogram(c.wave) for c in clips]
     z_ps = [pitch.encode_cqt(cqt_input(compute_cqt(c.wave))).data for c in clips]
+    contents = [extract_content(m) for m in mels]
+    presets, labels = np.unique([c.preset for c in clips], return_inverse=True)
+    del clips  # a step reads only the per-clip arrays
 
     all_mels = np.concatenate([m.values for m in mels], axis=0)
     mel_mean = all_mels.mean(axis=0)
     mel_std = np.maximum(all_mels.std(axis=0), 1e-3)
     del all_mels  # a second copy of every mel, dead from here on
+    z_p_mean, z_p_whiten = _whitening(np.concatenate(z_ps, axis=0, dtype=np.float64))
 
-    presets, labels = np.unique([c.preset for c in clips], return_inverse=True)
     stats = np.stack([timbre_stats(m) for m in mels])
     timbre = train_timbre_space(stats, labels, n_classes=len(presets))
 
-    model = ConverterModel(cfg, pitch, timbre, mel_mean, mel_std, seed=seed)
+    model = ConverterModel(cfg, pitch, timbre, mel_mean, mel_std, z_p_mean, z_p_whiten,
+                           seed=seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xCF4))))
 
     # one window length for the whole run so batch items stack
     win = min(cfg.window_frames, min(m.frames for m in mels))
 
     def batch_loss() -> Tensor:
-        x1s, contents, zps, zts, xrefs, visibles, hiddens = [], [], [], [], [], [], []
+        x1s, windows, zps, zts, xrefs, visibles, hiddens = [], [], [], [], [], [], []
         for _ in range(cfg.batch):
-            i = int(rng.integers(len(clips)))
+            i = int(rng.integers(len(mels)))
             mel = mels[i]
             n_f = mel.frames
             start = int(rng.integers(0, n_f - win + 1))
             x1 = model.standardize(mel.values[start : start + win])
-
-            content = window_content(clips[i].wave, start, win, rng)
 
             t_win = min(120, n_f)
             t_start = int(rng.integers(0, n_f - t_win + 1))
@@ -338,14 +366,14 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
             hidden[span_start : span_start + span] = 1.0
 
             x1s.append(x1)
-            contents.append(content)
+            windows.append(contents[i][start : start + win])
             zps.append(z_ps[i][start : start + win])
             zts.append(z_t)
             xrefs.append(x1 * (1.0 - hidden))
             visibles.append(1.0 - hidden)
             hiddens.append(hidden)
         x1, content, z_p, z_t, x_ref, visible, hidden = (
-            np.stack(items) for items in (x1s, contents, zps, zts, xrefs, visibles, hiddens))
+            np.stack(items) for items in (x1s, windows, zps, zts, xrefs, visibles, hiddens))
         cond = model.fuse(content, z_p, z_t, x_ref, visible)
         return cfm_loss(model.net, x1, cond, rng, loss_mask=hidden)
 

@@ -1,25 +1,21 @@
-"""Deterministic stand-ins for the pretrained content and timbre encoders,
-plus the pitch-preserving spectral-envelope warp used to reduce timbre
-leakage into the content features during converter training.
+"""Deterministic stand-ins for the pretrained content and timbre encoders.
 
-Content: low-order mel cepstra (energy coefficient dropped, normalized over
-a clip or a training window). Timbre: a pitch-independent spectral envelope
-through a linear discriminant projection fitted in closed form on singer
-labels, then frozen.
+Content: the clip's loudness and its onsets, which carry little of the sung
+pitch or of the singer. Timbre: a pitch-independent spectral envelope through
+a linear discriminant projection fitted in closed form on singer labels,
+then frozen.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import (FFT_SIZE, FRAME_RATE, HOP, N_MELS, MelSpectrogram, Waveform, istft,
-                    mel_spectrogram, stft)
+from .audio import FRAME_RATE, N_MELS, MelSpectrogram
 from .errors import ContractError
 
-N_CONTENT = 20
+N_CONTENT = 2
 CONTENT_FLOOR = 1e-6  # content floor relative to the clip's loudest mel cell
 TIMBRE_DIM = 192
 TIMBRE_BANDS = 48  # mel bands 0..47, centres 69 Hz .. 3.99 kHz: the formant region
@@ -36,26 +32,26 @@ def _dct_rows(n_out: int, n_in: int) -> np.ndarray:
 
 
 def extract_content(m: MelSpectrogram) -> np.ndarray:
-    """Per-frame cepstral content features, (frames, 20), normalized over the
-    frames given: the whole clip at inference, one window in training
-    (`window_content`).
+    """Per-frame content of a whole clip, (frames, 2): loudness, centred over
+    the frames given, and onset.
 
     Cells are first floored at `CONTENT_FLOOR` times the loudest mel cell
     given. A gain change scales every cell by one factor, and a floor relative
     to the frames follows it, where the absolute `LOG_FLOOR` of the mel does
-    not (a band clamped there stays put while the rest shift). So the features
-    do not move with gain while the frames peak more than 1/CONTENT_FLOOR
-    above `LOG_FLOOR`. Dropping the zeroth coefficient removes gain;
-    mean/variance normalization removes the static (timbre-carrying)
-    envelope offset.
+    not (a band clamped there stays put while the rest shift). Loudness is the
+    log of the summed exponentiated cells, so a gain change adds one constant
+    to it, which the centring removes; onset is loudness's rise from the frame
+    before (0 at frame 0 and wherever it falls). Neither moves with gain while
+    the frames peak more than 1/CONTENT_FLOOR above `LOG_FLOOR`. Loudness is
+    centred, not divided by its spread: on legato singing it barely moves,
+    and a division would blow each singer's small ripple up to unit size.
     """
     if m.bands != N_MELS:
         raise ContractError(f"content extraction expects {N_MELS} mel bands, got {m.bands}")
     values = np.maximum(m.values, m.values.max() + np.log(CONTENT_FLOOR))
-    cep = values @ _dct_rows(N_CONTENT, m.bands).T
-    mu = cep.mean(axis=0, keepdims=True)
-    sd = cep.std(axis=0, keepdims=True)
-    return (cep - mu) / np.maximum(sd, 1e-6)
+    loudness = np.log(np.exp(values).sum(axis=1))
+    onset = np.maximum(np.diff(loudness, prepend=loudness[0]), 0.0)
+    return np.stack([loudness - loudness.mean(), onset], axis=1)
 
 
 def timbre_stats(m: MelSpectrogram) -> np.ndarray:
@@ -161,89 +157,3 @@ def train_timbre_space(stats: np.ndarray, labels: np.ndarray, n_classes: int) ->
     lead = vecs[:, ::-1][:, :rank]
     spread = _dct_rows(rank, TIMBRE_DIM) * np.sqrt(2.0 / TIMBRE_DIM)
     return TimbreSpace(weight=lead @ spread, mean=mu, scale=scale)
-
-
-# ---------------------------------------------------------------------------
-# Timbre-shift augmentation
-# ---------------------------------------------------------------------------
-
-_LIFTER_BINS = 32
-_WARP_BREAKPOINTS = np.array([0.25, 0.5, 0.75])
-WARP_LIMIT = 0.12
-
-
-def _envelope(log_mag: np.ndarray) -> np.ndarray:
-    """Smooth per-frame spectral envelope by cepstral liftering along the
-    frequency axis (keep the lowest quefrencies)."""
-    n_freq = log_mag.shape[1]
-    cep = np.fft.irfft(log_mag, n=2 * (n_freq - 1), axis=1)
-    lift = np.zeros_like(cep)
-    lift[:, :_LIFTER_BINS] = cep[:, :_LIFTER_BINS]
-    lift[:, -_LIFTER_BINS + 1 :] = cep[:, -_LIFTER_BINS + 1 :]
-    smooth = np.fft.rfft(lift, axis=1).real
-    return np.exp(smooth)
-
-
-def warp_spectral_envelope(w: Waveform, offsets: np.ndarray) -> Waveform:
-    """Warp only the spectral envelope along frequency by a monotone
-    piecewise-linear map; the excitation (hence pitch) is untouched.
-    Zero offsets reproduce the input exactly up to STFT round-off."""
-    offsets = np.asarray(offsets, dtype=np.float64)
-    if offsets.shape != _WARP_BREAKPOINTS.shape:
-        raise ContractError(f"need {_WARP_BREAKPOINTS.size} breakpoint offsets")
-    if np.abs(offsets).max() > WARP_LIMIT + 1e-12:
-        raise ContractError(f"breakpoint offsets exceed +/-{WARP_LIMIT}")
-
-    spec = stft(w.samples)
-    mag = np.abs(spec)
-    env = _envelope(np.log(np.maximum(mag, 1e-10)))
-    excitation = spec / env
-
-    knots_out = np.concatenate([[0.0], _WARP_BREAKPOINTS * (1.0 + offsets), [1.0]])
-    knots_out = np.maximum.accumulate(knots_out)  # keep the map monotone
-    knots_in = np.concatenate([[0.0], _WARP_BREAKPOINTS, [1.0]])
-    n_freq = spec.shape[1]
-    grid = np.linspace(0.0, 1.0, n_freq)
-    source_pos = np.interp(grid, knots_out, knots_in) * (n_freq - 1)
-    lo = np.floor(source_pos).astype(int)
-    hi = np.minimum(lo + 1, n_freq - 1)
-    frac = source_pos - lo
-    warped_env = env[:, lo] * (1.0 - frac) + env[:, hi] * frac
-
-    out = istft(warped_env * excitation, w.samples.size)
-    return Waveform(out, w.sample_rate)
-
-
-def timbre_shift_augment(w: Waveform, rng: np.random.Generator) -> Waveform:
-    """Random formant-style warp used on the content-encoder input during
-    converter training."""
-    return warp_spectral_envelope(w, rng.uniform(-WARP_LIMIT, WARP_LIMIT, _WARP_BREAKPOINTS.size))
-
-
-# Samples warped on each side of a training window. A segment frame within
-# FFT_SIZE/2 of a cut reads zeros the clip does not have, overlap-add carries
-# its warped output up to FFT_SIZE into the segment, and a mel frame reads
-# FFT_SIZE/2 on either side of its centre: so a window frame 3*FFT_SIZE/2 or
-# more from each cut reads only samples equal to the whole clip's warp. A
-# whole number of hops keeps the segment's frames on the clip's frame grid.
-WARP_CONTEXT = HOP * math.ceil(1.5 * FFT_SIZE / HOP)
-
-
-def window_content(w: Waveform, start: int, frames: int, rng: np.random.Generator) -> np.ndarray:
-    """Content features of mel frames `start` .. `start + frames - 1` of `w`
-    after a `timbre_shift_augment` warp: the content stream of one training
-    window.
-
-    Only the window and `WARP_CONTEXT` samples on each side of it, fewer at
-    the clip's ends, are warped. The warp acts on each STFT frame alone
-    before the overlap-add, so the window's mel frames are those of the
-    whole warped clip, bit for bit. `extract_content` normalises them over
-    the window."""
-    if start < 0 or frames < 1 or start + frames > w.samples.size // HOP + 1:
-        raise ContractError(f"window of {frames} frames at {start} lies outside a clip of "
-                            f"{w.samples.size // HOP + 1} frames")
-    first = max(0, start * HOP - WARP_CONTEXT)
-    stop = min(w.samples.size, (start + frames - 1) * HOP + WARP_CONTEXT)
-    warped = timbre_shift_augment(Waveform(w.samples[first:stop], w.sample_rate), rng)
-    offset = start - first // HOP
-    return extract_content(MelSpectrogram(mel_spectrogram(warped).values[offset : offset + frames]))

@@ -76,7 +76,7 @@ class ParamStore:
 def _checkpoint_array(arrays: dict[str, np.ndarray], key: str, shape: tuple) -> np.ndarray:
     """A copy of `arrays[key]` as tensor data, checked to have `shape`."""
     if key not in arrays:
-        raise ContractError(f"checkpoint missing parameter {key!r}")
+        raise ContractError(f"checkpoint missing array {key!r} of shape {tuple(shape)}")
     if arrays[key].shape != tuple(shape):
         raise ContractError(f"shape mismatch for {key!r}: {arrays[key].shape} vs {tuple(shape)}")
     return np.array(T.as_data(arrays[key]))
@@ -84,14 +84,8 @@ def _checkpoint_array(arrays: dict[str, np.ndarray], key: str, shape: tuple) -> 
 
 class Linear:
     def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int,
-                 zero_init: bool = False, identity_init: bool = False):
-        if identity_init:
-            if d_in != d_out:
-                raise ContractError("identity init needs square weight")
-            init = np.eye(d_in)
-        else:
-            init = 0.0 if zero_init else xavier_uniform
-        self.w = store.param(f"{name}.w", (d_in, d_out), init)
+                 zero_init: bool = False):
+        self.w = store.param(f"{name}.w", (d_in, d_out), 0.0 if zero_init else xavier_uniform)
         self.b = store.param(f"{name}.b", (d_out,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:

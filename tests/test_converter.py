@@ -6,7 +6,6 @@ import io
 import json
 import pkgutil
 import struct
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,7 +17,6 @@ from polyvox import cli
 from polyvox import converter as converter_module
 from polyvox import optim as optim_module
 from polyvox import evaluate as evaluate_module
-from polyvox import features as features_module
 from polyvox import pitch as pitch_module
 from polyvox import tensor as T
 from polyvox.audio import (HOP, N_MELS, Waveform, load_pipeline_wav, load_wav, mel_spectrogram,
@@ -27,13 +25,13 @@ from polyvox.converter import (ConverterConfig, ConverterModel, VelocityNet, con
                                train_converter)
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, load_cqt, transpose_pitch
 from polyvox.errors import ContractError
-from polyvox.features import N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, WARP_CONTEXT, TimbreSpace
+from polyvox.features import N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace
 from polyvox.midi import ROLL_PITCHES
 from polyvox.nn import ParamStore, xavier_uniform
-from polyvox.optim import config_hash, load_checkpoint
+from polyvox.optim import config_hash, load_checkpoint, save_checkpoint
 from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, PitchTrainConfig,
                            train_pitch_extractor)
-from polyvox.synthgen import SynthConfig, gen_dataset, load_clips, load_manifest
+from polyvox.synthgen import SynthConfig, gen_dataset, load_manifest
 
 TINY_ENCODER = PitchEncoderConfig(model_dim=16, n_layers=1, n_heads=4, window_frames=40)
 TINY_CONVERTER = dict(width=32, n_layers=1, n_heads=4, window_frames=60, batch=2,
@@ -45,8 +43,10 @@ def _tiny_model() -> ConverterModel:
     rng = np.random.default_rng(0)
     timbre = TimbreSpace(rng.normal(size=(TIMBRE_BANDS, TIMBRE_DIM)), np.zeros(TIMBRE_BANDS),
                          np.ones(TIMBRE_BANDS))
+    dim = TINY_ENCODER.model_dim
     return ConverterModel(ConverterConfig(**TINY_CONVERTER), PitchExtractor(TINY_ENCODER),
-                          timbre, np.zeros(80), np.ones(80))
+                          timbre, np.zeros(80), np.ones(80), rng.normal(size=dim),
+                          rng.normal(size=(dim, dim)))
 
 
 def _widened(store: ParamStore) -> dict[str, np.ndarray]:
@@ -57,7 +57,8 @@ def _widened(store: ParamStore) -> dict[str, np.ndarray]:
 def _float64_copy(model: ConverterModel) -> ConverterModel:
     """A constant copy of `model` whose converter parameters are float64."""
     return ConverterModel(model.cfg, model.pitch, model.timbre, model.mel_mean, model.mel_std,
-                          trainable=False, arrays=_widened(model.store))
+                          model.z_p_mean, model.z_p_whiten, trainable=False,
+                          arrays=_widened(model.store))
 
 
 def _random_cond(model: ConverterModel, frames: int, seed: int) -> np.ndarray:
@@ -116,11 +117,47 @@ class TestFuse:
         z_t = rng.normal(size=(2, TIMBRE_DIM))
         cond = model.fuse(rng.normal(size=(2, 7, N_CONTENT)),
                           rng.normal(size=(2, 7, TINY_ENCODER.model_dim)), z_t,
-                          np.zeros((2, 7, 80)), np.ones((2, 7, 1))).data
+                          np.zeros((2, 7, 80)), np.ones((2, 7, 1)))
         lo = N_CONTENT + TINY_ENCODER.model_dim
         for i in range(2):
             columns = (z_t[i] * np.sqrt(TIMBRE_DIM)).astype(np.float32)
             assert np.array_equal(cond[i, :, lo : lo + TIMBRE_DIM], np.tile(columns, (7, 1)))
+
+    def test_pitch_is_whitened_with_the_corpus_statistics(self):
+        """Content passes as given and z_p is centred and whitened, both
+        rounded to the net's dtype; nothing is learned on the way."""
+        model = _tiny_model()
+        rng = np.random.default_rng(2)
+        content = rng.normal(size=(7, N_CONTENT))
+        z_p = rng.normal(size=(7, TINY_ENCODER.model_dim))
+        cond = model.fuse(content, z_p, np.ones(TIMBRE_DIM), np.zeros((7, 80)), np.ones((7, 1)))
+        assert cond.dtype == model.net.dtype == np.float32
+        assert np.array_equal(cond[:, :N_CONTENT], content.astype(np.float32))
+        white = (z_p - model.z_p_mean) @ model.z_p_whiten
+        assert np.array_equal(cond[:, N_CONTENT : N_CONTENT + TINY_ENCODER.model_dim],
+                              white.astype(np.float32))
+
+
+class TestWhitening:
+    def test_whitened_rows_have_identity_covariance(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(4000, 6)) @ rng.normal(size=(6, 6)) + rng.normal(size=6)
+        mean, whiten = converter_module._whitening(z)
+        white = (z - mean) @ whiten
+        assert np.allclose(white.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(white.T @ white / len(white), np.eye(6), atol=1e-9)
+        assert np.allclose(whiten, whiten.T)
+
+    def test_weak_directions_gain_no_more_than_the_floor_allows(self):
+        """A direction with no variance, as a final layer norm leaves, is
+        scaled as if its variance were the floor, not divided by zero."""
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(2000, 5)) * [3.0, 2.0, 1.0, 0.5, 0.0]
+        _mean, whiten = converter_module._whitening(z)
+        gains = np.linalg.eigvalsh(whiten)
+        assert np.all(np.isfinite(gains))
+        strongest = np.linalg.eigvalsh(np.cov(z, rowvar=False, bias=True)).max()
+        assert gains.max() == pytest.approx((converter_module._WHITEN_FLOOR * strongest) ** -0.5)
 
 
 class TestVelocityNet:
@@ -213,7 +250,7 @@ class TestFloat32Training:
             manifest, PitchTrainConfig(encoder=TINY_ENCODER, batch=2), 1, tmp_path / "p"))
         svc_step = _one_train_step(monkeypatch, converter_module, lambda: train_converter(
             manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"], tmp_path / "s"))
-        assert {"reg_content.w", "reg_pitch.w"} <= svc_step["grads"].keys()
+        assert "velocity.input.w" in svc_step["grads"]
         for step in (pitch_step, svc_step):
             assert step["loss"] == np.float32
             assert step["grads"] == {name: np.float32 for name in step["grads"]}
@@ -227,6 +264,14 @@ class TestFloat32Training:
         for name, data in arrays.items():
             assert back[name].dtype == data.dtype == np.float32
             assert back[name].tobytes() == data.tobytes(), name
+
+    def test_z_p_whitening_round_trips_through_a_checkpoint(self, tmp_path):
+        model = _tiny_model()
+        model.save(tmp_path / "s.pvck", step=0)
+        loaded = ConverterModel.load(tmp_path / "s.pvck")
+        for key in ("z_p_mean", "z_p_whiten"):
+            value = getattr(model, key)
+            assert np.array_equal(getattr(loaded, key), value.astype(np.float32)), key
 
 
 def _topo(loss) -> list:
@@ -320,30 +365,6 @@ class TestTrainingMemory:
             train(STEPS)
             assert alive_at_start == [0] * STEPS, module.__name__
 
-    def test_fit_holds_no_whole_clip_beside_the_window(self, tiny_runs, tmp_path, monkeypatch):
-        """While `_fit` prepares a window, the decoded clip that window is
-        cut from is the one float64 array the size of a whole train clip
-        that `audio` allocated and that is alive: the corpus itself stays
-        in its int16 codes."""
-        manifest, (files, _), _ = tiny_runs
-        clip_bytes = 8 * min(c.wave.samples.size for c in load_clips(manifest, "train"))
-        only_audio = [tracemalloc.Filter(True, audio_module.__file__)]
-        whole_clips = []
-
-        def counting(w, *args):
-            traces = tracemalloc.take_snapshot().filter_traces(only_audio).traces
-            whole_clips.append(sum(t.size >= clip_bytes for t in traces))
-            return features_module.window_content(w, *args)
-
-        monkeypatch.setattr(converter_module, "window_content", counting)
-        tracemalloc.start()
-        try:
-            train_converter(manifest, ConverterConfig(**TINY_CONVERTER), STEPS,
-                            files["pitch.pvck"], tmp_path / "s")
-        finally:
-            tracemalloc.stop()
-        assert whole_clips == [1] * (STEPS * TINY_CONVERTER["batch"])
-
 
 class TestConvert:
     def test_loaded_model_gives_one_frame_per_hop(self, tiny_runs):
@@ -369,7 +390,8 @@ class TestConvert:
         _manifest, (files, _), _ = tiny_runs
         loaded = ConverterModel.load(files["svc.pvck"])
         trainable = ConverterModel(loaded.cfg, loaded.pitch, loaded.timbre, loaded.mel_mean,
-                                   loaded.mel_std, arrays=loaded.store.arrays())
+                                   loaded.mel_std, loaded.z_p_mean, loaded.z_p_whiten,
+                                   arrays=loaded.store.arrays())
         assert not any(p.requires_grad for p in loaded.store.params.values())
         assert all(p.requires_grad for p in trainable.store.params.values())
 
@@ -473,6 +495,21 @@ class TestCheckpointConfig:
         assert (code, summary["status"]) == (2, "error"), summary
         assert summary["error"].startswith("ContractError")
         assert named in summary["error"] and known in summary["error"]
+        assert not (tmp_path / "out.wav").exists()
+
+    def test_converter_checkpoint_missing_an_array_convert_exits_2_naming_it(self, tiny_runs,
+                                                                             tmp_path):
+        manifest, (files, _), _ = tiny_runs
+        src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
+        arrays, step, header = load_checkpoint(files["svc.pvck"])
+        del arrays["mel.std"]
+        ckpt = tmp_path / "cut.pvck"
+        save_checkpoint(ckpt, arrays, step, header["config"])
+        code, summary = TestCli._run(["convert", "--src", str(src), "--ref", str(ref),
+                                      "--ckpt", str(ckpt), "--out", str(tmp_path / "out.wav")])
+        assert (code, summary["status"]) == (2, "error"), summary
+        assert summary["error"].startswith("ContractError")
+        assert "'mel.std'" in summary["error"] and "(80,)" in summary["error"]
         assert not (tmp_path / "out.wav").exists()
 
     def test_pitch_checkpoint_with_a_stale_key_names_it(self, tiny_runs, tmp_path):
@@ -701,15 +738,20 @@ class TestEachFeatureOnce:
         assert (len(mels), len(masks), len(embeds)) == (3 * n, n, 2 * n)
 
 
-class TestWindowedAugment:
-    """A converter train step warps each batch item's window and its
-    context, not the clip it was cut from."""
-
-    def test_warped_inputs_are_window_sized(self, tiny_runs, tmp_path, monkeypatch):
+class TestTrainStep:
+    def test_a_converter_step_does_no_signal_processing(self, tiny_runs, tmp_path,
+                                                        monkeypatch):
+        """Mels, content and z_p are computed once per clip before the first
+        step; a step only cuts windows out of them, and decodes no clip."""
         manifest, (files, _), _ = tiny_runs
-        warps = _count_calls(monkeypatch, features_module.timbre_shift_augment)
-        _one_train_step(monkeypatch, converter_module, lambda: train_converter(
-            manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"], tmp_path / "s"))
-        limit = TINY_CONVERTER["window_frames"] * HOP + 2 * WARP_CONTEXT + HOP
-        assert len(warps) == TINY_CONVERTER["batch"]
-        assert max(wave.samples.size for wave, _rng in warps) <= limit
+        calls = {}
+
+        def counting_fit(*args):
+            for fn in (audio_module.stft, mel_spectrogram, audio_module.decode_wav):
+                calls[fn.__name__] = _count_calls(monkeypatch, fn)
+            return optim_module._fit(*args)
+
+        monkeypatch.setattr(converter_module, "_fit", counting_fit)
+        train_converter(manifest, ConverterConfig(**TINY_CONVERTER), STEPS,
+                        files["pitch.pvck"], tmp_path / "s")
+        assert calls == {"stft": [], "mel_spectrogram": [], "decode_wav": []}

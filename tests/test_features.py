@@ -1,17 +1,15 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from polyvox import features
-from polyvox.audio import FFT_SIZE, HOP, MelSpectrogram, Waveform, mel_spectrogram
-from polyvox.cqt import compute_cqt, crop_to_vocal_range, interior_frames
+from polyvox.audio import MelSpectrogram, Waveform, mel_spectrogram
 from polyvox.errors import ContractError
-from polyvox.features import (TIMBRE_DIM, WARP_CONTEXT, WARP_LIMIT, TimbreSpace,
-                              extract_content, timbre_shift_augment, timbre_stats,
-                              train_timbre_space, warp_spectral_envelope, window_content)
+from polyvox.features import (N_CONTENT, TIMBRE_DIM, TimbreSpace, extract_content, timbre_stats,
+                              train_timbre_space)
 from polyvox.midi import MidiNote
-from polyvox.synthgen import DEFAULT_PRESETS, Score, render_score
+from polyvox.synthgen import DEFAULT_PRESETS, Score, SynthConfig, make_clip_score, render_score
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +36,7 @@ def timbre_space():
 class TestContent:
     def test_shape(self, sung_clip):
         content = extract_content(mel_spectrogram(sung_clip))
-        assert content.shape == (mel_spectrogram(sung_clip).frames, 20)
+        assert content.shape == (mel_spectrogram(sung_clip).frames, N_CONTENT)
 
     def test_wrong_band_count(self):
         with pytest.raises(ContractError):
@@ -50,31 +48,61 @@ class TestContent:
         b = extract_content(mel_spectrogram(half))
         assert np.abs(a - b).mean() < 0.02
 
+    @staticmethod
+    def _l1(a: np.ndarray, b: np.ndarray) -> float:
+        """Mean absolute difference over the frames two clips share."""
+        n = min(len(a), len(b))
+        return float(np.abs(a[:n] - b[:n]).mean())
+
     def test_more_timbre_invariant_than_mel(self):
-        # Content (z-scores) and mel (nats) have different units, so each
-        # feature's L1 under a timbre change (same melody, other preset) is
-        # divided by its own L1 under a melody change (same preset, other
-        # melody). Content must be the more timbre-invariant of the two.
+        # Content and mel have different units, so each feature's L1 under a
+        # timbre change (the same legato melody, another preset) is divided
+        # by its own L1 under a change of score, rhythm included (another
+        # corpus score, the same preset). Content must be the more
+        # timbre-invariant of the two. Content that carries no pitch is as
+        # far apart across these legato melodies as across presets, so the
+        # melodies do not enter the denominator.
         melodies = ([62, 66, 64, 67, 65, 62], [57, 59, 62, 60, 64, 59],
                     [69, 67, 64, 65, 62, 66])
         presets = DEFAULT_PRESETS[:4]
-        mels = {}
-        for a, pitches in enumerate(melodies):
-            score = Score([MidiNote(p, 0.5 * i, 0.5 * (i + 1)) for i, p in enumerate(pitches)])
-            for i, preset in enumerate(presets):
-                mels[i, a] = mel_spectrogram(render_score(score, preset, seed=1)[0])
+        cfg = SynthConfig(dur_range=(4.0, 4.0))
+        scores = [make_clip_score(cfg, "single", np.random.default_rng(seed))
+                  for seed in (1, 2, 3)]
+        legato, other = {}, {}
+        for i, preset in enumerate(presets):
+            for a, pitches in enumerate(melodies):
+                score = Score([MidiNote(p, 0.5 * k, 0.5 * (k + 1)) for k, p in enumerate(pitches)])
+                legato[i, a] = mel_spectrogram(render_score(score, preset, seed=1)[0])
+            for a, score in enumerate(scores):
+                other[i, a] = mel_spectrogram(render_score(score, preset, seed=1)[0])
 
-        def timbre_to_melody_ratio(feature):
-            f = {key: feature(m) for key, m in mels.items()}
-            timbre = np.mean([np.abs(f[i, a] - f[j, a]).mean()
+        def timbre_to_score_ratio(feature):
+            f = {key: feature(m) for key, m in legato.items()}
+            g = {key: feature(m) for key, m in other.items()}
+            timbre = np.mean([self._l1(f[i, a], f[j, a])
                               for i, j in combinations(range(len(presets)), 2)
                               for a in range(len(melodies))])
-            melody = np.mean([np.abs(f[i, a] - f[i, b]).mean()
-                              for a, b in combinations(range(len(melodies)), 2)
-                              for i in range(len(presets))])
-            return timbre / melody
+            score = np.mean([self._l1(g[i, a], g[i, b])
+                             for a, b in combinations(range(len(scores)), 2)
+                             for i in range(len(presets))])
+            return timbre / score
 
-        assert timbre_to_melody_ratio(extract_content) < timbre_to_melody_ratio(lambda m: m.values)
+        assert timbre_to_score_ratio(extract_content) < timbre_to_score_ratio(lambda m: m.values)
+
+    def test_transposition_moves_content_little(self):
+        """Content carries no pitch: 3 semitones up moves it by less than
+        0.4 of the distance between different scores."""
+        cfg = SynthConfig(dur_range=(4.0, 4.0))
+        scores = [make_clip_score(cfg, "single", np.random.default_rng(seed)) for seed in range(6)]
+        up = [Score([dataclasses.replace(n, pitch=n.pitch + 3) for n in s.lead]) for s in scores]
+
+        def content(score):
+            return extract_content(mel_spectrogram(render_score(score, DEFAULT_PRESETS[0], 1)[0]))
+
+        base = [content(s) for s in scores]
+        transposed = np.mean([self._l1(c, content(s)) for c, s in zip(base, up)])
+        between = np.mean([self._l1(base[i], base[j]) for i, j in combinations(range(6), 2)])
+        assert transposed / between < 0.4
 
 
 class TestTimbre:
@@ -121,78 +149,3 @@ class TestTimbre:
                                @ timbre_space.embed(mel_spectrogram(w2))))
         assert min(sims) >= 0.8
         assert np.mean(sims) - np.mean(cross) >= 0.2
-
-
-class TestWarp:
-    def test_identity_preserves_mel(self, sung_clip):
-        out = warp_spectral_envelope(sung_clip, np.zeros(3))
-        a = mel_spectrogram(sung_clip).values
-        b = mel_spectrogram(out).values
-        assert np.abs(a - b).mean() < 1e-6
-
-    def test_pitch_preserved(self, sung_clip):
-        rng = np.random.default_rng(5)
-        warped = timbre_shift_augment(sung_clip, rng)
-        before = crop_to_vocal_range(compute_cqt(sung_clip))
-        after = crop_to_vocal_range(compute_cqt(warped))
-        rows = list(interior_frames(before.frames))
-        assert rows, "3 s clip must have interior frames"
-        a = before.magnitudes[rows].argmax(axis=1)
-        b = after.magnitudes[rows].argmax(axis=1)
-        voiced = before.magnitudes[rows].max(axis=1) > 0.01
-        assert np.mean(a[voiced] == b[voiced]) >= 0.95
-
-    def test_warp_moves_timbre_embedding(self, timbre_space, sung_clip):
-        lead = [MidiNote(62, 0.0, 1.0), MidiNote(65, 1.0, 2.0), MidiNote(60, 2.0, 3.0)]
-        duplicate, _ = render_score(Score(lead), DEFAULT_PRESETS[0], seed=77)
-        warped = warp_spectral_envelope(sung_clip, np.array([0.12, -0.12, 0.12]))
-        base = timbre_space.embed(mel_spectrogram(sung_clip))
-        cos_dup = float(base @ timbre_space.embed(mel_spectrogram(duplicate)))
-        cos_warp = float(base @ timbre_space.embed(mel_spectrogram(warped)))
-        assert cos_warp < cos_dup
-
-    def test_offsets_validated(self, sung_clip):
-        with pytest.raises(ContractError):
-            warp_spectral_envelope(sung_clip, np.array([0.3, 0.0, 0.0]))
-        with pytest.raises(ContractError):
-            warp_spectral_envelope(sung_clip, np.zeros(2))
-
-    def test_augment_deterministic_given_rng(self, sung_clip):
-        a = timbre_shift_augment(sung_clip, np.random.default_rng(11))
-        b = timbre_shift_augment(sung_clip, np.random.default_rng(11))
-        assert np.array_equal(a.samples, b.samples)
-
-
-class TestWindowContent:
-    """Training warps one window and its context, not the whole clip."""
-
-    FRAMES = 120
-
-    def test_context_is_whole_hops_past_the_edge_frames_reach(self):
-        assert WARP_CONTEXT % HOP == 0
-        assert WARP_CONTEXT >= 3 * FFT_SIZE // 2
-
-    @pytest.mark.parametrize("where", ["start", "interior", "end", "one window"])
-    def test_window_mel_equals_whole_clip_warp(self, sung_clip, where, monkeypatch):
-        """The mel frames `window_content` normalises are the whole warped
-        clip's, bit for bit, wherever the window sits."""
-        wave = sung_clip
-        if where == "one window":
-            wave = Waveform(sung_clip.samples[: (self.FRAMES - 1) * HOP], sung_clip.sample_rate)
-        n_frames = wave.samples.size // HOP + 1
-        start = {"start": 0, "interior": 90, "end": n_frames - self.FRAMES,
-                 "one window": 0}[where]
-        offsets = np.random.default_rng(12).uniform(-WARP_LIMIT, WARP_LIMIT, 3)
-        whole = mel_spectrogram(warp_spectral_envelope(wave, offsets)).values
-        seen = []
-        monkeypatch.setattr(features, "extract_content",
-                            lambda m: seen.append(m.values) or extract_content(m))
-        content = window_content(wave, start, self.FRAMES, np.random.default_rng(12))
-        assert np.array_equal(seen[0], whole[start : start + self.FRAMES])
-        assert np.array_equal(content, extract_content(MelSpectrogram(seen[0])))
-
-    def test_window_outside_clip_rejected(self, sung_clip):
-        n_frames = sung_clip.samples.size // HOP + 1
-        for start in (-1, n_frames - self.FRAMES + 1):
-            with pytest.raises(ContractError):
-                window_content(sung_clip, start, self.FRAMES, np.random.default_rng(0))
