@@ -6,6 +6,7 @@ import io
 import json
 import pkgutil
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -31,7 +32,7 @@ from polyvox.nn import ParamStore, xavier_uniform
 from polyvox.optim import config_hash, load_checkpoint, save_checkpoint
 from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, PitchTrainConfig,
                            train_pitch_extractor)
-from polyvox.synthgen import SynthConfig, gen_dataset, load_manifest
+from polyvox.synthgen import SynthConfig, gen_dataset, load_clips, load_manifest
 
 TINY_ENCODER = PitchEncoderConfig(model_dim=16, n_layers=1, n_heads=4, window_frames=40)
 TINY_CONVERTER = dict(width=32, n_layers=1, n_heads=4, window_frames=60, batch=2,
@@ -364,6 +365,33 @@ class TestTrainingMemory:
             monkeypatch.setattr(module, "_fit", tracking_fit)
             train(STEPS)
             assert alive_at_start == [0] * STEPS, module.__name__
+
+    def test_fit_holds_no_whole_clip_beside_the_window(self, tiny_runs, tmp_path, monkeypatch):
+        """While `_fit` builds a step, no float64 array the size of a whole
+        train clip that `audio` allocated is alive: each clip is decoded
+        once, to take its features before the first step, and no decode
+        outlives that."""
+        manifest, (files, _), _ = tiny_runs
+        clip_bytes = 8 * min(c.wave.samples.size for c in load_clips(manifest, "train"))
+        only_audio = [tracemalloc.Filter(True, audio_module.__file__)]
+        whole_clips = []
+
+        def counting_fit(params, batch_loss, *args):
+            def counted():
+                traces = tracemalloc.take_snapshot().filter_traces(only_audio).traces
+                whole_clips.append(sum(t.size >= clip_bytes for t in traces))
+                return batch_loss()
+
+            return optim_module._fit(params, counted, *args)
+
+        monkeypatch.setattr(converter_module, "_fit", counting_fit)
+        tracemalloc.start()
+        try:
+            train_converter(manifest, ConverterConfig(**TINY_CONVERTER), STEPS,
+                            files["pitch.pvck"], tmp_path / "s")
+        finally:
+            tracemalloc.stop()
+        assert whole_clips == [0] * STEPS
 
 
 class TestConvert:
@@ -736,6 +764,32 @@ class TestEachFeatureOnce:
         assert code == 0, summary
         n = len(eval_rows)
         assert (len(mels), len(masks), len(embeds)) == (3 * n, n, 2 * n)
+
+
+class TestWindowedAugment:
+    """Content needs no augmentation, so what a converter train step feeds
+    the net is the window it cut from each clip's arrays, never the clip."""
+
+    def test_warped_inputs_are_window_sized(self, tiny_runs, tmp_path, monkeypatch):
+        manifest, (files, _), _ = tiny_runs
+        frames = min(mel_spectrogram(c.wave).frames for c in load_clips(manifest, "train"))
+        win = min(TINY_CONVERTER["window_frames"], frames)
+        fused = []
+        fuse = ConverterModel.fuse
+
+        def recording(model, *inputs):
+            fused.append([x.shape for x in inputs])
+            return fuse(model, *inputs)
+
+        monkeypatch.setattr(ConverterModel, "fuse", recording)
+        _one_train_step(monkeypatch, converter_module, lambda: train_converter(
+            manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"], tmp_path / "s"))
+        batch = TINY_CONVERTER["batch"]
+        [(content, z_p, z_t, x_ref, visible)] = fused
+        assert content == (batch, win, N_CONTENT)
+        assert z_p == (batch, win, TINY_ENCODER.model_dim)
+        assert z_t == (batch, TIMBRE_DIM)
+        assert (x_ref, visible) == ((batch, win, N_MELS), (batch, win, 1))
 
 
 class TestTrainStep:
