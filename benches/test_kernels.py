@@ -247,7 +247,7 @@ def test_converter_fit(benchmark, tmp_path):
     named = {str(i): p for i, p in enumerate(params)}
 
     def fit():
-        return _fit(named, loss, 4, ConverterConfig(), lambda path, step: None,
+        return _fit(named, loss, 4, ConverterConfig().peak_lr, lambda path, step: None,
                     tmp_path / "unused", None, None)
 
     benchmark.pedantic(fit, rounds=3, warmup_rounds=1)

@@ -11,6 +11,9 @@ split with no clips are runtime failures, so every command exits 2 on them.
 
 `convert` and `evaluate` read the source CQT and mel and the reference's
 timbre vector from the `converter.Conversion` that `convert()` returns.
+Griffin-Lim's output is not bounded, so `convert` divides a waveform whose
+peak exceeds 1 by that peak before writing it as PCM16, and reports the peak
+before scaling as `peak`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .audio import HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, load_pipeline_wav, save_wav
 from .config import ConfigError, load_config, persist_config
@@ -136,12 +141,16 @@ def cmd_convert(args) -> dict:
     conversion = convert(src, ref, model, transpose=args.transpose, seed=args.seed or 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    peak = float(np.abs(conversion.wave.samples).max())
+    if peak > 1.0:  # scaled, not clipped by save_wav
+        conversion.wave.samples /= peak
     save_wav(conversion.wave, out)
     summary = {
         "status": "ok",
         "command": "convert",
         "out": str(out),
         "frames": conversion.mel.frames,
+        "peak": peak,
         "nfe": model.cfg.nfe,
         "sway": model.cfg.sway_s,
         "transpose": args.transpose,
@@ -151,7 +160,7 @@ def cmd_convert(args) -> dict:
                               hop=HOP, sample_rate=PIPELINE_SAMPLE_RATE, bins_per_octave=0)
         summary["mel_out"] = str(args.mel_out)
     if args.transpose:
-        written = compute_cqt(load_pipeline_wav(out))  # the file's shift, PCM16 clipping included
+        written = compute_cqt(load_pipeline_wav(out))  # the shift of the file as written
         summary["measured_shift_bins"] = (_mean_profile_argmax(written)
                                           - _mean_profile_argmax(conversion.source_cqt))
     summary.update(_timings(start, src.duration))
@@ -181,8 +190,7 @@ def cmd_evaluate(args) -> dict:
             pgm_dir.mkdir(parents=True, exist_ok=True)
             write_pgm(conversion.mel.values, pgm_dir / f"{clip.id}_mel.pgm")
 
-    report = emit_report(report_rows, cfg.report_dir, config_echo=cfg.resolved,
-                         seed=cfg.seed, cfg=cfg.eval)
+    report = emit_report(report_rows, cfg.report_dir, config_echo=cfg.resolved, seed=cfg.seed)
     agg = json.loads(report.read_text())["aggregates"]
     return {
         "status": "ok",

@@ -47,10 +47,6 @@ class RunConfig:
         return self.checkpoint_dir / "svc.pvck"
 
 
-# fields that hold code, not file format: `resolve_echo` writes only their ids
-_CODE_FIELDS = {"presets"}
-
-
 def _section(data: dict, section: str) -> dict:
     """The JSON object under `section` of the config file ({} if absent)."""
     value = data.get(section, {})
@@ -63,7 +59,7 @@ def _build_section(cls, data: dict, section: str, siblings=frozenset(), **extra)
     """`cls` from the file's `section` plus `extra`, fields the loader fills.
     `siblings` are the section's keys that another dataclass takes; the
     loader has split them off, and an unknown key's message names them too."""
-    known = {f.name for f in dataclasses.fields(cls)} - _CODE_FIELDS - extra.keys()
+    known = {f.name for f in dataclasses.fields(cls)} - extra.keys()
     for key in data:
         if key not in known:
             raise ConfigError(f"field '{section}': unknown key '{key}' "
@@ -127,31 +123,18 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 def resolve_echo(cfg: RunConfig) -> dict:
     """JSON-serializable dump of the exact configuration in effect."""
-
-    def plain(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {k: plain(v) for k, v in dataclasses.asdict(obj).items()}
-        if isinstance(obj, (tuple, list)):
-            return [plain(v) for v in obj]
-        if isinstance(obj, Path):
-            return str(obj)
-        return obj
-
-    echo = {
+    return {
         "seed": cfg.seed,
         "paths": {
             "data_dir": str(cfg.data_dir),
             "checkpoint_dir": str(cfg.checkpoint_dir),
             "report_dir": str(cfg.report_dir),
         },
-        "synth": plain(cfg.synth),
-        "pitch": plain(cfg.pitch),
-        "converter": plain(cfg.converter),
-        "eval": plain(cfg.eval),
+        "synth": dataclasses.asdict(cfg.synth),
+        "pitch": dataclasses.asdict(cfg.pitch),
+        "converter": dataclasses.asdict(cfg.converter),
+        "eval": dataclasses.asdict(cfg.eval),
     }
-    # preset objects are part of the code, not the file format
-    echo["synth"]["presets"] = [p["id"] for p in echo["synth"]["presets"]]
-    return echo
 
 
 def persist_config(cfg: RunConfig, out_dir) -> Path:

@@ -33,7 +33,7 @@ from .features import (N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace, extract
                        timbre_stats, train_timbre_space)
 from .nn import (FF_MULT, LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
                  _checkpoint_array, sinusoidal_positions, timestep_embedding)
-from .optim import _fit, header_config, load_checkpoint, save_checkpoint
+from .optim import _fit, check_schedule, header_config, load_checkpoint, save_checkpoint
 from .pitch import PitchEncoderConfig, PitchExtractor, cqt_input
 from .synthgen import load_clips
 from .tensor import Tensor
@@ -160,25 +160,16 @@ class ConverterConfig:
     n_layers: int = 6
     n_heads: int = 4
     window_frames: int = 200
-    mask_span: tuple[float, float] = (0.3, 0.7)
     steps: int = 20000
     batch: int = 2
     peak_lr: float = 1e-3  # desk-scale default; the published schedule is 1e-4 -> 1e-5
-    min_lr_ratio: float = 0.1
-    weight_decay: float = 0.01
     sway_s: float = -1.0
     nfe: int = 32
     prompt_frames: int = 200
     gl_iters: int = 32
 
     def __post_init__(self):
-        lo, hi = self.mask_span
-        if not 0.0 < lo <= hi < 1.0:
-            raise ContractError(f"mask span {self.mask_span} must sit inside (0, 1)")
-        self.mask_span = tuple(self.mask_span)  # a checkpoint's JSON header holds a list
-        if self.steps < 1 or self.batch < 1:
-            raise ContractError(f"need steps >= 1 and batch >= 1, got {self.steps} and "
-                                f"{self.batch}")
+        check_schedule(self.steps, self.batch, self.peak_lr)
         if self.gl_iters < 1:
             raise ContractError(f"gl_iters must be >= 1, got {self.gl_iters}")
         if self.n_heads < 1 or self.width % 2 or self.width % self.n_heads:
@@ -285,6 +276,11 @@ class ConverterModel:
 # Training
 # ---------------------------------------------------------------------------
 
+# The share of a training window hidden from the conditioning and predicted,
+# drawn uniformly per batch item (F5-TTS's infilling recipe). It goes with
+# the reference prompt.
+_MASK_SPAN = (0.3, 0.7)
+
 # Whitening raises every eigendirection of the z_p covariance weaker than
 # this fraction of the strongest to it, so that none gains more than
 # 1000 ** 0.5, about 32, times the strongest one's gain.
@@ -312,11 +308,11 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     Before the first step, each clip's mel, content and z_p (the frozen CQT
     encoder's embedding) are computed once, as `convert` computes them, and
     the corpus mel statistics and z_p whitening are taken from them. Per step and
-    batch item: cut a window out of those arrays, hide a random 30-70% span
-    of the target mel from the conditioning, embed timbre from a 1.2 s
-    window of the clip's mel, then regress the path velocity on the hidden
-    span. A step does no signal processing. Writes a (step, lr, loss) CSV
-    next to the checkpoint.
+    batch item: cut a window out of those arrays, hide a random span of the
+    target mel, a `_MASK_SPAN` share (30-70 %) of the window, from the
+    conditioning, embed timbre from a 1.2 s window of the clip's mel, then
+    regress the path velocity on the hidden span. A step does no signal
+    processing. Writes a (step, lr, loss) CSV next to the checkpoint.
     """
     steps = cfg.steps if steps is None else steps
     pitch_ckpt = Path(pitch_ckpt)
@@ -359,7 +355,7 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
             t_start = int(rng.integers(0, n_f - t_win + 1))
             z_t = model.timbre.embed(MelSpectrogram(mel.values[t_start : t_start + t_win]))
 
-            frac = float(rng.uniform(*cfg.mask_span))
+            frac = float(rng.uniform(*_MASK_SPAN))
             span = max(1, int(round(frac * win)))
             span_start = int(rng.integers(0, win - span + 1))
             hidden = np.zeros((win, 1))
@@ -377,7 +373,7 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
         cond = model.fuse(content, z_p, z_t, x_ref, visible)
         return cfm_loss(model.net, x1, cond, rng, loss_mask=hidden)
 
-    return _fit(model.store.params, batch_loss, steps, cfg, model.save, ckpt_path,
+    return _fit(model.store.params, batch_loss, steps, cfg.peak_lr, model.save, ckpt_path,
                 log_path, progress)
 
 

@@ -5,7 +5,10 @@ with bootstrap confidence intervals.
 
 A detection is a boolean (frames x bins) mask, the shape of
 `PianoRoll.activity`; the metrics match it to the roll within +/-tolerance
-bins. `evaluate_conversion` scores a `converter.Conversion` record.
+bins, `TOLERANCE_BINS` in a report. `evaluate_conversion` scores a
+`converter.Conversion` record, and `emit_report`'s confidence intervals take
+`BOOTSTRAP_RESAMPLES` resampled means. An `EvalConfig` sets only the peak
+picker's threshold.
 """
 
 from __future__ import annotations
@@ -27,18 +30,17 @@ from .features import TimbreSpace
 from .midi import MidiNote, PianoRoll, to_piano_roll
 
 
+TOLERANCE_BINS = 1
+BOOTSTRAP_RESAMPLES = 1000
+
+
 @dataclass
 class EvalConfig:
     threshold_db: float = -20.0
-    tolerance_bins: int = 1
-    bootstrap_resamples: int = 1000
 
     def __post_init__(self):
         if self.threshold_db >= 0:
             raise ContractError("threshold_db must be negative (relative to the frame maximum)")
-        if self.tolerance_bins < 0 or self.bootstrap_resamples < 1:
-            raise ContractError(f"need tolerance_bins >= 0 and bootstrap_resamples >= 1, got "
-                                f"{self.tolerance_bins} and {self.bootstrap_resamples}")
 
 
 def multipitch_from_cqt(m: CqtMatrix, threshold_db: float = -20.0) -> np.ndarray:
@@ -146,7 +148,7 @@ def _share(mask: np.ndarray, hits: np.ndarray) -> float:
 
 
 def multipitch_scores(detected: np.ndarray, roll: PianoRoll,
-                      tolerance: int = 1) -> dict[str, float]:
+                      tolerance: int = TOLERANCE_BINS) -> dict[str, float]:
     """Frame-level precision/recall/F1 of a detection mask with
     +/-tolerance bin matching."""
     detected, truth = _aligned(detected, roll)
@@ -156,7 +158,7 @@ def multipitch_scores(detected: np.ndarray, roll: PianoRoll,
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def yin_recall(w: Waveform, roll: PianoRoll, tolerance: int = 1) -> float:
+def yin_recall(w: Waveform, roll: PianoRoll, tolerance: int = TOLERANCE_BINS) -> float:
     """Recall of the single-pitch baseline against the polyphonic roll: a
     truth bin is hit when YIN's pitch lies within tolerance + 0.5 bins of it."""
     f0, truth = _aligned(f0_yin(w), roll)  # equal frames for a roll of the clip's length
@@ -164,7 +166,8 @@ def yin_recall(w: Waveform, roll: PianoRoll, tolerance: int = 1) -> float:
     return _share(truth, np.abs(f0_bins - np.arange(truth.shape[1])) <= tolerance + 0.5)
 
 
-def harmony_retention(detected: np.ndarray, roll: PianoRoll, tolerance: int = 1) -> float:
+def harmony_retention(detected: np.ndarray, roll: PianoRoll,
+                      tolerance: int = TOLERANCE_BINS) -> float:
     """Fraction of polyphonic frames in which at least two ground-truth
     pitches survive in a detection mask; NaN without polyphonic frames. Pass
     the unguarded mask: genuine octave harmonies must count."""
@@ -185,8 +188,8 @@ def evaluate_conversion(conversion: Conversion, source_truth: list[MidiNote], cf
     cropped = crop_to_vocal_range(compute_cqt(conversion.wave))
     roll = to_piano_roll(source_truth, n_frames=cropped.frames)
     found = multipitch_from_cqt(cropped, cfg.threshold_db)
-    row = multipitch_scores(guard_octaves(found, cropped), roll, cfg.tolerance_bins)
-    row["harmony_retention"] = harmony_retention(found, roll, cfg.tolerance_bins)
+    row = multipitch_scores(guard_octaves(found, cropped), roll)
+    row["harmony_retention"] = harmony_retention(found, roll)
     row["timbre_cos"] = float(np.dot(timbre_space.embed(mel_spectrogram(conversion.wave)),
                                      conversion.z_t))
     row["mel_l1"] = float(np.abs(conversion.source_mel.values - conversion.mel.values).mean())
@@ -207,8 +210,7 @@ def _aggregate(values: np.ndarray, resamples: int, rng: np.random.Generator) -> 
     }
 
 
-def emit_report(rows: list[dict], out_dir, config_echo: dict, seed: int,
-                cfg: EvalConfig) -> Path:
+def emit_report(rows: list[dict], out_dir, config_echo: dict, seed: int) -> Path:
     """Write report.json (rows + aggregates + config echo) and a flat
     report.csv; bootstrap CIs are seeded so reruns agree exactly. The JSON
     is strict: a non-finite row value is null, and aggregates skip it."""
@@ -226,7 +228,7 @@ def emit_report(rows: list[dict], out_dir, config_echo: dict, seed: int,
     for key in metrics:
         values = np.array([row[key] for row in json_rows if row.get(key) is not None])
         if values.size:
-            aggregates[key] = _aggregate(values, cfg.bootstrap_resamples, rng)
+            aggregates[key] = _aggregate(values, BOOTSTRAP_RESAMPLES, rng)
 
     report = {"seed": seed, "config": config_echo, "rows": json_rows, "aggregates": aggregates}
     report_path = out / "report.json"

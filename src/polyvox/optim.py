@@ -1,6 +1,10 @@
 """AdamW with decoupled weight decay, exponential learning-rate decay to a
 floor, the training loop and the binary checkpoint container shared by all
-trained modules."""
+trained modules.
+
+Both trainers run one schedule: `_fit` decays the learning rate from a
+run's `peak_lr` to `MIN_LR_RATIO` times it over the run's steps, with
+decoupled weight decay `WEIGHT_DECAY`."""
 
 from __future__ import annotations
 
@@ -8,8 +12,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,33 +26,44 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 
+MIN_LR_RATIO = 0.1  # the schedule's floor, as a fraction of its peak
+WEIGHT_DECAY = 0.01
 
-@dataclass
-class AdamWConfig:
-    peak_lr: float = 1e-4
-    min_lr: float = 1e-5
-    weight_decay: float = 0.0
-    total_steps: int = 10000  # step at which the decayed lr reaches min_lr
+
+def check_schedule(steps, batch, peak_lr) -> None:
+    """The run a trainer's config asks for: `steps` and `batch` must be
+    integers (not bools) >= 1 and `peak_lr` a finite number > 0; raises
+    ContractError otherwise."""
+    for name, value in (("steps", steps), ("batch", batch)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
+    if (isinstance(peak_lr, bool) or not isinstance(peak_lr, (int, float))
+            or not math.isfinite(peak_lr) or peak_lr <= 0):
+        raise ContractError(f"peak_lr must be a finite number > 0, got {peak_lr!r}")
 
 
 class AdamW:
     """Adam moments (beta1 0.9, beta2 0.999, eps 1e-8) with bias
     correction; weight decay applied directly to parameters rather than
-    through the gradients."""
+    through the gradients. The learning rate decays exponentially from
+    `peak_lr` and reaches `min_lr` at step `total_steps`."""
 
-    def __init__(self, params: dict[str, Tensor], cfg: AdamWConfig):
+    def __init__(self, params: dict[str, Tensor], peak_lr: float, min_lr: float,
+                 weight_decay: float, total_steps: int):
         self.params = params
-        self.cfg = cfg
+        self.peak_lr = peak_lr
+        self.min_lr = min_lr
+        self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        if cfg.total_steps > 0 and cfg.min_lr < cfg.peak_lr:
-            self._gamma = (cfg.min_lr / cfg.peak_lr) ** (1.0 / cfg.total_steps)
+        if total_steps > 0 and min_lr < peak_lr:
+            self._gamma = (min_lr / peak_lr) ** (1.0 / total_steps)
         else:
             self._gamma = 1.0
 
     def lr_at(self, step: int) -> float:
-        return max(self.cfg.min_lr, self.cfg.peak_lr * self._gamma**step)
+        return max(self.min_lr, self.peak_lr * self._gamma**step)
 
     def step(self) -> float:
         """Apply one update from the parameters' `.grad` fields (a missing
@@ -85,18 +100,18 @@ class AdamW:
             num /= den
             num *= lr
             p.data -= num
-            if self.cfg.weight_decay:
-                np.multiply(p.data, lr * self.cfg.weight_decay, out=num)
+            if self.weight_decay:
+                np.multiply(p.data, lr * self.weight_decay, out=num)
                 p.data -= num
         return lr
 
 
-def _fit(params: dict[str, Tensor], batch_loss, steps: int, cfg, save, ckpt_path,
+def _fit(params: dict[str, Tensor], batch_loss, steps: int, peak_lr: float, save, ckpt_path,
          log_path, progress) -> Path:
     """Run `steps` AdamW updates of `params` on the scalar `batch_loss()`.
 
-    The schedule decays from `cfg.peak_lr` to `cfg.peak_lr * cfg.min_lr_ratio`
-    over the run, with `cfg.weight_decay`. `progress(step, loss)` fires at
+    The schedule decays from `peak_lr` to `peak_lr * MIN_LR_RATIO` over the
+    run, with `WEIGHT_DECAY`. `progress(step, loss)` fires at
     step 0, every 100 steps and the last step. Afterwards `save(ckpt_path,
     step=steps)` writes the checkpoint and, when `log_path` is given, a
     (step, lr, loss) CSV goes there. Returns the checkpoint path.
@@ -104,9 +119,7 @@ def _fit(params: dict[str, Tensor], batch_loss, steps: int, cfg, save, ckpt_path
     One step's graph is alive at a time: the loss is read and dropped
     before the update, so the tape of step k is freed before `batch_loss()`
     builds step k + 1's."""
-    opt = AdamW(params, AdamWConfig(
-        peak_lr=cfg.peak_lr, min_lr=cfg.peak_lr * cfg.min_lr_ratio,
-        weight_decay=cfg.weight_decay, total_steps=max(steps, 1)))
+    opt = AdamW(params, peak_lr, peak_lr * MIN_LR_RATIO, WEIGHT_DECAY, max(steps, 1))
     rows = []
     for step in range(steps):
         zero_grads(params.values())

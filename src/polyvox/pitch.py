@@ -23,7 +23,7 @@ from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, transpose_pitch
 from .errors import ContractError
 from .midi import ROLL_PITCHES, to_piano_roll
 from .nn import ParamStore, SequenceEncoder
-from .optim import _fit, header_config, load_checkpoint, save_checkpoint
+from .optim import _fit, check_schedule, header_config, load_checkpoint, save_checkpoint
 from .synthgen import load_clips
 from .tensor import Tensor
 
@@ -131,14 +131,10 @@ class PitchTrainConfig:
     encoder: PitchEncoderConfig = PitchEncoderConfig()
     steps: int = 2000
     batch: int = 4
-    peak_lr: float = 1e-3  # desk-scale default; container types default to the 1e-4/1e-5 schedule
-    min_lr_ratio: float = 0.1
-    weight_decay: float = 0.01
+    peak_lr: float = 1e-3  # desk-scale default; the published schedule is 1e-4 -> 1e-5
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch < 1:
-            raise ContractError(f"need steps >= 1 and batch >= 1, got {self.steps} and "
-                                f"{self.batch}")
+        check_schedule(self.steps, self.batch, self.peak_lr)
 
 
 def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | None,
@@ -168,7 +164,7 @@ def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | Non
         z_midi = model.encode_midi(np.stack(rolls))
         return T.l1_loss(z_cqt, z_midi, mask=np.stack(masks))
 
-    return _fit(model.store.params, batch_loss, steps, cfg, model.save, ckpt_path,
+    return _fit(model.store.params, batch_loss, steps, cfg.peak_lr, model.save, ckpt_path,
                 log_path, progress)
 
 

@@ -5,6 +5,9 @@ harmony voices at musically plausible intervals. Note times live on the SMF
 tick grid (1/960 s) so the WAV / MIDI sidecars round-trip exactly. Clips are at
 `audio.PIPELINE_SAMPLE_RATE` and pitches lie in `midi.ROLL_LOW`..`ROLL_TOP`,
 so lead pitches map to CQT bins by construction (bin = MIDI - `ROLL_LOW`).
+The melody statistics (`LEAD_RANGE`, `NOTE_DUR_RANGE`, `REST_PROB`) and the
+singer presets (`DEFAULT_PRESETS`) are constants; a `SynthConfig` sets the
+clip counts, the clip durations and the eval share.
 
 `gen_dataset` writes the corpus and its `manifest.jsonl`, rendering the clips
 one after another on the calling thread; each note's harmonics come from
@@ -39,6 +42,14 @@ _JITTER_KNOTS_PER_S = 100.0
 HARMONY_INTERVALS = (3, 4, 7, -5, 12)
 HARMONY_WEIGHTS = (0.10, 0.15, 0.30, 0.20, 0.25)
 HARMONY_GAIN_DB = (-12.0, -3.0)
+
+# melody statistics: lead pitches (MIDI), note lengths (s) and the chance of
+# a rest after a note. Every lead pitch leaves room for each harmony interval
+# inside the roll, and the shortest note outlasts its attack and release on
+# the tick grid.
+LEAD_RANGE = (55, 70)
+NOTE_DUR_RANGE = (0.20, 0.60)
+REST_PROB = 0.2
 
 
 @dataclass(frozen=True)
@@ -195,36 +206,23 @@ class SynthConfig:
     n_single: int = 10
     n_harmony: int = 10
     dur_range: tuple[float, float] = (3.0, 8.0)
-    lead_range: tuple[int, int] = (55, 70)
-    note_dur_range: tuple[float, float] = (0.20, 0.60)
-    rest_prob: float = 0.2
-    presets: tuple[SingerPreset, ...] = DEFAULT_PRESETS
     eval_fraction: float = 0.10
 
     def __post_init__(self):
-        """Every clip must be writable: lead pitches inside the roll with room
-        for each harmony interval, and notes that outlast their attack and
-        release on the tick grid. A config file's JSON lists become tuples."""
+        """A corpus of at least one clip that the split can divide: clip
+        counts are integers >= 0, the eval share lies strictly between 0 and
+        1. A config file's JSON list becomes a tuple."""
         self.dur_range = tuple(self.dur_range)
-        self.lead_range = tuple(self.lead_range)
-        self.note_dur_range = tuple(self.note_dur_range)
-        if len(self.presets) < 4:
-            raise ContractError("preset pool must hold at least 4 presets")
         if not (0 < self.dur_range[0] <= self.dur_range[1]):
             raise ContractError("bad duration range")
-        lo, hi = self.lead_range
-        if not ROLL_LOW <= lo <= hi <= ROLL_TOP:
-            raise ContractError(f"lead_range {self.lead_range} must be ordered and lie in "
-                                f"{ROLL_LOW}..{ROLL_TOP}")
-        for interval in HARMONY_INTERVALS if self.n_harmony > 0 else ():
-            h_lo, h_hi = _harmony_lead_range(self.lead_range, interval)
-            if h_lo > h_hi:
-                raise ContractError(f"lead_range {self.lead_range} leaves no lead pitch for "
-                                    f"the harmony interval {interval:+d}")
-        shortest = _MIN_NOTE_S + 1.0 / _TICKS_PER_SECOND
-        if not shortest <= self.note_dur_range[0] <= self.note_dur_range[1]:
-            raise ContractError(f"note_dur_range {self.note_dur_range} must be ordered and start "
-                                f"at >= {shortest:.4f} s")
+        for name in ("n_single", "n_harmony"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ContractError(f"{name} must be an integer >= 0, got {value!r}")
+        if self.n_single + self.n_harmony < 1:
+            raise ContractError("need at least one clip (n_single + n_harmony >= 1)")
+        if not 0.0 < self.eval_fraction < 1.0:
+            raise ContractError(f"eval_fraction {self.eval_fraction!r} must lie in (0, 1)")
 
 
 def _harmony_lead_range(lead_range: tuple[int, int], interval: int) -> tuple[int, int]:
@@ -244,10 +242,10 @@ def _random_melody(rng: np.random.Generator, cfg: SynthConfig,
     now = 0.0
     notes = []
     while now < target:
-        dur = _ticks(rng.uniform(*cfg.note_dur_range))
+        dur = _ticks(rng.uniform(*NOTE_DUR_RANGE))
         notes.append(MidiNote(pitch, _ticks(now), _ticks(now) + dur))
         now = _ticks(now) + dur
-        if rng.random() < cfg.rest_prob:
+        if rng.random() < REST_PROB:
             now += _ticks(rng.uniform(0.05, 0.15))
         step = int(rng.integers(-4, 5))
         pitch = int(np.clip(pitch + step, lo, hi))
@@ -258,9 +256,9 @@ def make_clip_score(cfg: SynthConfig, condition: str, rng: np.random.Generator) 
     if condition == "harmony":
         interval = int(rng.choice(HARMONY_INTERVALS, p=HARMONY_WEIGHTS))
         gain_db = float(rng.uniform(*HARMONY_GAIN_DB))
-        lead = _random_melody(rng, cfg, *_harmony_lead_range(cfg.lead_range, interval))
+        lead = _random_melody(rng, cfg, *_harmony_lead_range(LEAD_RANGE, interval))
         return Score(lead, [(interval, gain_db, list(lead))])
-    lead = _random_melody(rng, cfg, *cfg.lead_range)
+    lead = _random_melody(rng, cfg, *LEAD_RANGE)
     return Score(lead)
 
 
@@ -276,7 +274,7 @@ def gen_dataset(cfg: SynthConfig, seed: int, out_dir) -> Path:
     conditions = ["single"] * cfg.n_single + ["harmony"] * cfg.n_harmony
     for idx, condition in enumerate(conditions):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, idx))))
-        preset = cfg.presets[int(rng.integers(len(cfg.presets)))]
+        preset = DEFAULT_PRESETS[int(rng.integers(len(DEFAULT_PRESETS)))]
         score = make_clip_score(cfg, condition, rng)
         plans.append((f"{condition}_{idx:04d}", condition, preset, score, seed * 1009 + idx))
 
@@ -297,7 +295,7 @@ def gen_dataset(cfg: SynthConfig, seed: int, out_dir) -> Path:
 
     split_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x5B117))))
     order = split_rng.permutation(len(plans))
-    n_eval = max(1, int(round(len(plans) * cfg.eval_fraction))) if plans else 0
+    n_eval = max(1, int(round(len(plans) * cfg.eval_fraction)))
     eval_ids = {plans[i][0] for i in order[:n_eval]}
 
     manifest_path = out / "manifest.jsonl"

@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from polyvox import cli
-from polyvox.config import load_config
+from polyvox.config import load_config, resolve_echo
 from polyvox.pitch import PitchEncoderConfig, PitchExtractor
 from polyvox.synthgen import load_manifest
 
@@ -62,13 +62,32 @@ def _files(root):
     ("converter", []),
     ("synth", "x"),
     ("synth", {"presets": [1, 2, 3, 4]}),  # presets are code, not file format
+    # keys that are constants now: a bad value is an unknown key, as a good one is
     ("synth", {"lead_range": [70, 55]}),
-    ("synth", {"lead_range": [80, 83]}),  # no room for a harmony a major third or more above
+    ("synth", {"lead_range": [80, 83]}),
     ("synth", {"note_dur_range": [0.5, 0.1]}),
-    ("synth", {"note_dur_range": [0.001, 0.1]}),  # shorter than a note's attack and release
+    ("synth", {"note_dur_range": [0.001, 0.1]}),
     ("eval", {"bootstrap_resamples": 0}),
     ("eval", {"bootstrap_resamples": -1}),
-    ("eval", {"tolerance_bins": -1}),  # would match no bin, scoring every clip 0
+    ("eval", {"tolerance_bins": -1}),
+    # a negative or non-finite learning rate trains, climbing the loss
+    ("pitch", {"peak_lr": -1}),
+    ("pitch", {"peak_lr": 0}),
+    ("pitch", {"peak_lr": "abc"}),
+    ("pitch", {"peak_lr": float("nan")}),
+    ("pitch", {"steps": 1.5}),  # would fail with a TypeError at the first step
+    ("pitch", {"batch": True}),
+    ("converter", {"peak_lr": -1}),
+    ("converter", {"peak_lr": "abc"}),
+    ("converter", {"peak_lr": float("inf")}),
+    ("converter", {"steps": 1.5}),
+    ("converter", {"batch": 2.0}),
+    # a corpus the split cannot divide, or no corpus at all
+    ("synth", {"eval_fraction": 2.0}),
+    ("synth", {"eval_fraction": -1}),
+    ("synth", {"eval_fraction": 0}),
+    ("synth", {"n_single": -3}),
+    ("synth", {"n_single": 0, "n_harmony": 0}),
 ], ids=lambda v: v if isinstance(v, str) else (",".join(f"{k}={x}" for k, x in v.items())
                                               if isinstance(v, dict) else repr(v)))
 def test_bad_value_exits_1_before_training(tiny_corpus, tmp_path, section, bad):
@@ -106,16 +125,33 @@ def test_unknown_pitch_key_lists_encoder_keys(tiny_corpus, tmp_path):
     pytest.param("converter", "mel_bands", 40, id="mel_bands-40"),
     pytest.param("converter", "ff_mult", 2, id="ff_mult-2"),
     pytest.param("pitch", "input_bins", 60, id="input_bins-60"),
+    *(pytest.param(section, key, value, id=f"{section}.{key}") for section, key, value in [
+        ("converter", "mask_span", [0.3, 0.7]),
+        ("converter", "min_lr_ratio", 0.1),
+        ("converter", "weight_decay", 0.01),
+        ("pitch", "min_lr_ratio", 0.1),
+        ("pitch", "weight_decay", 0.01),
+        ("synth", "lead_range", [55, 70]),
+        ("synth", "note_dur_range", [0.2, 0.6]),
+        ("synth", "rest_prob", 0.2),
+        ("eval", "tolerance_bins", 1),
+        ("eval", "bootstrap_resamples", 1000),
+    ]),
 ])
 def test_fixed_converter_shape_is_an_unknown_key(tiny_corpus, tmp_path, section, key, value):
     """The mel band count, the feed-forward width and the pitch encoder's
     input width (`midi.ROLL_PITCHES` CQT bins) are constants of the
-    converter and its pitch encoder, not options: a config that sets one
-    exits 1 naming it."""
+    converter and its pitch encoder, not options, as are the prompt's mask
+    span, the schedule's floor and weight decay, the corpus's melody
+    statistics and the evaluator's tolerance and bootstrap size: a config
+    that sets one, even to the constant's value, exits 1 naming it."""
     path, _ckpt = _write_config(tmp_path, tiny_corpus, **{section: {key: value}})
+    argv = [COMMAND[section], "--config", str(path)]
+    if section == "synth":
+        argv += ["--out", str(tmp_path / "synth")]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main([COMMAND[section], "--config", str(path)])
+        code = cli.main(argv)
     summary = json.loads(out.getvalue().splitlines()[-1])
     assert (code, summary["status"]) == (1, "config-error"), summary
     assert f"unknown key '{key}'" in summary["error"]
@@ -157,6 +193,32 @@ def test_corrupt_smf_exits_2_naming_the_file(tiny_corpus, tmp_path, command, spl
     assert (code, summary["status"]) == (2, "error"), summary
     assert f"MidiParseError: {mid}: truncated MTrk chunk" in err.getvalue()
     assert str(mid) in summary["error"]
+
+
+def _leaves(tree: dict, prefix: str = "") -> set[str]:
+    """The dotted paths of the non-object values of a JSON object."""
+    keys = set()
+    for key, value in tree.items():
+        path = f"{prefix}{key}"
+        keys |= _leaves(value, path + ".") if isinstance(value, dict) else {path}
+    return keys
+
+
+def test_settable_values_are_pinned(tmp_path):
+    """The 27 values a run config can set. A new option fails this test
+    until it is added here on purpose."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": 0}))
+    assert _leaves(resolve_echo(load_config(path))) == {
+        "seed", "paths.data_dir", "paths.checkpoint_dir", "paths.report_dir",
+        "synth.n_single", "synth.n_harmony", "synth.dur_range", "synth.eval_fraction",
+        "pitch.encoder.model_dim", "pitch.encoder.n_layers", "pitch.encoder.n_heads",
+        "pitch.encoder.window_frames", "pitch.steps", "pitch.batch", "pitch.peak_lr",
+        "converter.width", "converter.n_layers", "converter.n_heads", "converter.window_frames",
+        "converter.steps", "converter.batch", "converter.peak_lr", "converter.sway_s",
+        "converter.nfe", "converter.prompt_frames", "converter.gl_iters",
+        "eval.threshold_db",
+    }
 
 
 def test_valid_config_loads(tiny_corpus, tmp_path):

@@ -100,7 +100,7 @@ def _train(manifest, out, seed=0):
 def tiny_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("tiny_converter")
     manifest = gen_dataset(SynthConfig(n_single=2, n_harmony=2, dur_range=(2.0, 2.0),
-                                       eval_fraction=0.0), seed=5, out_dir=root / "data")
+                                       eval_fraction=0.25), seed=5, out_dir=root / "data")
     return manifest, _train(manifest, root / "a"), _train(manifest, root / "b")
 
 
@@ -400,7 +400,6 @@ class TestConvert:
         rows = load_manifest(manifest)
         src, ref = (load_wav(manifest.parent / r["path"]) for r in rows[:2])
         model = ConverterModel.load(files["svc.pvck"])
-        assert model.cfg.mask_span == ConverterConfig().mask_span
         conversion = convert(src, ref, model)
         mel = conversion.mel
         assert mel.frames == src.samples.size // 441 + 1
@@ -647,6 +646,25 @@ class TestCli:
         samples = load_wav(out).samples
         assert samples.size == summary["frames"] * HOP
         assert np.all(np.isfinite(samples))
+
+    def test_loud_conversion_is_scaled_not_clipped(self, tiny_runs, tmp_path):
+        """A conversion whose peak exceeds 1 is divided by that peak before
+        it is written, and the summary reports the peak: the file holds the
+        waveform over its peak to a PCM16 step, and only the peak sample
+        reaches full scale."""
+        manifest, (files, _), _ = tiny_runs
+        src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
+        out = tmp_path / "out.wav"
+        code, summary = self._run(["convert", "--src", str(src), "--ref", str(ref),
+                                   "--ckpt", str(files["svc.pvck"]), "--out", str(out)])
+        assert code == 0, summary
+        wave = convert(load_pipeline_wav(src), load_pipeline_wav(ref),
+                       ConverterModel.load(files["svc.pvck"])).wave.samples
+        peak = summary["peak"]
+        assert peak == np.abs(wave).max() > 1.0
+        written = load_wav(out).samples
+        assert np.max(np.abs(written * peak - wave)) <= 0.5 * peak / 32767 * (1 + 1e-9)
+        assert np.count_nonzero(np.abs(written) == 1.0) == np.count_nonzero(np.abs(wave) == peak)
 
     @staticmethod
     def _eval_manifest(tiny_runs, tmp_path, n_eval=2):

@@ -7,7 +7,7 @@ import pytest
 from polyvox import evaluate
 from polyvox.cqt import F_MIN_C1, CqtConfig, CqtMatrix
 from polyvox.audio import HOP, Waveform
-from polyvox.evaluate import (EvalConfig, emit_report, f0_yin, guard_octaves, harmony_retention,
+from polyvox.evaluate import (emit_report, f0_yin, guard_octaves, harmony_retention,
                               multipitch_from_cqt, multipitch_scores, yin_recall)
 from polyvox.midi import ROLL_PITCHES, MidiNote, PianoRoll, to_piano_roll
 
@@ -200,8 +200,7 @@ class TestReport:
         rows = [{"id": "a", "f1": 0.5, "recall": 0.25},
                 {"id": "b", "f1": 0.75, "recall": 0.5},
                 {"id": "c", "f1": 0.125, "recall": float("nan")}]
-        cfg = EvalConfig(bootstrap_resamples=50)
-        paths = [emit_report(rows, tmp_path / name, config_echo={"k": 1}, seed=9, cfg=cfg)
+        paths = [emit_report(rows, tmp_path / name, config_echo={"k": 1}, seed=9)
                  for name in ("first", "second")]
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert ((tmp_path / "first" / "report.csv").read_bytes()
@@ -225,8 +224,7 @@ class TestReport:
         not the NaN token strict parsers reject, and the aggregate skips it."""
         rows = [{"id": "a", "harmony_retention": float("nan"), "f1": 0.5},
                 {"id": "b", "harmony_retention": 0.25, "f1": 0.75}]
-        path = emit_report(rows, tmp_path, config_echo={}, seed=1,
-                           cfg=EvalConfig(bootstrap_resamples=20))
+        path = emit_report(rows, tmp_path, config_echo={}, seed=1)
 
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")

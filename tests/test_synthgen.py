@@ -11,7 +11,7 @@ from polyvox.audio import (FRAME_RATE, PIPELINE_SAMPLE_RATE, Waveform, load_pipe
                           resample, save_wav)
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, interior_frames
 from polyvox.errors import ContractError
-from polyvox.midi import MidiNote, load_smf, to_piano_roll
+from polyvox.midi import ROLL_LOW, ROLL_TOP, MidiNote, load_smf, to_piano_roll
 from polyvox.pitch import cqt_input
 from polyvox.synthgen import (DEFAULT_PRESETS, Score, SingerPreset, SynthConfig,
                               gen_dataset, load_clips, load_manifest, render_note, render_score)
@@ -150,9 +150,23 @@ class TestGenDataset(object):
         assert [(n.pitch, n.onset, n.offset) for n in back] == \
                [(n.pitch, n.onset, n.offset) for n in truth]
 
-    def test_preset_pool_minimum(self):
-        with pytest.raises(ContractError):
-            SynthConfig(presets=DEFAULT_PRESETS[:2])
+    def test_melody_constants_leave_every_clip_writable(self):
+        """Lead pitches lie in the roll with room for every harmony interval,
+        the shortest note outlasts its attack and release on the tick grid,
+        and the preset pool holds at least 4 voices."""
+        assert len(DEFAULT_PRESETS) >= 4
+        lo, hi = synthgen.LEAD_RANGE
+        assert ROLL_LOW <= lo <= hi <= ROLL_TOP
+        for interval in synthgen.HARMONY_INTERVALS:
+            h_lo, h_hi = synthgen._harmony_lead_range(synthgen.LEAD_RANGE, interval)
+            assert h_lo <= h_hi, interval
+        shortest, longest = synthgen.NOTE_DUR_RANGE
+        assert synthgen._MIN_NOTE_S + 1.0 / synthgen._TICKS_PER_SECOND <= shortest <= longest
+
+    def test_one_clip_is_a_corpus(self, tmp_path):
+        manifest = gen_dataset(SynthConfig(n_single=0, n_harmony=1, dur_range=(1.0, 1.0)),
+                               seed=3, out_dir=tmp_path)
+        assert [row["split"] for row in load_manifest(manifest)] == ["eval"]
 
 
 def _render_note_with_sines(pitch: int, dur: float, preset: SingerPreset, seed: int):

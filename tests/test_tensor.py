@@ -11,7 +11,7 @@ from scipy.special import erf
 from polyvox import tensor as T
 from polyvox.errors import ContractError
 from polyvox.nn import LayerNorm, Linear, ParamStore, xavier_uniform
-from polyvox.optim import AdamW, AdamWConfig, config_hash, load_checkpoint, save_checkpoint
+from polyvox.optim import AdamW, config_hash, load_checkpoint, save_checkpoint
 from polyvox.tensor import Tensor, backward
 
 
@@ -468,14 +468,13 @@ class TestFloat32Gelu:
 class TestOptimizer:
     def test_zero_gradients_leave_params(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        opt = AdamW({"p": p}, AdamWConfig(weight_decay=0.0))
+        opt = AdamW({"p": p}, 1e-4, 1e-5, 0.0, 10000)
         p.grad = np.zeros(2)
         opt.step()
         assert np.array_equal(p.data, [1.0, 2.0])
 
     def test_lr_hits_floor_at_horizon(self):
-        cfg = AdamWConfig(peak_lr=1e-4, min_lr=1e-5, total_steps=1234)
-        opt = AdamW({}, cfg)
+        opt = AdamW({}, 1e-4, 1e-5, 0.0, 1234)
         assert opt.lr_at(0) == pytest.approx(1e-4)
         assert opt.lr_at(1234) == 1e-5
         assert opt.lr_at(5000) == 1e-5
@@ -483,15 +482,14 @@ class TestOptimizer:
     @given(st.integers(min_value=0, max_value=20000))
     @settings(max_examples=50, deadline=None)
     def test_lr_bounded_and_monotone(self, step):
-        opt = AdamW({}, AdamWConfig(peak_lr=1e-4, min_lr=1e-5, total_steps=10000))
+        opt = AdamW({}, 1e-4, 1e-5, 0.0, 10000)
         lr = opt.lr_at(step)
         assert 1e-5 <= lr <= 1e-4
         assert opt.lr_at(step + 1) <= lr
 
     def test_first_step_moves_by_lr(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
-        opt = AdamW({"p": p}, AdamWConfig(peak_lr=1e-4, min_lr=1e-6, total_steps=100,
-                                          weight_decay=0.0))
+        opt = AdamW({"p": p}, 1e-4, 1e-6, 0.0, 100)
         p.grad = np.array([1.0])
         opt.step()
         # bias-corrected Adam: first update is lr * g/(|g| + eps)
@@ -499,8 +497,7 @@ class TestOptimizer:
 
     def test_decoupled_weight_decay(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = AdamW({"p": p}, AdamWConfig(peak_lr=1e-2, min_lr=1e-3, total_steps=10,
-                                          weight_decay=0.1))
+        opt = AdamW({"p": p}, 1e-2, 1e-3, 0.1, 10)
         p.grad = np.array([0.0])
         opt.step()
         # no gradient: only the decay term applies
@@ -508,7 +505,7 @@ class TestOptimizer:
 
     def test_non_finite_gradient_rejected(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = AdamW({"p": p}, AdamWConfig())
+        opt = AdamW({"p": p}, 1e-4, 1e-5, 0.0, 10000)
         p.grad = np.array([np.nan])
         with pytest.raises(ContractError, match="p"):
             opt.step()
@@ -517,8 +514,7 @@ class TestOptimizer:
         """A NaN in the last parameter rejects the step before the first
         parameter, any moment or the step count moves."""
         params = {name: Tensor(np.ones(3, np.float32), requires_grad=True) for name in "ab"}
-        opt = AdamW(params, AdamWConfig(peak_lr=0.1, min_lr=0.01, total_steps=10,
-                                        weight_decay=0.1))
+        opt = AdamW(params, 0.1, 0.01, 0.1, 10)
         for p in params.values():
             p.grad = np.full(3, 0.5, np.float32)
         opt.step()
@@ -541,7 +537,7 @@ class TestOptimizer:
         def run():
             rng = np.random.default_rng(3)
             p = Tensor(np.ones(4), requires_grad=True)
-            opt = AdamW({"p": p}, AdamWConfig(peak_lr=1e-3, min_lr=1e-4, total_steps=50))
+            opt = AdamW({"p": p}, 1e-3, 1e-4, 0.0, 50)
             data = rng.normal(size=(50, 4))
             for i in range(50):
                 T.zero_grads([p])
