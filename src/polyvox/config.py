@@ -3,6 +3,11 @@
 Paths are resolved relative to the config file location; the fully resolved
 config is persisted next to each stage's outputs and echoed into reports.
 A command's `--seed` overrides the file's seed.
+
+Each section builds its dataclass, whose `__post_init__` applies the value
+rule of `errors.check_fields` (an `int` key holds an integer and not a
+boolean, a `float` key a finite number, a pair exactly two) before its own
+cross-key checks; any failure is a ConfigError naming the section and key.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .converter import ConverterConfig
+from .errors import is_int
 from .evaluate import EvalConfig
 from .pitch import PitchEncoderConfig, PitchTrainConfig
 from .synthgen import SynthConfig
@@ -83,14 +89,11 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
-    if seed_override is not None:
-        seed = seed_override
-    elif "seed" in data:
-        if not isinstance(data["seed"], int):
-            raise ConfigError(f"field 'seed': must be an integer, got {data['seed']!r}")
-        seed = data["seed"]
-    else:
+    seed = data.get("seed") if seed_override is None else seed_override
+    if seed is None:
         raise ConfigError("field 'seed': required (or pass --seed)")
+    if not is_int(seed) or seed < 0:  # numpy's SeedSequence takes no negative seed
+        raise ConfigError(f"field 'seed': must be an integer >= 0, got {seed!r}")
 
     paths = _section(data, "paths")
     base = path.parent

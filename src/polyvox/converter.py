@@ -25,15 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import (N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, griffin_lim,
-                    mel_spectrogram)
+from .audio import (FRAME_RATE, N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform,
+                    griffin_lim, mel_spectrogram)
 from .cqt import CqtMatrix, compute_cqt
-from .errors import ContractError
+from .errors import ContractError, check_fields
 from .features import (N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace, extract_content,
                        timbre_stats, train_timbre_space)
 from .nn import (FF_MULT, LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
                  _checkpoint_array, sinusoidal_positions, timestep_embedding)
-from .optim import _fit, check_schedule, header_config, load_checkpoint, save_checkpoint
+from .optim import _fit, header_config, load_checkpoint, save_checkpoint
 from .pitch import PitchEncoderConfig, PitchExtractor, cqt_input
 from .synthgen import load_clips
 from .tensor import Tensor
@@ -169,19 +169,15 @@ class ConverterConfig:
     gl_iters: int = 32
 
     def __post_init__(self):
-        check_schedule(self.steps, self.batch, self.peak_lr)
-        if self.gl_iters < 1:
-            raise ContractError(f"gl_iters must be >= 1, got {self.gl_iters}")
-        if self.n_heads < 1 or self.width % 2 or self.width % self.n_heads:
+        check_fields(self, width=1, n_layers=0, n_heads=1, window_frames=1, steps=1, batch=1,
+                     nfe=1, prompt_frames=0, gl_iters=1)
+        if self.width % 2 or self.width % self.n_heads:
             raise ContractError(f"width {self.width} must be even (the position table) and "
-                                f"divisible by n_heads {self.n_heads} >= 1")
-        if self.window_frames < 1 or self.prompt_frames < 0:
-            raise ContractError(f"need window_frames >= 1 and prompt_frames >= 0, got "
-                                f"{self.window_frames} and {self.prompt_frames}")
+                                f"divisible by n_heads {self.n_heads}")
+        if self.peak_lr <= 0:
+            raise ContractError(f"peak_lr must be > 0, got {self.peak_lr!r}")
         if not -1.0 <= self.sway_s <= 1.0:
             raise ContractError(f"sway_s {self.sway_s} outside [-1, 1]")
-        if self.nfe < 1:
-            raise ContractError(f"nfe must be >= 1, got {self.nfe}")
 
 
 class ConverterModel:
@@ -321,6 +317,10 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     clips = load_clips(manifest_path, "train")
     pitch = PitchExtractor.load(pitch_ckpt)
     mels = [mel_spectrogram(c.wave) for c in clips]
+    for c, m in zip(clips, mels):  # each step embeds timbre from up to 1.2 s of a clip
+        if m.frames < FRAME_RATE:
+            raise ContractError(f"train clip {c.id!r} is {m.frames} frames long; the timbre "
+                                f"embedding needs >= 1 s ({FRAME_RATE:g} frames)")
     z_ps = [pitch.encode_cqt(cqt_input(compute_cqt(c.wave))).data for c in clips]
     contents = [extract_content(m) for m in mels]
     presets, labels = np.unique([c.preset for c in clips], return_inverse=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import HOP, PIPELINE_SAMPLE_RATE, Waveform
-from .errors import ContractError
+from .errors import ContractError, check_fields
 
 F_MIN_C1 = 32.7032
 
@@ -43,11 +43,9 @@ class CqtConfig:
         """Every bin's band must lie below Nyquist: the top bin's upper band
         edge, half a bin above its centre (f_top * 2^(1/(2*bins_per_octave))),
         is checked, not only the centre."""
-        if self.hop <= 0:
-            raise ContractError("hop must be positive")
-        if self.bins_per_octave < 1 or self.n_bins < 1:
-            raise ContractError(f"need bins_per_octave >= 1 and n_bins >= 1, got "
-                                f"{self.bins_per_octave} and {self.n_bins}")
+        check_fields(self, hop=1, bins_per_octave=1, n_bins=1)
+        if self.f_min <= 0:
+            raise ContractError(f"f_min must be > 0, got {self.f_min!r}")
         f_top = self.f_min * 2.0 ** ((self.n_bins - 1) / self.bins_per_octave)
         edge = f_top * 2.0 ** (1.0 / (2 * self.bins_per_octave))
         if edge >= self.sample_rate / 2:

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio import FRAME_RATE, Waveform, mel_spectrogram
 from .converter import Conversion
 from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, F_MIN_C1
-from .errors import ContractError
+from .errors import ContractError, check_fields
 from .features import TimbreSpace
 from .midi import MidiNote, PianoRoll, to_piano_roll
 
@@ -39,6 +39,7 @@ class EvalConfig:
     threshold_db: float = -20.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.threshold_db >= 0:
             raise ContractError("threshold_db must be negative (relative to the frame maximum)")
 
@@ -47,8 +48,8 @@ def multipitch_from_cqt(m: CqtMatrix, threshold_db: float = -20.0) -> np.ndarray
     """Boolean (frames x bins) mask of the strict interior local maxima
     within threshold_db of their frame's maximum, with no octave guard
     (`guard_octaves` applies it)."""
-    if threshold_db >= 0:
-        raise ContractError("threshold_db must be negative")
+    if not threshold_db < 0:  # NaN included: it would find no peak
+        raise ContractError(f"threshold_db must be negative, got {threshold_db!r}")
     mags, rel = m.magnitudes, 10.0 ** (threshold_db / 20.0)
     inner = mags[:, 1:-1]
     peaks = np.zeros(mags.shape, dtype=bool)

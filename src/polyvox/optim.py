@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import struct
 from pathlib import Path
 
@@ -28,18 +27,6 @@ _EPS = 1e-8
 
 MIN_LR_RATIO = 0.1  # the schedule's floor, as a fraction of its peak
 WEIGHT_DECAY = 0.01
-
-
-def check_schedule(steps, batch, peak_lr) -> None:
-    """The run a trainer's config asks for: `steps` and `batch` must be
-    integers (not bools) >= 1 and `peak_lr` a finite number > 0; raises
-    ContractError otherwise."""
-    for name, value in (("steps", steps), ("batch", batch)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
-    if (isinstance(peak_lr, bool) or not isinstance(peak_lr, (int, float))
-            or not math.isfinite(peak_lr) or peak_lr <= 0):
-        raise ContractError(f"peak_lr must be a finite number > 0, got {peak_lr!r}")
 
 
 class AdamW:
@@ -210,7 +197,8 @@ def header_config(path, header: dict, section: str, cls):
     """`cls` built from the `section` object of a checkpoint header's
     config, which must carry exactly the dataclass's fields. A checkpoint
     written before a field was added or removed raises ContractError naming
-    the unknown and missing keys and the known ones."""
+    the unknown and missing keys and the known ones, and one with a value
+    the dataclass rejects raises its ContractError prefixed with the path."""
     config = header.get("config")
     entry = config.get(section) if isinstance(config, dict) else None
     if not isinstance(entry, dict):
@@ -220,4 +208,7 @@ def header_config(path, header: dict, section: str, cls):
     if unknown or missing:
         raise ContractError(f"{path}: checkpoint config '{section}' has unknown keys {unknown} "
                             f"and missing keys {missing} (known: {sorted(known)})")
-    return cls(**entry)
+    try:
+        return cls(**entry)
+    except ContractError as exc:
+        raise ContractError(f"{path}: checkpoint config '{section}': {exc}") from None

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import tensor as T
 from .cqt import CqtMatrix, compute_cqt, crop_to_vocal_range, transpose_pitch
-from .errors import ContractError
+from .errors import ContractError, check_fields
 from .midi import ROLL_PITCHES, to_piano_roll
 from .nn import ParamStore, SequenceEncoder
-from .optim import _fit, check_schedule, header_config, load_checkpoint, save_checkpoint
+from .optim import _fit, header_config, load_checkpoint, save_checkpoint
 from .synthgen import load_clips
 from .tensor import Tensor
 
@@ -36,11 +36,10 @@ class PitchEncoderConfig:
     window_frames: int = 200  # 2 s at the 100 Hz frame rate
 
     def __post_init__(self):
-        if self.n_heads < 1 or self.model_dim % 2 or self.model_dim % self.n_heads:
+        check_fields(self, model_dim=1, n_layers=0, n_heads=1, window_frames=8)
+        if self.model_dim % 2 or self.model_dim % self.n_heads:
             raise ContractError(f"model_dim {self.model_dim} must be even (the position table) "
-                                f"and divisible by n_heads {self.n_heads} >= 1")
-        if self.window_frames < 8:
-            raise ContractError("window_frames must be >= 8")
+                                f"and divisible by n_heads {self.n_heads}")
 
 
 def log_compress(m: CqtMatrix | np.ndarray) -> np.ndarray:
@@ -134,7 +133,9 @@ class PitchTrainConfig:
     peak_lr: float = 1e-3  # desk-scale default; the published schedule is 1e-4 -> 1e-5
 
     def __post_init__(self):
-        check_schedule(self.steps, self.batch, self.peak_lr)
+        check_fields(self, steps=1, batch=1)
+        if self.peak_lr <= 0:
+            raise ContractError(f"peak_lr must be > 0, got {self.peak_lr!r}")
 
 
 def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | None,

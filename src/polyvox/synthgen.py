@@ -29,7 +29,7 @@ import numpy as np
 
 from .audio import (PIPELINE_SAMPLE_RATE, WavCodes, Waveform, decode_wav, read_pipeline_wav,
                     save_wav)
-from .errors import ContractError
+from .errors import ContractError, check_fields
 from .midi import ROLL_LOW, ROLL_TOP, MidiNote, load_smf, write_smf
 
 _TICKS_PER_SECOND = 960.0  # 480 ticks/beat at 120 BPM
@@ -210,15 +210,12 @@ class SynthConfig:
 
     def __post_init__(self):
         """A corpus of at least one clip that the split can divide: clip
-        counts are integers >= 0, the eval share lies strictly between 0 and
-        1. A config file's JSON list becomes a tuple."""
+        counts are >= 0, the eval share lies strictly between 0 and 1. A
+        config file's JSON list becomes a tuple."""
+        check_fields(self, n_single=0, n_harmony=0)
         self.dur_range = tuple(self.dur_range)
-        if not (0 < self.dur_range[0] <= self.dur_range[1]):
-            raise ContractError("bad duration range")
-        for name in ("n_single", "n_harmony"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ContractError(f"{name} must be an integer >= 0, got {value!r}")
+        if not 0 < self.dur_range[0] <= self.dur_range[1]:
+            raise ContractError(f"dur_range {self.dur_range} must satisfy 0 < low <= high")
         if self.n_single + self.n_harmony < 1:
             raise ContractError("need at least one clip (n_single + n_harmony >= 1)")
         if not 0.0 < self.eval_fraction < 1.0:

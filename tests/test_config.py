@@ -1,14 +1,20 @@
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import shutil
 
 import pytest
 
 from polyvox import cli
 from polyvox.config import load_config, resolve_echo
-from polyvox.pitch import PitchEncoderConfig, PitchExtractor
-from polyvox.synthgen import load_manifest
+from polyvox.converter import ConverterConfig
+from polyvox.cqt import CqtConfig
+from polyvox.errors import ContractError
+from polyvox.evaluate import EvalConfig
+from polyvox.pitch import PitchEncoderConfig, PitchExtractor, PitchTrainConfig
+from polyvox.synthgen import SynthConfig, load_manifest
 
 ENCODER = {"model_dim": 16, "n_layers": 1, "n_heads": 4, "window_frames": 40}
 PITCH = {**ENCODER, "steps": 1, "batch": 2}
@@ -16,7 +22,7 @@ CONVERTER = {"width": 32, "n_layers": 1, "n_heads": 4, "window_frames": 60, "bat
              "steps": 1, "prompt_frames": 50, "nfe": 2, "sway_s": -1.0, "gl_iters": 2}
 # the command each section's bad value is given to: the one that would use it
 COMMAND = {"pitch": "train-pitch", "converter": "train-svc", "paths": "train-pitch",
-           "synth": "synth-data", "eval": "evaluate"}
+           "synth": "synth-data", "eval": "evaluate", "seed": "train-pitch"}
 
 
 def _write_config(tmp_path, corpus, **sections):
@@ -88,6 +94,25 @@ def _files(root):
     ("synth", {"eval_fraction": 0}),
     ("synth", {"n_single": -3}),
     ("synth", {"n_single": 0, "n_harmony": 0}),
+    # an integer key given a float or a boolean, a float key given NaN, a
+    # pair that is not two finite numbers, a boolean seed
+    ("converter", {"nfe": 2.5}),  # would integrate past t = 1
+    ("converter", {"width": 32.0}),
+    ("converter", {"gl_iters": 1.5}),
+    ("converter", {"window_frames": True}),
+    ("converter", {"prompt_frames": 1.5}),
+    ("converter", {"n_layers": -1}),
+    ("converter", {"width": 0}),
+    ("pitch", {"n_layers": -1}),
+    ("pitch", {"model_dim": 0}),
+    ("pitch", {"model_dim": 16.0}),
+    ("pitch", {"window_frames": 8.5}),
+    ("eval", {"threshold_db": float("nan")}),  # would score every clip f1 0
+    ("synth", {"dur_range": [3.0]}),
+    ("synth", {"dur_range": [3.0, 4.0, 5.0]}),
+    ("synth", {"dur_range": [3.0, float("inf")]}),
+    ("seed", True),
+    ("seed", -1),  # numpy's SeedSequence would reject it after the output directory exists
 ], ids=lambda v: v if isinstance(v, str) else (",".join(f"{k}={x}" for k, x in v.items())
                                               if isinstance(v, dict) else repr(v)))
 def test_bad_value_exits_1_before_training(tiny_corpus, tmp_path, section, bad):
@@ -104,7 +129,40 @@ def test_bad_value_exits_1_before_training(tiny_corpus, tmp_path, section, bad):
     summary = json.loads(out.getvalue().splitlines()[-1])
     assert (code, summary["status"]) == (1, "config-error"), summary
     assert f"'{section}'" in summary["error"]
+    if isinstance(bad, dict):
+        assert all(key in summary["error"] for key in bad), summary["error"]
     assert _files(tmp_path) == before
+
+
+CONFIG_CLASSES = (SynthConfig, CqtConfig, PitchEncoderConfig, PitchTrainConfig, ConverterConfig,
+                  EvalConfig)
+# values the value rule rejects, by field annotation
+REJECTED = {"int": [1.5, True], "float": [math.nan, math.inf, True],
+            "tuple[float, float]": [(3.0,), (3.0, 4.0, 5.0), (3.0, math.inf), (True, 4.0), 3.0]}
+
+
+def test_value_rule_covers_every_config_field():
+    """Every field of the config dataclasses has an annotation the rule
+    checks, save the encoder config the pitch trainer holds."""
+    unchecked = [(cls.__name__, f.name) for cls in CONFIG_CLASSES
+                 for f in dataclasses.fields(cls) if f.type not in REJECTED]
+    assert unchecked == [("PitchTrainConfig", "encoder")]
+
+
+@pytest.mark.parametrize("cls, name, bad", [
+    (cls, f.name, bad) for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)
+    for bad in REJECTED.get(f.type, [])
+], ids=lambda v: getattr(v, "__name__", v if isinstance(v, str) else repr(v)))
+def test_value_rule_rejects_naming_the_field(cls, name, bad):
+    with pytest.raises(ContractError, match=f"^{name} must be"):
+        cls(**{name: bad})
+
+
+def test_value_rule_keeps_valid_values():
+    """An int is a valid float, and a JSON list a valid pair, as before."""
+    cfg = SynthConfig(dur_range=[1, 2], eval_fraction=0.5)
+    assert cfg.dur_range == (1, 2) and isinstance(cfg.dur_range, tuple)
+    assert ConverterConfig(peak_lr=1, sway_s=0).peak_lr == 1
 
 
 def test_unknown_pitch_key_lists_encoder_keys(tiny_corpus, tmp_path):

@@ -206,6 +206,22 @@ class TestOdeSample:
 
 
 class TestTraining:
+    def test_sub_second_train_clip_rejected_before_the_first_step(self, tiny_runs, tmp_path):
+        """Each step embeds timbre from up to 1.2 s of a random train clip,
+        and the embedding needs 1 s: a shorter clip is named up front, not
+        when a step first draws it."""
+        _manifest, (files, _), _ = tiny_runs
+        manifest = gen_dataset(SynthConfig(n_single=8, n_harmony=0, dur_range=(0.3, 3.0),
+                                           eval_fraction=0.1), seed=5, out_dir=tmp_path / "data")
+        short = [r for r in load_manifest(manifest) if r["split"] == "train"
+                 and r["duration_s"] < 1.0]
+        assert short
+        ckpt = tmp_path / "svc.pvck"
+        with pytest.raises(ContractError, match=rf"train clip '{short[0]['id']}' is \d+ frames"):
+            train_converter(manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"],
+                            ckpt, log_path=tmp_path / "svc.csv")
+        assert not ckpt.exists() and not (tmp_path / "svc.csv").exists()
+
     def test_same_seed_gives_identical_bytes(self, tiny_runs):
         _manifest, (a, _), (b, _) = tiny_runs
         for name in a:
@@ -510,7 +526,9 @@ class TestCheckpointConfig:
         ("pitch_encoder", lambda c: c.update(input_bins=60), "unknown keys ['input_bins']",
          "'model_dim'"),
         ("converter", lambda c: c.pop("nfe"), "missing keys ['nfe']", "'gl_iters'"),
-    ], ids=["converter-extra", "pitch_encoder-extra", "converter-missing"])
+        ("converter", lambda c: c.update(nfe=2.5), "'converter': nfe must be an integer",
+         "got 2.5"),
+    ], ids=["converter-extra", "pitch_encoder-extra", "converter-missing", "converter-float"])
     def test_converter_checkpoint_convert_exits_2_naming_the_key(self, tiny_runs, tmp_path,
                                                                   section, edit, named, known):
         manifest, (files, _), _ = tiny_runs

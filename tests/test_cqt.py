@@ -51,6 +51,8 @@ class TestBinFrequencies:
         assert CqtConfig(sample_rate=8200).sample_rate == 8200
         with pytest.raises(ContractError):
             CqtConfig(hop=0)
+        with pytest.raises(ContractError, match="f_min"):
+            CqtConfig(f_min=0.0)
 
     @pytest.mark.parametrize("field", ["bins_per_octave", "n_bins"])
     @pytest.mark.parametrize("value", [0, -1])

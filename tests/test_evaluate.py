@@ -7,6 +7,7 @@ import pytest
 from polyvox import evaluate
 from polyvox.cqt import F_MIN_C1, CqtConfig, CqtMatrix
 from polyvox.audio import HOP, Waveform
+from polyvox.errors import ContractError
 from polyvox.evaluate import (emit_report, f0_yin, guard_octaves, harmony_retention,
                               multipitch_from_cqt, multipitch_scores, yin_recall)
 from polyvox.midi import ROLL_PITCHES, MidiNote, PianoRoll, to_piano_roll
@@ -55,6 +56,12 @@ class TestMultipitch:
     def test_harmony_retention_counts_an_octave_harmony(self):
         detected = multipitch_from_cqt(_cqt({20: 1.0, 32: 0.6}))
         assert harmony_retention(detected, _roll(20, 32)) == 1.0
+
+    @pytest.mark.parametrize("threshold_db", [0.0, 3.0, math.nan])
+    def test_threshold_not_below_zero_rejected(self, threshold_db):
+        """A NaN threshold would compare false everywhere and find no peak."""
+        with pytest.raises(ContractError, match="threshold_db"):
+            multipitch_from_cqt(_cqt({20: 1.0, 32: 0.6}), threshold_db)
 
 
 # ---------------------------------------------------------------------------
