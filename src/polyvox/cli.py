@@ -8,6 +8,8 @@ the seconds of source audio converted.
 
 Corpora are read with `synthgen.load_clips`: a malformed manifest line and a
 split with no clips are runtime failures, so every command exits 2 on them.
+`evaluate` also exits 2, before its first conversion, on a source or
+reference clip shorter than `convert` takes.
 
 `convert` and `evaluate` read the source CQT and mel and the reference's
 timbre vector from the `converter.Conversion` that `convert()` returns.
@@ -28,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .audio import HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, load_pipeline_wav, save_wav
-from .config import ConfigError, load_config, persist_config
-from .converter import ConverterConfig, ConverterModel, convert, train_converter
+from .config import ConfigError, check_seed, load_config, persist_config
+from .converter import (ConverterConfig, ConverterModel, check_clip_length, convert,
+                        train_converter)
 from .cqt import (CqtMatrix, compute_cqt, crop_to_vocal_range, interior_frames, save_cqt,
                   save_cqt_csv, save_matrix_container, transpose_pitch)
 from .errors import ContractError
@@ -128,17 +131,19 @@ def _timings(start: float, source_s: float) -> dict:
 
 def cmd_convert(args) -> dict:
     start = time.perf_counter()
-    # the --sway/--nfe values given, checked by ConverterConfig before any checkpoint work
+    # --sway/--nfe checked by ConverterConfig, --seed by the run seed's rule, before any I/O
     given = {k: v for k, v in (("sway_s", args.sway), ("nfe", args.nfe)) if v is not None}
     try:
         ConverterConfig(**given)
     except ContractError as exc:
         raise ConfigError(f"--sway/--nfe: {exc}") from None
+    seed = 0 if args.seed is None else args.seed
+    check_seed(seed, "--seed")
     model = ConverterModel.load(_require(args.ckpt, "checkpoint"))
     src = load_pipeline_wav(_require(args.src, "source audio"))
     ref = load_pipeline_wav(_require(args.ref, "reference audio"))
     model.cfg = dataclasses.replace(model.cfg, **given)
-    conversion = convert(src, ref, model, transpose=args.transpose, seed=args.seed or 0)
+    conversion = convert(src, ref, model, transpose=args.transpose, seed=seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     peak = float(np.abs(conversion.wave.samples).max())
@@ -175,11 +180,15 @@ def cmd_evaluate(args) -> dict:
     ckpt = _require(Path(args.ckpt) if args.ckpt else cfg.svc_ckpt, "converter checkpoint")
     eval_clips = load_clips(manifest, "eval")
     train_clips = load_clips(manifest, "train")
+    pairs = [(clip, next((c for c in train_clips if c.preset != clip.preset), train_clips[0]))
+             for clip in eval_clips]
+    for clip, ref in pairs:  # every pair, before the first conversion
+        check_clip_length(f"eval clip {clip.id!r} (source)", clip.wave)
+        check_clip_length(f"train clip {ref.id!r} (reference of {clip.id!r})", ref.wave)
     model = ConverterModel.load(ckpt)
 
     report_rows = []
-    for clip in eval_clips:
-        ref = next((c for c in train_clips if c.preset != clip.preset), train_clips[0])
+    for clip, ref in pairs:
         conversion = convert(clip.wave, ref.wave, model, seed=cfg.seed)
         scored = evaluate_conversion(conversion, clip.notes, cfg.eval, model.timbre)
         scored.update(id=clip.id, condition=clip.condition, ref=ref.id)

@@ -76,6 +76,13 @@ def _build_section(cls, data: dict, section: str, siblings=frozenset(), **extra)
         raise ConfigError(f"field '{section}': {exc}") from exc
 
 
+def check_seed(seed, name: str) -> None:
+    """The seed rule: an integer >= 0, as numpy's SeedSequence takes no
+    negative seed. A bad seed raises ConfigError naming `name`."""
+    if not is_int(seed) or seed < 0:
+        raise ConfigError(f"{name}: must be an integer >= 0, got {seed!r}")
+
+
 def load_config(path, seed_override: int | None = None) -> RunConfig:
     """Parse and validate a run config; raises ConfigError with a line or
     field diagnostic on any problem."""
@@ -92,8 +99,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     seed = data.get("seed") if seed_override is None else seed_override
     if seed is None:
         raise ConfigError("field 'seed': required (or pass --seed)")
-    if not is_int(seed) or seed < 0:  # numpy's SeedSequence takes no negative seed
-        raise ConfigError(f"field 'seed': must be an integer >= 0, got {seed!r}")
+    check_seed(seed, "field 'seed'")
 
     paths = _section(data, "paths")
     base = path.parent

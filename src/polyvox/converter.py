@@ -303,12 +303,13 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
 
     Before the first step, each clip's mel, content and z_p (the frozen CQT
     encoder's embedding) are computed once, as `convert` computes them, and
-    the corpus mel statistics and z_p whitening are taken from them. Per step and
-    batch item: cut a window out of those arrays, hide a random span of the
-    target mel, a `_MASK_SPAN` share (30-70 %) of the window, from the
-    conditioning, embed timbre from a 1.2 s window of the clip's mel, then
-    regress the path velocity on the hidden span. A step does no signal
-    processing. Writes a (step, lr, loss) CSV next to the checkpoint.
+    the corpus mel statistics and z_p whitening are taken from them. Per step
+    and batch item: cut a window out of those arrays, hide a random span of
+    the target mel, a `_MASK_SPAN` share (30-70 %) of the window, from the
+    conditioning, embed timbre from a 1.2 s window of the clip's mel and fuse
+    the item's condition; then regress the path velocity on the hidden spans.
+    A step does no signal processing. Writes a (step, lr, loss) CSV next to
+    the checkpoint.
     """
     steps = cfg.steps if steps is None else steps
     pitch_ckpt = Path(pitch_ckpt)
@@ -343,7 +344,7 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     win = min(cfg.window_frames, min(m.frames for m in mels))
 
     def batch_loss() -> Tensor:
-        x1s, windows, zps, zts, xrefs, visibles, hiddens = [], [], [], [], [], [], []
+        x1s, conds, hiddens = [], [], []
         for _ in range(cfg.batch):
             i = int(rng.integers(len(mels)))
             mel = mels[i]
@@ -360,18 +361,14 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
             span_start = int(rng.integers(0, win - span + 1))
             hidden = np.zeros((win, 1))
             hidden[span_start : span_start + span] = 1.0
+            visible = 1.0 - hidden
 
             x1s.append(x1)
-            windows.append(contents[i][start : start + win])
-            zps.append(z_ps[i][start : start + win])
-            zts.append(z_t)
-            xrefs.append(x1 * (1.0 - hidden))
-            visibles.append(1.0 - hidden)
+            conds.append(model.fuse(contents[i][start : start + win],
+                                    z_ps[i][start : start + win], z_t, x1 * visible, visible))
             hiddens.append(hidden)
-        x1, content, z_p, z_t, x_ref, visible, hidden = (
-            np.stack(items) for items in (x1s, windows, zps, zts, xrefs, visibles, hiddens))
-        cond = model.fuse(content, z_p, z_t, x_ref, visible)
-        return cfm_loss(model.net, x1, cond, rng, loss_mask=hidden)
+        return cfm_loss(model.net, np.stack(x1s), np.stack(conds), rng,
+                        loss_mask=np.stack(hiddens))
 
     return _fit(model.store.params, batch_loss, steps, cfg.peak_lr, model.save, ckpt_path,
                 log_path, progress)
@@ -394,6 +391,13 @@ class Conversion:
     z_t: np.ndarray
 
 
+def check_clip_length(what: str, wave: Waveform) -> None:
+    """`convert`'s rule for its source and reference clips, which must each
+    last at least 1 s; a shorter one raises ContractError naming `what`."""
+    if wave.duration < 1.0:
+        raise ContractError(f"{what} is {wave.duration:.2f} s; convert needs at least 1 s")
+
+
 def convert(src: Waveform, ref: Waveform, model: ConverterModel, transpose: int = 0,
             seed: int = 0) -> Conversion:
     """Convert `src` to the timbre of `ref`: content and (optionally
@@ -406,8 +410,8 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel, transpose: int 
     if src.sample_rate != PIPELINE_SAMPLE_RATE or ref.sample_rate != PIPELINE_SAMPLE_RATE:
         raise ContractError(f"convert needs 44.1 kHz clips, got source {src.sample_rate} Hz "
                             f"and reference {ref.sample_rate} Hz")
-    if src.duration < 1.0 or ref.duration < 1.0:
-        raise ContractError("source and reference clips must be at least 1 s")
+    check_clip_length("source", src)
+    check_clip_length("reference", ref)
 
     mel_src = mel_spectrogram(src)
     mel_ref = mel_spectrogram(ref)

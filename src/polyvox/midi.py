@@ -145,8 +145,9 @@ def parse_smf(data: bytes) -> list[MidiNote]:
     with velocity 0 counts as note-off. A note nested inside another of the
     same pitch (later onset, earlier offset) therefore reads back as two
     overlapping notes. Tempo meta events from all tracks drive the
-    tick-to-second conversion (default 120 BPM). Notes still open at end of
-    file are closed at the final event time with a logged warning.
+    tick-to-second conversion (default 120 BPM), each re-anchoring the clock
+    at its tick. Notes still open at end of file are closed at the final
+    event time with a logged warning.
 
     Notes are returned sorted by (onset, pitch, offset), so notes sharing an
     onset and a pitch come out in a defined order.
@@ -181,30 +182,16 @@ def parse_smf(data: bytes) -> list[MidiNote]:
     # stable order: tick, then tempo changes ahead of notes at the same tick
     events.sort(key=lambda e: (e[0], 0 if e[1] == "tempo" else 1))
 
-    # piecewise-linear tick -> seconds map
-    def make_clock():
-        sec_at = 0.0
-        tick_at = 0
-        tempo = DEFAULT_TEMPO_US
-
-        def advance(tick, new_tempo=None):
-            nonlocal sec_at, tick_at, tempo
-            sec = sec_at + (tick - tick_at) * tempo / (1e6 * division)
-            if new_tempo is not None:
-                sec_at, tick_at, tempo = sec, tick, new_tempo
-            return sec
-
-        return advance
-
-    clock = make_clock()
+    # piecewise-linear tick -> seconds map, anchored at the last tempo change
+    sec_at, tick_at, tempo = 0.0, 0, DEFAULT_TEMPO_US
     open_notes: dict[tuple[int, int], list[tuple[float, int]]] = {}
     notes: list[MidiNote] = []
     last_time = 0.0
     for tick, kind, payload in events:
+        when = sec_at + (tick - tick_at) * tempo / (1e6 * division)
         if kind == "tempo":
-            clock(tick, payload)
+            sec_at, tick_at, tempo = when, tick, payload
             continue
-        when = clock(tick)
         last_time = max(last_time, when)
         channel, pitch, velocity = payload
         key = (channel, pitch)

@@ -2,9 +2,9 @@
 floor, the training loop and the binary checkpoint container shared by all
 trained modules.
 
-Both trainers run one schedule: `_fit` decays the learning rate from a
-run's `peak_lr` to `MIN_LR_RATIO` times it over the run's steps, with
-decoupled weight decay `WEIGHT_DECAY`."""
+Both trainers run one schedule, whose constants `AdamW` reads itself: the
+learning rate decays exponentially from a run's `peak_lr` to `MIN_LR_RATIO`
+times it over the run's steps, with decoupled weight decay `WEIGHT_DECAY`."""
 
 from __future__ import annotations
 
@@ -31,23 +31,18 @@ WEIGHT_DECAY = 0.01
 
 class AdamW:
     """Adam moments (beta1 0.9, beta2 0.999, eps 1e-8) with bias
-    correction; weight decay applied directly to parameters rather than
-    through the gradients. The learning rate decays exponentially from
-    `peak_lr` and reaches `min_lr` at step `total_steps`."""
+    correction; weight decay `WEIGHT_DECAY` applied directly to parameters
+    rather than through the gradients. The learning rate decays exponentially
+    from `peak_lr` to its floor `peak_lr * MIN_LR_RATIO` at `total_steps`."""
 
-    def __init__(self, params: dict[str, Tensor], peak_lr: float, min_lr: float,
-                 weight_decay: float, total_steps: int):
+    def __init__(self, params: dict[str, Tensor], peak_lr: float, total_steps: int):
         self.params = params
         self.peak_lr = peak_lr
-        self.min_lr = min_lr
-        self.weight_decay = weight_decay
+        self.min_lr = peak_lr * MIN_LR_RATIO
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        if total_steps > 0 and min_lr < peak_lr:
-            self._gamma = (min_lr / peak_lr) ** (1.0 / total_steps)
-        else:
-            self._gamma = 1.0
+        self._gamma = (self.min_lr / peak_lr) ** (1.0 / total_steps)
 
     def lr_at(self, step: int) -> float:
         return max(self.min_lr, self.peak_lr * self._gamma**step)
@@ -87,9 +82,8 @@ class AdamW:
             num /= den
             num *= lr
             p.data -= num
-            if self.weight_decay:
-                np.multiply(p.data, lr * self.weight_decay, out=num)
-                p.data -= num
+            np.multiply(p.data, lr * WEIGHT_DECAY, out=num)
+            p.data -= num
         return lr
 
 
@@ -97,16 +91,16 @@ def _fit(params: dict[str, Tensor], batch_loss, steps: int, peak_lr: float, save
          log_path, progress) -> Path:
     """Run `steps` AdamW updates of `params` on the scalar `batch_loss()`.
 
-    The schedule decays from `peak_lr` to `peak_lr * MIN_LR_RATIO` over the
-    run, with `WEIGHT_DECAY`. `progress(step, loss)` fires at
-    step 0, every 100 steps and the last step. Afterwards `save(ckpt_path,
-    step=steps)` writes the checkpoint and, when `log_path` is given, a
-    (step, lr, loss) CSV goes there. Returns the checkpoint path.
+    The `AdamW` schedule runs from `peak_lr` over the run's steps.
+    `progress(step, loss)` fires at step 0, every 100 steps and the last
+    step. Afterwards `save(ckpt_path, step=steps)` writes the checkpoint
+    and, when `log_path` is given, a (step, lr, loss) CSV goes there.
+    Returns the checkpoint path.
 
     One step's graph is alive at a time: the loss is read and dropped
     before the update, so the tape of step k is freed before `batch_loss()`
     builds step k + 1's."""
-    opt = AdamW(params, peak_lr, peak_lr * MIN_LR_RATIO, WEIGHT_DECAY, max(steps, 1))
+    opt = AdamW(params, peak_lr, max(steps, 1))
     rows = []
     for step in range(steps):
         zero_grads(params.values())

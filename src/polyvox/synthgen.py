@@ -261,22 +261,20 @@ def make_clip_score(cfg: SynthConfig, condition: str, rng: np.random.Generator) 
 
 def gen_dataset(cfg: SynthConfig, seed: int, out_dir) -> Path:
     """Write WAV + SMF + JSON sidecars plus manifest.jsonl; returns the
-    manifest path. Clips render one after another on the calling thread.
+    manifest path. Each clip renders as it is planned, one after another on
+    the calling thread; the eval split is then drawn over the clip ids.
     Pure function of (cfg, seed): reruns are byte-identical."""
     out = Path(out_dir)
     clips_dir = out / "clips"
     clips_dir.mkdir(parents=True, exist_ok=True)
 
-    plans = []
+    sidecars = []
     conditions = ["single"] * cfg.n_single + ["harmony"] * cfg.n_harmony
     for idx, condition in enumerate(conditions):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, idx))))
         preset = DEFAULT_PRESETS[int(rng.integers(len(DEFAULT_PRESETS)))]
         score = make_clip_score(cfg, condition, rng)
-        plans.append((f"{condition}_{idx:04d}", condition, preset, score, seed * 1009 + idx))
-
-    sidecars = []
-    for clip_id, condition, preset, score, clip_seed in plans:
+        clip_id, clip_seed = f"{condition}_{idx:04d}", seed * 1009 + idx
         wav, truth = render_score(score, preset, clip_seed)
         save_wav(wav, clips_dir / f"{clip_id}.wav")
         write_smf(truth, clips_dir / f"{clip_id}.mid")
@@ -291,9 +289,9 @@ def gen_dataset(cfg: SynthConfig, seed: int, out_dir) -> Path:
         sidecars.append(sidecar)
 
     split_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x5B117))))
-    order = split_rng.permutation(len(plans))
-    n_eval = max(1, int(round(len(plans) * cfg.eval_fraction)))
-    eval_ids = {plans[i][0] for i in order[:n_eval]}
+    order = split_rng.permutation(len(sidecars))
+    n_eval = max(1, int(round(len(sidecars) * cfg.eval_fraction)))
+    eval_ids = {sidecars[i]["id"] for i in order[:n_eval]}
 
     manifest_path = out / "manifest.jsonl"
     with open(manifest_path, "w") as fh:

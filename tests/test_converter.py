@@ -612,10 +612,12 @@ class TestCli:
             assert int(last[0]) == STEPS - 1
             assert summary["final_loss"] == float(last[2])
 
-    @pytest.mark.parametrize("flag", [["--nfe", "0"], ["--sway", "3"], ["--sway", "nan"]])
+    @pytest.mark.parametrize("flag", [["--nfe", "0"], ["--sway", "3"], ["--sway", "nan"],
+                                      ["--seed", "-1"]])
     def test_invalid_schedule_is_a_usage_error(self, tiny_runs, tmp_path, flag):
-        """A bad --nfe or --sway exits 1, as a configuration error, before
-        the checkpoint is read."""
+        """A bad --nfe or --sway, or a --seed that breaks the run seed's
+        rule, exits 1, as a configuration error, before the checkpoint is
+        read."""
         manifest, (files, _), _ = tiny_runs
         src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
         code, summary = self._run(["convert", "--src", str(src), "--ref", str(ref),
@@ -624,6 +626,25 @@ class TestCli:
         assert (code, summary["status"]) == (1, "config-error"), summary
         assert flag[0] in summary["error"]
         assert not (tmp_path / "out.wav").exists()
+
+    def test_evaluate_names_a_sub_second_clip_before_converting(self, tiny_runs, tmp_path,
+                                                                monkeypatch):
+        """Every eval clip and its reference are checked against `convert`'s
+        1 s rule before the first conversion; the error names the clip, its
+        role and its duration."""
+        _manifest, (files, _), _ = tiny_runs
+        manifest = gen_dataset(SynthConfig(n_single=8, n_harmony=0, dur_range=(0.3, 3.0),
+                                           eval_fraction=0.25), seed=5, out_dir=tmp_path / "data")
+        converted = []
+        monkeypatch.setattr(cli, "convert", lambda *args, **kwargs: converted.append(args))
+        config = tmp_path / "evaluate.json"
+        config.write_text(json.dumps({"seed": 0, "paths": {"report_dir": str(tmp_path / "r")}}))
+        code, summary = self._run(["evaluate", "--config", str(config), "--manifest",
+                                   str(manifest), "--ckpt", str(files["svc.pvck"])])
+        assert (code, summary["status"]) == (2, "error"), summary
+        assert "eval clip 'single_0004' (source) is 0.43 s" in summary["error"]
+        assert converted == []
+        assert not (tmp_path / "r").exists()
 
     def test_convert_and_evaluate_report_wall_time_and_rtf(self, tiny_runs, tmp_path):
         manifest, (files, _), _ = tiny_runs
@@ -802,11 +823,12 @@ class TestEachFeatureOnce:
         assert (len(mels), len(masks), len(embeds)) == (3 * n, n, 2 * n)
 
 
-class TestWindowedAugment:
-    """Content needs no augmentation, so what a converter train step feeds
-    the net is the window it cut from each clip's arrays, never the clip."""
+class TestConverterBatch:
+    """A converter train step fuses each batch item's condition as it draws
+    the item, from the window it cut out of that clip's arrays, never the
+    clip."""
 
-    def test_warped_inputs_are_window_sized(self, tiny_runs, tmp_path, monkeypatch):
+    def test_each_item_fuses_window_sized_inputs(self, tiny_runs, tmp_path, monkeypatch):
         manifest, (files, _), _ = tiny_runs
         frames = min(mel_spectrogram(c.wave).frames for c in load_clips(manifest, "train"))
         win = min(TINY_CONVERTER["window_frames"], frames)
@@ -814,18 +836,15 @@ class TestWindowedAugment:
         fuse = ConverterModel.fuse
 
         def recording(model, *inputs):
-            fused.append([x.shape for x in inputs])
+            fused.append(tuple(x.shape for x in inputs))
             return fuse(model, *inputs)
 
         monkeypatch.setattr(ConverterModel, "fuse", recording)
         _one_train_step(monkeypatch, converter_module, lambda: train_converter(
             manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"], tmp_path / "s"))
-        batch = TINY_CONVERTER["batch"]
-        [(content, z_p, z_t, x_ref, visible)] = fused
-        assert content == (batch, win, N_CONTENT)
-        assert z_p == (batch, win, TINY_ENCODER.model_dim)
-        assert z_t == (batch, TIMBRE_DIM)
-        assert (x_ref, visible) == ((batch, win, N_MELS), (batch, win, 1))
+        item = ((win, N_CONTENT), (win, TINY_ENCODER.model_dim), (TIMBRE_DIM,), (win, N_MELS),
+                (win, 1))
+        assert fused == [item] * TINY_CONVERTER["batch"]
 
 
 class TestTrainStep:

@@ -83,6 +83,21 @@ class TestParse:
         notes = parse_smf(data)
         assert notes[0].offset == pytest.approx(1.0)
 
+    def test_tempo_change_after_tick_0_re_anchors_the_clock(self):
+        """Ticks before a tempo change keep the old tempo's seconds; ticks
+        after it count from the change's time at the new tempo."""
+        track = bytes([
+            0x00, 0x90, 60, 96,
+            0x81, 0x70, 0x90, 64, 96,                          # tick 240
+            0x81, 0x70, 0xFF, 0x51, 0x03, 0x0F, 0x42, 0x40,    # tick 480: 60 BPM
+            0x00, 0x80, 60, 64,
+            0x00, 0x90, 67, 96,
+            0x81, 0x70, 0x80, 64, 64,                          # tick 720
+            0x81, 0x70, 0x80, 67, 64,                          # tick 960
+        ]) + END
+        assert parse_smf(smf_bytes(track)) == [
+            MidiNote(60, 0.0, 0.5), MidiNote(64, 0.25, 1.0), MidiNote(67, 0.5, 1.5)]
+
 
 def _drop_nested(spec):
     """Drop each note that lies strictly inside an earlier-kept note of the
