@@ -4,12 +4,14 @@ sha256 per artefact it writes, as a JSON object.
 In a temporary directory, through `polyvox.cli.main`: `synth-data` (seed 13,
 4 single + 4 harmony clips of 2-3 s), `train-pitch` (40 steps, d16 x 1
 encoder), `train-svc` (40 steps, w32 x 1 converter), `convert` of the first
-eval clip to the timbre of the first train clip (`--transpose 2 --mel-out`)
-and `evaluate`. The temporary path is replaced by `<tmp>` in `report.json` and
-both `resolved_config.json` files before they are hashed; the corpus clips
-hash as one artefact, over their names and bytes in name order. A change
-that should leave outputs alone prints the same digests as its parent. Run
-from anywhere; it imports `polyvox` from the `src` beside this directory:
+eval clip to the timbre of the first train clip (`--transpose 2 --mel-out`),
+`cqt --crop --transpose 2` of the first clip of the manifest to a `.cqt`
+container and to a CSV, and `evaluate`. The temporary path is replaced by
+`<tmp>` in `report.json` and both `resolved_config.json` files before they
+are hashed; the corpus clips hash as one artefact, over their names and
+bytes in name order. A change that should leave outputs alone prints the
+same digests as its parent. Run from anywhere; it imports `polyvox` from the
+`src` beside this directory:
 
     python benches/artefacts.py
 """
@@ -38,7 +40,8 @@ CONFIG = {
 ARTEFACTS = ("data/clips", "data/manifest.jsonl", "data/resolved_config.json",
              "ckpt/pitch.pvck", "ckpt/pitch_train.csv", "ckpt/svc.pvck",
              "ckpt/converter_train.csv", "ckpt/resolved_config.json", "out/convert.wav",
-             "out/convert.mel", "reports/report.json", "reports/report.csv")
+             "out/convert.mel", "out/cqt.cqt", "out/cqt.csv", "reports/report.json",
+             "reports/report.csv")
 # artefacts that echo the run's absolute paths
 _PATH_ECHOES = ("data/resolved_config.json", "ckpt/resolved_config.json", "reports/report.json")
 
@@ -78,6 +81,9 @@ def artefact_digests() -> dict[str, str]:
         _run("convert", "--src", str(root / "data" / src), "--ref", str(root / "data" / ref),
              "--ckpt", str(root / "ckpt/svc.pvck"), "--out", str(root / "out/convert.wav"),
              "--transpose", "2", "--mel-out", str(root / "out/convert.mel"))
+        for out in ("out/cqt.cqt", "out/cqt.csv"):
+            _run("cqt", "--in", str(root / "data" / rows[0]["path"]), "--out", str(root / out),
+                 "--crop", "--transpose", "2")
         _run("evaluate", "--config", str(config))
         return {name: _digest(root / name, root) for name in ARTEFACTS}
 

@@ -8,7 +8,8 @@ Griffin-Lim iterations over 600 frames (`test_griffin_lim` times the
 public `griffin_lim`, whose loop runs in float32), a 5.5 s source resampled
 from 48 to 44.1 kHz, and the STFT, inverse STFT (each in float32, as
 Griffin-Lim runs them, and in float64, as the mel and the training
-features do), mel spectrogram and CQT of that 5.5 s source at 44.1 kHz.
+features do), mel spectrogram and CQT of that 5.5 s source at 44.1 kHz,
+and the CQT of a 60 s clip, which spans several of its chunks.
 The train steps are the smoke recipe's, with forward and backward timed
 apart: the converter's
 (`cfm_loss`, batch 2 x 200 frames, w128 x 4) in float32 and in float64, and
@@ -163,6 +164,12 @@ def test_mel_spectrogram(benchmark):
 def test_compute_cqt(benchmark):
     mat = benchmark.pedantic(compute_cqt, args=(SOURCE,), rounds=5, warmup_rounds=1)
     assert np.all(np.isfinite(mat.magnitudes))
+
+
+def test_compute_cqt_60s(benchmark):
+    clip = Waveform(np.random.default_rng(13).uniform(-0.5, 0.5, 60 * 44100), 44100)
+    mat = benchmark.pedantic(compute_cqt, args=(clip,), rounds=5, warmup_rounds=1)
+    assert mat.frames == 60 * 44100 // HOP + 1
 
 
 def _train_step_inputs(dtype):

@@ -33,8 +33,8 @@ from .audio import HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, load_pipeline_wav, save_
 from .config import ConfigError, check_seed, load_config, persist_config
 from .converter import (ConverterConfig, ConverterModel, check_clip_length, convert,
                         train_converter)
-from .cqt import (CqtMatrix, compute_cqt, crop_to_vocal_range, interior_frames, save_cqt,
-                  save_cqt_csv, save_matrix_container, transpose_pitch)
+from .cqt import (CqtMatrix, bin_shift, compute_cqt, crop_to_vocal_range, interior_frames,
+                  save_cqt, save_cqt_csv, save_matrix_container, transpose_pitch)
 from .errors import ContractError
 from .evaluate import emit_report, evaluate_conversion, write_pgm
 from .pitch import train_pitch_extractor
@@ -124,6 +124,15 @@ def _mean_profile_argmax(m: CqtMatrix) -> int:
     return int(cropped.magnitudes[rows].mean(axis=0).argmax())
 
 
+def _check_transpose(semitones: int) -> None:
+    """`--transpose` by `transpose_pitch`'s rule on the uncropped CQT that
+    `convert` and `cqt` shift, before any I/O."""
+    try:
+        bin_shift(semitones)
+    except ContractError as exc:
+        raise ConfigError(f"--transpose: {exc}") from None
+
+
 def _timings(start: float, source_s: float) -> dict:
     wall = time.perf_counter() - start
     return {"wall_s": wall, "rtf": wall / source_s}
@@ -131,7 +140,8 @@ def _timings(start: float, source_s: float) -> dict:
 
 def cmd_convert(args) -> dict:
     start = time.perf_counter()
-    # --sway/--nfe checked by ConverterConfig, --seed by the run seed's rule, before any I/O
+    # --sway/--nfe checked by ConverterConfig, --seed by the run seed's rule,
+    # --transpose by the CQT shift rule, before any I/O
     given = {k: v for k, v in (("sway_s", args.sway), ("nfe", args.nfe)) if v is not None}
     try:
         ConverterConfig(**given)
@@ -139,6 +149,7 @@ def cmd_convert(args) -> dict:
         raise ConfigError(f"--sway/--nfe: {exc}") from None
     seed = 0 if args.seed is None else args.seed
     check_seed(seed, "--seed")
+    _check_transpose(args.transpose)
     model = ConverterModel.load(_require(args.ckpt, "checkpoint"))
     src = load_pipeline_wav(_require(args.src, "source audio"))
     ref = load_pipeline_wav(_require(args.ref, "reference audio"))
@@ -214,6 +225,7 @@ def cmd_evaluate(args) -> dict:
 
 
 def cmd_cqt(args) -> dict:
+    _check_transpose(args.transpose)
     mat = compute_cqt(load_pipeline_wav(_require(args.infile, "input audio")))
     if args.transpose:
         mat = transpose_pitch(mat, args.transpose)

@@ -8,11 +8,14 @@ Hann-windowed complex sinusoids of length ceil(Q*sr/f_k) with
 Q = 1/(2^(1/bpo)-1), L1-normalized so a unit-amplitude tone at a bin center
 reads close to 0.5 at that bin.
 
-The kernels are applied block-sparse: the centred kernel window is cut into
-hop-row blocks, and each block multiplies only the bins whose kernel reaches
-it (52 blocks holding 23 % of the dense window's cells at the default
-config). The result is the dense time-domain projection, exact up to the
-order of summation.
+Only the taps each kernel has are multiplied. The centred kernel window is
+cut into hop-row blocks, each keeping only the bins whose kernel reaches it,
+and the blocks sit side by side in one (hop, columns) bank, 23 % of the dense
+window's cells at the default config. The padded signal, viewed as hop-sample
+rows, meets the bank in one product per chunk of `CHUNK_FRAMES` frames; each
+block's columns of that product, shifted down by the block's index, add into
+the projection. The result is the dense time-domain projection, exact up to
+the order of summation.
 """
 
 from __future__ import annotations
@@ -98,24 +101,31 @@ def kernel_length(k: int, cfg: CqtConfig) -> int:
     return math.ceil(cfg.q_factor * cfg.sample_rate / bin_center_frequency(k, cfg))
 
 
+# frames per bank product: the product holds CHUNK_FRAMES + (blocks - 1) rows
+# whatever the clip length, about 17 MB at the default config
+CHUNK_FRAMES = 1024
+
+
 @functools.lru_cache(maxsize=4)
-def _kernel_blocks(cfg: CqtConfig) -> tuple[np.ndarray, ...]:
-    """The kernels cut into hop-row blocks of the centred max-length window.
+def _kernel_bank(cfg: CqtConfig) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The kernels cut into hop-row blocks of the centred max-length window,
+    side by side in one read-only (hop, columns) bank, and each block's
+    column count.
 
     Kernel k is `kernel_length(k)` taps centred at n_max//2 - n//2, so the
     spans are nested and shrink as k rises: the bins whose kernel reaches
-    block j are a prefix 0..c_j-1, and block j is (hop, 2*c_j) with
-    interleaved real/imag columns (zero past n_max). Each block is filled
-    straight from the per-bin kernels; no dense (n_max, 2*n_bins) bank is
-    built."""
+    block j are a prefix 0..c_j-1, and block j is 2*c_j columns of
+    interleaved real/imag taps (zero past n_max), after the columns of
+    blocks 0..j-1. The bank is filled straight from the per-bin kernels; no
+    dense (n_max, 2*n_bins) bank is built."""
     hop, n_max = cfg.hop, kernel_length(0, cfg)
     lengths = [kernel_length(k, cfg) for k in range(cfg.n_bins)]
     offsets = [n_max // 2 - n // 2 for n in lengths]
-    blocks = []
-    for j in range(-(-n_max // hop)):
-        lo = j * hop
-        reach = sum(off < lo + hop and off + n > lo for off, n in zip(offsets, lengths))
-        blocks.append(np.zeros((hop, 2 * reach)))
+    widths = tuple(
+        2 * sum(off < lo + hop and off + n > lo for off, n in zip(offsets, lengths))
+        for lo in range(0, n_max, hop))
+    starts = np.cumsum((0,) + widths)
+    bank = np.zeros((hop, starts[-1]))
     for k, (off, n) in enumerate(zip(offsets, lengths)):
         window = np.hanning(n)
         window /= window.sum()
@@ -123,10 +133,10 @@ def _kernel_blocks(cfg: CqtConfig) -> tuple[np.ndarray, ...]:
         taps = np.stack([window * np.cos(phase), window * np.sin(phase)], axis=1)
         for j in range(off // hop, -(-(off + n) // hop)):
             a, b = max(off, j * hop), min(off + n, (j + 1) * hop)
-            blocks[j][a - j * hop : b - j * hop, 2 * k : 2 * k + 2] = taps[a - off : b - off]
-    for block in blocks:  # cached and shared by every caller
-        block.flags.writeable = False
-    return tuple(blocks)
+            col = starts[j] + 2 * k
+            bank[a - j * hop : b - j * hop, col : col + 2] = taps[a - off : b - off]
+    bank.flags.writeable = False  # cached and shared by every caller
+    return bank, widths
 
 
 def compute_cqt(w: Waveform, cfg: CqtConfig = CqtConfig()) -> CqtMatrix:
@@ -134,23 +144,32 @@ def compute_cqt(w: Waveform, cfg: CqtConfig = CqtConfig()) -> CqtMatrix:
     frame f centered at sample f*hop, edges evaluated against zero padding.
 
     Frame f's window starts at padded sample f*hop, so with the padded signal
-    viewed as hop-sample rows x, block j of the kernels meets row f + j:
-    the projection is the sum over blocks of x[j : j + frames] @ block_j."""
+    viewed as hop-sample rows x, block j of the kernels meets row f + j: the
+    projection is the sum over blocks of x[j : j + frames] @ block_j. Per
+    chunk of frames f0..f1, y = x[f0 : f1 + blocks - 1] @ bank holds every
+    block's product at once, and block j's columns add in from row j of y."""
     if w.sample_rate != cfg.sample_rate:
         raise ContractError(f"waveform at {w.sample_rate} Hz, config wants {cfg.sample_rate} Hz")
-    blocks = _kernel_blocks(cfg)
+    bank, widths = _kernel_bank(cfg)
+    overlap = len(widths) - 1
     n_max = kernel_length(0, cfg)
     n = w.samples.size
     n_frames = n // cfg.hop + 1
     # n_max // 2 zeros before the signal and zeros after it to the last row
     # any block meets, as the dense framing padded
-    xp = np.zeros((n_frames + len(blocks)) * cfg.hop)
+    xp = np.zeros((n_frames + len(widths)) * cfg.hop)
     xp[n_max // 2 : n_max // 2 + n] = w.samples
     x = xp.reshape(-1, cfg.hop)
 
     proj = np.zeros((n_frames, 2 * cfg.n_bins))
-    for j, block in enumerate(blocks):
-        proj[:, : block.shape[1]] += x[j : j + n_frames] @ block
+    y = np.empty((min(n_frames, CHUNK_FRAMES) + overlap, bank.shape[1]))
+    for f0 in range(0, n_frames, CHUNK_FRAMES):
+        f1 = min(f0 + CHUNK_FRAMES, n_frames)
+        chunk = np.matmul(x[f0 : f1 + overlap], bank, out=y[: f1 - f0 + overlap])
+        col = 0
+        for j, width in enumerate(widths):
+            proj[f0:f1, :width] += chunk[j : j + f1 - f0, col : col + width]
+            col += width
     return CqtMatrix(np.hypot(proj[:, 0::2], proj[:, 1::2]), cfg)
 
 
@@ -180,14 +199,22 @@ def crop_to_vocal_range(m: CqtMatrix, lo: float = 32.0, hi: float = 1000.0) -> C
     )
 
 
+def bin_shift(semitones: int, cfg: CqtConfig = CqtConfig(), bins: int | None = None) -> int:
+    """The bins a `semitones` transposition moves, checked against the rule
+    |shift| < `bins` (default `cfg.n_bins`, the uncropped CQT's width)."""
+    if cfg.bins_per_octave % 12:
+        raise ContractError("semitone shifts need bins_per_octave divisible by 12")
+    shift = semitones * (cfg.bins_per_octave // 12)
+    bins = cfg.n_bins if bins is None else bins
+    if abs(shift) >= bins:
+        raise ContractError(f"shift {shift} exceeds bin count {bins}")
+    return shift
+
+
 def transpose_pitch(m: CqtMatrix, semitones: int) -> CqtMatrix:
     """Shift every frame's bin vector by `semitones` bins (one bin per
     semitone at 12 bins/octave); vacated bins are zeroed, shape preserved."""
-    if m.config.bins_per_octave % 12:
-        raise ContractError("semitone shifts need bins_per_octave divisible by 12")
-    shift = semitones * (m.config.bins_per_octave // 12)
-    if abs(shift) >= m.bins:
-        raise ContractError(f"shift {shift} exceeds bin count {m.bins}")
+    shift = bin_shift(semitones, m.config, m.bins)
     out = np.zeros_like(m.magnitudes)
     if shift > 0:
         out[:, shift:] = m.magnitudes[:, :-shift]

@@ -612,17 +612,21 @@ class TestCli:
             assert int(last[0]) == STEPS - 1
             assert summary["final_loss"] == float(last[2])
 
-    @pytest.mark.parametrize("flag", [["--nfe", "0"], ["--sway", "3"], ["--sway", "nan"],
-                                      ["--seed", "-1"]])
-    def test_invalid_schedule_is_a_usage_error(self, tiny_runs, tmp_path, flag):
-        """A bad --nfe or --sway, or a --seed that breaks the run seed's
-        rule, exits 1, as a configuration error, before the checkpoint is
-        read."""
+    @pytest.mark.parametrize("command,flag", [
+        ("convert", ["--nfe", "0"]), ("convert", ["--sway", "3"]), ("convert", ["--sway", "nan"]),
+        ("convert", ["--seed", "-1"]), ("convert", ["--transpose", "84"]),
+        ("convert", ["--transpose", "-84"]), ("cqt", ["--transpose", "90"])],
+        ids=[f"flag{i}" for i in range(7)])
+    def test_invalid_schedule_is_a_usage_error(self, tiny_runs, tmp_path, command, flag):
+        """A bad --nfe or --sway, a --seed that breaks the run seed's rule,
+        or a --transpose that shifts past the CQT's bins, exits 1, as a
+        configuration error, before any input is read."""
         manifest, (files, _), _ = tiny_runs
         src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
-        code, summary = self._run(["convert", "--src", str(src), "--ref", str(ref),
-                                   "--ckpt", str(files["svc.pvck"]),
-                                   "--out", str(tmp_path / "out.wav"), *flag])
+        inputs = {"convert": ["--src", str(src), "--ref", str(ref),
+                              "--ckpt", str(files["svc.pvck"])],
+                  "cqt": ["--in", str(src)]}[command]
+        code, summary = self._run([command, *inputs, "--out", str(tmp_path / "out.wav"), *flag])
         assert (code, summary["status"]) == (1, "config-error"), summary
         assert flag[0] in summary["error"]
         assert not (tmp_path / "out.wav").exists()

@@ -1,12 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyvox import cqt
 from polyvox.audio import HOP, Waveform
-from polyvox.cqt import (CqtConfig, CqtMatrix, _kernel_blocks, bin_center_frequency, compute_cqt,
+from polyvox.cqt import (CqtConfig, CqtMatrix, _kernel_bank, bin_center_frequency, compute_cqt,
                          crop_to_vocal_range, interior_frames, kernel_length,
                          load_cqt, save_cqt, save_cqt_csv, save_matrix_container,
                          transpose_pitch)
@@ -161,12 +163,50 @@ class TestBlockSparse:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("n", [2 * 44100, int(5.5 * 44100) + 7], ids=["2s", "5.5s+7"])
+    def test_chunk_seams_match_dense_reference(self, monkeypatch, chunk, n):
+        """Chunks of a few frames, so the product crosses many seams."""
+        monkeypatch.setattr(cqt, "CHUNK_FRAMES", chunk)
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        got = compute_cqt(Waveform(x, 44100)).magnitudes
+        want = dense_cqt(x, CFG)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_blocks_hold_a_quarter_of_the_dense_bank(self):
         n_max = kernel_length(0, CFG)
-        blocks = _kernel_blocks(CFG)
-        assert len(blocks) == -(-n_max // CFG.hop)
-        assert all(b.shape[0] == CFG.hop for b in blocks)
-        assert sum(b.size for b in blocks) <= 0.25 * n_max * 2 * CFG.n_bins
+        bank, widths = _kernel_bank(CFG)
+        assert not bank.flags.writeable
+        assert bank.shape == (CFG.hop, sum(widths))
+        assert len(widths) == -(-n_max // CFG.hop)
+        assert bank.size <= 0.25 * n_max * 2 * CFG.n_bins
+
+    def test_memory_bounded_in_clip_length(self):
+        """Beyond the padded signal, the projection and the magnitudes, a
+        call allocates one chunk's product, whatever the clip length."""
+        compute_cqt(Waveform(np.zeros(HOP), 44100))  # the cached bank, built untraced
+        blocks = -(-kernel_length(0, CFG) // CFG.hop)
+        extra = []
+        tracemalloc.start()
+        try:
+            for seconds in (30, 120):
+                w = Waveform(np.random.default_rng(seconds).uniform(-1.0, 1.0, seconds * 44100),
+                             44100)
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                m = compute_cqt(w)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                frames = m.frames
+                # the padded signal, the projection and the magnitudes
+                kept = 8 * ((frames + blocks) * CFG.hop + frames * 2 * CFG.n_bins
+                            + frames * CFG.n_bins)
+                extra.append(peak - kept)
+                del w, m
+        finally:
+            tracemalloc.stop()
+        assert max(extra) < 20 * 2**20, extra
+        assert abs(extra[0] - extra[1]) < 2**20, extra
 
 
 class TestCrop:
