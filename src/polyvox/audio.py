@@ -9,9 +9,10 @@ mel, CQT, piano roll and YIN alike) and 80 mel bands from 40 Hz to 16 kHz.
 A WAV file is read in two steps with one decode rule. `read_wav` parses and
 checks the container and keeps the samples as the file stores them (int16
 PCM16 codes or float32 samples), and `decode_wav` turns those codes into a
-float64 `Waveform`. `load_wav` is the two in a row, and
-`read_pipeline_wav` / `load_pipeline_wav` add one resampling to
-`PIPELINE_SAMPLE_RATE` for a file at another rate.
+float64 `Waveform`. `load_wav` is the two in a row. `read_pipeline_wav` adds
+one resampling to `PIPELINE_SAMPLE_RATE` for a file at another rate, and
+`load_pipeline_wav` decodes its result. Every file written here is mono
+PCM16 (`save_wav`); float32 files are read, not written.
 
 `stft`, `istft` and their overlap-add follow the one dtype rule of
 `tensor.as_data`: float32 input stays float32 (complex64 spectra), anything
@@ -87,7 +88,7 @@ class MelSpectrogram:
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O (RIFF/WAVE, PCM16 and IEEE float32)
+# WAV I/O (RIFF/WAVE: PCM16 and IEEE float32 read, PCM16 written)
 # ---------------------------------------------------------------------------
 
 _WAVE_PCM = 1
@@ -104,6 +105,11 @@ class WavCodes:
     codes: np.ndarray
     channels: int
     sample_rate: int
+
+    @property
+    def duration(self) -> float:
+        """The decoded `Waveform`'s duration, read without decoding."""
+        return self.codes.size // self.channels / self.sample_rate
 
 
 def read_wav(path) -> WavCodes:
@@ -176,17 +182,15 @@ def load_wav(path) -> Waveform:
 
 
 def load_pipeline_wav(path) -> Waveform:
-    """`load_wav`, then one resampling to `PIPELINE_SAMPLE_RATE` when the
-    file is at another rate: how every pipeline stage reads a clip."""
-    w = load_wav(path)
-    return w if w.sample_rate == PIPELINE_SAMPLE_RATE else resample(w, PIPELINE_SAMPLE_RATE)
+    """`decode_wav(read_pipeline_wav(path))`: how every pipeline stage reads
+    a clip, at `PIPELINE_SAMPLE_RATE`."""
+    return decode_wav(read_pipeline_wav(path))
 
 
 def read_pipeline_wav(path) -> WavCodes:
-    """`load_pipeline_wav(path)` still encoded, for a caller that holds many
-    clips: `read_wav(path)` for a file at `PIPELINE_SAMPLE_RATE`, and for
-    one at another rate its resampled float64 samples as mono codes.
-    `decode_wav` of the result is `load_pipeline_wav(path)`, bit for bit."""
+    """`read_wav(path)`, then one resampling to `PIPELINE_SAMPLE_RATE` when
+    the file is at another rate, whose float64 result is kept as mono codes.
+    A caller that holds many clips holds them still encoded."""
     codes = read_wav(path)
     if codes.sample_rate == PIPELINE_SAMPLE_RATE:
         return codes
@@ -194,19 +198,11 @@ def read_pipeline_wav(path) -> WavCodes:
     return WavCodes(w.samples, 1, w.sample_rate)
 
 
-def save_wav(w: Waveform, path, fmt: str = "pcm16") -> None:
-    """Write a mono WAV file; `fmt` is "pcm16" or "float32"."""
-    if fmt == "pcm16":
-        scaled = np.clip(w.samples, -1.0, 1.0)
-        scaled *= 32767.0  # in place: np.clip already made the one copy this needs
-        payload = np.round(scaled, out=scaled).astype("<i2").tobytes()
-        tag, bits = _WAVE_PCM, 16
-    elif fmt == "float32":
-        payload = w.samples.astype("<f4").tobytes()
-        tag, bits = _WAVE_FLOAT, 32
-    else:
-        raise ContractError(f"unknown wav format {fmt!r}")
-    block = bits // 8
+def save_wav(w: Waveform, path) -> None:
+    """Write a mono PCM16 WAV file, clipping the samples to [-1, 1]."""
+    scaled = np.clip(w.samples, -1.0, 1.0)
+    scaled *= 32767.0  # in place: np.clip already made the one copy this needs
+    payload = np.round(scaled, out=scaled).astype("<i2").tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
@@ -214,12 +210,12 @@ def save_wav(w: Waveform, path, fmt: str = "pcm16") -> None:
         b"WAVE",
         b"fmt ",
         16,
-        tag,
+        _WAVE_PCM,
         1,
         w.sample_rate,
-        w.sample_rate * block,
-        block,
-        bits,
+        w.sample_rate * 2,
+        2,
+        16,
         b"data",
         len(payload),
     )

@@ -194,8 +194,8 @@ def cmd_evaluate(args) -> dict:
     pairs = [(clip, next((c for c in train_clips if c.preset != clip.preset), train_clips[0]))
              for clip in eval_clips]
     for clip, ref in pairs:  # every pair, before the first conversion
-        check_clip_length(f"eval clip {clip.id!r} (source)", clip.wave)
-        check_clip_length(f"train clip {ref.id!r} (reference of {clip.id!r})", ref.wave)
+        check_clip_length(f"eval clip {clip.id!r} (source)", clip.codes)
+        check_clip_length(f"train clip {ref.id!r} (reference of {clip.id!r})", ref.codes)
     model = ConverterModel.load(ckpt)
 
     report_rows = []
@@ -220,7 +220,7 @@ def cmd_evaluate(args) -> dict:
         "recall_mean": agg.get("recall", {}).get("mean"),
         "f1_mean": agg.get("f1", {}).get("mean"),
         "seed": cfg.seed,
-        **_timings(start, sum(c.wave.duration for c in eval_clips)),
+        **_timings(start, sum(c.codes.duration for c in eval_clips)),
     }
 
 

@@ -1,7 +1,8 @@
 """Run configuration: one JSON file drives every pipeline stage.
 
 Paths are resolved relative to the config file location; the fully resolved
-config is persisted next to each stage's outputs and echoed into reports.
+config is persisted next to each stage's outputs and echoed into reports,
+in the file format, so a persisted config loads back to the same run.
 A command's `--seed` overrides the file's seed.
 
 Each section builds its dataclass, whose `__post_init__` applies the value
@@ -131,7 +132,11 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 
 def resolve_echo(cfg: RunConfig) -> dict:
-    """JSON-serializable dump of the exact configuration in effect."""
+    """JSON-serializable dump of the exact configuration in effect, in the
+    file format: `load_config` reads it back to the same config. The
+    encoder's fields sit flat in "pitch", as the file gives them."""
+    pitch = dataclasses.asdict(cfg.pitch)
+    pitch.update(pitch.pop("encoder"))
     return {
         "seed": cfg.seed,
         "paths": {
@@ -140,7 +145,7 @@ def resolve_echo(cfg: RunConfig) -> dict:
             "report_dir": str(cfg.report_dir),
         },
         "synth": dataclasses.asdict(cfg.synth),
-        "pitch": dataclasses.asdict(cfg.pitch),
+        "pitch": pitch,
         "converter": dataclasses.asdict(cfg.converter),
         "eval": dataclasses.asdict(cfg.eval),
     }

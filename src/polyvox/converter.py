@@ -9,11 +9,13 @@ prediction region; at inference the reference clip's mel is prepended as a
 visible prompt and stripped from the output. The pitch path runs through the
 frozen CQT encoder and is never updated here.
 
-Every stream is computed once per clip, in training as at inference: the
-mel, the content (`features.extract_content`, loudness and onset) and the
-CQT embedding z_p. With statistics of the training corpus that the
-checkpoint stores, the mel is standardised per band and z_p is whitened, and
-a training step only cuts windows out of the per-clip arrays.
+Every stream is computed once per clip, in training as at inference, by one
+function, `clip_inputs`: the mel, the content (`features.extract_content`,
+loudness and onset) and the CQT embedding z_p. Every clip, train, source or
+reference, passes one length rule, `check_clip_length`. With statistics of
+the training corpus that the checkpoint stores, the mel is standardised per
+band and z_p is whitened, and a training step only cuts windows out of the
+per-clip arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import (FRAME_RATE, N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform,
+from .audio import (N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, WavCodes, Waveform,
                     griffin_lim, mel_spectrogram)
 from .cqt import CqtMatrix, compute_cqt
 from .errors import ContractError, check_fields
@@ -68,22 +70,26 @@ class _DiTBlock:
         return x + gate2 * self.ff(h)
 
 
+# the prefix of the velocity net's parameter names in a checkpoint
+_NET = "velocity"
+
+
 class VelocityNet:
     """Predicts the transport velocity for a noisy (frames, `N_MELS`) mel
     given `cond_dim` channels of fused conditioning and the scalar flow
     time."""
 
     def __init__(self, store: ParamStore, cond_dim: int, width: int, n_layers: int,
-                 n_heads: int, name: str = "velocity"):
+                 n_heads: int):
         self.width = width
-        self.input = Linear(store, f"{name}.input", N_MELS + cond_dim, width)
-        self.time1 = Linear(store, f"{name}.time1", width, width)
-        self.time2 = Linear(store, f"{name}.time2", width, width)
-        self.blocks = [_DiTBlock(store, f"{name}.block{i}", width, n_heads)
+        self.input = Linear(store, f"{_NET}.input", N_MELS + cond_dim, width)
+        self.time1 = Linear(store, f"{_NET}.time1", width, width)
+        self.time2 = Linear(store, f"{_NET}.time2", width, width)
+        self.blocks = [_DiTBlock(store, f"{_NET}.block{i}", width, n_heads)
                        for i in range(n_layers)]
-        self.final_ln = LayerNorm(store, f"{name}.final_ln", width, affine=False)
-        self.final_mod = Linear(store, f"{name}.final_mod", width, 2 * width, zero_init=True)
-        self.head = Linear(store, f"{name}.head", width, N_MELS, zero_init=True)
+        self.final_ln = LayerNorm(store, f"{_NET}.final_ln", width, affine=False)
+        self.final_mod = Linear(store, f"{_NET}.final_mod", width, 2 * width, zero_init=True)
+        self.head = Linear(store, f"{_NET}.head", width, N_MELS, zero_init=True)
 
     @property
     def dtype(self) -> np.dtype:
@@ -301,29 +307,26 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     """Flow-matching training over masked windows of the train split, read
     with `synthgen.load_clips`.
 
-    Before the first step, each clip's mel, content and z_p (the frozen CQT
-    encoder's embedding) are computed once, as `convert` computes them, and
-    the corpus mel statistics and z_p whitening are taken from them. Per step
-    and batch item: cut a window out of those arrays, hide a random span of
-    the target mel, a `_MASK_SPAN` share (30-70 %) of the window, from the
-    conditioning, embed timbre from a 1.2 s window of the clip's mel and fuse
-    the item's condition; then regress the path velocity on the hidden spans.
-    A step does no signal processing. Writes a (step, lr, loss) CSV next to
-    the checkpoint.
+    Every clip is held to `check_clip_length` before the first CQT. Then
+    each clip's mel, content and z_p are computed once, by `clip_inputs` as
+    `convert` computes them, and the corpus mel statistics and z_p
+    whitening are taken from them. Per step and batch item: cut a window out
+    of those arrays, hide a random span of the target mel, a `_MASK_SPAN`
+    share (30-70 %) of the window, from the conditioning, embed timbre from
+    a 1.2 s window of the clip's mel and fuse the item's condition; then
+    regress the path velocity on the hidden spans. A step does no signal
+    processing. Writes a (step, lr, loss) CSV next to the checkpoint.
     """
     steps = cfg.steps if steps is None else steps
     pitch_ckpt = Path(pitch_ckpt)
     if not pitch_ckpt.exists():
         raise ContractError(f"pitch checkpoint {pitch_ckpt} not found")
     clips = load_clips(manifest_path, "train")
+    for c in clips:  # each step embeds timbre from up to 1.2 s of a clip
+        check_clip_length(f"train clip {c.id!r}", c.codes)
     pitch = PitchExtractor.load(pitch_ckpt)
-    mels = [mel_spectrogram(c.wave) for c in clips]
-    for c, m in zip(clips, mels):  # each step embeds timbre from up to 1.2 s of a clip
-        if m.frames < FRAME_RATE:
-            raise ContractError(f"train clip {c.id!r} is {m.frames} frames long; the timbre "
-                                f"embedding needs >= 1 s ({FRAME_RATE:g} frames)")
-    z_ps = [pitch.encode_cqt(cqt_input(compute_cqt(c.wave))).data for c in clips]
-    contents = [extract_content(m) for m in mels]
+    # each clip's CQT is dropped as soon as its z_p is taken
+    mels, contents, z_ps = zip(*(clip_inputs(pitch, c.wave)[:3] for c in clips))
     presets, labels = np.unique([c.preset for c in clips], return_inverse=True)
     del clips  # a step reads only the per-clip arrays
 
@@ -391,11 +394,27 @@ class Conversion:
     z_t: np.ndarray
 
 
-def check_clip_length(what: str, wave: Waveform) -> None:
-    """`convert`'s rule for its source and reference clips, which must each
-    last at least 1 s; a shorter one raises ContractError naming `what`."""
+def check_clip_length(what: str, wave: Waveform | WavCodes) -> None:
+    """The one length rule for a converter clip, source, reference or train
+    clip: it must last at least 1 s, as the timbre embedding needs. A
+    shorter one raises ContractError naming `what` and its duration, rounded
+    down so that it never reads "1.00 s"."""
     if wave.duration < 1.0:
-        raise ContractError(f"{what} is {wave.duration:.2f} s; convert needs at least 1 s")
+        shown = math.floor(wave.duration * 100) / 100
+        raise ContractError(f"{what} is {shown:.2f} s; the converter needs at least 1 s")
+
+
+def clip_inputs(pitch: PitchExtractor, wave: Waveform, transpose: int = 0
+                ) -> tuple[MelSpectrogram, np.ndarray, np.ndarray, CqtMatrix]:
+    """The streams of one clip that the converter fuses, computed one way
+    for training and inference: the mel, the content
+    (`features.extract_content`) and z_p, the frozen encoder's embedding of
+    the CQT shifted by `transpose` semitones; then the full untransposed
+    CQT."""
+    mel = mel_spectrogram(wave)
+    cqt = compute_cqt(wave)
+    z_p = pitch.encode_cqt(cqt_input(cqt, transpose)).data
+    return mel, extract_content(mel), z_p, cqt
 
 
 def convert(src: Waveform, ref: Waveform, model: ConverterModel, transpose: int = 0,
@@ -413,13 +432,8 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel, transpose: int 
     check_clip_length("source", src)
     check_clip_length("reference", ref)
 
-    mel_src = mel_spectrogram(src)
-    mel_ref = mel_spectrogram(ref)
-    cqt_src = compute_cqt(src)
-    content_src = extract_content(mel_src)
-    content_ref = extract_content(mel_ref)
-    z_p_src = model.pitch.encode_cqt(cqt_input(cqt_src, transpose)).data
-    z_p_ref = model.pitch.encode_cqt(cqt_input(compute_cqt(ref))).data
+    mel_src, content_src, z_p_src, cqt_src = clip_inputs(model.pitch, src, transpose)
+    mel_ref, content_ref, z_p_ref = clip_inputs(model.pitch, ref)[:3]
     z_t = model.timbre.embed(mel_ref)
 
     prompt = min(cfg.prompt_frames, mel_ref.frames)

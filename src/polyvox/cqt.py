@@ -230,6 +230,7 @@ def transpose_pitch(m: CqtMatrix, semitones: int) -> CqtMatrix:
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sIIdIII")
+_CQT_MAGIC = b"CQT1"
 
 
 def save_matrix_container(values: np.ndarray, path, magic: bytes, f_min: float,
@@ -246,20 +247,20 @@ def save_matrix_container(values: np.ndarray, path, magic: bytes, f_min: float,
         fh.write(values.astype("<f4").tobytes())
 
 
-def save_cqt(m: CqtMatrix, path, magic: bytes = b"CQT1") -> None:
+def save_cqt(m: CqtMatrix, path) -> None:
     eff_fmin = m.config.f_min * 2.0 ** (m.bin_offset / m.config.bins_per_octave)
-    save_matrix_container(m.magnitudes, path, magic, eff_fmin, m.config.hop,
+    save_matrix_container(m.magnitudes, path, _CQT_MAGIC, eff_fmin, m.config.hop,
                           m.config.sample_rate, m.config.bins_per_octave)
 
 
-def load_cqt(path, magic: bytes = b"CQT1") -> CqtMatrix:
+def load_cqt(path) -> CqtMatrix:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise ContractError(f"{path}: truncated container header")
         tag, frames, bins, f_min, hop, sr, bpo = _HEADER.unpack(head)
-        if tag != magic:
-            raise ContractError(f"{path}: bad magic {tag!r}, expected {magic!r}")
+        if tag != _CQT_MAGIC:
+            raise ContractError(f"{path}: bad magic {tag!r}, expected {_CQT_MAGIC!r}")
         size = frames * bins * 4
         # checked before reading, so a hostile header allocates nothing
         if size > os.fstat(fh.fileno()).st_size - fh.tell():

@@ -12,12 +12,13 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, is_int
 from .tensor import Tensor, backward, zero_grads
 
 
@@ -158,7 +159,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int, dict]:
     as stored, float32, so a `ParamStore` loaded from them computes in
     float32 (numpy promotes them exactly where they meet float64 data). A
     truncated or corrupt header, a header whose config does not hash to its
-    stored `config_hash`, and a truncated payload all raise ContractError."""
+    stored `config_hash`, one without a `params` list of named, well-shaped
+    entries or an integer `step`, and a truncated payload all raise
+    ContractError naming the path."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ContractError(f"{path}: not a checkpoint container")
@@ -176,15 +179,23 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int, dict]:
         if stored != actual:
             raise ContractError(f"{path}: stored config_hash {stored} does not match "
                                 f"{actual}, the hash of the config it carries")
+        entries, step = header.get("params"), header.get("step")
+        if not isinstance(entries, list) or not is_int(step):
+            raise ContractError(f"{path}: checkpoint header needs a 'params' list and an "
+                                f"integer 'step'")
         params = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
+        for entry in entries:
+            named = isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            shape = entry.get("shape") if named else None
+            if not (isinstance(shape, list) and all(is_int(n) and n >= 0 for n in shape)):
+                raise ContractError(f"{path}: checkpoint entry {entry!r} needs a string "
+                                    f"'name' and a 'shape' of sizes >= 0")
+            name, count = entry["name"], math.prod(shape)
             raw = fh.read(count * 4)
             if len(raw) < count * 4:
-                raise ContractError(f"{path}: truncated payload for {entry['name']!r}")
-            params[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    return params, int(header["step"]), header
+                raise ContractError(f"{path}: truncated payload for {name!r}")
+            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    return params, step, header
 
 
 def header_config(path, header: dict, section: str, cls):

@@ -6,7 +6,7 @@ array operand is float32. A Python scalar or 0-d value lifted into an
 operation takes the dtype of the tensor it meets, so `x + 1.0` leaves a
 float32 `x` float32, and so do the scalar constants inside the primitives
 (the softmax and attention `scale`, the GELU constants, the layer-norm
-`eps`). Parameters are float32, new ones (`nn.ParamStore`) and loaded
+`_LN_EPS`). Parameters are float32, new ones (`nn.ParamStore`) and loaded
 ones (`optim.load_checkpoint`) alike, and `nn.Linear` casts its input to
 its weights' dtype, so training and inference both compute in float32;
 float64 is kept where a caller builds float64 parameters itself, as the
@@ -21,8 +21,9 @@ a network whose parameters are constants runs without a tape.
 `backward(loss)` topologically sorts the implicit tape and replays it in
 reverse, accumulating gradients exactly once per node; an interior node's
 gradient is freed as soon as its closure has consumed it, so only the
-leaves keep a `.grad` afterwards. The primitive set is only what
-transformer-style networks need, and each keeps the tape small:
+leaves keep a `.grad` afterwards. The primitive set is only what the
+pipeline's networks call, with `+` and `*` the only operators on a tensor,
+and each primitive keeps the tape small:
 `attention` is softmax(scale·q kᵀ) v as one primitive, so that a call
 holds one (…, T, T) array instead of the scores and the weights apart;
 `matmul` adds a linear layer's bias in place, in its own node; and
@@ -41,6 +42,7 @@ from .errors import ContractError
 # Python floats, so that they take the dtype of the array they meet
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN_EPS = 1e-5  # the layer-norm variance floor
 
 # erf(z) ~= z P(z^2) / Q(z^2) on z clamped to [-4, 4], highest power first:
 # a float32 rational minimax fit (the one Eigen and XLA use)
@@ -73,33 +75,12 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
-
     # operator sugar; non-tensors are lifted to constants
     def __add__(self, other):
         return add(self, _lift(other, self))
 
-    def __radd__(self, other):
-        return add(_lift(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other, self))
-
-    def __rmul__(self, other):
-        return mul(_lift(other, self), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0, self))
 
 
 def _lift(x, like: Tensor) -> Tensor:
@@ -171,16 +152,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         _accumulate(a, _unbroadcast(g, a.shape))
         _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _node(out_data, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _node(out_data, (a, b), bwd)
 
@@ -338,19 +309,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     return _node(out_data, (q, k, v), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis, x̂ = (x - mean) / sqrt(var + eps),
-    then x̂ · gain + bias when the learnable pair is given. Without them
-    the result is x̂ itself, and the backward forms no gain or bias sums:
-    an affine-free norm records one array on the tape. Pass both or
-    neither."""
+def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+    """Normalization over the last axis, x̂ = (x - mean) / sqrt(var +
+    `_LN_EPS`), then x̂ · gain + bias when the learnable pair is given.
+    Without them the result is x̂ itself, and the backward forms no gain or
+    bias sums: an affine-free norm records one array on the tape. Pass both
+    or neither."""
     if (gain is None) != (bias is None):
         raise ContractError("layer_norm takes a gain and a bias together, or neither")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv
     if gain is None:
         out_data, parents = xhat, (x,)

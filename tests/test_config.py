@@ -8,7 +8,7 @@ import shutil
 import pytest
 
 from polyvox import cli
-from polyvox.config import load_config, resolve_echo
+from polyvox.config import load_config, persist_config, resolve_echo
 from polyvox.converter import ConverterConfig
 from polyvox.cqt import CqtConfig
 from polyvox.errors import ContractError
@@ -270,13 +270,23 @@ def test_settable_values_are_pinned(tmp_path):
     assert _leaves(resolve_echo(load_config(path))) == {
         "seed", "paths.data_dir", "paths.checkpoint_dir", "paths.report_dir",
         "synth.n_single", "synth.n_harmony", "synth.dur_range", "synth.eval_fraction",
-        "pitch.encoder.model_dim", "pitch.encoder.n_layers", "pitch.encoder.n_heads",
-        "pitch.encoder.window_frames", "pitch.steps", "pitch.batch", "pitch.peak_lr",
+        "pitch.model_dim", "pitch.n_layers", "pitch.n_heads", "pitch.window_frames",
+        "pitch.steps", "pitch.batch", "pitch.peak_lr",
         "converter.width", "converter.n_layers", "converter.n_heads", "converter.window_frames",
         "converter.steps", "converter.batch", "converter.peak_lr", "converter.sway_s",
         "converter.nfe", "converter.prompt_frames", "converter.gl_iters",
         "eval.threshold_db",
     }
+
+
+def test_persisted_config_loads_back_to_the_same_run(tiny_corpus, tmp_path):
+    """`resolved_config.json` is in the file format: loading it gives the
+    config it was written from, whose echo is the file's content."""
+    path, _ckpt = _write_config(tmp_path, tiny_corpus, synth={"n_single": 3})
+    cfg = load_config(path)
+    back = load_config(persist_config(cfg, tmp_path / "out"))
+    assert dataclasses.replace(back, resolved={}) == dataclasses.replace(cfg, resolved={})
+    assert back.resolved == cfg.resolved
 
 
 def test_valid_config_loads(tiny_corpus, tmp_path):

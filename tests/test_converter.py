@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import pkgutil
+import re
 import struct
 import tracemalloc
 import weakref
@@ -217,7 +218,7 @@ class TestTraining:
                  and r["duration_s"] < 1.0]
         assert short
         ckpt = tmp_path / "svc.pvck"
-        with pytest.raises(ContractError, match=rf"train clip '{short[0]['id']}' is \d+ frames"):
+        with pytest.raises(ContractError, match=rf"train clip '{short[0]['id']}' is 0\.\d\d s;"):
             train_converter(manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"],
                             ckpt, log_path=tmp_path / "svc.csv")
         assert not ckpt.exists() and not (tmp_path / "svc.csv").exists()
@@ -646,7 +647,7 @@ class TestCli:
         code, summary = self._run(["evaluate", "--config", str(config), "--manifest",
                                    str(manifest), "--ckpt", str(files["svc.pvck"])])
         assert (code, summary["status"]) == (2, "error"), summary
-        assert "eval clip 'single_0004' (source) is 0.43 s" in summary["error"]
+        assert "eval clip 'single_0004' (source) is 0.42 s" in summary["error"]  # 0.427 s
         assert converted == []
         assert not (tmp_path / "r").exists()
 
@@ -825,6 +826,96 @@ class TestEachFeatureOnce:
         assert code == 0, summary
         n = len(eval_rows)
         assert (len(mels), len(masks), len(embeds)) == (3 * n, n, 2 * n)
+
+
+class TestClipInputs:
+    """`clip_inputs` is the one recipe for a clip's mel, content and z_p, and
+    `check_clip_length` the one length rule, in training as at inference."""
+
+    def test_one_call_per_train_clip_and_two_per_conversion(self, tiny_runs, tmp_path,
+                                                             monkeypatch):
+        manifest, (files, _), _ = tiny_runs
+        calls = _count_calls(monkeypatch, converter_module.clip_inputs)
+        train_converter(manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"],
+                        tmp_path / "s")
+        assert len(calls) == len(load_clips(manifest, "train"))
+        calls.clear()
+        src, ref = (load_wav(manifest.parent / r["path"]) for r in load_manifest(manifest)[:2])
+        convert(src, ref, ConverterModel.load(files["svc.pvck"]), transpose=2)
+        assert len(calls) == 2
+
+    def test_a_train_clip_holds_what_convert_computes_for_it_as_source(self, tiny_runs,
+                                                                       tmp_path, monkeypatch):
+        """Each train clip's stored mel, content and z_p are, byte for byte,
+        the source streams `convert` fuses for the same wave."""
+        manifest, (files, _), _ = tiny_runs
+        stored = {}
+
+        def keep_arrays(params, batch_loss, steps, peak_lr, save, ckpt_path, *rest):
+            cells = dict(zip(batch_loss.__code__.co_freevars, batch_loss.__closure__))
+            stored.update((k, cells[k].cell_contents) for k in ("mels", "contents", "z_ps"))
+            return ckpt_path
+
+        monkeypatch.setattr(converter_module, "_fit", keep_arrays)
+        train_converter(manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"],
+                        tmp_path / "s")
+        fused = []
+        fuse = ConverterModel.fuse
+        monkeypatch.setattr(ConverterModel, "fuse",
+                            lambda model, *inputs: fused.append(inputs) or fuse(model, *inputs))
+        model = ConverterModel.load(files["svc.pvck"])
+        clips = load_clips(manifest, "train")
+        for i, clip in enumerate(clips):
+            conversion = convert(clip.wave, clips[i - 1].wave, model)
+            content, z_p = fused.pop()[:2]
+            n = conversion.source_mel.frames  # the source's rows follow the prompt
+            assert conversion.source_mel.values.tobytes() == stored["mels"][i].values.tobytes()
+            assert content[-n:].tobytes() == stored["contents"][i].tobytes()
+            assert z_p[-n:].tobytes() == stored["z_ps"][i].tobytes()
+
+    def test_a_clip_just_short_of_1_s_is_rejected_everywhere(self, tiny_runs, tmp_path,
+                                                            monkeypatch):
+        """43,900 samples make 100 mel frames, enough for the timbre
+        embedding, but last 0.995 s: training, `convert` and `evaluate` all
+        reject such a clip before any CQT, naming it as 0.99 s."""
+        manifest, (files, _), _ = tiny_runs
+        data = tmp_path / "data"
+        rows = load_manifest(manifest)
+        for row in rows:  # every train clip cut to 43,900 samples
+            wave = load_wav(manifest.parent / row["path"])
+            if row["split"] == "train":
+                wave = Waveform(wave.samples[:43900], wave.sample_rate)
+            (data / row["path"]).parent.mkdir(parents=True, exist_ok=True)
+            save_wav(wave, data / row["path"])
+            (data / row["path"]).with_suffix(".mid").write_bytes(
+                (manifest.parent / row["path"]).with_suffix(".mid").read_bytes())
+        short_manifest = data / manifest.name
+        short_manifest.write_text(manifest.read_text())
+        train = [r for r in rows if r["split"] == "train"]
+        short = load_wav(data / train[0]["path"])
+        assert mel_spectrogram(short).frames == 100
+        cqts = _count_calls(monkeypatch, compute_cqt)
+        messages = []
+        with pytest.raises(ContractError, match=rf"train clip '{train[0]['id']}' is 0\.99 s") as e:
+            train_converter(short_manifest, ConverterConfig(**TINY_CONVERTER), 1,
+                            files["pitch.pvck"], tmp_path / "s")
+        messages.append(str(e.value))
+        model = ConverterModel.load(files["svc.pvck"])
+        other = load_wav(manifest.parent / rows[0]["path"])
+        for role, pair in (("source", (short, other)), ("reference", (other, short))):
+            with pytest.raises(ContractError, match=rf"^{role} is 0\.99 s") as e:
+                convert(*pair, model)
+            messages.append(str(e.value))
+        config = tmp_path / "evaluate.json"
+        config.write_text(json.dumps({"seed": 0, "paths": {"report_dir": str(tmp_path / "r")}}))
+        code, summary = TestCli._run(["evaluate", "--config", str(config), "--manifest",
+                                      str(short_manifest), "--ckpt", str(files["svc.pvck"])])
+        assert (code, summary["status"]) == (2, "error"), summary
+        assert re.search(r"train clip '\w+' \(reference of '\w+'\) is 0\.99 s",
+                         summary["error"]), summary
+        messages.append(summary["error"])
+        assert cqts == []
+        assert not any("1.00 s" in message for message in messages)
 
 
 class TestConverterBatch:

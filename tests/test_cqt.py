@@ -301,13 +301,14 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bins, bins_per_octave", [(80, 0), (0, 12)])
     def test_hostile_container(self, tmp_path, bins, bins_per_octave):
-        """A `MEL1` mel container (bins_per_octave 0) or a zero-bin header is
-        not a CQT: loading it raises ContractError, not ZeroDivisionError."""
-        path = tmp_path / "m.mel"
-        save_matrix_container(np.zeros((3, bins)), path, b"MEL1", f_min=40.0, hop=441,
+        """A `CQT1` header with bins_per_octave 0, as the `MEL1` mel container
+        writes, or with zero bins is not a CQT: loading it raises
+        ContractError, not ZeroDivisionError."""
+        path = tmp_path / "m.cqt"
+        save_matrix_container(np.zeros((3, bins)), path, b"CQT1", f_min=40.0, hop=441,
                               sample_rate=44100, bins_per_octave=bins_per_octave)
         with pytest.raises(ContractError):
-            load_cqt(path, b"MEL1")
+            load_cqt(path)
 
     @pytest.mark.parametrize("frames, bins", [(0xFFFFFFFF, 0xFFFFFFFF), (2**31, 1), (1, 2**31)])
     def test_oversized_header(self, tmp_path, frames, bins):

@@ -271,7 +271,7 @@ class TestLoadClips:
                 _write_wav(path, frames, _PCM, PIPELINE_SAMPLE_RATE)
                 downmixed[row["id"]] = (frames.astype(np.float64) / 32767.0).mean(axis=1)
             elif kind == "float32-mono":
-                save_wav(Waveform(0.8 * samples, PIPELINE_SAMPLE_RATE), path, fmt="float32")
+                _write_wav(path, (0.8 * samples).astype("<f4"), _FLOAT, PIPELINE_SAMPLE_RATE)
             elif kind == "pcm16-48k":
                 save_wav(resample(Waveform(samples, PIPELINE_SAMPLE_RATE), 48000), path)
         for split in ("train", "eval"):
