@@ -118,10 +118,13 @@ def cmd_train_svc(args) -> dict:
                       log_path=log_path, seed=cfg.seed, progress=progress))
 
 
-def _mean_profile_argmax(m: CqtMatrix) -> int:
+def _mean_profile_argmax(m: CqtMatrix) -> int | None:
+    """The vocal-range bin where the mean magnitude over the interior frames
+    peaks; None for a profile with no energy, which has no peak."""
     cropped = crop_to_vocal_range(m)
     rows = list(interior_frames(cropped.frames)) or list(range(cropped.frames))
-    return int(cropped.magnitudes[rows].mean(axis=0).argmax())
+    profile = cropped.magnitudes[rows].mean(axis=0)
+    return int(profile.argmax()) if profile.any() else None
 
 
 def _check_transpose(semitones: int) -> None:
@@ -172,13 +175,14 @@ def cmd_convert(args) -> dict:
         "transpose": args.transpose,
     }
     if args.mel_out:
+        Path(args.mel_out).parent.mkdir(parents=True, exist_ok=True)
         save_matrix_container(conversion.mel.values, args.mel_out, b"MEL1", f_min=MEL_FMIN,
                               hop=HOP, sample_rate=PIPELINE_SAMPLE_RATE, bins_per_octave=0)
         summary["mel_out"] = str(args.mel_out)
     if args.transpose:
         written = compute_cqt(load_pipeline_wav(out))  # the shift of the file as written
-        summary["measured_shift_bins"] = (_mean_profile_argmax(written)
-                                          - _mean_profile_argmax(conversion.source_cqt))
+        peaks = _mean_profile_argmax(written), _mean_profile_argmax(conversion.source_cqt)
+        summary["measured_shift_bins"] = None if None in peaks else peaks[0] - peaks[1]
     summary.update(_timings(start, src.duration))
     return summary
 

@@ -15,7 +15,9 @@ loudness and onset) and the CQT embedding z_p. Every clip, train, source or
 reference, passes one length rule, `check_clip_length`. With statistics of
 the training corpus that the checkpoint stores, the mel is standardised per
 band and z_p is whitened, and a training step only cuts windows out of the
-per-clip arrays.
+per-clip arrays, by the pitch trainer's one window rule,
+`pitch.sample_training_window`: a clip shorter than the window is padded and
+its padding masked, and the hidden span lies on its real frames.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .features import (N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace, extract
 from .nn import (FF_MULT, LayerNorm, Linear, MultiHeadAttention, FeedForward, ParamStore,
                  _checkpoint_array, sinusoidal_positions, timestep_embedding)
 from .optim import _fit, header_config, load_checkpoint, save_checkpoint
-from .pitch import PitchEncoderConfig, PitchExtractor, cqt_input
+from .pitch import PitchEncoderConfig, PitchExtractor, cqt_input, sample_training_window
 from .synthgen import load_clips
 from .tensor import Tensor
 
@@ -310,65 +312,68 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
     Every clip is held to `check_clip_length` before the first CQT. Then
     each clip's mel, content and z_p are computed once, by `clip_inputs` as
     `convert` computes them, and the corpus mel statistics and z_p
-    whitening are taken from them. Per step and batch item: cut a window out
-    of those arrays, hide a random span of the target mel, a `_MASK_SPAN`
-    share (30-70 %) of the window, from the conditioning, embed timbre from
-    a 1.2 s window of the clip's mel and fuse the item's condition; then
-    regress the path velocity on the hidden spans. A step does no signal
-    processing. Writes a (step, lr, loss) CSV next to the checkpoint.
+    whitening are taken from them. Per step and batch item: cut a window of
+    `window_frames` frames out of those arrays by the pitch trainer's one
+    window rule, `pitch.sample_training_window`, which pads a clip shorter
+    than the window and masks the padding; hide a random span of the target
+    mel, a `_MASK_SPAN` share (30-70 %) of the window's real frames, from
+    the conditioning; embed timbre from a 1.2 s window of the clip's mel and
+    fuse the item's condition; then regress the path velocity on the hidden
+    spans. A step does no signal processing. Writes a (step, lr, loss) CSV
+    next to the checkpoint.
     """
     steps = cfg.steps if steps is None else steps
     pitch_ckpt = Path(pitch_ckpt)
     if not pitch_ckpt.exists():
         raise ContractError(f"pitch checkpoint {pitch_ckpt} not found")
-    clips = load_clips(manifest_path, "train")
-    for c in clips:  # each step embeds timbre from up to 1.2 s of a clip
+    train = load_clips(manifest_path, "train")
+    for c in train:  # each step embeds timbre from up to 1.2 s of a clip
         check_clip_length(f"train clip {c.id!r}", c.codes)
     pitch = PitchExtractor.load(pitch_ckpt)
-    # each clip's CQT is dropped as soon as its z_p is taken
-    mels, contents, z_ps = zip(*(clip_inputs(pitch, c.wave)[:3] for c in clips))
-    presets, labels = np.unique([c.preset for c in clips], return_inverse=True)
-    del clips  # a step reads only the per-clip arrays
+    # each clip as the frame-aligned arrays its windows are cut from: mel
+    # values, content and z_p; its CQT is dropped as soon as z_p is taken
+    clips = [(mel.values, content, z_p)
+             for mel, content, z_p, _ in (clip_inputs(pitch, c.wave) for c in train)]
+    presets, labels = np.unique([c.preset for c in train], return_inverse=True)
+    del train  # a step reads only the per-clip arrays
 
-    all_mels = np.concatenate([m.values for m in mels], axis=0)
+    all_mels = np.concatenate([mel for mel, _, _ in clips], axis=0)
     mel_mean = all_mels.mean(axis=0)
     mel_std = np.maximum(all_mels.std(axis=0), 1e-3)
     del all_mels  # a second copy of every mel, dead from here on
-    z_p_mean, z_p_whiten = _whitening(np.concatenate(z_ps, axis=0, dtype=np.float64))
+    z_p_mean, z_p_whiten = _whitening(
+        np.concatenate([z_p for _, _, z_p in clips], axis=0, dtype=np.float64))
 
-    stats = np.stack([timbre_stats(m) for m in mels])
+    stats = np.stack([timbre_stats(MelSpectrogram(mel)) for mel, _, _ in clips])
     timbre = train_timbre_space(stats, labels, n_classes=len(presets))
 
     model = ConverterModel(cfg, pitch, timbre, mel_mean, mel_std, z_p_mean, z_p_whiten,
                            seed=seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xCF4))))
-
-    # one window length for the whole run so batch items stack
-    win = min(cfg.window_frames, min(m.frames for m in mels))
+    win = cfg.window_frames
 
     def batch_loss() -> Tensor:
         x1s, conds, hiddens = [], [], []
         for _ in range(cfg.batch):
-            i = int(rng.integers(len(mels)))
-            mel = mels[i]
-            n_f = mel.frames
-            start = int(rng.integers(0, n_f - win + 1))
-            x1 = model.standardize(mel.values[start : start + win])
+            clip = clips[int(rng.integers(len(clips)))]
+            mel, content, z_p, mask = sample_training_window(clip, rng, win)
+            x1 = model.standardize(mel)
 
+            n_f = len(clip[0])
             t_win = min(120, n_f)
             t_start = int(rng.integers(0, n_f - t_win + 1))
-            z_t = model.timbre.embed(MelSpectrogram(mel.values[t_start : t_start + t_win]))
+            z_t = model.timbre.embed(MelSpectrogram(clip[0][t_start : t_start + t_win]))
 
+            real = min(n_f, win)  # the span lies on the window's real frames
             frac = float(rng.uniform(*_MASK_SPAN))
-            span = max(1, int(round(frac * win)))
-            span_start = int(rng.integers(0, win - span + 1))
+            span = max(1, int(round(frac * real)))
+            span_start = int(rng.integers(0, real - span + 1))
             hidden = np.zeros((win, 1))
             hidden[span_start : span_start + span] = 1.0
-            visible = 1.0 - hidden
+            visible = mask - hidden
 
             x1s.append(x1)
-            conds.append(model.fuse(contents[i][start : start + win],
-                                    z_ps[i][start : start + win], z_t, x1 * visible, visible))
+            conds.append(model.fuse(content, z_p, z_t, x1 * visible, visible))
             hiddens.append(hidden)
         return cfm_loss(model.net, np.stack(x1s), np.stack(conds), rng,
                         loss_mask=np.stack(hiddens))

@@ -102,22 +102,23 @@ class PitchExtractor:
         return cls(cfg, trainable=False, arrays=arrays)
 
 
-def sample_training_window(clip: tuple[np.ndarray, np.ndarray], rng: np.random.Generator,
-                           window_frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniformly random aligned crop of (cqt, roll); clips shorter than the
-    window come back zero-padded with a validity mask."""
-    values, roll = clip
-    if values.shape[0] != roll.shape[0]:
-        raise ContractError("cqt and roll frame counts differ")
-    n = values.shape[0]
+def sample_training_window(clip: tuple[np.ndarray, ...], rng: np.random.Generator,
+                           window_frames: int) -> tuple[np.ndarray, ...]:
+    """The one training-window rule, of the pitch trainer and the converter:
+    a uniformly random crop of `window_frames` frames, aligned across the
+    clip's frame-aligned (frames, dim) arrays, returned in their order and
+    followed by the (window_frames, 1) validity mask. A clip shorter than
+    the window draws no start: its arrays come back zero-padded at the end,
+    where the mask is 0."""
+    n = clip[0].shape[0]
+    if any(a.shape[0] != n for a in clip):
+        raise ContractError(f"frame counts differ: {[a.shape[0] for a in clip]}")
     if n >= window_frames:
         start = int(rng.integers(0, n - window_frames + 1))
-        mask = np.ones((window_frames, 1))
-        return (values[start : start + window_frames],
-                roll[start : start + window_frames], mask)
+        return (*(a[start : start + window_frames] for a in clip), np.ones((window_frames, 1)))
     pad = window_frames - n
     mask = np.concatenate([np.ones((n, 1)), np.zeros((pad, 1))])
-    return (np.pad(values, ((0, pad), (0, 0))), np.pad(roll, ((0, pad), (0, 0))), mask)
+    return (*(np.pad(a, ((0, pad), (0, 0))) for a in clip), mask)
 
 
 # ---------------------------------------------------------------------------

@@ -209,9 +209,11 @@ class SynthConfig:
     eval_fraction: float = 0.10
 
     def __post_init__(self):
-        """A corpus of at least one clip that the split can divide: clip
-        counts are >= 0, the eval share lies strictly between 0 and 1. A
-        config file's JSON list becomes a tuple."""
+        """Clip counts are >= 0 and sum to at least one, and the eval share
+        lies strictly between 0 and 1. `gen_dataset` puts at least one clip
+        in the eval split, so a one-clip corpus, or one whose eval share
+        rounds to every clip, has an empty train split, which the trainers
+        and `evaluate` reject. A config file's JSON list becomes a tuple."""
         check_fields(self, n_single=0, n_harmony=0)
         self.dur_range = tuple(self.dur_range)
         if not 0 < self.dur_range[0] <= self.dur_range[1]:

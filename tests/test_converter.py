@@ -727,9 +727,11 @@ class TestCli:
         return rows[:n_eval], argv
 
     def test_transposed_convert_reports_its_shift_and_writes_its_mel(self, tiny_runs, tmp_path):
+        """`--mel-out` into a directory that does not exist yet creates it,
+        as `--out` does."""
         manifest, (files, _), _ = tiny_runs
         src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
-        out, mel_path = tmp_path / "out.wav", tmp_path / "out.mel"
+        out, mel_path = tmp_path / "out.wav", tmp_path / "c" / "d" / "out.mel"
         code, summary = self._run(["convert", "--src", str(src), "--ref", str(ref),
                                    "--ckpt", str(files["svc.pvck"]), "--out", str(out),
                                    "--transpose", "2", "--mel-out", str(mel_path)])
@@ -746,6 +748,19 @@ class TestCli:
         magic, frames, bands = header.unpack(raw[: header.size])[:3]
         assert (magic, frames, bands) == (b"MEL1", summary["frames"], 80)
         assert raw[header.size :] == conversion.mel.values.astype("<f4").tobytes()
+
+    def test_transposed_silent_source_reports_no_shift(self, tiny_runs, tmp_path):
+        """A silent source's CQT profile has no energy, so no peak to shift
+        from: the summary reports `measured_shift_bins` null, not a bin."""
+        manifest, (files, _), _ = tiny_runs
+        ref = manifest.parent / load_manifest(manifest)[0]["path"]
+        quiet = tmp_path / "silence.wav"
+        save_wav(Waveform(np.zeros(int(1.5 * 44100)), 44100), quiet)
+        code, summary = self._run(["convert", "--src", str(quiet), "--ref", str(ref),
+                                   "--ckpt", str(files["svc.pvck"]),
+                                   "--out", str(tmp_path / "out.wav"), "--transpose", "2"])
+        assert code == 0, summary
+        assert summary["measured_shift_bins"] is None
 
     def test_evaluate_dumps_one_mel_image_per_eval_clip(self, tiny_runs, tmp_path):
         eval_rows, argv = self._eval_manifest(tiny_runs, tmp_path)
@@ -828,6 +843,22 @@ class TestEachFeatureOnce:
         assert (len(mels), len(masks), len(embeds)) == (3 * n, n, 2 * n)
 
 
+def _cut_corpus(manifest, data, ids, samples: int):
+    """A copy of the corpus of `manifest` under `data` whose clips named in
+    `ids` are cut to their first `samples` samples; returns its manifest."""
+    for row in load_manifest(manifest):
+        wave = load_wav(manifest.parent / row["path"])
+        if row["id"] in ids:
+            wave = Waveform(wave.samples[:samples], wave.sample_rate)
+        (data / row["path"]).parent.mkdir(parents=True, exist_ok=True)
+        save_wav(wave, data / row["path"])
+        (data / row["path"]).with_suffix(".mid").write_bytes(
+            (manifest.parent / row["path"]).with_suffix(".mid").read_bytes())
+    cut = data / manifest.name
+    cut.write_text(manifest.read_text())
+    return cut
+
+
 class TestClipInputs:
     """`clip_inputs` is the one recipe for a clip's mel, content and z_p, and
     `check_clip_length` the one length rule, in training as at inference."""
@@ -853,7 +884,7 @@ class TestClipInputs:
 
         def keep_arrays(params, batch_loss, steps, peak_lr, save, ckpt_path, *rest):
             cells = dict(zip(batch_loss.__code__.co_freevars, batch_loss.__closure__))
-            stored.update((k, cells[k].cell_contents) for k in ("mels", "contents", "z_ps"))
+            stored["clips"] = cells["clips"].cell_contents
             return ckpt_path
 
         monkeypatch.setattr(converter_module, "_fit", keep_arrays)
@@ -869,9 +900,10 @@ class TestClipInputs:
             conversion = convert(clip.wave, clips[i - 1].wave, model)
             content, z_p = fused.pop()[:2]
             n = conversion.source_mel.frames  # the source's rows follow the prompt
-            assert conversion.source_mel.values.tobytes() == stored["mels"][i].values.tobytes()
-            assert content[-n:].tobytes() == stored["contents"][i].tobytes()
-            assert z_p[-n:].tobytes() == stored["z_ps"][i].tobytes()
+            mel, stored_content, stored_z_p = stored["clips"][i]
+            assert conversion.source_mel.values.tobytes() == mel.tobytes()
+            assert content[-n:].tobytes() == stored_content.tobytes()
+            assert z_p[-n:].tobytes() == stored_z_p.tobytes()
 
     def test_a_clip_just_short_of_1_s_is_rejected_everywhere(self, tiny_runs, tmp_path,
                                                             monkeypatch):
@@ -881,17 +913,8 @@ class TestClipInputs:
         manifest, (files, _), _ = tiny_runs
         data = tmp_path / "data"
         rows = load_manifest(manifest)
-        for row in rows:  # every train clip cut to 43,900 samples
-            wave = load_wav(manifest.parent / row["path"])
-            if row["split"] == "train":
-                wave = Waveform(wave.samples[:43900], wave.sample_rate)
-            (data / row["path"]).parent.mkdir(parents=True, exist_ok=True)
-            save_wav(wave, data / row["path"])
-            (data / row["path"]).with_suffix(".mid").write_bytes(
-                (manifest.parent / row["path"]).with_suffix(".mid").read_bytes())
-        short_manifest = data / manifest.name
-        short_manifest.write_text(manifest.read_text())
         train = [r for r in rows if r["split"] == "train"]
+        short_manifest = _cut_corpus(manifest, data, {r["id"] for r in train}, 43900)
         short = load_wav(data / train[0]["path"])
         assert mel_spectrogram(short).frames == 100
         cqts = _count_calls(monkeypatch, compute_cqt)
@@ -925,8 +948,7 @@ class TestConverterBatch:
 
     def test_each_item_fuses_window_sized_inputs(self, tiny_runs, tmp_path, monkeypatch):
         manifest, (files, _), _ = tiny_runs
-        frames = min(mel_spectrogram(c.wave).frames for c in load_clips(manifest, "train"))
-        win = min(TINY_CONVERTER["window_frames"], frames)
+        win = TINY_CONVERTER["window_frames"]
         fused = []
         fuse = ConverterModel.fuse
 
@@ -940,6 +962,47 @@ class TestConverterBatch:
         item = ((win, N_CONTENT), (win, TINY_ENCODER.model_dim), (TIMBRE_DIM,), (win, N_MELS),
                 (win, 1))
         assert fused == [item] * TINY_CONVERTER["batch"]
+
+    def test_a_short_train_clip_is_padded_and_masked_as_the_pitch_trainer_does(
+            self, tiny_runs, tmp_path, monkeypatch):
+        """A 1.5 s train clip, 151 frames, passes the length rule but is
+        shorter than a 200-frame window. Every item still fuses 200 frames:
+        that clip's items are zero-padded with the padding masked from the
+        condition, their hidden span, the loss mask, lies on its real frames,
+        and the other clips train on full windows."""
+        manifest, (files, _), _ = tiny_runs
+        short_id = next(r["id"] for r in load_manifest(manifest) if r["split"] == "train")
+        cut = _cut_corpus(manifest, tmp_path / "data", {short_id}, 66150)
+        frames = {c.id: mel_spectrogram(c.wave).frames for c in load_clips(cut, "train")}
+        assert frames.pop(short_id) == 151 and min(frames.values()) >= 200
+        shapes, items = [], []
+        fuse, loss = ConverterModel.fuse, converter_module.cfm_loss
+
+        def recording_fuse(model, *inputs):
+            shapes.append(tuple(x.shape for x in inputs))
+            return fuse(model, *inputs)
+
+        def recording_loss(net, x1, cond, rng, loss_mask):
+            items.extend(zip(cond, loss_mask))
+            return loss(net, x1, cond, rng, loss_mask=loss_mask)
+
+        monkeypatch.setattr(ConverterModel, "fuse", recording_fuse)
+        monkeypatch.setattr(converter_module, "cfm_loss", recording_loss)
+        train_converter(cut, ConverterConfig(**dict(TINY_CONVERTER, window_frames=200)), STEPS,
+                        files["pitch.pvck"], tmp_path / "s")
+        item = ((200, N_CONTENT), (200, TINY_ENCODER.model_dim), (TIMBRE_DIM,), (200, N_MELS),
+                (200, 1))
+        assert shapes == [item] * TINY_CONVERTER["batch"] * STEPS
+        real_frames = []
+        for cond, hidden in items:
+            visible = cond[:, -1:]
+            n = int((visible + hidden).sum())
+            assert np.array_equal(visible + hidden, np.arange(200)[:, None] < n)
+            assert hidden.any() and not hidden[n:].any()
+            if n < 200:  # the padding carries no content and no reference mel
+                assert not cond[n:, :N_CONTENT].any() and not cond[n:, -1 - N_MELS :].any()
+            real_frames.append(n)
+        assert 151 in real_frames and set(real_frames) <= {151, 200}
 
 
 class TestTrainStep:
