@@ -1,10 +1,10 @@
 """Command-line entry point wiring the pipeline stages together.
 
-Every command prints exactly one JSON summary line to stdout (progress goes
-to stderr) and exits 0 on success, 1 on usage or configuration errors, and
-2 on runtime failures. The `convert` and `evaluate` summaries carry the
-command's wall time `wall_s` and its real-time factor `rtf`, wall time over
-the seconds of source audio converted.
+Every command, and every usage error, prints exactly one JSON summary line to
+stdout (progress goes to stderr) and exits 0 on success, 1 on usage or
+configuration errors, and 2 on runtime failures. The `convert` and `evaluate`
+summaries carry the command's wall time `wall_s` and its real-time factor
+`rtf`, wall time over the seconds of source audio converted.
 
 Corpora are read with `synthgen.load_clips`: a malformed manifest line and a
 split with no clips are runtime failures, so every command exits 2 on them.
@@ -42,9 +42,11 @@ from .synthgen import gen_dataset, load_clips
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is exit 1."""
+    """argparse exits 2 on usage errors; the contract here is exit 1, with a
+    `{"status": "usage-error"}` summary line on stdout, the usage on stderr."""
 
     def error(self, message):
+        print(json.dumps({"status": "usage-error", "error": message}))
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -160,15 +161,20 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int, dict]:
     float32 (numpy promotes them exactly where they meet float64 data). A
     truncated or corrupt header, a header whose config does not hash to its
     stored `config_hash`, one without a `params` list of named, well-shaped
-    entries or an integer `step`, and a truncated payload all raise
-    ContractError naming the path."""
+    entries or an integer `step`, and a payload shorter than an entry's
+    shape needs all raise ContractError naming the path. Each length is
+    checked against the file's size before it is read, so a hostile one
+    allocates nothing."""
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != _MAGIC:
             raise ContractError(f"{path}: not a checkpoint container")
         size = fh.read(4)
         if len(size) < 4:
             raise ContractError(f"{path}: truncated header length")
         (hlen,) = struct.unpack("<I", size)
+        if hlen > file_size - fh.tell():
+            raise ContractError(f"{path}: corrupt checkpoint header (length {hlen} > file)")
         try:
             header = json.loads(fh.read(hlen).decode())
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
@@ -190,11 +196,16 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int, dict]:
             if not (isinstance(shape, list) and all(is_int(n) and n >= 0 for n in shape)):
                 raise ContractError(f"{path}: checkpoint entry {entry!r} needs a string "
                                     f"'name' and a 'shape' of sizes >= 0")
-            name, count = entry["name"], math.prod(shape)
-            raw = fh.read(count * 4)
-            if len(raw) < count * 4:
-                raise ContractError(f"{path}: truncated payload for {name!r}")
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            name, nbytes = entry["name"], math.prod(shape) * 4
+            left = file_size - fh.tell()
+            if nbytes > left:
+                raise ContractError(f"{path}: truncated payload for {name!r}: shape {shape} "
+                                    f"needs {nbytes} bytes, {left} are left")
+            flat = np.frombuffer(fh.read(nbytes), dtype="<f4")
+            try:
+                params[name] = flat.reshape(shape).copy()
+            except ValueError as exc:  # an empty shape past numpy's size limits
+                raise ContractError(f"{path}: checkpoint entry {name!r}: {exc}") from None
     return params, step, header
 
 

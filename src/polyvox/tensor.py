@@ -19,9 +19,12 @@ Each primitive records its inputs and a backward closure on the produced
 tensor when one of the inputs needs a gradient, and nothing otherwise, so
 a network whose parameters are constants runs without a tape.
 `backward(loss)` topologically sorts the implicit tape and replays it in
-reverse, accumulating gradients exactly once per node; an interior node's
+reverse, running each node's closure exactly once; an interior node's
 gradient is freed as soon as its closure has consumed it, so only the
-leaves keep a `.grad` afterwards. The primitive set is only what the
+leaves keep a `.grad` afterwards. Gradients follow one rule: a node's first
+contribution is kept as it arrives and each later one is summed into a new
+array, so no gradient array is ever written in place, and a closure may
+pass on the array it was given. The primitive set is only what the
 pipeline's networks call, with `+` and `*` the only operators on a tensor,
 and each primitive keeps the tape small:
 `attention` is softmax(scale·q kᵀ) v as one primitive, so that a call
@@ -61,7 +64,7 @@ def as_data(x) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_owned")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = as_data(data)
@@ -69,7 +72,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
-        self._grad_owned = False
 
     @property
     def shape(self):
@@ -98,29 +100,11 @@ def _needs_grad(t: Tensor) -> bool:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    # copy-on-write: the first contribution is borrowed (it is never
-    # mutated upstream once this node's backward has run); a second
-    # contribution allocates a fresh owned array
-    if not _needs_grad(t):
-        return
-    if t.grad is None:
-        t.grad = g
-        t._grad_owned = False
-    elif t._grad_owned:
-        t.grad += g
-    else:
-        t.grad = t.grad + g
-        t._grad_owned = True
-
-
-def _owned_grad(t: Tensor) -> np.ndarray:
-    """Gradient buffer of t that is safe to mutate in place."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    elif not t._grad_owned:
-        t.grad = t.grad.copy()
-    t._grad_owned = True
-    return t.grad
+    """Add the contribution `g` to t's gradient: the first is stored as it
+    comes (it may be another node's array, so it is never written to), and
+    each later one is summed into a new array."""
+    if _needs_grad(t):
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -245,8 +229,9 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
 def slice_(a: Tensor, key) -> Tensor:
     def bwd(g):
-        if _needs_grad(a):
-            _owned_grad(a)[key] += g
+        full = np.zeros_like(a.data)
+        full[key] = g
+        _accumulate(a, full)
 
     return _node(a.data[key], (a,), bwd)
 
@@ -436,10 +421,12 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
     Returns a map from each requires_grad leaf to its gradient, which is
-    also left on the leaf's `.grad`. An interior node's `.grad` is dropped
-    once its backward closure has run, so the sweep holds only the
-    gradients still owed to nodes below it; its closure and parents stay
-    until the caller drops the graph.
+    also left on the leaf's `.grad`. Contributions to a node are summed into
+    new arrays (`_accumulate`) and no gradient is written in place, so a
+    leaf's `.grad` may be an array another node also received. An interior
+    node's `.grad` is dropped once its backward closure has run, so the
+    sweep holds only the gradients still owed to nodes below it; its
+    closure and parents stay until the caller drops the graph.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -461,7 +448,6 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
                 stack.append((parent, False))
 
     loss.grad = np.asarray(1.0)
-    loss._grad_owned = True
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -474,4 +460,3 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 def zero_grads(tensors) -> None:
     for t in tensors:
         t.grad = None
-        t._grad_owned = False

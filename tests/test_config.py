@@ -229,6 +229,23 @@ def test_threads_is_an_unknown_option(tiny_corpus, tmp_path):
     assert not (tmp_path / "synth").exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["convert", "--src", "x"], "the following arguments are required: --ref, --ckpt, --out"),
+    (["convert", "--src", "x", "--ref", "y", "--ckpt", "z", "--out", "o", "--nfe", "two"],
+     "argument --nfe: invalid int value: 'two'"),
+], ids=["missing-flag", "non-integer-nfe"])
+def test_usage_error_prints_one_json_line(argv, error):
+    """A usage error exits 1 with exactly one JSON summary line on stdout,
+    as every other outcome does, and the usage text on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 1
+    assert [json.loads(line) for line in out.getvalue().splitlines()] == [
+        {"status": "usage-error", "error": error}]
+    assert err.getvalue().startswith("usage: polyvox convert")
+
+
 @pytest.mark.parametrize("command, split", [("train-pitch", "train"), ("evaluate", "eval")])
 def test_corrupt_smf_exits_2_naming_the_file(tiny_corpus, tmp_path, command, split):
     """A truncated `.mid` sidecar in the corpus is a runtime failure whose

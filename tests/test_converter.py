@@ -23,8 +23,8 @@ from polyvox import pitch as pitch_module
 from polyvox import tensor as T
 from polyvox.audio import (HOP, N_MELS, Waveform, load_pipeline_wav, load_wav, mel_spectrogram,
                            resample, save_wav)
-from polyvox.converter import (ConverterConfig, ConverterModel, VelocityNet, convert, ode_sample,
-                               train_converter)
+from polyvox.converter import (ConverterConfig, ConverterModel, VelocityNet, cfm_loss, convert,
+                               ode_sample, train_converter)
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, load_cqt, transpose_pitch
 from polyvox.errors import ContractError
 from polyvox.features import N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace
@@ -173,6 +173,43 @@ class TestVelocityNet:
         assert batched.shape == (1, 12, N_MELS)
         assert np.array_equal(batched[0], single)
 
+    def test_cfm_loss_gradient_matches_finite_differences(self):
+        """Reverse-mode gradients of a batched `cfm_loss` through a float64
+        net against central differences. The net is where one node feeds
+        many consumers (the time vector into every modulation head, each
+        head's output into its slices, the normed input into q, k and v),
+        and the only caller of `slice_`'s backward. Random weights stand in
+        for the zero-initialised heads, large enough that every checked
+        gradient is far above the differences' rounding."""
+        rng = np.random.default_rng(21)
+        store = ParamStore(rng)
+        net = VelocityNet(store, cond_dim=3, width=8, n_layers=1, n_heads=2)
+        for p in store.params.values():
+            p.data = rng.normal(scale=0.3, size=p.data.shape)
+        x1, cond = rng.normal(size=(2, 6, N_MELS)), rng.normal(size=(2, 6, 3))
+
+        def loss():
+            return cfm_loss(net, x1, cond, np.random.default_rng(7))
+
+        grads = T.backward(loss())
+        h = 1e-5
+        # block0.mod.w: one entry in each of the six width-8 slices
+        picks = {"velocity.block0.mod.w": [(i, 8 * i + i) for i in range(6)],
+                 "velocity.time1.w": [(0, 0), (3, 5), (7, 2)],
+                 "velocity.input.w": [(0, 1), (40, 4), (N_MELS + 2, 7)]}
+        for name, entries in picks.items():
+            p = store.params[name]
+            for idx in entries:
+                orig = p.data[idx]
+                p.data[idx] = orig + h
+                up = float(loss().data)
+                p.data[idx] = orig - h
+                down = float(loss().data)
+                p.data[idx] = orig
+                fd = (up - down) / (2 * h)
+                assert abs(fd) > 1e-3, (name, idx)
+                assert grads[p][idx] == pytest.approx(fd, rel=1e-6), (name, idx)
+
 
 class _ConstantVelocity:
     """A stand-in velocity net that records the flow time of each call and
@@ -313,7 +350,6 @@ def _sweep_keeping_every_grad(loss) -> list:
     """Reference reverse sweep that leaves every node's gradient in place."""
     topo = _topo(loss)
     loss.grad = np.asarray(1.0)
-    loss._grad_owned = True
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

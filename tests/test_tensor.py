@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -594,14 +595,41 @@ class TestCheckpoint:
         (lambda raw: raw[:8] + b"[1]" + b" " * (len(raw) - 11), "not an object"),
         (lambda raw: TestCheckpoint._edit_header(raw, lambda h: h["config"].update(dim=5)),
          f"config_hash {config_hash({'dim': 4})} does not match {config_hash({'dim': 5})}"),
+        (lambda raw: TestCheckpoint._edit_header(
+            raw, lambda h: h["params"][0].update(shape=[2**40, 2**40])),
+         r"truncated payload for 'w': shape \[1099511627776, 1099511627776\] needs "
+         r"4835703278458516698824704 bytes, 64 are left"),
+        (lambda raw: TestCheckpoint._edit_header(
+            raw, lambda h: h["params"][0].update(shape=[2**70, 0])),
+         "checkpoint entry 'w': "),
     ], ids=["cut-length", "cut-header", "undecodable-header", "header-not-object",
-            "config-hash-mismatch"])
+            "config-hash-mismatch", "shape-past-the-file", "shape-past-numpy"])
     def test_hostile_container(self, tmp_path, damage, message):
         path = tmp_path / "c.pvck"
         save_checkpoint(path, {"w": np.ones((4, 4))}, 0, {"dim": 4})
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ContractError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda raw: raw[:4] + struct.pack("<I", 2**28) + raw[8:], "corrupt checkpoint header"),
+        (lambda raw: TestCheckpoint._edit_header(
+            raw, lambda h: h["params"][0].update(shape=[2**26])), "truncated payload for 'w'"),
+    ], ids=["header-length", "entry-shape"])
+    def test_a_hostile_length_allocates_nothing(self, tmp_path, damage, message):
+        """A header length or an entry shape that claims 256 MiB of a small
+        file is rejected before anything that long is read."""
+        path = tmp_path / "c.pvck"
+        save_checkpoint(path, {"w": np.ones((4, 4))}, 0, {"dim": 4})
+        path.write_bytes(damage(path.read_bytes()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match=message):
+                load_checkpoint(path)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.pop("params"),
