@@ -11,22 +11,28 @@ container and to a CSV, and `evaluate`. The temporary path is replaced by
 are hashed; the corpus clips hash as one artefact, over their names and
 bytes in name order. A change that should leave outputs alone prints the
 same digests as its parent. Run from anywhere; it imports `polyvox` from the
-`src` beside this directory:
+`src` beside this directory, or from `--src DIR`:
 
     python benches/artefacts.py
+    python benches/artefacts.py --against ../parent
+
+`--against CHECKOUT` runs this script a second time, in a subprocess, on
+that checkout's `src`, and compares the two runs: it exits 1 and lists on
+stderr every artefact whose digest differs, and otherwise exits 0 and prints
+the digests.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from polyvox.cli import main  # noqa: E402
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIG = {
     "seed": 13,
@@ -47,6 +53,8 @@ _PATH_ECHOES = ("data/resolved_config.json", "ckpt/resolved_config.json", "repor
 
 
 def _run(*argv: str) -> None:
+    from polyvox.cli import main
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
@@ -88,5 +96,28 @@ def artefact_digests() -> dict[str, str]:
         return {name: _digest(root / name, root) for name in ARTEFACTS}
 
 
+def _digests_of(checkout: Path) -> dict[str, str]:
+    """This script's digests, run in a subprocess on `checkout`'s `src`."""
+    run = subprocess.run([sys.executable, __file__, "--src", str(Path(checkout) / "src")],
+                         capture_output=True, text=True)
+    if run.returncode != 0:
+        raise SystemExit(f"the run on {checkout} exited {run.returncode}:\n{run.stderr}")
+    return json.loads(run.stdout)
+
+
 if __name__ == "__main__":
-    print(json.dumps(artefact_digests(), indent=2))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=SRC, help="import polyvox from here")
+    parser.add_argument("--against", type=Path, help="a checkout to compare the digests with")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    digests = artefact_digests()
+    if args.against is not None:
+        other = _digests_of(args.against)
+        differ = [name for name in ARTEFACTS if digests.get(name) != other.get(name)]
+        for name in differ:
+            print(f"{name}: {digests.get(name)} here, {other.get(name)} at {args.against}",
+                  file=sys.stderr)
+        if differ:
+            sys.exit(1)
+    print(json.dumps(digests, indent=2))

@@ -64,17 +64,21 @@ DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float3
 pytestmark = pytest.mark.benchmark(warmup=True, warmup_iterations=1)
 
 
-def _randomize(store: ParamStore, rng: np.random.Generator, dtype) -> None:
+def _randomize(store: ParamStore, rng: np.random.Generator, dtype,
+               requires_grad: bool = False) -> None:
     """Small random values in place of the initial ones, whose zero
-    projections would hide the work, held in `dtype` as `Tensor` holds it."""
+    projections would hide the work, held in `dtype` as `Tensor` holds it.
+    The parameters are constants, as a loaded model's are, unless
+    `requires_grad`."""
     for p in store.params.values():
         p.data = T.Tensor(rng.normal(scale=0.05, size=p.data.shape).astype(dtype)).data
+        p.requires_grad = requires_grad
 
 
-def _velocity_net(rng: np.random.Generator, dtype, trainable: bool = False):
-    store = ParamStore(rng, trainable=trainable)
+def _velocity_net(rng: np.random.Generator, dtype, requires_grad: bool = False):
+    store = ParamStore(rng)
     net = VelocityNet(store, COND_DIM, WIDTH, LAYERS, HEADS)
-    _randomize(store, rng, dtype)
+    _randomize(store, rng, dtype, requires_grad)
     return net, store
 
 
@@ -90,7 +94,7 @@ def test_softmax(benchmark):
 def test_multi_head_attention(benchmark, dtype):
     """One attention layer of the velocity net, with constant parameters."""
     rng = np.random.default_rng(5)
-    store = ParamStore(rng, trainable=False)
+    store = ParamStore(rng)
     attn = MultiHeadAttention(store, "attn", WIDTH, HEADS)
     _randomize(store, rng, dtype)
     x = T.Tensor(rng.standard_normal((FRAMES, WIDTH)).astype(dtype))
@@ -176,7 +180,7 @@ def _train_step_inputs(dtype):
     """A trainable velocity net in `dtype`, its parameters and one
     smoke-shaped batch."""
     rng = np.random.default_rng(8)
-    net, store = _velocity_net(rng, dtype, trainable=True)
+    net, store = _velocity_net(rng, dtype, requires_grad=True)
     x1 = rng.standard_normal((TRAIN_BATCH, TRAIN_FRAMES, 80))
     cond = T.Tensor(rng.standard_normal((TRAIN_BATCH, TRAIN_FRAMES, COND_DIM)).astype(dtype))
     hidden = np.zeros((TRAIN_BATCH, TRAIN_FRAMES, 1))

@@ -6,13 +6,12 @@ the pipeline's one frame geometry, read from here by every other module:
 44.1 kHz audio, a 2048-point Hann STFT every 441 samples (100 frames/s for
 mel, CQT, piano roll and YIN alike) and 80 mel bands from 40 Hz to 16 kHz.
 
-A WAV file is read in two steps with one decode rule. `read_wav` parses and
-checks the container and keeps the samples as the file stores them (int16
-PCM16 codes or float32 samples), and `decode_wav` turns those codes into a
-float64 `Waveform`. `load_wav` is the two in a row. `read_pipeline_wav` adds
-one resampling to `PIPELINE_SAMPLE_RATE` for a file at another rate, and
-`load_pipeline_wav` decodes its result. Every file written here is mono
-PCM16 (`save_wav`); float32 files are read, not written.
+A WAV file at 8-192 kHz (`WAV_RATE_RANGE`) is read by one reader, always at
+44.1 kHz, with one decode rule. `read_wav` checks the file, keeps its
+samples as stored (int16 or float32 codes), or resamples an off-rate file
+once into float64 mono codes; `decode_wav` turns codes into a float64
+`Waveform`, and `load_wav` is the two in a row. Every file written here is
+mono PCM16 (`save_wav`); float32 files are read, not written.
 
 `stft`, `istft` and their overlap-add follow the one dtype rule of
 `tensor.as_data`: float32 input stays float32 (complex64 spectra), anything
@@ -42,6 +41,7 @@ N_MELS = 80
 MEL_FMIN = 40.0
 MEL_FMAX = 16000.0
 LOG_FLOOR = 1e-5
+WAV_RATE_RANGE = (8000, 192000)
 
 
 @dataclass
@@ -97,10 +97,10 @@ _WAVE_FLOAT = 3
 
 @dataclass(frozen=True)
 class WavCodes:
-    """A WAV file's samples as the file stores them: int16 PCM16 codes or
-    float32 IEEE samples, interleaved when there are two channels, plus the
-    channel count and rate. `decode_wav` turns them into a `Waveform`. A
-    caller that resamples keeps the float64 result here with one channel."""
+    """A WAV file's samples as `read_wav` keeps them: int16 PCM16 codes or
+    float32 samples, interleaved when there are two channels, or one
+    channel of float64 for a resampled file; plus the channel count and
+    rate. `decode_wav` turns them into a `Waveform`."""
 
     codes: np.ndarray
     channels: int
@@ -114,11 +114,12 @@ class WavCodes:
 
 def read_wav(path) -> WavCodes:
     """Read a RIFF/WAVE file (PCM16 or float32, mono or stereo) into its
-    sample codes, without decoding them. Every check of the file happens
-    here: a malformed container or an empty data chunk raises
-    `WavFormatError`, another codec or channel count `UnsupportedWavError`,
-    and a non-finite float sample `ContractError`. A trailing partial frame
-    is dropped."""
+    sample codes at `PIPELINE_SAMPLE_RATE`: undecoded, or for a file at
+    another rate resampled once into float64 mono codes. Every check of the
+    file happens first: a malformed container, an empty data chunk or a rate
+    of 0 raises `WavFormatError`, another codec, channel count or a rate
+    outside `WAV_RATE_RANGE` `UnsupportedWavError`, and a non-finite float
+    sample `ContractError`. A trailing partial frame is dropped."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -151,6 +152,11 @@ def read_wav(path) -> WavCodes:
         dtype = np.dtype("<f4")
     else:
         raise UnsupportedWavError(f"{path}: format tag {tag} / {bits}-bit unsupported")
+    if rate == 0:
+        raise WavFormatError(f"{path}: sample rate 0 Hz")
+    if not WAV_RATE_RANGE[0] <= rate <= WAV_RATE_RANGE[1]:
+        raise UnsupportedWavError(f"{path}: sample rate {rate} Hz outside "
+                                  f"{WAV_RATE_RANGE[0]}-{WAV_RATE_RANGE[1]} Hz")
 
     offset, size = payload
     frames = size // dtype.itemsize // channels
@@ -160,7 +166,11 @@ def read_wav(path) -> WavCodes:
     codes = np.frombuffer(data, dtype, count=frames * channels, offset=offset)
     if dtype.kind == "f" and not np.all(np.isfinite(codes)):
         raise ContractError(f"{path}: waveform contains non-finite samples")
-    return WavCodes(codes, channels, int(rate))
+    stored = WavCodes(codes, channels, int(rate))
+    if rate == PIPELINE_SAMPLE_RATE:
+        return stored
+    w = resample(decode_wav(stored), PIPELINE_SAMPLE_RATE)
+    return WavCodes(w.samples, 1, w.sample_rate)
 
 
 def decode_wav(w: WavCodes) -> Waveform:
@@ -176,26 +186,9 @@ def decode_wav(w: WavCodes) -> Waveform:
 
 
 def load_wav(path) -> Waveform:
-    """`decode_wav(read_wav(path))`: a RIFF/WAVE file (PCM16 or float32, mono
-    or stereo) as a float64 `Waveform`."""
+    """`decode_wav(read_wav(path))`: a WAV file as the pipeline reads it, a
+    float64 `Waveform` at `PIPELINE_SAMPLE_RATE`."""
     return decode_wav(read_wav(path))
-
-
-def load_pipeline_wav(path) -> Waveform:
-    """`decode_wav(read_pipeline_wav(path))`: how every pipeline stage reads
-    a clip, at `PIPELINE_SAMPLE_RATE`."""
-    return decode_wav(read_pipeline_wav(path))
-
-
-def read_pipeline_wav(path) -> WavCodes:
-    """`read_wav(path)`, then one resampling to `PIPELINE_SAMPLE_RATE` when
-    the file is at another rate, whose float64 result is kept as mono codes.
-    A caller that holds many clips holds them still encoded."""
-    codes = read_wav(path)
-    if codes.sample_rate == PIPELINE_SAMPLE_RATE:
-        return codes
-    w = resample(decode_wav(codes), PIPELINE_SAMPLE_RATE)
-    return WavCodes(w.samples, 1, w.sample_rate)
 
 
 def save_wav(w: Waveform, path) -> None:

@@ -1,10 +1,10 @@
 """Command-line entry point wiring the pipeline stages together.
 
-Every command, and every usage error, prints exactly one JSON summary line to
-stdout (progress goes to stderr) and exits 0 on success, 1 on usage or
-configuration errors, and 2 on runtime failures. The `convert` and `evaluate`
-summaries carry the command's wall time `wall_s` and its real-time factor
-`rtf`, wall time over the seconds of source audio converted.
+Every command, every usage error and `--help` print exactly one JSON summary
+line to stdout (progress and help text go to stderr) and exit 0 on success,
+1 on usage or configuration errors, and 2 on runtime failures. The `convert`
+and `evaluate` summaries carry the command's wall time `wall_s` and its
+real-time factor `rtf`, wall time over the seconds of source audio converted.
 
 Corpora are read with `synthgen.load_clips`: a malformed manifest line and a
 split with no clips are runtime failures, so every command exits 2 on them.
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, load_pipeline_wav, save_wav
+from .audio import HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, load_wav, save_wav
 from .config import ConfigError, check_seed, load_config, persist_config
 from .converter import (ConverterConfig, ConverterModel, check_clip_length, convert,
                         train_converter)
@@ -43,7 +43,11 @@ from .synthgen import gen_dataset, load_clips
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is exit 1, with a
-    `{"status": "usage-error"}` summary line on stdout, the usage on stderr."""
+    `{"status": "usage-error"}` summary line on stdout, the usage on stderr.
+    `--help` text goes to stderr too."""
+
+    def print_help(self, file=None):
+        super().print_help(file or sys.stderr)
 
     def error(self, message):
         print(json.dumps({"status": "usage-error", "error": message}))
@@ -156,8 +160,8 @@ def cmd_convert(args) -> dict:
     check_seed(seed, "--seed")
     _check_transpose(args.transpose)
     model = ConverterModel.load(_require(args.ckpt, "checkpoint"))
-    src = load_pipeline_wav(_require(args.src, "source audio"))
-    ref = load_pipeline_wav(_require(args.ref, "reference audio"))
+    src = load_wav(_require(args.src, "source audio"))
+    ref = load_wav(_require(args.ref, "reference audio"))
     model.cfg = dataclasses.replace(model.cfg, **given)
     conversion = convert(src, ref, model, transpose=args.transpose, seed=seed)
     out = Path(args.out)
@@ -182,7 +186,7 @@ def cmd_convert(args) -> dict:
                               hop=HOP, sample_rate=PIPELINE_SAMPLE_RATE, bins_per_octave=0)
         summary["mel_out"] = str(args.mel_out)
     if args.transpose:
-        written = compute_cqt(load_pipeline_wav(out))  # the shift of the file as written
+        written = compute_cqt(load_wav(out))  # the shift of the file as written
         peaks = _mean_profile_argmax(written), _mean_profile_argmax(conversion.source_cqt)
         summary["measured_shift_bins"] = None if None in peaks else peaks[0] - peaks[1]
     summary.update(_timings(start, src.duration))
@@ -232,7 +236,7 @@ def cmd_evaluate(args) -> dict:
 
 def cmd_cqt(args) -> dict:
     _check_transpose(args.transpose)
-    mat = compute_cqt(load_pipeline_wav(_require(args.infile, "input audio")))
+    mat = compute_cqt(load_wav(_require(args.infile, "input audio")))
     if args.transpose:
         mat = transpose_pitch(mat, args.transpose)
     if args.crop:
@@ -310,7 +314,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help exits 0, a usage error 1
+        if not exc.code:
+            print(json.dumps({"status": "ok", "command": "help"}))
         return int(exc.code or 0)
     try:
         summary = args.func(args)

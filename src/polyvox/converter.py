@@ -190,8 +190,9 @@ class ConverterConfig:
 
 class ConverterModel:
     """Trained converter state: velocity net, timbre space, corpus mel
-    statistics and z_p whitening, and the frozen pitch encoder. With `trainable=False` the
-    parameters are constants and inference records no autograd tape.
+    statistics and z_p whitening, and the frozen pitch encoder. A model built
+    on a checkpoint's `arrays` (`load`) holds constants, and its inference
+    records no autograd tape; a new model's parameters are trainable.
 
     Parameters are float32, new or loaded (`load` passes a checkpoint's
     float32 `arrays`, which the store takes with no random draw), and every
@@ -201,7 +202,7 @@ class ConverterModel:
 
     def __init__(self, cfg: ConverterConfig, pitch: PitchExtractor, timbre: TimbreSpace,
                  mel_mean: np.ndarray, mel_std: np.ndarray, z_p_mean: np.ndarray,
-                 z_p_whiten: np.ndarray, seed: int = 0, trainable: bool = True,
+                 z_p_whiten: np.ndarray, seed: int = 0,
                  arrays: dict[str, np.ndarray] | None = None):
         self.cfg = cfg
         self.pitch = pitch
@@ -211,7 +212,7 @@ class ConverterModel:
         self.z_p_mean = z_p_mean
         self.z_p_whiten = z_p_whiten
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xD17))))
-        self.store = ParamStore(rng, trainable=trainable, arrays=arrays)
+        self.store = ParamStore(rng, arrays=arrays)
         cond_dim = N_CONTENT + pitch.cfg.model_dim + TIMBRE_DIM + N_MELS + 1
         self.net = VelocityNet(self.store, cond_dim, cfg.width, cfg.n_layers, cfg.n_heads)
 
@@ -264,8 +265,8 @@ class ConverterModel:
         cfg = header_config(path, header, "converter", ConverterConfig)
         pitch_arrays = {k.removeprefix("pitch."): v for k, v in arrays.items()
                         if k.startswith("pitch.")}
-        pitch = PitchExtractor(header_config(path, header, "pitch_encoder", PitchEncoderConfig),
-                               trainable=False, arrays=pitch_arrays)
+        pitch_cfg = header_config(path, header, "pitch_encoder", PitchEncoderConfig)
+        pitch = PitchExtractor(pitch_cfg, arrays=pitch_arrays)
         dim = pitch.cfg.model_dim
         shapes = {"timbre.weight": (TIMBRE_BANDS, TIMBRE_DIM), "timbre.mean": (TIMBRE_BANDS,),
                   "timbre.scale": (TIMBRE_BANDS,), "mel.mean": (N_MELS,), "mel.std": (N_MELS,),
@@ -273,7 +274,7 @@ class ConverterModel:
         a = {key: _checkpoint_array(arrays, key, shape) for key, shape in shapes.items()}
         timbre = TimbreSpace(a["timbre.weight"], a["timbre.mean"], a["timbre.scale"])
         return cls(cfg, pitch, timbre, a["mel.mean"], a["mel.std"], a["z_p.mean"],
-                   a["z_p.whiten"], trainable=False, arrays=arrays)
+                   a["z_p.whiten"], arrays=arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +427,8 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel, transpose: int 
             seed: int = 0) -> Conversion:
     """Convert `src` to the timbre of `ref`: content and (optionally
     transposed) pitch come from the source, timbre and the mel prompt from
-    the reference. Both clips must be at 44.1 kHz (`audio.load_pipeline_wav`
-    reads a file at that rate). The ODE runs `model.cfg`'s `nfe` and
+    the reference. Both clips must be at 44.1 kHz, as `audio.load_wav`
+    reads every file. The ODE runs `model.cfg`'s `nfe` and
     `sway_s`, and Griffin-Lim its `gl_iters` iterations. Returns the
     `Conversion`, so callers need not recompute its features."""
     cfg = model.cfg

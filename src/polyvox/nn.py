@@ -41,15 +41,14 @@ class ParamStore:
 
     A new store makes each parameter from its initializer as it is
     registered, so its Xavier weights are drawn from `rng` in registration
-    order. A store built on a checkpoint's `arrays` takes every parameter
-    from them instead, checked against its shape and kept in its dtype
-    (float32 stays float32, anything else becomes float64), and makes none:
-    a loaded model draws no weights only to overwrite them."""
+    order, and trains them. A store built on a checkpoint's `arrays` takes
+    every parameter from them instead, checked against its shape and kept
+    in its dtype (float32 stays float32, anything else becomes float64), as
+    a constant, and makes none: a loaded model draws no weights only to
+    overwrite them."""
 
-    def __init__(self, rng: np.random.Generator, trainable: bool = True,
-                 arrays: dict[str, np.ndarray] | None = None):
+    def __init__(self, rng: np.random.Generator, arrays: dict[str, np.ndarray] | None = None):
         self.rng = rng
-        self.trainable = trainable
         self.params: dict[str, Tensor] = {}
         self._source = arrays
 
@@ -65,7 +64,7 @@ class ParamStore:
         else:
             value = init(self.rng, shape) if callable(init) else np.broadcast_to(init, shape)
             data = np.array(value, dtype=PARAM_DTYPE)
-        t = Tensor(data, requires_grad=self.trainable)
+        t = Tensor(data, requires_grad=self._source is None)
         self.params[name] = t
         return t
 

@@ -53,8 +53,11 @@ class AdamW:
         """Apply one update from the parameters' `.grad` fields (a missing
         gradient counts as zero); returns the learning rate used. A
         non-finite gradient rejects the step as a whole: it raises before
-        any parameter, moment or the step count changes. Each update runs
-        in one scratch buffer per parameter, in the parameter's dtype."""
+        any parameter, moment or the step count changes. The update is the
+        formula, computed in the parameter's dtype:
+
+            m += (1 - beta1) (g - m);  v += (1 - beta2) (g² - v)
+            p -= lr (m / bc1) / (sqrt(v / bc2) + eps), then p -= lr wd p"""
         grads = {}
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -67,25 +70,10 @@ class AdamW:
         bc2 = 1.0 - _BETA2**self.step_count
         for name, p in self.params.items():
             g, m, v = grads[name], self._m[name], self._v[name]
-            num, den = np.empty((2, *p.data.shape), dtype=p.data.dtype)
-            # m += (1 - beta1) (g - m);  v += (1 - beta2) (g² - v)
-            np.subtract(g, m, out=num)
-            num *= 1.0 - _BETA1
-            m += num
-            np.multiply(g, g, out=num)
-            num -= v
-            num *= 1.0 - _BETA2
-            v += num
-            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), then p -= lr wd p
-            np.divide(m, bc1, out=num)
-            np.divide(v, bc2, out=den)
-            np.sqrt(den, out=den)
-            den += _EPS
-            num /= den
-            num *= lr
-            p.data -= num
-            np.multiply(p.data, lr * WEIGHT_DECAY, out=num)
-            p.data -= num
+            m += (g - m) * (1.0 - _BETA1)
+            v += (g * g - v) * (1.0 - _BETA2)
+            p.data -= m / bc1 / (np.sqrt(v / bc2) + _EPS) * lr
+            p.data -= p.data * (lr * WEIGHT_DECAY)
         return lr
 
 

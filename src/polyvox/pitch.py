@@ -66,13 +66,13 @@ def cqt_input(mat: CqtMatrix, transpose: int = 0) -> np.ndarray:
 
 
 class PitchExtractor:
-    def __init__(self, cfg: PitchEncoderConfig, seed: int = 0, trainable: bool = True,
+    def __init__(self, cfg: PitchEncoderConfig, seed: int = 0,
                  arrays: dict[str, np.ndarray] | None = None):
-        """New parameters drawn from `seed`, or, given a checkpoint's
-        `arrays`, those parameters with no draw (`nn.ParamStore`)."""
+        """New trainable parameters drawn from `seed`, or, given a
+        checkpoint's `arrays`, those as constants (`nn.ParamStore`)."""
         self.cfg = cfg
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xA11))))
-        self.store = ParamStore(rng, trainable=trainable, arrays=arrays)
+        self.store = ParamStore(rng, arrays=arrays)
         self.cqt_encoder = SequenceEncoder(
             self.store, "cqt_encoder", ROLL_PITCHES, cfg.model_dim, cfg.n_layers, cfg.n_heads)
         self.midi_encoder = SequenceEncoder(
@@ -99,7 +99,7 @@ class PitchExtractor:
         """The frozen extractor of a checkpoint: its parameters are constants."""
         arrays, _step, header = load_checkpoint(path)
         cfg = header_config(path, header, "pitch_encoder", PitchEncoderConfig)
-        return cls(cfg, trainable=False, arrays=arrays)
+        return cls(cfg, arrays=arrays)
 
 
 def sample_training_window(clip: tuple[np.ndarray, ...], rng: np.random.Generator,

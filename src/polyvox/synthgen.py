@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import (PIPELINE_SAMPLE_RATE, WavCodes, Waveform, decode_wav, read_pipeline_wav,
-                    save_wav)
+from .audio import PIPELINE_SAMPLE_RATE, WavCodes, Waveform, decode_wav, read_wav, save_wav
 from .errors import ContractError, check_fields
 from .midi import ROLL_LOW, ROLL_TOP, MidiNote, load_smf, write_smf
 
@@ -339,11 +338,11 @@ def load_manifest(manifest_path) -> list[dict]:
 
 @dataclass(frozen=True)
 class Clip:
-    """One manifest row, read: its WAV file's sample codes and its `.mid`
-    sidecar's notes. The codes stay in the file's precision, int16 for a
-    PCM16 file, so a corpus held in memory takes the size of its files;
-    a file at another rate is resampled once, when it is read, and kept as
-    float64."""
+    """One manifest row, read: its WAV file's sample codes as `audio.read_wav`
+    keeps them, and its `.mid` sidecar's notes. The codes of a 44.1 kHz file
+    stay in the file's precision, int16 for a PCM16 file, so a corpus held
+    in memory takes the size of its files; a file at another rate was
+    resampled once, when it was read, and is kept as float64."""
 
     id: str
     condition: str
@@ -361,13 +360,13 @@ class Clip:
 
 def load_clips(manifest_path, split: str) -> list[Clip]:
     """The clips of one split, in manifest order, with paths relative to the
-    manifest: each WAV read by `audio.read_pipeline_wav` (every check of the
-    file fires here, not at first access), its notes by `load_smf`. `Clip.wave`
-    gives the samples `load_pipeline_wav` gives, bit for bit. A split with
-    no clips raises `ContractError`."""
+    manifest: each WAV read by `audio.read_wav` (every check of the file
+    fires here, not at first access), its notes by `load_smf`. `Clip.wave`
+    gives the samples `audio.load_wav` gives, bit for bit. A split with no
+    clips raises `ContractError`."""
     root = Path(manifest_path).parent
     rows = [row for row in load_manifest(manifest_path) if row["split"] == split]
     if not rows:
         raise ContractError(f"no {split} clips in manifest {manifest_path}")
-    return [Clip(row["id"], row["condition"], row["preset"], read_pipeline_wav(root / row["path"]),
+    return [Clip(row["id"], row["condition"], row["preset"], read_wav(root / row["path"]),
                  load_smf((root / row["path"]).with_suffix(".mid"))) for row in rows]

@@ -1,4 +1,5 @@
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -9,6 +10,19 @@ from polyvox.audio import Waveform
 from polyvox.synthgen import DEFAULT_PRESETS, SynthConfig, gen_dataset, load_clips, load_manifest
 
 SR = 44100
+WAVE_PCM, WAVE_FLOAT = 1, 3
+
+
+def write_wav(path, frames: np.ndarray, tag: int, rate: int) -> None:
+    """A WAV file of `frames`, (samples,) mono or (samples, 2) stereo, in
+    their own little-endian codes: int16 with `tag` 1, float32 with 3, and
+    any header `rate`."""
+    channels = 1 if frames.ndim == 1 else frames.shape[1]
+    payload = frames.tobytes()
+    block = channels * frames.itemsize
+    path.write_bytes(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
+                                 b"fmt ", 16, tag, channels, rate, rate * block, block,
+                                 8 * frames.itemsize, b"data", len(payload)) + payload)
 
 
 def make_sine(freq: float, dur: float = 1.0, amp: float = 1.0, sr: int = SR) -> Waveform:

@@ -1,19 +1,21 @@
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvox.audio import (FFT_SIZE, FRAME_RATE, HOP, LOG_FLOOR, N_MELS, MelSpectrogram,
-                           Waveform, _griffin_lim, _istft_norm, _overlap_add, griffin_lim, istft,
-                           load_wav,
-                           mel_filterbank, mel_spectrogram, mel_to_linear, resample, save_wav,
-                           stft)
+from polyvox.audio import (FFT_SIZE, FRAME_RATE, HOP, LOG_FLOOR, N_MELS, PIPELINE_SAMPLE_RATE,
+                           MelSpectrogram, WavCodes, Waveform, _griffin_lim, _istft_norm,
+                           _overlap_add, decode_wav, griffin_lim, istft, load_wav,
+                           mel_filterbank, mel_spectrogram, mel_to_linear, read_wav, resample,
+                           save_wav, stft)
 from polyvox.errors import ContractError, UnsupportedWavError, WavFormatError
 from polyvox.synthgen import load_clips
 
-from .conftest import SR, make_sine
+from .conftest import SR, WAVE_FLOAT, WAVE_PCM, make_sine, write_wav
 
 
 def resample_per_sample(w: Waveform, target_rate: int) -> np.ndarray:
@@ -172,6 +174,50 @@ class TestWavIO:
         path.write_bytes(header + payload)
         with pytest.raises(UnsupportedWavError):
             load_wav(path)
+
+    @pytest.mark.parametrize("rate, tag, channels", [
+        (48000, WAVE_PCM, 1), (22050, WAVE_FLOAT, 2), (8000, WAVE_PCM, 1),
+        (192000, WAVE_FLOAT, 1)],
+        ids=["pcm16-mono-48k", "float32-stereo-22k", "pcm16-mono-8k", "float32-mono-192k"])
+    def test_a_file_at_another_rate_is_read_at_44k(self, tmp_path, rate, tag, channels):
+        """The one reader: a file at another rate is read as mono float64
+        codes at 44.1 kHz, one resampling of the file's own decoded codes, and
+        `load_wav` decodes them to the same samples."""
+        samples = np.random.default_rng(rate).uniform(-0.5, 0.5, (rate // 10, channels))
+        if tag == WAVE_PCM:
+            frames = np.round(samples * 32767.0).astype("<i2")
+        else:
+            frames = samples.astype("<f4")
+        frames = frames[:, 0] if channels == 1 else frames
+        path = tmp_path / "off.wav"
+        write_wav(path, frames, tag, rate)
+        expected = resample(decode_wav(WavCodes(frames.reshape(-1), channels, rate)),
+                            PIPELINE_SAMPLE_RATE).samples
+        codes = read_wav(path)
+        assert (codes.channels, codes.sample_rate) == (1, PIPELINE_SAMPLE_RATE)
+        assert codes.codes.dtype == np.float64 and np.array_equal(codes.codes, expected)
+        w = load_wav(path)
+        assert w.sample_rate == PIPELINE_SAMPLE_RATE and np.array_equal(w.samples, expected)
+
+    @pytest.mark.parametrize("rate, error", [
+        (0, WavFormatError), (1, UnsupportedWavError), (7999, UnsupportedWavError),
+        (192001, UnsupportedWavError)])
+    def test_a_rate_outside_the_range_is_rejected_before_resampling(self, tmp_path, rate,
+                                                                    error):
+        """A header rate of 0 is a malformed file and one outside 8-192 kHz
+        an unsupported one; the error names the file and the rate, and comes
+        before the resampling that would turn 20 samples at 1 Hz into
+        882,000."""
+        path = tmp_path / "rate.wav"
+        write_wav(path, np.arange(20, dtype="<i2"), WAVE_PCM, rate)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=f"{re.escape(str(path))}: sample rate {rate} Hz"):
+                load_wav(path)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_waveform_invariants(self):
         with pytest.raises(ContractError):

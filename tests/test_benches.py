@@ -22,15 +22,13 @@ def test_kernel_harness_runs():
 
 
 def test_artefact_check_hashes_every_artefact():
-    """Two runs of the check print the same digests: every artefact, from
-    the corpus to `convert`, `cqt` and `evaluate` outputs, is a pure
-    function of the run's seed."""
-    runs = [subprocess.run([sys.executable, "benches/artefacts.py"], cwd=ROOT,
-                           capture_output=True, text=True, timeout=600) for _ in range(2)]
-    for run in runs:
-        assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
-    digests, again = (json.loads(run.stdout) for run in runs)
-    assert again == digests
+    """The check run `--against` its own checkout runs twice and finds the
+    same digests: every artefact, from the corpus to `convert`, `cqt` and
+    `evaluate` outputs, is a pure function of the run's seed."""
+    run = subprocess.run([sys.executable, "benches/artefacts.py", "--against", str(ROOT)],
+                         cwd=ROOT, capture_output=True, text=True, timeout=1200)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+    digests = json.loads(run.stdout)
     assert sorted(digests) == sorted([
         "data/clips", "data/manifest.jsonl", "data/resolved_config.json", "ckpt/pitch.pvck",
         "ckpt/pitch_train.csv", "ckpt/svc.pvck", "ckpt/converter_train.csv",

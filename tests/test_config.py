@@ -246,6 +246,21 @@ def test_usage_error_prints_one_json_line(argv, error):
     assert err.getvalue().startswith("usage: polyvox convert")
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: polyvox [-h]"), (["convert", "--help"], "usage: polyvox convert"),
+], ids=["top-level", "convert"])
+def test_help_prints_one_json_line(argv, usage):
+    """`--help` exits 0 with exactly one JSON summary line on stdout, and
+    the help text on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 0
+    assert [json.loads(line) for line in out.getvalue().splitlines()] == [
+        {"status": "ok", "command": "help"}]
+    assert err.getvalue().startswith(usage) and "--help" in err.getvalue()
+
+
 @pytest.mark.parametrize("command, split", [("train-pitch", "train"), ("evaluate", "eval")])
 def test_corrupt_smf_exits_2_naming_the_file(tiny_corpus, tmp_path, command, split):
     """A truncated `.mid` sidecar in the corpus is a runtime failure whose

@@ -21,8 +21,7 @@ from polyvox import optim as optim_module
 from polyvox import evaluate as evaluate_module
 from polyvox import pitch as pitch_module
 from polyvox import tensor as T
-from polyvox.audio import (HOP, N_MELS, Waveform, load_pipeline_wav, load_wav, mel_spectrogram,
-                           resample, save_wav)
+from polyvox.audio import HOP, N_MELS, Waveform, load_wav, mel_spectrogram, resample, save_wav
 from polyvox.converter import (ConverterConfig, ConverterModel, VelocityNet, cfm_loss, convert,
                                ode_sample, train_converter)
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, load_cqt, transpose_pitch
@@ -34,6 +33,8 @@ from polyvox.optim import config_hash, load_checkpoint, save_checkpoint
 from polyvox.pitch import (PitchEncoderConfig, PitchExtractor, PitchTrainConfig,
                            train_pitch_extractor)
 from polyvox.synthgen import SynthConfig, gen_dataset, load_clips, load_manifest
+
+from .conftest import WAVE_PCM, write_wav
 
 TINY_ENCODER = PitchEncoderConfig(model_dim=16, n_layers=1, n_heads=4, window_frames=40)
 TINY_CONVERTER = dict(width=32, n_layers=1, n_heads=4, window_frames=60, batch=2,
@@ -59,8 +60,7 @@ def _widened(store: ParamStore) -> dict[str, np.ndarray]:
 def _float64_copy(model: ConverterModel) -> ConverterModel:
     """A constant copy of `model` whose converter parameters are float64."""
     return ConverterModel(model.cfg, model.pitch, model.timbre, model.mel_mean, model.mel_std,
-                          model.z_p_mean, model.z_p_whiten, trainable=False,
-                          arrays=_widened(model.store))
+                          model.z_p_mean, model.z_p_whiten, arrays=_widened(model.store))
 
 
 def _random_cond(model: ConverterModel, frames: int, seed: int) -> np.ndarray:
@@ -460,7 +460,7 @@ class TestConvert:
         assert conversion.wave.samples.size == mel.frames * 441
 
     def test_clips_off_the_pipeline_rate_rejected(self):
-        """Resampling is the loader's job (`load_pipeline_wav`), not convert's."""
+        """Resampling is the loader's job (`load_wav`), not convert's."""
         clip = Waveform(np.zeros(44100), 44100)
         for pair in ((resample(clip, 48000), clip), (clip, resample(clip, 22050))):
             with pytest.raises(ContractError, match="44.1 kHz"):
@@ -470,8 +470,9 @@ class TestConvert:
         _manifest, (files, _), _ = tiny_runs
         loaded = ConverterModel.load(files["svc.pvck"])
         trainable = ConverterModel(loaded.cfg, loaded.pitch, loaded.timbre, loaded.mel_mean,
-                                   loaded.mel_std, loaded.z_p_mean, loaded.z_p_whiten,
-                                   arrays=loaded.store.arrays())
+                                   loaded.mel_std, loaded.z_p_mean, loaded.z_p_whiten)
+        for name, p in trainable.store.params.items():
+            p.data[...] = loaded.store.params[name].data
         assert not any(p.requires_grad for p in loaded.store.params.values())
         assert all(p.requires_grad for p in trainable.store.params.values())
 
@@ -522,7 +523,7 @@ class TestConvert:
         within float32 rounding of a float64 copy of them."""
         _manifest, (files, _), _ = tiny_runs
         loaded = PitchExtractor.load(files["pitch.pvck"])
-        wide = PitchExtractor(loaded.cfg, trainable=False, arrays=_widened(loaded.store))
+        wide = PitchExtractor(loaded.cfg, arrays=_widened(loaded.store))
         x = np.random.default_rng(7).uniform(size=(50, ROLL_PITCHES))
         z, z_wide = loaded.encode_cqt(x).data, wide.encode_cqt(x).data
         assert (z.dtype, z_wide.dtype) == (np.float32, np.float64)
@@ -628,6 +629,21 @@ class TestCli:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         return code, json.loads(out.getvalue().splitlines()[-1])
+
+    def test_a_source_at_1_hz_exits_2_naming_the_file(self, tiny_runs, tmp_path):
+        """A 20-sample source that claims 1 Hz is a runtime failure named in
+        the summary, before its resampling to 882,000 samples, and no output
+        is written."""
+        manifest, (files, _), _ = tiny_runs
+        ref = manifest.parent / load_manifest(manifest)[0]["path"]
+        src, out = tmp_path / "one_hz.wav", tmp_path / "out.wav"
+        write_wav(src, np.arange(20, dtype="<i2"), WAVE_PCM, 1)
+        code, summary = self._run(["convert", "--src", str(src), "--ref", str(ref),
+                                   "--ckpt", str(files["svc.pvck"]), "--out", str(out)])
+        assert code == 2
+        assert summary["status"] == "error"
+        assert summary["error"].startswith(f"UnsupportedWavError: {src}: sample rate 1 Hz")
+        assert not out.exists()
 
     def test_train_commands_report_the_last_logged_loss(self, tiny_runs, tmp_path):
         """`final_loss` of each train command is the loss of its CSV's last row."""
@@ -738,7 +754,7 @@ class TestCli:
         code, summary = self._run(["convert", "--src", str(src), "--ref", str(ref),
                                    "--ckpt", str(files["svc.pvck"]), "--out", str(out)])
         assert code == 0, summary
-        wave = convert(load_pipeline_wav(src), load_pipeline_wav(ref),
+        wave = convert(load_wav(src), load_wav(ref),
                        ConverterModel.load(files["svc.pvck"])).wave.samples
         peak = summary["peak"]
         assert peak == np.abs(wave).max() > 1.0
@@ -774,11 +790,11 @@ class TestCli:
         assert code == 0, summary
         shift = summary["measured_shift_bins"]
         assert type(shift) is int
-        assert shift == (cli._mean_profile_argmax(compute_cqt(load_pipeline_wav(out)))
-                         - cli._mean_profile_argmax(compute_cqt(load_pipeline_wav(src))))
+        assert shift == (cli._mean_profile_argmax(compute_cqt(load_wav(out)))
+                         - cli._mean_profile_argmax(compute_cqt(load_wav(src))))
 
         model = ConverterModel.load(files["svc.pvck"])
-        conversion = convert(load_pipeline_wav(src), load_pipeline_wav(ref), model, transpose=2)
+        conversion = convert(load_wav(src), load_wav(ref), model, transpose=2)
         raw = mel_path.read_bytes()
         header = struct.Struct("<4sIIdIII")
         magic, frames, bands = header.unpack(raw[: header.size])[:3]
@@ -806,7 +822,7 @@ class TestCli:
         assert sorted(p.name for p in pgm_dir.iterdir()) == sorted(
             f"{row['id']}_mel.pgm" for row in eval_rows)
         for row in eval_rows:
-            frames = load_pipeline_wav(row["path"]).samples.size // 441 + 1
+            frames = load_wav(row["path"]).samples.size // 441 + 1
             data = (pgm_dir / f"{row['id']}_mel.pgm").read_bytes()
             head = f"P5\n80 {frames}\n255\n".encode()
             assert data.startswith(head)
@@ -815,7 +831,7 @@ class TestCli:
     def test_cqt_command_writes_csv_and_a_container_that_loads(self, tiny_runs, tmp_path):
         manifest, _, _ = tiny_runs
         src = manifest.parent / load_manifest(manifest)[0]["path"]
-        expected = crop_to_vocal_range(transpose_pitch(compute_cqt(load_pipeline_wav(src)), 2))
+        expected = crop_to_vocal_range(transpose_pitch(compute_cqt(load_wav(src)), 2))
         for name in ("c.csv", "c.cqt"):
             code, summary = self._run(["cqt", "--in", str(src), "--out", str(tmp_path / name),
                                        "--crop", "--transpose", "2"])

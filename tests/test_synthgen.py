@@ -1,20 +1,20 @@
 import json
 import re
-import struct
 import threading
 
 import numpy as np
 import pytest
 
 from polyvox import synthgen
-from polyvox.audio import (FRAME_RATE, PIPELINE_SAMPLE_RATE, Waveform, load_pipeline_wav, load_wav,
-                          resample, save_wav)
+from polyvox.audio import FRAME_RATE, PIPELINE_SAMPLE_RATE, Waveform, load_wav, resample, save_wav
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, interior_frames
 from polyvox.errors import ContractError
 from polyvox.midi import ROLL_LOW, ROLL_TOP, MidiNote, load_smf, to_piano_roll
 from polyvox.pitch import cqt_input
 from polyvox.synthgen import (DEFAULT_PRESETS, Score, SingerPreset, SynthConfig,
                               gen_dataset, load_clips, load_manifest, render_note, render_score)
+
+from .conftest import WAVE_FLOAT, WAVE_PCM, write_wav
 
 FLAT = SingerPreset("flat", tuple([1.0] + [0.0] * 15), ((400.0, 200.0),),
                     vibrato_rate=5.0, vibrato_depth=0.0, jitter=0.0)
@@ -225,20 +225,6 @@ class TestSerialRendering:
                 (tmp_path / "sines" / rel).read_bytes(), rel
 
 
-_PCM, _FLOAT = 1, 3
-
-
-def _write_wav(path, frames: np.ndarray, tag: int, rate: int) -> None:
-    """A WAV file of `frames`, (samples,) mono or (samples, 2) stereo, in
-    their own little-endian codes: int16 with `tag` 1, float32 with 3."""
-    channels = 1 if frames.ndim == 1 else frames.shape[1]
-    payload = frames.tobytes()
-    block = channels * frames.itemsize
-    path.write_bytes(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
-                                 b"fmt ", 16, tag, channels, rate, rate * block, block,
-                                 8 * frames.itemsize, b"data", len(payload)) + payload)
-
-
 class TestLoadClips:
     def test_manifest_order_and_split(self, tiny_corpus, tiny_rows):
         for split in ("train", "eval"):
@@ -254,8 +240,8 @@ class TestLoadClips:
             assert clip.notes == load_smf(wav.with_suffix(".mid"))
 
     @pytest.mark.parametrize("kind", ["pcm16-mono", "pcm16-stereo", "float32-mono", "pcm16-48k"])
-    def test_wave_decodes_as_load_pipeline_wav(self, tmp_path, kind):
-        """`Clip.wave` is the float64 waveform `load_pipeline_wav` reads from
+    def test_wave_decodes_as_load_wav(self, tmp_path, kind):
+        """`Clip.wave` is the float64 waveform `load_wav` reads from
         the clip's file, bit for bit, whatever the file's codec, channel
         count and rate."""
         manifest = gen_dataset(SynthConfig(n_single=1, n_harmony=1, dur_range=(1.0, 1.0),
@@ -268,16 +254,16 @@ class TestLoadClips:
                 codes = np.round(np.clip(samples, -1.0, 1.0) * 32767.0).astype("<i2")
                 other = np.round(0.5 * np.sin(np.arange(codes.size)) * 32767.0).astype("<i2")
                 frames = np.stack([codes, other], axis=1)
-                _write_wav(path, frames, _PCM, PIPELINE_SAMPLE_RATE)
+                write_wav(path, frames, WAVE_PCM, PIPELINE_SAMPLE_RATE)
                 downmixed[row["id"]] = (frames.astype(np.float64) / 32767.0).mean(axis=1)
             elif kind == "float32-mono":
-                _write_wav(path, (0.8 * samples).astype("<f4"), _FLOAT, PIPELINE_SAMPLE_RATE)
+                write_wav(path, (0.8 * samples).astype("<f4"), WAVE_FLOAT, PIPELINE_SAMPLE_RATE)
             elif kind == "pcm16-48k":
                 save_wav(resample(Waveform(samples, PIPELINE_SAMPLE_RATE), 48000), path)
         for split in ("train", "eval"):
             for clip in load_clips(manifest, split):
                 wave = clip.wave
-                expected = load_pipeline_wav(tmp_path / "clips" / f"{clip.id}.wav")
+                expected = load_wav(tmp_path / "clips" / f"{clip.id}.wav")
                 assert wave.samples.dtype == np.float64
                 assert wave.sample_rate == expected.sample_rate == PIPELINE_SAMPLE_RATE
                 assert np.array_equal(wave.samples, expected.samples), (kind, clip.id)
@@ -297,7 +283,7 @@ class TestLoadClips:
         path = tmp_path / row["path"]
         samples = load_wav(path).samples.astype("<f4")
         samples[100] = np.nan
-        _write_wav(path, samples, _FLOAT, PIPELINE_SAMPLE_RATE)
+        write_wav(path, samples, WAVE_FLOAT, PIPELINE_SAMPLE_RATE)
         with pytest.raises(ContractError, match=re.escape(path.name) + ".*non-finite"):
             load_clips(manifest, "train")
 

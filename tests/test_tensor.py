@@ -467,7 +467,60 @@ class TestFloat32Gelu:
         assert np.max(np.abs(grads[x] - exact)) <= 2e-6
 
 
+def _adamw_reference_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                          lr: float, step: int) -> None:
+    """AdamW's update as sixteen in-place operations on one (2, *shape)
+    scratch buffer per parameter, the form `AdamW.step` once had; kept to pin
+    the bits of the formula it is now written as."""
+    bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+    num, den = np.empty((2, *p.shape), dtype=p.dtype)
+    np.subtract(g, m, out=num)
+    num *= 1.0 - 0.9
+    m += num
+    np.multiply(g, g, out=num)
+    num -= v
+    num *= 1.0 - 0.999
+    v += num
+    np.divide(m, bc1, out=num)
+    np.divide(v, bc2, out=den)
+    np.sqrt(den, out=den)
+    den += 1e-8
+    num /= den
+    num *= lr
+    p -= num
+    np.multiply(p, lr * WEIGHT_DECAY, out=num)
+    p -= num
+
+
 class TestOptimizer:
+    @pytest.mark.parametrize("missing", [False, True], ids=["every-grad", "a-missing-grad"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_step_is_the_in_place_reference_bit_for_bit(self, dtype, missing):
+        """50 steps of `AdamW.step` leave the parameters and both moments
+        equal, bit for bit, to the in-place reference's; with `missing`, one
+        parameter has no gradient on every third step."""
+        rng = np.random.default_rng(12)
+        shapes = {"w": (6, 5), "b": (5,), "g": (3, 2, 4)}
+        params = {k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                  for k, s in shapes.items()}
+        ref = {k: [p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)]
+               for k, p in params.items()}
+        opt = AdamW(params, 3e-2, 50)
+        for step in range(50):
+            for k, p in params.items():
+                p.grad = rng.normal(scale=10.0 ** rng.integers(-3, 2), size=p.shape).astype(dtype)
+            if missing and step % 3 == 0:
+                params["b"].grad = None
+            grads = {k: p.grad if p.grad is not None else np.zeros_like(p.data)
+                     for k, p in params.items()}
+            lr = opt.step()
+            for k, (p, m, v) in ref.items():
+                _adamw_reference_step(p, grads[k], m, v, lr, step + 1)
+        for k, (p, m, v) in ref.items():
+            assert params[k].data.dtype == dtype
+            assert np.array_equal(params[k].data, p), k
+            assert np.array_equal(opt._m[k], m) and np.array_equal(opt._v[k], v), k
+
     def test_lr_hits_floor_at_horizon(self):
         opt = AdamW({}, 1e-4, 1234)
         assert opt.lr_at(0) == pytest.approx(1e-4)
@@ -564,10 +617,9 @@ class TestCheckpoint:
         save_checkpoint(path, {"w": np.full((2, 3), 0.1)}, 0, {})
         back, _step, _header = load_checkpoint(path)
         assert back["w"].dtype == np.float32
-        w = ParamStore(np.random.default_rng(0), trainable=False, arrays=back).param(
-            "w", (2, 3), 0.0)
+        w = ParamStore(np.random.default_rng(0), arrays=back).param("w", (2, 3), 0.0)
         assert w.data.dtype == np.float32 and np.array_equal(w.data, back["w"])
-        wide = ParamStore(np.random.default_rng(0), trainable=False,
+        wide = ParamStore(np.random.default_rng(0),
                           arrays={"w": back["w"].astype(np.float64)}).param("w", (2, 3), 0.0)
         assert wide.data.dtype == np.float64
 
