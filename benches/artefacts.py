@@ -11,15 +11,16 @@ container and to a CSV, and `evaluate`. The temporary path is replaced by
 are hashed; the corpus clips hash as one artefact, over their names and
 bytes in name order. A change that should leave outputs alone prints the
 same digests as its parent. Run from anywhere; it imports `polyvox` from the
-`src` beside this directory, or from `--src DIR`:
+`src` beside this directory:
 
     python benches/artefacts.py
     python benches/artefacts.py --against ../parent
 
-`--against CHECKOUT` runs this script a second time, in a subprocess, on
-that checkout's `src`, and compares the two runs: it exits 1 and lists on
-stderr every artefact whose digest differs, and otherwise exits 0 and prints
-the digests.
+`--against CHECKOUT` runs that checkout's own `benches/artefacts.py`, in a
+subprocess on its own `src`, so each tree is driven through its own CLI, and
+compares the digests by artefact name: it exits 1 and lists on stderr every
+artefact whose digest differs or that only one run wrote, and otherwise
+exits 0 and prints the digests.
 """
 
 import argparse
@@ -80,7 +81,7 @@ def artefact_digests() -> dict[str, str]:
         config = root / "run.json"
         config.write_text(json.dumps({**CONFIG, "paths": {
             "data_dir": "data", "checkpoint_dir": "ckpt", "report_dir": "reports"}}))
-        _run("synth-data", "--config", str(config), "--out", str(root / "data"))
+        _run("synth-data", "--config", str(config))
         _run("train-pitch", "--config", str(config))
         _run("train-svc", "--config", str(config))
         rows = [json.loads(line) for line in (root / "data/manifest.jsonl").read_text().splitlines()]
@@ -97,8 +98,9 @@ def artefact_digests() -> dict[str, str]:
 
 
 def _digests_of(checkout: Path) -> dict[str, str]:
-    """This script's digests, run in a subprocess on `checkout`'s `src`."""
-    run = subprocess.run([sys.executable, __file__, "--src", str(Path(checkout) / "src")],
+    """The digests of `checkout`'s own copy of this script, run in a
+    subprocess on its own `src`."""
+    run = subprocess.run([sys.executable, str(Path(checkout) / "benches" / "artefacts.py")],
                          capture_output=True, text=True)
     if run.returncode != 0:
         raise SystemExit(f"the run on {checkout} exited {run.returncode}:\n{run.stderr}")
@@ -107,14 +109,14 @@ def _digests_of(checkout: Path) -> dict[str, str]:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=SRC, help="import polyvox from here")
     parser.add_argument("--against", type=Path, help="a checkout to compare the digests with")
     args = parser.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
+    sys.path.insert(0, str(SRC))
     digests = artefact_digests()
     if args.against is not None:
         other = _digests_of(args.against)
-        differ = [name for name in ARTEFACTS if digests.get(name) != other.get(name)]
+        differ = [name for name in sorted(digests.keys() | other.keys())
+                  if digests.get(name) != other.get(name)]
         for name in differ:
             print(f"{name}: {digests.get(name)} here, {other.get(name)} at {args.against}",
                   file=sys.stderr)

@@ -117,7 +117,7 @@ def test_velocity_net_forward(benchmark, dtype):
     rng = np.random.default_rng(1)
     net, _store = _velocity_net(rng, dtype)
     psi = rng.standard_normal((FRAMES, 80))
-    cond = T.Tensor(rng.standard_normal((FRAMES, COND_DIM)))
+    cond = rng.standard_normal((FRAMES, COND_DIM))
     v = benchmark(lambda: net(psi, 0.5, cond).data)
     assert v.shape == (FRAMES, 80) and np.all(np.isfinite(v))
 
@@ -182,7 +182,7 @@ def _train_step_inputs(dtype):
     rng = np.random.default_rng(8)
     net, store = _velocity_net(rng, dtype, requires_grad=True)
     x1 = rng.standard_normal((TRAIN_BATCH, TRAIN_FRAMES, 80))
-    cond = T.Tensor(rng.standard_normal((TRAIN_BATCH, TRAIN_FRAMES, COND_DIM)).astype(dtype))
+    cond = rng.standard_normal((TRAIN_BATCH, TRAIN_FRAMES, COND_DIM)).astype(dtype)
     hidden = np.zeros((TRAIN_BATCH, TRAIN_FRAMES, 1))
     hidden[:, TRAIN_FRAMES // 2:] = 1.0
 

@@ -7,11 +7,13 @@ the pipeline's one frame geometry, read from here by every other module:
 mel, CQT, piano roll and YIN alike) and 80 mel bands from 40 Hz to 16 kHz.
 
 A WAV file at 8-192 kHz (`WAV_RATE_RANGE`) is read by one reader, always at
-44.1 kHz, with one decode rule. `read_wav` checks the file, keeps its
-samples as stored (int16 or float32 codes), or resamples an off-rate file
-once into float64 mono codes; `decode_wav` turns codes into a float64
-`Waveform`, and `load_wav` is the two in a row. Every file written here is
-mono PCM16 (`save_wav`); float32 files are read, not written.
+44.1 kHz, with one decode rule. `read_wav` checks the file and returns its
+code array: the samples as stored (int16 or float32), (n,) for mono and
+(n, 2) for stereo, so the channel count is the array's shape; or, for a file
+at another rate, one resampling into float64 mono. `decode_wav` turns a code
+array into a float64 `Waveform`, and `load_wav` is the two in a row. Every
+file written here is mono PCM16 (`save_wav`); float32 files are read, not
+written.
 
 `stft`, `istft` and their overlap-add follow the one dtype rule of
 `tensor.as_data`: float32 input stays float32 (complex64 spectra), anything
@@ -95,31 +97,16 @@ _WAVE_PCM = 1
 _WAVE_FLOAT = 3
 
 
-@dataclass(frozen=True)
-class WavCodes:
-    """A WAV file's samples as `read_wav` keeps them: int16 PCM16 codes or
-    float32 samples, interleaved when there are two channels, or one
-    channel of float64 for a resampled file; plus the channel count and
-    rate. `decode_wav` turns them into a `Waveform`."""
-
-    codes: np.ndarray
-    channels: int
-    sample_rate: int
-
-    @property
-    def duration(self) -> float:
-        """The decoded `Waveform`'s duration, read without decoding."""
-        return self.codes.size // self.channels / self.sample_rate
-
-
-def read_wav(path) -> WavCodes:
+def read_wav(path) -> np.ndarray:
     """Read a RIFF/WAVE file (PCM16 or float32, mono or stereo) into its
-    sample codes at `PIPELINE_SAMPLE_RATE`: undecoded, or for a file at
-    another rate resampled once into float64 mono codes. Every check of the
-    file happens first: a malformed container, an empty data chunk or a rate
-    of 0 raises `WavFormatError`, another codec, channel count or a rate
-    outside `WAV_RATE_RANGE` `UnsupportedWavError`, and a non-finite float
-    sample `ContractError`. A trailing partial frame is dropped."""
+    code array at `PIPELINE_SAMPLE_RATE`: a read-only view of the file's
+    int16 or float32 samples, (n,) for mono and (n, 2) for stereo, or, for a
+    file at another rate, the (n,) float64 samples of one resampling of the
+    decoded file. Every check of the file happens first: a malformed
+    container, an empty data chunk or a rate of 0 raises `WavFormatError`,
+    another codec, channel count or a rate outside `WAV_RATE_RANGE`
+    `UnsupportedWavError`, and a non-finite float sample `ContractError`. A
+    trailing partial frame is dropped."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -166,28 +153,30 @@ def read_wav(path) -> WavCodes:
     codes = np.frombuffer(data, dtype, count=frames * channels, offset=offset)
     if dtype.kind == "f" and not np.all(np.isfinite(codes)):
         raise ContractError(f"{path}: waveform contains non-finite samples")
-    stored = WavCodes(codes, channels, int(rate))
+    codes = codes.reshape(frames, channels) if channels == 2 else codes
     if rate == PIPELINE_SAMPLE_RATE:
-        return stored
-    w = resample(decode_wav(stored), PIPELINE_SAMPLE_RATE)
-    return WavCodes(w.samples, 1, w.sample_rate)
+        return codes
+    # decoded by the one rule, at the file's own rate
+    return resample(Waveform(decode_wav(codes).samples, rate), PIPELINE_SAMPLE_RATE).samples
 
 
-def decode_wav(w: WavCodes) -> Waveform:
-    """The one decode rule: PCM16 codes are scaled by 1/32767, so the
-    full-scale positive code maps to exactly 1.0, any other codes are taken
-    as float64, and stereo is downmixed by averaging the channels."""
-    samples = w.codes.astype(np.float64)
-    if w.codes.dtype.kind == "i":
+def decode_wav(codes: np.ndarray) -> Waveform:
+    """The one decode rule, for a code array of `read_wav`: PCM16 codes are
+    scaled by 1/32767, so the full-scale positive code maps to exactly 1.0,
+    any other codes are taken as float64, and the two columns of stereo
+    codes are averaged. The `Waveform` is at `PIPELINE_SAMPLE_RATE`, the
+    rate of every array `read_wav` returns."""
+    samples = codes.astype(np.float64)
+    if codes.dtype.kind == "i":
         samples /= 32767.0
-    if w.channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
-    return Waveform(samples, w.sample_rate)
+    if codes.ndim == 2:
+        samples = samples.mean(axis=1)
+    return Waveform(samples, PIPELINE_SAMPLE_RATE)
 
 
 def load_wav(path) -> Waveform:
     """`decode_wav(read_wav(path))`: a WAV file as the pipeline reads it, a
-    float64 `Waveform` at `PIPELINE_SAMPLE_RATE`."""
+    float64 mono `Waveform` at `PIPELINE_SAMPLE_RATE`."""
     return decode_wav(read_wav(path))
 
 
@@ -281,8 +270,9 @@ def _window(dtype) -> np.ndarray:
 
 def stft(x: np.ndarray) -> np.ndarray:
     """Center-padded Hann STFT, frame f centred on sample f * HOP: returns
-    (len(x) // HOP + 1, FFT_SIZE//2+1) complex. The frames' FFTs run on every
-    core through `scipy.fft`, which gives the same bits as `numpy.fft` here.
+    (len(x) // HOP + 1, FFT_SIZE//2+1) complex. The frames' FFTs run on the
+    calling thread through `scipy.fft`, which gives the same bits as
+    `numpy.fft` here.
 
     The dtype follows `tensor.as_data`'s rule: float32 samples give float32
     frames and window and a complex64 spectrum; any other input is computed
@@ -293,7 +283,7 @@ def stft(x: np.ndarray) -> np.ndarray:
     # len(x) + 1 windows start in xp, and every HOP-th is one of the
     # len(x) // HOP + 1 frames
     frames = sliding_window_view(xp, FFT_SIZE)[::HOP] * _window(x.dtype)
-    return scipy.fft.rfft(frames, axis=1, workers=-1)
+    return scipy.fft.rfft(frames, axis=1)
 
 
 def _overlap_add(segs: np.ndarray, hop: int, total: int) -> np.ndarray:
@@ -335,7 +325,7 @@ def istft(spec: np.ndarray, n_samples: int, norm: np.ndarray | None = None) -> n
     if norm is None:
         norm = _istft_norm(spec.shape[0], n_samples)
     segs = scipy.fft.irfft(spec.astype(np.result_type(dtype, np.complex64), copy=False),
-                           n=FFT_SIZE, axis=1, workers=-1)
+                           n=FFT_SIZE, axis=1)
     segs *= _window(dtype)
     pad = FFT_SIZE // 2
     ola = _overlap_add(segs, HOP, FFT_SIZE + n_samples)[pad : pad + n_samples]

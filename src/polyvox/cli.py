@@ -6,10 +6,14 @@ line to stdout (progress and help text go to stderr) and exit 0 on success,
 and `evaluate` summaries carry the command's wall time `wall_s` and its
 real-time factor `rtf`, wall time over the seconds of source audio converted.
 
-Corpora are read with `synthgen.load_clips`: a malformed manifest line and a
-split with no clips are runtime failures, so every command exits 2 on them.
-`evaluate` also exits 2, before its first conversion, on a source or
-reference clip shorter than `convert` takes.
+`synth-data` writes the corpus to the config's `paths.data_dir`, where the
+trainers and `evaluate` read it. Corpora are read with `synthgen.load_clips`:
+a malformed manifest line and a split with no clips are runtime failures, so
+every command exits 2 on them. `evaluate` also exits 2, before its first
+conversion, on a source or reference clip shorter than `convert` takes. Its
+`--manifest` and `--ckpt` override the config's paths, and `report.json`
+names the manifest and checkpoint it scored, with the checkpoint's
+`config_hash`, beside the config echo.
 
 `convert` and `evaluate` read the source CQT and mel and the reference's
 timbre vector from the `converter.Conversion` that `convert()` returns.
@@ -30,13 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from .audio import HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, load_wav, save_wav
-from .config import ConfigError, check_seed, load_config, persist_config
+from .config import ConfigError, check_seed, load_config, persist_config, resolve_echo
 from .converter import (ConverterConfig, ConverterModel, check_clip_length, convert,
                         train_converter)
 from .cqt import (CqtMatrix, bin_shift, compute_cqt, crop_to_vocal_range, interior_frames,
                   save_cqt, save_cqt_csv, save_matrix_container, transpose_pitch)
 from .errors import ContractError
 from .evaluate import emit_report, evaluate_conversion, write_pgm
+from .optim import config_hash
 from .pitch import train_pitch_extractor
 from .synthgen import gen_dataset, load_clips
 
@@ -69,9 +74,8 @@ def _require(path: Path, what: str) -> Path:
 
 def cmd_synth_data(args) -> dict:
     cfg = load_config(args.config, args.seed)
-    out = Path(args.out)
-    manifest = gen_dataset(cfg.synth, cfg.seed, out)
-    persist_config(cfg, out)
+    manifest = gen_dataset(cfg.synth, cfg.seed, cfg.data_dir)
+    persist_config(cfg, cfg.data_dir)
     return {
         "status": "ok",
         "command": "synth-data",
@@ -204,8 +208,8 @@ def cmd_evaluate(args) -> dict:
     pairs = [(clip, next((c for c in train_clips if c.preset != clip.preset), train_clips[0]))
              for clip in eval_clips]
     for clip, ref in pairs:  # every pair, before the first conversion
-        check_clip_length(f"eval clip {clip.id!r} (source)", clip.codes)
-        check_clip_length(f"train clip {ref.id!r} (reference of {clip.id!r})", ref.codes)
+        check_clip_length(f"eval clip {clip.id!r} (source)", clip.duration)
+        check_clip_length(f"train clip {ref.id!r} (reference of {clip.id!r})", ref.duration)
     model = ConverterModel.load(ckpt)
 
     report_rows = []
@@ -220,7 +224,9 @@ def cmd_evaluate(args) -> dict:
             pgm_dir.mkdir(parents=True, exist_ok=True)
             write_pgm(conversion.mel.values, pgm_dir / f"{clip.id}_mel.pgm")
 
-    report = emit_report(report_rows, cfg.report_dir, config_echo=cfg.resolved, seed=cfg.seed)
+    report = emit_report(report_rows, cfg.report_dir, cfg.seed, config=resolve_echo(cfg),
+                         manifest=str(manifest.resolve()), checkpoint=str(ckpt.resolve()),
+                         config_hash=config_hash(model.config()))
     agg = json.loads(report.read_text())["aggregates"]
     return {
         "status": "ok",
@@ -230,7 +236,7 @@ def cmd_evaluate(args) -> dict:
         "recall_mean": agg.get("recall", {}).get("mean"),
         "f1_mean": agg.get("f1", {}).get("mean"),
         "seed": cfg.seed,
-        **_timings(start, sum(c.codes.duration for c in eval_clips)),
+        **_timings(start, sum(c.duration for c in eval_clips)),
     }
 
 
@@ -265,9 +271,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="polyvox", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("synth-data", help="generate the synthetic corpus")
+    p = sub.add_parser("synth-data", help="generate the synthetic corpus in paths.data_dir")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth_data)
 

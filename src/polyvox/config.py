@@ -1,9 +1,11 @@
 """Run configuration: one JSON file drives every pipeline stage.
 
-Paths are resolved relative to the config file location; the fully resolved
-config is persisted next to each stage's outputs and echoed into reports,
-in the file format, so a persisted config loads back to the same run.
-A command's `--seed` overrides the file's seed.
+Paths are resolved relative to the config file location, and every stage
+reads and writes under them: the corpus under `paths.data_dir`, checkpoints
+under `paths.checkpoint_dir`, reports under `paths.report_dir`. The fully
+resolved config, `resolve_echo`, is persisted next to each stage's outputs
+and echoed into reports, in the file format, so a persisted config loads
+back to the same run. A command's `--seed` overrides the file's seed.
 
 Each section builds its dataclass, whose `__post_init__` applies the value
 rule of `errors.check_fields` (an `int` key holds an integer and not a
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .converter import ConverterConfig
@@ -39,7 +41,6 @@ class RunConfig:
     pitch: PitchTrainConfig
     converter: ConverterConfig
     eval: EvalConfig
-    resolved: dict = field(default_factory=dict, repr=False)
 
     @property
     def manifest_path(self) -> Path:
@@ -117,7 +118,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     encoder = _build_section(PitchEncoderConfig, encoder_raw, "pitch")
     pitch = _build_section(PitchTrainConfig, pitch_raw, "pitch", encoder_keys, encoder=encoder)
 
-    cfg = RunConfig(
+    return RunConfig(
         seed=seed,
         data_dir=respath("data_dir", "data"),
         checkpoint_dir=respath("checkpoint_dir", "checkpoints"),
@@ -127,8 +128,6 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         converter=_build_section(ConverterConfig, _section(data, "converter"), "converter"),
         eval=_build_section(EvalConfig, _section(data, "eval"), "eval"),
     )
-    cfg.resolved = resolve_echo(cfg)
-    return cfg
 
 
 def resolve_echo(cfg: RunConfig) -> dict:
@@ -155,5 +154,5 @@ def persist_config(cfg: RunConfig, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "resolved_config.json"
-    target.write_text(json.dumps(cfg.resolved, indent=2, sort_keys=True))
+    target.write_text(json.dumps(resolve_echo(cfg), indent=2, sort_keys=True))
     return target

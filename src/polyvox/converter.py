@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import (N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, WavCodes, Waveform,
-                    griffin_lim, mel_spectrogram)
+from .audio import (N_MELS, PIPELINE_SAMPLE_RATE, MelSpectrogram, Waveform, griffin_lim,
+                    mel_spectrogram)
 from .cqt import CqtMatrix, compute_cqt
 from .errors import ContractError, check_fields
 from .features import (N_CONTENT, TIMBRE_BANDS, TIMBRE_DIM, TimbreSpace, extract_content,
@@ -98,17 +98,15 @@ class VelocityNet:
         """The dtype of the parameters, which the net computes in."""
         return self.input.w.data.dtype
 
-    def __call__(self, psi, t, cond) -> Tensor:
-        """psi: (..., frames, bands); t: flow time, a scalar or one per
-        leading item of psi; cond: fused conditioning, frame-aligned.
+    def __call__(self, psi: np.ndarray, t, cond: np.ndarray) -> Tensor:
+        """psi: (..., frames, bands) array; t: flow time, a scalar or one per
+        leading item of psi; cond: fused conditioning array, frame-aligned.
         Computes and returns `dtype`, as every `nn` layer does."""
-        psi_t = psi if isinstance(psi, Tensor) else Tensor(psi)
-        cond_t = cond if isinstance(cond, Tensor) else Tensor(cond)
-        if psi_t.shape[:-1] != cond_t.shape[:-1]:
+        if psi.shape[:-1] != cond.shape[:-1]:
             raise ContractError(
-                f"state and condition frames differ: {psi_t.shape} vs {cond_t.shape}")
+                f"state and condition frames differ: {psi.shape} vs {cond.shape}")
         w = self.width
-        x = self.input(T.concat([psi_t, cond_t], axis=-1))
+        x = self.input(T.concat([Tensor(psi), Tensor(cond)], axis=-1))
         x = x + Tensor(sinusoidal_positions(x.shape[-2], w, x.data.dtype))
         temb = np.stack([timestep_embedding(float(ti), w) for ti in np.atleast_1d(t)])
         temb = temb.reshape(np.shape(t) + (1, w))  # (..., 1, width), broadcast over frames
@@ -139,7 +137,7 @@ def cfm_loss(net, x1: np.ndarray, cond, rng: np.random.Generator,
     return T.mse_loss(pred, Tensor(x1 - x0), mask=loss_mask)
 
 
-def ode_sample(net: VelocityNet, cond, nfe: int, sway: float,
+def ode_sample(net: VelocityNet, cond: np.ndarray, nfe: int, sway: float,
                rng: np.random.Generator) -> np.ndarray:
     """Transport Gaussian noise to a mel, one frame per row of `cond` and
     `N_MELS` bands, by `nfe` Euler steps: exactly `nfe` network calls. The
@@ -147,13 +145,12 @@ def ode_sample(net: VelocityNet, cond, nfe: int, sway: float,
     + u), u = i / nfe, s = `sway` in [-1, 1], which fix t_0 = 0 and t_nfe = 1
     (sway sampling, F5-TTS). The noise is drawn in float64; the state is
     held in the net's dtype, as `cfm_loss` holds its path state."""
-    cond_t = cond if isinstance(cond, Tensor) else Tensor(cond)
     u = np.arange(nfe + 1) / nfe
     # Python floats, so that a step times a float32 state stays float32
     knots = (u + sway * (np.cos(np.pi * u / 2.0) - 1.0 + u)).tolist()
-    x = rng.standard_normal((cond_t.shape[0], N_MELS)).astype(net.dtype, copy=False)
+    x = rng.standard_normal((cond.shape[0], N_MELS)).astype(net.dtype, copy=False)
     for t, t_next in zip(knots, knots[1:]):
-        x = x + (t_next - t) * net(x, t, cond_t).data
+        x = x + (t_next - t) * net(x, t, cond).data
     return x
 
 
@@ -242,6 +239,11 @@ class ConverterModel:
         return np.concatenate([content, z_p, zt_full, x_ref, visible], axis=-1,
                               dtype=self.net.dtype)
 
+    def config(self) -> dict:
+        """The config a checkpoint of this model carries, and `optim.config_hash`
+        hashes: the converter's section and its pitch encoder's."""
+        return {"converter": asdict(self.cfg), "pitch_encoder": asdict(self.pitch.cfg)}
+
     def save(self, path, step: int) -> None:
         arrays = dict(self.store.arrays())
         for name, value in self.pitch.store.arrays().items():
@@ -253,11 +255,7 @@ class ConverterModel:
         arrays["mel.std"] = self.mel_std
         arrays["z_p.mean"] = self.z_p_mean
         arrays["z_p.whiten"] = self.z_p_whiten
-        config = {
-            "converter": asdict(self.cfg),
-            "pitch_encoder": asdict(self.pitch.cfg),
-        }
-        save_checkpoint(path, arrays, step, config)
+        save_checkpoint(path, arrays, step, self.config())
 
     @classmethod
     def load(cls, path) -> "ConverterModel":
@@ -329,13 +327,13 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
         raise ContractError(f"pitch checkpoint {pitch_ckpt} not found")
     train = load_clips(manifest_path, "train")
     for c in train:  # each step embeds timbre from up to 1.2 s of a clip
-        check_clip_length(f"train clip {c.id!r}", c.codes)
+        check_clip_length(f"train clip {c.id!r}", c.duration)
     pitch = PitchExtractor.load(pitch_ckpt)
     # each clip as the frame-aligned arrays its windows are cut from: mel
     # values, content and z_p; its CQT is dropped as soon as z_p is taken
     clips = [(mel.values, content, z_p)
              for mel, content, z_p, _ in (clip_inputs(pitch, c.wave) for c in train)]
-    presets, labels = np.unique([c.preset for c in train], return_inverse=True)
+    presets = np.array([c.preset for c in train])
     del train  # a step reads only the per-clip arrays
 
     all_mels = np.concatenate([mel for mel, _, _ in clips], axis=0)
@@ -346,7 +344,7 @@ def train_converter(manifest_path, cfg: ConverterConfig, steps: int | None,
         np.concatenate([z_p for _, _, z_p in clips], axis=0, dtype=np.float64))
 
     stats = np.stack([timbre_stats(MelSpectrogram(mel)) for mel, _, _ in clips])
-    timbre = train_timbre_space(stats, labels, n_classes=len(presets))
+    timbre = train_timbre_space(stats, presets)
 
     model = ConverterModel(cfg, pitch, timbre, mel_mean, mel_std, z_p_mean, z_p_whiten,
                            seed=seed)
@@ -400,13 +398,13 @@ class Conversion:
     z_t: np.ndarray
 
 
-def check_clip_length(what: str, wave: Waveform | WavCodes) -> None:
+def check_clip_length(what: str, seconds: float) -> None:
     """The one length rule for a converter clip, source, reference or train
     clip: it must last at least 1 s, as the timbre embedding needs. A
-    shorter one raises ContractError naming `what` and its duration, rounded
-    down so that it never reads "1.00 s"."""
-    if wave.duration < 1.0:
-        shown = math.floor(wave.duration * 100) / 100
+    shorter one raises ContractError naming `what` and its duration in
+    `seconds`, rounded down so that it never reads "1.00 s"."""
+    if seconds < 1.0:
+        shown = math.floor(seconds * 100) / 100
         raise ContractError(f"{what} is {shown:.2f} s; the converter needs at least 1 s")
 
 
@@ -435,8 +433,8 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel, transpose: int 
     if src.sample_rate != PIPELINE_SAMPLE_RATE or ref.sample_rate != PIPELINE_SAMPLE_RATE:
         raise ContractError(f"convert needs 44.1 kHz clips, got source {src.sample_rate} Hz "
                             f"and reference {ref.sample_rate} Hz")
-    check_clip_length("source", src)
-    check_clip_length("reference", ref)
+    check_clip_length("source", src.duration)
+    check_clip_length("reference", ref.duration)
 
     mel_src, content_src, z_p_src, cqt_src = clip_inputs(model.pitch, src, transpose)
     mel_ref, content_ref, z_p_ref = clip_inputs(model.pitch, ref)[:3]

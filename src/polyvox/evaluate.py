@@ -211,10 +211,11 @@ def _aggregate(values: np.ndarray, resamples: int, rng: np.random.Generator) -> 
     }
 
 
-def emit_report(rows: list[dict], out_dir, config_echo: dict, seed: int) -> Path:
-    """Write report.json (rows + aggregates + config echo) and a flat
-    report.csv; bootstrap CIs are seeded so reruns agree exactly. The JSON
-    is strict: a non-finite row value is null, and aggregates skip it."""
+def emit_report(rows: list[dict], out_dir, seed: int, **echo) -> Path:
+    """Write report.json (seed, rows, aggregates, and each `echo` keyword as
+    a top-level entry saying what was scored) and a flat report.csv;
+    bootstrap CIs are seeded so reruns agree exactly. The JSON is strict: a
+    non-finite row value is null, and aggregates skip it."""
     if not rows:
         raise ContractError("cannot emit a report without rows")
     out = Path(out_dir)
@@ -231,7 +232,7 @@ def emit_report(rows: list[dict], out_dir, config_echo: dict, seed: int) -> Path
         if values.size:
             aggregates[key] = _aggregate(values, BOOTSTRAP_RESAMPLES, rng)
 
-    report = {"seed": seed, "config": config_echo, "rows": json_rows, "aggregates": aggregates}
+    report = {"seed": seed, **echo, "rows": json_rows, "aggregates": aggregates}
     report_path = out / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 

@@ -113,9 +113,10 @@ def _ledoit_wolf(resid: np.ndarray) -> float:
     return float(np.clip(beta / delta, 0.0, 1.0))
 
 
-def train_timbre_space(stats: np.ndarray, labels: np.ndarray, n_classes: int) -> TimbreSpace:
+def train_timbre_space(stats: np.ndarray, labels: np.ndarray) -> TimbreSpace:
     """Fit the projection in closed form by shrinkage linear discriminant
-    analysis of the singer labels.
+    analysis of the singer labels, one per row of `stats`; any distinct
+    values name the singers.
 
     Statistics are centred and divided by one pooled standard deviation (they
     share one unit). The within-singer covariance is shrunk toward a scaled
@@ -131,8 +132,6 @@ def train_timbre_space(stats: np.ndarray, labels: np.ndarray, n_classes: int) ->
     """
     if stats.ndim != 2 or stats.shape[0] != labels.shape[0] or stats.shape[1] != TIMBRE_BANDS:
         raise ContractError(f"bad timbre-space inputs: stats {stats.shape}, labels {labels.shape}")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ContractError(f"labels must lie in [0, {n_classes})")
     mu = stats.mean(axis=0)
     scale = np.full(stats.shape[1], max(float(np.sqrt(stats.var(axis=0).mean())), 1e-6))
     x = (stats - mu) / scale

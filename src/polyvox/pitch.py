@@ -42,7 +42,7 @@ class PitchEncoderConfig:
                                 f"and divisible by n_heads {self.n_heads}")
 
 
-def log_compress(m: CqtMatrix | np.ndarray) -> np.ndarray:
+def log_compress(mags: np.ndarray) -> np.ndarray:
     """Per-clip magnitude normalization x -> log(1 + x/ref) with ref at the
     99th percentile of the nonzero cells; compresses the ~60 dB range before
     the L1 geometry.
@@ -51,7 +51,7 @@ def log_compress(m: CqtMatrix | np.ndarray) -> np.ndarray:
     so the input scale does not depend on how much of the clip is silent:
     appending silent frames leaves the output for the other frames unchanged.
     An all-zero input maps to all zeros."""
-    mags = m.magnitudes if isinstance(m, CqtMatrix) else np.asarray(m, dtype=np.float64)
+    mags = np.asarray(mags, dtype=np.float64)
     sounding = mags[mags != 0.0]
     ref = max(float(np.percentile(sounding, 99.0)), 1e-8) if sounding.size else 1e-8
     return np.log1p(mags / ref)
@@ -62,7 +62,7 @@ def cqt_input(mat: CqtMatrix, transpose: int = 0) -> np.ndarray:
     matrix shifted by `transpose` semitones, then cropped to the vocal range
     and log-compressed; (frames, 60). The shift comes first, so bins that a
     negative shift brings down from above the vocal range keep their energy."""
-    return log_compress(crop_to_vocal_range(transpose_pitch(mat, transpose)))
+    return log_compress(crop_to_vocal_range(transpose_pitch(mat, transpose)).magnitudes)
 
 
 class PitchExtractor:
@@ -78,18 +78,16 @@ class PitchExtractor:
         self.midi_encoder = SequenceEncoder(
             self.store, "midi_encoder", ROLL_PITCHES, cfg.model_dim, cfg.n_layers, cfg.n_heads)
 
-    def encode_cqt(self, values: np.ndarray | Tensor) -> Tensor:
+    def encode_cqt(self, values: np.ndarray) -> Tensor:
         """Frame-wise pitch embedding of a log-compressed, cropped CQT."""
-        x = values if isinstance(values, Tensor) else Tensor(values)
-        if x.shape[-1] != ROLL_PITCHES:
-            raise ContractError(f"expected {ROLL_PITCHES} bins, got {x.shape[-1]}")
-        return self.cqt_encoder(x)
+        if values.shape[-1] != ROLL_PITCHES:
+            raise ContractError(f"expected {ROLL_PITCHES} bins, got {values.shape[-1]}")
+        return self.cqt_encoder(Tensor(values))
 
-    def encode_midi(self, activity: np.ndarray | Tensor) -> Tensor:
-        x = activity if isinstance(activity, Tensor) else Tensor(activity)
-        if x.shape[-1] != ROLL_PITCHES:
-            raise ContractError(f"expected {ROLL_PITCHES} pitch columns, got {x.shape[-1]}")
-        return self.midi_encoder(x)
+    def encode_midi(self, activity: np.ndarray) -> Tensor:
+        if activity.shape[-1] != ROLL_PITCHES:
+            raise ContractError(f"expected {ROLL_PITCHES} pitch columns, got {activity.shape[-1]}")
+        return self.midi_encoder(Tensor(activity))
 
     def save(self, path, step: int = 0) -> None:
         save_checkpoint(path, self.store.arrays(), step, {"pitch_encoder": asdict(self.cfg)})

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import PIPELINE_SAMPLE_RATE, WavCodes, Waveform, decode_wav, read_wav, save_wav
+from .audio import PIPELINE_SAMPLE_RATE, Waveform, decode_wav, read_wav, save_wav
 from .errors import ContractError, check_fields
 from .midi import ROLL_LOW, ROLL_TOP, MidiNote, load_smf, write_smf
 
@@ -338,8 +338,8 @@ def load_manifest(manifest_path) -> list[dict]:
 
 @dataclass(frozen=True)
 class Clip:
-    """One manifest row, read: its WAV file's sample codes as `audio.read_wav`
-    keeps them, and its `.mid` sidecar's notes. The codes of a 44.1 kHz file
+    """One manifest row, read: its WAV file's code array as `audio.read_wav`
+    returns it, and its `.mid` sidecar's notes. The codes of a 44.1 kHz file
     stay in the file's precision, int16 for a PCM16 file, so a corpus held
     in memory takes the size of its files; a file at another rate was
     resampled once, when it was read, and is kept as float64."""
@@ -347,8 +347,13 @@ class Clip:
     id: str
     condition: str
     preset: str
-    codes: WavCodes
+    codes: np.ndarray
     notes: list[MidiNote]
+
+    @property
+    def duration(self) -> float:
+        """The seconds of audio, read from the codes without decoding them."""
+        return self.codes.shape[0] / PIPELINE_SAMPLE_RATE
 
     @property
     def wave(self) -> Waveform:
@@ -360,10 +365,10 @@ class Clip:
 
 def load_clips(manifest_path, split: str) -> list[Clip]:
     """The clips of one split, in manifest order, with paths relative to the
-    manifest: each WAV read by `audio.read_wav` (every check of the file
-    fires here, not at first access), its notes by `load_smf`. `Clip.wave`
-    gives the samples `audio.load_wav` gives, bit for bit. A split with no
-    clips raises `ContractError`."""
+    manifest: each WAV's code array read by `audio.read_wav` (every check of
+    the file fires here, not at first access), its notes by `load_smf`.
+    `Clip.wave` gives the samples `audio.load_wav` gives, bit for bit. A
+    split with no clips raises `ContractError`."""
     root = Path(manifest_path).parent
     rows = [row for row in load_manifest(manifest_path) if row["split"] == split]
     if not rows:

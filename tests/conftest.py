@@ -139,8 +139,7 @@ def smoke_run(tmp_path_factory):
         return summary
 
     summaries = {}
-    summaries["synth"] = run(["synth-data", "--config", str(config_path),
-                              "--out", str(root / "data")])
+    summaries["synth"] = run(["synth-data", "--config", str(config_path)])
     pitch_bytes_before = None
     summaries["pitch"] = run(["train-pitch", "--config", str(config_path)])
     pitch_ckpt = root / "ckpt" / "pitch.pvck"

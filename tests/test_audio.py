@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvox.audio import (FFT_SIZE, FRAME_RATE, HOP, LOG_FLOOR, N_MELS, PIPELINE_SAMPLE_RATE,
-                           MelSpectrogram, WavCodes, Waveform, _griffin_lim, _istft_norm,
+                           MelSpectrogram, Waveform, _griffin_lim, _istft_norm,
                            _overlap_add, decode_wav, griffin_lim, istft, load_wav,
                            mel_filterbank, mel_spectrogram, mel_to_linear, read_wav, resample,
                            save_wav, stft)
@@ -132,6 +132,22 @@ class TestWavIO:
         path.write_bytes(header + payload)
         assert np.all(load_wav(path).samples == 0.0)
 
+    @pytest.mark.parametrize("tag, dtype", [(WAVE_PCM, "<i2"), (WAVE_FLOAT, "<f4")],
+                             ids=["pcm16", "float32"])
+    def test_stereo_codes_are_the_files_frames(self, tmp_path, tag, dtype):
+        """A 44.1 kHz stereo file is read as its (n, 2) code array, a
+        read-only view in the file's own dtype, and decoded by averaging the
+        two columns."""
+        frames = np.arange(-600, 600, dtype=np.int32).reshape(-1, 2).astype(dtype)
+        path = tmp_path / "st.wav"
+        write_wav(path, frames, tag, PIPELINE_SAMPLE_RATE)
+        codes = read_wav(path)
+        assert codes.dtype == np.dtype(dtype) and not codes.flags.writeable
+        assert np.array_equal(codes, frames)
+        scale = 32767.0 if tag == WAVE_PCM else 1.0
+        expected = (frames.astype(np.float64) / scale).mean(axis=1)
+        assert np.array_equal(decode_wav(codes).samples, expected)
+
     def test_full_scale_maps_to_32767(self, tmp_path):
         path = tmp_path / "f.wav"
         save_wav(Waveform(np.array([1.0, -1.0, 0.0]), SR), path)
@@ -191,11 +207,11 @@ class TestWavIO:
         frames = frames[:, 0] if channels == 1 else frames
         path = tmp_path / "off.wav"
         write_wav(path, frames, tag, rate)
-        expected = resample(decode_wav(WavCodes(frames.reshape(-1), channels, rate)),
+        expected = resample(Waveform(decode_wav(frames).samples, rate),
                             PIPELINE_SAMPLE_RATE).samples
         codes = read_wav(path)
-        assert (codes.channels, codes.sample_rate) == (1, PIPELINE_SAMPLE_RATE)
-        assert codes.codes.dtype == np.float64 and np.array_equal(codes.codes, expected)
+        assert codes.dtype == np.float64 and codes.ndim == 1
+        assert np.array_equal(codes, expected)
         w = load_wav(path)
         assert w.sample_rate == PIPELINE_SAMPLE_RATE and np.array_equal(w.samples, expected)
 

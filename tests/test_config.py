@@ -45,6 +45,12 @@ def _write_config(tmp_path, corpus, **sections):
     return path, ckpt
 
 
+def _synth_paths(tmp_path, section) -> dict:
+    """For a `synth-data` case, the corpus directory: a fresh one under
+    tmp_path, so that a check of what the command wrote covers it."""
+    return {"paths": {"data_dir": str(tmp_path / "synth")}} if section == "synth" else {}
+
+
 def _files(root):
     return sorted(p for p in root.rglob("*") if p.is_file())
 
@@ -116,12 +122,11 @@ def _files(root):
 ], ids=lambda v: v if isinstance(v, str) else (",".join(f"{k}={x}" for k, x in v.items())
                                               if isinstance(v, dict) else repr(v)))
 def test_bad_value_exits_1_before_training(tiny_corpus, tmp_path, section, bad):
-    path, ckpt = _write_config(tmp_path, tiny_corpus, **{section: bad})
+    path, ckpt = _write_config(tmp_path, tiny_corpus, **{section: bad},
+                               **_synth_paths(tmp_path, section))
     if section == "converter":  # so that only the config stands between train-svc and training
         PitchExtractor(PitchEncoderConfig(**ENCODER)).save(ckpt / "pitch.pvck")
     argv = [COMMAND[section], "--config", str(path)]
-    if section == "synth":
-        argv += ["--out", str(tmp_path / "synth")]
     before = _files(tmp_path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -203,27 +208,27 @@ def test_fixed_converter_shape_is_an_unknown_key(tiny_corpus, tmp_path, section,
     span, the schedule's floor and weight decay, the corpus's melody
     statistics and the evaluator's tolerance and bootstrap size: a config
     that sets one, even to the constant's value, exits 1 naming it."""
-    path, _ckpt = _write_config(tmp_path, tiny_corpus, **{section: {key: value}})
+    path, _ckpt = _write_config(tmp_path, tiny_corpus, **{section: {key: value}},
+                                **_synth_paths(tmp_path, section))
     argv = [COMMAND[section], "--config", str(path)]
-    if section == "synth":
-        argv += ["--out", str(tmp_path / "synth")]
+    before = _files(tmp_path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     summary = json.loads(out.getvalue().splitlines()[-1])
     assert (code, summary["status"]) == (1, "config-error"), summary
     assert f"unknown key '{key}'" in summary["error"]
+    assert _files(tmp_path) == before
 
 
 def test_threads_is_an_unknown_option(tiny_corpus, tmp_path):
     """Corpus rendering runs on the calling thread and no stage reads a
     worker count, so `--threads` is an unknown option: a usage error that
     exits 1 before the config is read."""
-    path, _ckpt = _write_config(tmp_path, tiny_corpus)
+    path, _ckpt = _write_config(tmp_path, tiny_corpus, **_synth_paths(tmp_path, "synth"))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["--threads=2", "synth-data", "--config", str(path),
-                         "--out", str(tmp_path / "synth")])
+        code = cli.main(["--threads=2", "synth-data", "--config", str(path)])
     assert code == 1
     assert "unrecognized arguments: --threads=2" in err.getvalue()
     assert not (tmp_path / "synth").exists()
@@ -316,9 +321,10 @@ def test_persisted_config_loads_back_to_the_same_run(tiny_corpus, tmp_path):
     config it was written from, whose echo is the file's content."""
     path, _ckpt = _write_config(tmp_path, tiny_corpus, synth={"n_single": 3})
     cfg = load_config(path)
-    back = load_config(persist_config(cfg, tmp_path / "out"))
-    assert dataclasses.replace(back, resolved={}) == dataclasses.replace(cfg, resolved={})
-    assert back.resolved == cfg.resolved
+    target = persist_config(cfg, tmp_path / "out")
+    back = load_config(target)
+    assert back == cfg
+    assert json.loads(target.read_text()) == json.loads(json.dumps(resolve_echo(back)))
 
 
 def test_valid_config_loads(tiny_corpus, tmp_path):

@@ -260,6 +260,23 @@ class TestTraining:
                             ckpt, log_path=tmp_path / "svc.csv")
         assert not ckpt.exists() and not (tmp_path / "svc.csv").exists()
 
+    def test_the_frozen_pitch_encoder_is_never_updated(self, tiny_runs, tmp_path):
+        """A converter step leaves the pitch checkpoint's bytes alone, and
+        the converter's checkpoint carries each of its arrays, bit for bit,
+        as `pitch.<name>`."""
+        manifest, (files, _), _ = tiny_runs
+        before = files["pitch.pvck"].read_bytes()
+        ckpt = tmp_path / "svc.pvck"
+        train_converter(manifest, ConverterConfig(**TINY_CONVERTER), 1, files["pitch.pvck"],
+                        ckpt)
+        assert files["pitch.pvck"].read_bytes() == before
+        pitch, svc = load_checkpoint(files["pitch.pvck"])[0], load_checkpoint(ckpt)[0]
+        assert pitch
+        assert {k for k in svc if k.startswith("pitch.")} == {f"pitch.{k}" for k in pitch}
+        for name, value in pitch.items():
+            stored = svc[f"pitch.{name}"]
+            assert stored.dtype == value.dtype and stored.tobytes() == value.tobytes(), name
+
     def test_same_seed_gives_identical_bytes(self, tiny_runs):
         _manifest, (a, _), (b, _) = tiny_runs
         for name in a:
@@ -622,6 +639,26 @@ class TestCli:
         summary = json.loads(out.getvalue().splitlines()[-1])
         assert code == 0, summary
         assert summary["clips"] == 1
+
+    def test_evaluate_report_names_the_manifest_and_checkpoint_it_scored(self, tiny_runs,
+                                                                        tmp_path):
+        """`--manifest` and `--ckpt` override the config's paths; the report
+        names the files read, beside the config echo, and the config hash
+        the checkpoint was verified against."""
+        _manifest, (files, _), _ = tiny_runs
+        manifest = gen_dataset(SynthConfig(n_single=1, n_harmony=1, dur_range=(1.5, 1.5),
+                                           eval_fraction=0.5), seed=6, out_dir=tmp_path / "data")
+        config = tmp_path / "evaluate.json"
+        config.write_text(json.dumps({"seed": 0, "paths": {
+            "data_dir": "unread", "checkpoint_dir": "unread", "report_dir": "r"}}))
+        code, summary = self._run(["evaluate", "--config", str(config), "--manifest",
+                                   str(manifest), "--ckpt", str(files["svc.pvck"])])
+        assert code == 0, summary
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert report["manifest"] == str(manifest.resolve())
+        assert report["checkpoint"] == str(files["svc.pvck"].resolve())
+        assert report["config_hash"] == load_checkpoint(files["svc.pvck"])[2]["config_hash"]
+        assert report["config"]["paths"]["data_dir"] == str((tmp_path / "unread").resolve())
 
     @staticmethod
     def _run(argv):

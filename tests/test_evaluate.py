@@ -207,7 +207,7 @@ class TestReport:
         rows = [{"id": "a", "f1": 0.5, "recall": 0.25},
                 {"id": "b", "f1": 0.75, "recall": 0.5},
                 {"id": "c", "f1": 0.125, "recall": float("nan")}]
-        paths = [emit_report(rows, tmp_path / name, config_echo={"k": 1}, seed=9)
+        paths = [emit_report(rows, tmp_path / name, 9, config={"k": 1})
                  for name in ("first", "second")]
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert ((tmp_path / "first" / "report.csv").read_bytes()
@@ -231,7 +231,7 @@ class TestReport:
         not the NaN token strict parsers reject, and the aggregate skips it."""
         rows = [{"id": "a", "harmony_retention": float("nan"), "f1": 0.5},
                 {"id": "b", "harmony_retention": 0.25, "f1": 0.75}]
-        path = emit_report(rows, tmp_path, config_echo={}, seed=1)
+        path = emit_report(rows, tmp_path, 1, config={})
 
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")

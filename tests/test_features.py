@@ -29,7 +29,7 @@ def timbre_space():
             wave, _ = render_score(score, preset, seed=seed)
             stats.append(timbre_stats(mel_spectrogram(wave)))
             labels.append(label)
-    space = train_timbre_space(np.stack(stats), np.array(labels), n_classes=4)
+    space = train_timbre_space(np.stack(stats), np.array(labels))
     return space
 
 
@@ -120,7 +120,7 @@ class TestTimbre:
                                 DEFAULT_PRESETS[0], seed=5)
         for pair in ((m, m), (m, mel_spectrogram(other))):
             space = train_timbre_space(np.stack([timbre_stats(x) for x in pair]),
-                                       np.zeros(2, dtype=int), n_classes=2)
+                                       np.zeros(2, dtype=int))
             assert not space.weight.any()
             assert not space.embed(m).any()
 

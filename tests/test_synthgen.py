@@ -273,8 +273,9 @@ class TestLoadClips:
 
     def test_pcm16_clip_holds_int16_codes(self, tiny_corpus):
         for clip in load_clips(tiny_corpus, "train"):
-            assert clip.codes.codes.dtype == np.int16
-            assert clip.codes.codes.nbytes == 2 * clip.wave.samples.size
+            assert clip.codes.dtype == np.int16
+            assert clip.codes.nbytes == 2 * clip.wave.samples.size
+            assert clip.duration == clip.wave.duration
 
     def test_non_finite_float_wav_raises_when_the_clips_are_loaded(self, tmp_path):
         manifest = gen_dataset(SynthConfig(n_single=2, n_harmony=0, dur_range=(1.0, 1.0)),
