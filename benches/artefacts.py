@@ -7,8 +7,9 @@ encoder), `train-svc` (40 steps, w32 x 1 converter), `convert` of the first
 eval clip to the timbre of the first train clip (`--transpose 2 --mel-out`),
 `cqt --crop --transpose 2` of the first clip of the manifest to a `.cqt`
 container and to a CSV, and `evaluate`. The temporary path is replaced by
-`<tmp>` in `report.json` and both `resolved_config.json` files before they
-are hashed; the corpus clips hash as one artefact, over their names and
+`<tmp>` in `report.json` and the three persisted configs
+(`data/resolved_config.json`, `ckpt/pitch_config.json`,
+`ckpt/svc_config.json`) before they are hashed; the corpus clips hash as one artefact, over their names and
 bytes in name order. A change that should leave outputs alone prints the
 same digests as its parent. Run from anywhere; it imports `polyvox` from the
 `src` beside this directory:
@@ -45,12 +46,13 @@ CONFIG = {
 }
 # each artefact's path under the run directory; `data/clips` is a directory
 ARTEFACTS = ("data/clips", "data/manifest.jsonl", "data/resolved_config.json",
-             "ckpt/pitch.pvck", "ckpt/pitch_train.csv", "ckpt/svc.pvck",
-             "ckpt/converter_train.csv", "ckpt/resolved_config.json", "out/convert.wav",
-             "out/convert.mel", "out/cqt.cqt", "out/cqt.csv", "reports/report.json",
-             "reports/report.csv")
+             "ckpt/pitch.pvck", "ckpt/pitch_train.csv", "ckpt/pitch_config.json",
+             "ckpt/svc.pvck", "ckpt/converter_train.csv", "ckpt/svc_config.json",
+             "out/convert.wav", "out/convert.mel", "out/cqt.cqt", "out/cqt.csv",
+             "reports/report.json", "reports/report.csv")
 # artefacts that echo the run's absolute paths
-_PATH_ECHOES = ("data/resolved_config.json", "ckpt/resolved_config.json", "reports/report.json")
+_PATH_ECHOES = ("data/resolved_config.json", "ckpt/pitch_config.json", "ckpt/svc_config.json",
+                "reports/report.json")
 
 
 def _run(*argv: str) -> None:

@@ -332,9 +332,11 @@ def istft(spec: np.ndarray, n_samples: int, norm: np.ndarray | None = None) -> n
     return ola / norm.astype(dtype, copy=False)
 
 
+@functools.cache
 def mel_filterbank() -> np.ndarray:
     """Triangular HTK-mel filterbank from `MEL_FMIN` to `MEL_FMAX`,
-    (N_MELS, FFT_SIZE//2+1), peak weight 1."""
+    (N_MELS, FFT_SIZE//2+1), peak weight 1; built once, cached and
+    read-only."""
 
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
@@ -350,19 +352,13 @@ def mel_filterbank() -> np.ndarray:
         rising = (freqs - lo) / max(center - lo, 1e-9)
         falling = (hi - freqs) / max(hi - center, 1e-9)
         fb[b] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return fb
-
-
-@functools.cache
-def _mel_basis() -> np.ndarray:
-    fb = mel_filterbank()
     fb.setflags(write=False)
     return fb
 
 
 @functools.cache
 def _mel_basis_pinv() -> np.ndarray:
-    pinv = np.linalg.pinv(_mel_basis())
+    pinv = np.linalg.pinv(mel_filterbank())
     pinv.setflags(write=False)
     return pinv
 
@@ -372,7 +368,7 @@ def mel_spectrogram(w: Waveform) -> MelSpectrogram:
     floor `LOG_FLOOR`."""
     if w.sample_rate != PIPELINE_SAMPLE_RATE:
         raise ContractError(f"mel pipeline expects {PIPELINE_SAMPLE_RATE} Hz, got {w.sample_rate}")
-    mel = np.abs(stft(w.samples)) @ _mel_basis().T
+    mel = np.abs(stft(w.samples)) @ mel_filterbank().T
     return MelSpectrogram(np.log(np.maximum(mel, LOG_FLOOR)))
 
 

@@ -7,9 +7,12 @@ and `evaluate` summaries carry the command's wall time `wall_s` and its
 real-time factor `rtf`, wall time over the seconds of source audio converted.
 
 `synth-data` writes the corpus to the config's `paths.data_dir`, where the
-trainers and `evaluate` read it. Corpora are read with `synthgen.load_clips`:
-a malformed manifest line and a split with no clips are runtime failures, so
-every command exits 2 on them. `evaluate` also exits 2, before its first
+trainers and `evaluate` read it. `synth-data` persists its resolved config
+as `resolved_config.json` in the data directory, and `train-pitch` and
+`train-svc` theirs as `pitch_config.json` and `svc_config.json` next to
+their checkpoints. Corpora are read with `synthgen.load_clips`: a malformed
+manifest line and a split with no clips are runtime failures, so every
+command exits 2 on them. `evaluate` also exits 2, before its first
 conversion, on a source or reference clip shorter than `convert` takes. Its
 `--manifest` and `--ckpt` override the config's paths, and `report.json`
 names the manifest and checkpoint it scored, with the checkpoint's
@@ -75,7 +78,7 @@ def _require(path: Path, what: str) -> Path:
 def cmd_synth_data(args) -> dict:
     cfg = load_config(args.config, args.seed)
     manifest = gen_dataset(cfg.synth, cfg.seed, cfg.data_dir)
-    persist_config(cfg, cfg.data_dir)
+    persist_config(cfg, cfg.data_dir / "resolved_config.json")
     return {
         "status": "ok",
         "command": "synth-data",
@@ -87,9 +90,10 @@ def cmd_synth_data(args) -> dict:
 
 def _train(cfg, command: str, steps: int, log_name: str, train) -> dict:
     """Run `train(log_path, progress)` with its progress on stderr and the
-    CSV under the checkpoint directory, persist the config there and
-    summarise the run. `final_loss` is the loss of the last step, which the
-    training loop always reports."""
+    CSV under the checkpoint directory, persist the config next to the
+    checkpoint it returned (`pitch.pvck` gets `pitch_config.json`, `svc.pvck`
+    `svc_config.json`) and summarise the run. `final_loss` is the loss of
+    the last step, which the training loop always reports."""
     cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     losses = []
 
@@ -98,7 +102,7 @@ def _train(cfg, command: str, steps: int, log_name: str, train) -> dict:
         print(f"[{command}] step {step} loss {loss:.4f}", file=sys.stderr)
 
     ckpt = train(cfg.checkpoint_dir / log_name, progress)
-    persist_config(cfg, cfg.checkpoint_dir)
+    persist_config(cfg, ckpt.with_name(f"{ckpt.stem}_config.json"))
     return {
         "status": "ok",
         "command": command,

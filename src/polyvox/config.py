@@ -4,8 +4,10 @@ Paths are resolved relative to the config file location, and every stage
 reads and writes under them: the corpus under `paths.data_dir`, checkpoints
 under `paths.checkpoint_dir`, reports under `paths.report_dir`. The fully
 resolved config, `resolve_echo`, is persisted next to each stage's outputs
-and echoed into reports, in the file format, so a persisted config loads
-back to the same run. A command's `--seed` overrides the file's seed.
+(`resolved_config.json` in `data_dir`, `pitch_config.json` and
+`svc_config.json` beside the checkpoints) and echoed into reports, in the
+file format, so a persisted config loads back to the same run. A command's
+`--seed` overrides the file's seed.
 
 Each section builds its dataclass, whose `__post_init__` applies the value
 rule of `errors.check_fields` (an `int` key holds an integer and not a
@@ -150,9 +152,9 @@ def resolve_echo(cfg: RunConfig) -> dict:
     }
 
 
-def persist_config(cfg: RunConfig, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "resolved_config.json"
+def persist_config(cfg: RunConfig, path) -> Path:
+    """Write `resolve_echo(cfg)` to `path`, making its directory."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(resolve_echo(cfg), indent=2, sort_keys=True))
     return target

@@ -101,12 +101,14 @@ class VelocityNet:
     def __call__(self, psi: np.ndarray, t, cond: np.ndarray) -> Tensor:
         """psi: (..., frames, bands) array; t: flow time, a scalar or one per
         leading item of psi; cond: fused conditioning array, frame-aligned.
-        Computes and returns `dtype`, as every `nn` layer does."""
+        Both are constants, so they are joined as arrays, psi first, before
+        the input layer. Computes and returns `dtype`, as every `nn` layer
+        does."""
         if psi.shape[:-1] != cond.shape[:-1]:
             raise ContractError(
                 f"state and condition frames differ: {psi.shape} vs {cond.shape}")
         w = self.width
-        x = self.input(T.concat([Tensor(psi), Tensor(cond)], axis=-1))
+        x = self.input(Tensor(np.concatenate([psi, cond], axis=-1)))
         x = x + Tensor(sinusoidal_positions(x.shape[-2], w, x.data.dtype))
         temb = np.stack([timestep_embedding(float(ti), w) for ti in np.atleast_1d(t)])
         temb = temb.reshape(np.shape(t) + (1, w))  # (..., 1, width), broadcast over frames
@@ -259,7 +261,7 @@ class ConverterModel:
 
     @classmethod
     def load(cls, path) -> "ConverterModel":
-        arrays, _step, header = load_checkpoint(path)
+        arrays, header = load_checkpoint(path)
         cfg = header_config(path, header, "converter", ConverterConfig)
         pitch_arrays = {k.removeprefix("pitch."): v for k, v in arrays.items()
                         if k.startswith("pitch.")}

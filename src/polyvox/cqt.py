@@ -1,10 +1,11 @@
 """Constant-Q transform with semitone-spaced bins, vocal-range cropping, and
 pitch transposition by shifting the frequency axis.
 
-Bins are anchored at C1 (32.7032 Hz) so bin k is MIDI pitch `midi.ROLL_LOW`+k,
-which makes piano-roll and CQT indices interchangeable after the vocal-range
-crop; the default config frames on `audio`'s clock (`HOP`). Kernels are
-Hann-windowed complex sinusoids of length ceil(Q*sr/f_k) with
+Bins are anchored at C1 (32.7032 Hz) a semitone apart, so bin k is MIDI
+pitch `midi.ROLL_LOW`+k; the vocal-range crop keeps the roll's
+`midi.ROLL_PITCHES` bins, after which piano-roll and CQT indices are
+interchangeable. The default config frames on `audio`'s clock (`HOP`).
+Kernels are Hann-windowed complex sinusoids of length ceil(Q*sr/f_k) with
 Q = 1/(2^(1/bpo)-1), L1-normalized so a unit-amplitude tone at a bin center
 reads close to 0.5 at that bin.
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from .audio import HOP, PIPELINE_SAMPLE_RATE, Waveform
 from .errors import ContractError, check_fields
+from .midi import ROLL_PITCHES
 
 F_MIN_C1 = 32.7032
 
@@ -64,18 +66,16 @@ class CqtConfig:
 
 @dataclass
 class CqtMatrix:
-    """Frames x bins magnitude matrix. `bin_offset` is the absolute index of
-    column 0 in the config's bin numbering (nonzero after cropping)."""
+    """Frames x bins magnitude matrix; column k is the config's bin k."""
 
     magnitudes: np.ndarray
     config: CqtConfig
-    bin_offset: int = 0
 
     def __post_init__(self):
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
         if self.magnitudes.ndim != 2:
             raise ContractError("magnitudes must be 2-D (frames x bins)")
-        if self.bin_offset + self.bins > self.config.n_bins:
+        if self.bins > self.config.n_bins:
             raise ContractError("bins exceed config.n_bins")
 
     @property
@@ -87,7 +87,7 @@ class CqtMatrix:
         return self.magnitudes.shape[1]
 
     def bin_frequency(self, k: int) -> float:
-        return bin_center_frequency(self.bin_offset + k, self.config)
+        return bin_center_frequency(k, self.config)
 
 
 def bin_center_frequency(k: int, cfg: CqtConfig = CqtConfig()) -> float:
@@ -183,20 +183,14 @@ def interior_frames(n_frames: int, cfg: CqtConfig = CqtConfig(), lowest_bin: int
     return range(margin, max(n_frames - margin, margin))
 
 
-def crop_to_vocal_range(m: CqtMatrix, lo: float = 32.0, hi: float = 1000.0) -> CqtMatrix:
-    """Keep exactly the bins whose center frequency lies in [lo, hi]."""
-    if lo >= hi:
-        raise ContractError(f"need lo < hi, got [{lo}, {hi}]")
-    freqs = np.array([m.bin_frequency(k) for k in range(m.bins)])
-    keep = np.flatnonzero((freqs >= lo) & (freqs <= hi))
-    if keep.size == 0:
-        raise ContractError(f"no bins in [{lo}, {hi}] Hz")
-    first, last = int(keep[0]), int(keep[-1])
-    return CqtMatrix(
-        m.magnitudes[:, first : last + 1].copy(),
-        m.config,
-        bin_offset=m.bin_offset + first,
-    )
+def crop_to_vocal_range(m: CqtMatrix) -> CqtMatrix:
+    """Keep the first `ROLL_PITCHES` bins, MIDI `ROLL_LOW`..`ROLL_TOP`. Bin k
+    is roll pitch k only on a semitone CQT anchored at C1, so any other config
+    raises `ContractError`."""
+    if m.config.bins_per_octave != 12 or m.config.f_min != F_MIN_C1:
+        raise ContractError("the vocal crop needs a semitone CQT anchored at C1, got "
+                            f"{m.config.bins_per_octave} bins/octave from {m.config.f_min} Hz")
+    return CqtMatrix(m.magnitudes[:, :ROLL_PITCHES].copy(), m.config)
 
 
 def bin_shift(semitones: int, cfg: CqtConfig = CqtConfig(), bins: int | None = None) -> int:
@@ -222,7 +216,7 @@ def transpose_pitch(m: CqtMatrix, semitones: int) -> CqtMatrix:
         out[:, :shift] = m.magnitudes[:, -shift:]
     else:
         out[:] = m.magnitudes
-    return CqtMatrix(out, m.config, bin_offset=m.bin_offset)
+    return CqtMatrix(out, m.config)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +242,8 @@ def save_matrix_container(values: np.ndarray, path, magic: bytes, f_min: float,
 
 
 def save_cqt(m: CqtMatrix, path) -> None:
-    eff_fmin = m.config.f_min * 2.0 ** (m.bin_offset / m.config.bins_per_octave)
-    save_matrix_container(m.magnitudes, path, _CQT_MAGIC, eff_fmin, m.config.hop,
+    """The `CQT1` container of `m`, its header carrying the config's f_min."""
+    save_matrix_container(m.magnitudes, path, _CQT_MAGIC, m.config.f_min, m.config.hop,
                           m.config.sample_rate, m.config.bins_per_octave)
 
 

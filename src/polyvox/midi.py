@@ -25,6 +25,7 @@ ROLL_PITCHES = 60
 ROLL_TOP = ROLL_LOW + ROLL_PITCHES - 1  # 83
 DEFAULT_TEMPO_US = 500000  # 120 BPM
 TICKS_PER_BEAT = 480
+TICKS_PER_SECOND = TICKS_PER_BEAT * 1e6 / DEFAULT_TEMPO_US  # the writer's grid, 960
 
 
 @dataclass(frozen=True)
@@ -244,15 +245,14 @@ def write_smf(notes: list[MidiNote], path) -> None:
     """Serialize notes as a single-track format-0 file at 120 BPM and
     `TICKS_PER_BEAT` ticks per beat.
 
-    Times are quantized to the tick grid (1/960 s);
-    the synthetic generator emits tick-aligned times so the round trip
-    through `parse_smf` is exact.
+    Times are quantized to the `TICKS_PER_SECOND` grid (1/960 s); the
+    synthetic generator emits times on that grid so the round trip through
+    `parse_smf` is exact.
     """
-    ticks_per_second = TICKS_PER_BEAT * 1e6 / DEFAULT_TEMPO_US
     edges = []
     for note in notes:
-        on = int(round(note.onset * ticks_per_second))
-        off = int(round(note.offset * ticks_per_second))
+        on = int(round(note.onset * TICKS_PER_SECOND))
+        off = int(round(note.offset * TICKS_PER_SECOND))
         edges.append((on, 1, note.pitch, note.velocity))
         edges.append((off, 0, note.pitch, 0))
     # offs before ons at the same tick so back-to-back notes re-trigger

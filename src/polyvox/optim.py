@@ -143,9 +143,10 @@ def save_checkpoint(path, params: dict[str, np.ndarray], step: int, config: dict
             fh.write(np.ascontiguousarray(params[n], dtype="<f4").tobytes())
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int, dict]:
-    """Read a container written by `save_checkpoint`. The arrays come back
-    as stored, float32, so a `ParamStore` loaded from them computes in
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a container written by `save_checkpoint`: its arrays and its
+    header, whose "step" holds the training step. The arrays come back as
+    stored, float32, so a `ParamStore` loaded from them computes in
     float32 (numpy promotes them exactly where they meet float64 data). A
     truncated or corrupt header, a header whose config does not hash to its
     stored `config_hash`, one without a `params` list of named, well-shaped
@@ -194,7 +195,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int, dict]:
                 params[name] = flat.reshape(shape).copy()
             except ValueError as exc:  # an empty shape past numpy's size limits
                 raise ContractError(f"{path}: checkpoint entry {name!r}: {exc}") from None
-    return params, step, header
+    return params, header
 
 
 def header_config(path, header: dict, section: str, cls):

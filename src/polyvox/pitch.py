@@ -95,7 +95,7 @@ class PitchExtractor:
     @classmethod
     def load(cls, path) -> "PitchExtractor":
         """The frozen extractor of a checkpoint: its parameters are constants."""
-        arrays, _step, header = load_checkpoint(path)
+        arrays, header = load_checkpoint(path)
         cfg = header_config(path, header, "pitch_encoder", PitchEncoderConfig)
         return cls(cfg, arrays=arrays)
 

@@ -2,9 +2,10 @@
 
 Clips are additive-synthesis "voices": a lead melody plus optional quieter
 harmony voices at musically plausible intervals. Note times live on the SMF
-tick grid (1/960 s) so the WAV / MIDI sidecars round-trip exactly. Clips are at
-`audio.PIPELINE_SAMPLE_RATE` and pitches lie in `midi.ROLL_LOW`..`ROLL_TOP`,
-so lead pitches map to CQT bins by construction (bin = MIDI - `ROLL_LOW`).
+tick grid (`midi.TICKS_PER_SECOND`) so each clip's MIDI file round-trips
+exactly. Clips are at `audio.PIPELINE_SAMPLE_RATE` and pitches lie in
+`midi.ROLL_LOW`..`ROLL_TOP`, so lead pitches map to CQT bins by
+construction (bin = MIDI - `ROLL_LOW`).
 The melody statistics (`LEAD_RANGE`, `NOTE_DUR_RANGE`, `REST_PROB`) and the
 singer presets (`DEFAULT_PRESETS`) are constants; a `SynthConfig` sets the
 clip counts, the clip durations and the eval share.
@@ -29,9 +30,8 @@ import numpy as np
 
 from .audio import PIPELINE_SAMPLE_RATE, Waveform, decode_wav, read_wav, save_wav
 from .errors import ContractError, check_fields
-from .midi import ROLL_LOW, ROLL_TOP, MidiNote, load_smf, write_smf
+from .midi import ROLL_LOW, ROLL_TOP, TICKS_PER_SECOND, MidiNote, load_smf, write_smf
 
-_TICKS_PER_SECOND = 960.0  # 480 ticks/beat at 120 BPM
 _RAMP_S = 0.010
 _MIN_NOTE_S = 0.025
 _JITTER_KNOTS_PER_S = 100.0
@@ -230,7 +230,7 @@ def _harmony_lead_range(lead_range: tuple[int, int], interval: int) -> tuple[int
 
 
 def _ticks(seconds: float) -> float:
-    return round(seconds * _TICKS_PER_SECOND) / _TICKS_PER_SECOND
+    return round(seconds * TICKS_PER_SECOND) / TICKS_PER_SECOND
 
 
 def _random_melody(rng: np.random.Generator, cfg: SynthConfig,
@@ -261,46 +261,37 @@ def make_clip_score(cfg: SynthConfig, condition: str, rng: np.random.Generator) 
 
 
 def gen_dataset(cfg: SynthConfig, seed: int, out_dir) -> Path:
-    """Write WAV + SMF + JSON sidecars plus manifest.jsonl; returns the
-    manifest path. Each clip renders as it is planned, one after another on
-    the calling thread; the eval split is then drawn over the clip ids.
-    Pure function of (cfg, seed): reruns are byte-identical."""
+    """Write each clip's WAV and SMF under `clips/` plus manifest.jsonl;
+    returns the manifest path. Each clip renders as it is planned, one after
+    another on the calling thread, from clip seed `seed * 1009 + idx`; the
+    eval split is then drawn over the clip ids. Pure function of
+    (cfg, seed): reruns are byte-identical."""
     out = Path(out_dir)
     clips_dir = out / "clips"
     clips_dir.mkdir(parents=True, exist_ok=True)
 
-    sidecars = []
+    rows = []
     conditions = ["single"] * cfg.n_single + ["harmony"] * cfg.n_harmony
     for idx, condition in enumerate(conditions):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, idx))))
         preset = DEFAULT_PRESETS[int(rng.integers(len(DEFAULT_PRESETS)))]
         score = make_clip_score(cfg, condition, rng)
-        clip_id, clip_seed = f"{condition}_{idx:04d}", seed * 1009 + idx
-        wav, truth = render_score(score, preset, clip_seed)
+        clip_id = f"{condition}_{idx:04d}"
+        wav, truth = render_score(score, preset, seed * 1009 + idx)
         save_wav(wav, clips_dir / f"{clip_id}.wav")
         write_smf(truth, clips_dir / f"{clip_id}.mid")
-        sidecar = {
-            "id": clip_id,
-            "condition": condition,
-            "preset": preset.id,
-            "seed": clip_seed,
-            "duration_s": wav.duration,
-        }
-        (clips_dir / f"{clip_id}.json").write_text(json.dumps(sidecar, sort_keys=True))
-        sidecars.append(sidecar)
+        rows.append({"id": clip_id, "condition": condition, "preset": preset.id,
+                     "duration_s": wav.duration, "path": f"clips/{clip_id}.wav"})
 
     split_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x5B117))))
-    order = split_rng.permutation(len(sidecars))
-    n_eval = max(1, int(round(len(sidecars) * cfg.eval_fraction)))
-    eval_ids = {sidecars[i]["id"] for i in order[:n_eval]}
+    order = split_rng.permutation(len(rows))
+    n_eval = max(1, int(round(len(rows) * cfg.eval_fraction)))
+    eval_ids = {rows[i]["id"] for i in order[:n_eval]}
 
     manifest_path = out / "manifest.jsonl"
     with open(manifest_path, "w") as fh:
-        for side in sidecars:
-            row = dict(side)
-            row["path"] = f"clips/{side['id']}.wav"
-            row["split"] = "eval" if side["id"] in eval_ids else "train"
-            del row["seed"]
+        for row in rows:
+            row["split"] = "eval" if row["id"] in eval_ids else "train"
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     return manifest_path
 

@@ -25,8 +25,10 @@ leaves keep a `.grad` afterwards. Gradients follow one rule: a node's first
 contribution is kept as it arrives and each later one is summed into a new
 array, so no gradient array is ever written in place, and a closure may
 pass on the array it was given. The primitive set is only what the
-pipeline's networks call, with `+` and `*` the only operators on a tensor,
-and each primitive keeps the tape small:
+pipeline's networks call, with `+` and `*` the only operators on a tensor;
+a network input joined from several arrays is joined with numpy before it
+is wrapped, so no primitive concatenates. Each primitive keeps the tape
+small:
 `attention` is softmax(scale·q kᵀ) v as one primitive, so that a call
 holds one (…, T, T) array instead of the scores and the weights apart;
 `matmul` adds a linear layer's bias in place, in its own node; and
@@ -214,17 +216,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
         _accumulate(a, g.reshape(a.shape))
 
     return _node(a.data.reshape(shape), (a,), bwd)
-
-
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
-
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
 
 
 def slice_(a: Tensor, key) -> Tensor:

@@ -31,9 +31,10 @@ def test_artefact_check_hashes_every_artefact():
     digests = json.loads(run.stdout)
     assert sorted(digests) == sorted([
         "data/clips", "data/manifest.jsonl", "data/resolved_config.json", "ckpt/pitch.pvck",
-        "ckpt/pitch_train.csv", "ckpt/svc.pvck", "ckpt/converter_train.csv",
-        "ckpt/resolved_config.json", "out/convert.wav", "out/convert.mel", "out/cqt.cqt",
-        "out/cqt.csv", "reports/report.json", "reports/report.csv"])
+        "ckpt/pitch_train.csv", "ckpt/pitch_config.json", "ckpt/svc.pvck",
+        "ckpt/converter_train.csv", "ckpt/svc_config.json", "out/convert.wav",
+        "out/convert.mel", "out/cqt.cqt", "out/cqt.csv", "reports/report.json",
+        "reports/report.csv"])
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests.values()), digests
 
 

@@ -321,10 +321,24 @@ def test_persisted_config_loads_back_to_the_same_run(tiny_corpus, tmp_path):
     config it was written from, whose echo is the file's content."""
     path, _ckpt = _write_config(tmp_path, tiny_corpus, synth={"n_single": 3})
     cfg = load_config(path)
-    target = persist_config(cfg, tmp_path / "out")
+    target = persist_config(cfg, tmp_path / "out" / "resolved_config.json")
     back = load_config(target)
     assert back == cfg
     assert json.loads(target.read_text()) == json.loads(json.dumps(resolve_echo(back)))
+
+
+def test_each_trainer_keeps_its_own_config_record(tiny_corpus, tmp_path):
+    """`train-pitch` and `train-svc` persist their configs beside their own
+    checkpoints, so training the converter leaves the pitch record alone."""
+    path, ckpt = _write_config(tmp_path, tiny_corpus)
+    for command, seed in (("train-pitch", 1), ("train-svc", 2)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path), "--seed", str(seed)])
+        assert code == 0, out.getvalue() + err.getvalue()
+    assert json.loads((ckpt / "pitch_config.json").read_text())["seed"] == 1
+    assert json.loads((ckpt / "svc_config.json").read_text())["seed"] == 2
+    assert not (ckpt / "resolved_config.json").exists()
 
 
 def test_valid_config_loads(tiny_corpus, tmp_path):

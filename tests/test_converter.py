@@ -330,7 +330,7 @@ class TestFloat32Training:
     def test_new_store_round_trips_through_a_checkpoint(self, tmp_path):
         model = PitchExtractor(TINY_ENCODER)
         model.save(tmp_path / "p.pvck")
-        back, _step, _header = load_checkpoint(tmp_path / "p.pvck")
+        back, _header = load_checkpoint(tmp_path / "p.pvck")
         arrays = model.store.arrays()
         assert back.keys() == arrays.keys()
         for name, data in arrays.items():
@@ -509,7 +509,7 @@ class TestConvert:
         loaded = ConverterModel.load(files["svc.pvck"])
         PitchExtractor.load(files["pitch.pvck"])
         assert draws == []
-        arrays, _step, _header = load_checkpoint(files["svc.pvck"])
+        arrays, _header = load_checkpoint(files["svc.pvck"])
         for name, p in loaded.pitch.store.params.items():
             assert p.data.tobytes() == arrays[f"pitch.{name}"].tobytes(), name
         _tiny_model()
@@ -549,20 +549,27 @@ class TestConvert:
     def test_every_network_op_of_a_conversion_is_float32(self, tiny_runs, monkeypatch):
         """The pitch encoder, `fuse`'s projections and the velocity net all
         compute in the loaded checkpoint's float32, whatever the dtype of
-        the features they are given, and so do the concatenations that build
-        the condition and the net's input from the ODE state."""
+        the features they are given, and so are the ODE state and the
+        condition that the net's input is joined from."""
         manifest, (files, _), _ = tiny_runs
         src, ref = (load_wav(manifest.parent / r["path"]) for r in load_manifest(manifest)[:2])
         model = ConverterModel.load(files["svc.pvck"])
         seen = {}
-        for name in ("matmul", "attention", "gelu", "layer_norm", "concat"):
+        for name in ("matmul", "attention", "gelu", "layer_norm"):
             def recorded(*args, _op=getattr(T, name), _name=name, **kwargs):
                 out = _op(*args, **kwargs)
                 seen.setdefault(_name, []).append(out.data.dtype)
                 return out
             monkeypatch.setattr(T, name, recorded)
+        net_call = VelocityNet.__call__
+
+        def net_inputs(self, psi, t, cond):
+            seen.setdefault("psi", []).append(psi.dtype)
+            seen.setdefault("cond", []).append(cond.dtype)
+            return net_call(self, psi, t, cond)
+        monkeypatch.setattr(VelocityNet, "__call__", net_inputs)
         convert(src, ref, model)
-        assert seen.keys() == {"matmul", "attention", "gelu", "layer_norm", "concat"}
+        assert seen.keys() == {"matmul", "attention", "gelu", "layer_norm", "psi", "cond"}
         assert {dtype for dtypes in seen.values() for dtype in dtypes} == {np.dtype(np.float32)}
 
     def test_zero_griffin_lim_iterations_rejected(self):
@@ -601,10 +608,10 @@ class TestCheckpointConfig:
                                                                              tmp_path):
         manifest, (files, _), _ = tiny_runs
         src, ref = (manifest.parent / r["path"] for r in load_manifest(manifest)[:2])
-        arrays, step, header = load_checkpoint(files["svc.pvck"])
+        arrays, header = load_checkpoint(files["svc.pvck"])
         del arrays["mel.std"]
         ckpt = tmp_path / "cut.pvck"
-        save_checkpoint(ckpt, arrays, step, header["config"])
+        save_checkpoint(ckpt, arrays, header["step"], header["config"])
         code, summary = TestCli._run(["convert", "--src", str(src), "--ref", str(ref),
                                       "--ckpt", str(ckpt), "--out", str(tmp_path / "out.wav")])
         assert (code, summary["status"]) == (2, "error"), summary
@@ -657,7 +664,7 @@ class TestCli:
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert report["manifest"] == str(manifest.resolve())
         assert report["checkpoint"] == str(files["svc.pvck"].resolve())
-        assert report["config_hash"] == load_checkpoint(files["svc.pvck"])[2]["config_hash"]
+        assert report["config_hash"] == load_checkpoint(files["svc.pvck"])[1]["config_hash"]
         assert report["config"]["paths"]["data_dir"] == str((tmp_path / "unread").resolve())
 
     @staticmethod

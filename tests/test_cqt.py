@@ -13,6 +13,7 @@ from polyvox.cqt import (CqtConfig, CqtMatrix, _kernel_bank, bin_center_frequenc
                          load_cqt, save_cqt, save_cqt_csv, save_matrix_container,
                          transpose_pitch)
 from polyvox.errors import ContractError
+from polyvox.midi import ROLL_LOW, ROLL_PITCHES
 
 from .conftest import make_sine
 
@@ -211,37 +212,35 @@ class TestBlockSparse:
 
 class TestCrop:
     def test_default_crop_is_60_bins(self, sine_440):
-        m = crop_to_vocal_range(compute_cqt(sine_440))
-        assert m.bins == 60
-        assert m.bin_offset == 0
-        # enumeration oracle over all center frequencies
+        m = compute_cqt(sine_440)
+        c = crop_to_vocal_range(m)
+        assert c.bins == ROLL_PITCHES == 60
+        assert np.array_equal(c.magnitudes, m.magnitudes[:, :60])
+        # enumeration oracle: the roll's bins are the 32-1000 Hz vocal range
         freqs = [bin_center_frequency(k) for k in range(84)]
         expected = [k for k, f in enumerate(freqs) if 32.0 <= f <= 1000.0]
         assert expected == list(range(60))
 
-    def test_full_range_identity(self, sine_440):
-        m = compute_cqt(sine_440)
-        c = crop_to_vocal_range(m, lo=CFG.f_min, hi=CFG.sample_rate / 2)
-        assert c.bins == m.bins
-        assert np.array_equal(c.magnitudes, m.magnitudes)
+    def test_bins_are_roll_pitches(self, sine_440):
+        """Cropped bin k sits at MIDI pitch ROLL_LOW + k (F_MIN_C1 is C1
+        rounded to 1.3e-7 relative)."""
+        c = crop_to_vocal_range(compute_cqt(sine_440))
+        midi_hz = 440.0 * 2.0 ** ((ROLL_LOW + np.arange(ROLL_PITCHES) - 69) / 12)
+        freqs = np.array([c.bin_frequency(k) for k in range(c.bins)])
+        np.testing.assert_allclose(freqs, midi_hz, rtol=1e-6)
 
     def test_idempotent(self, sine_440):
         m = compute_cqt(sine_440)
         once = crop_to_vocal_range(m)
         twice = crop_to_vocal_range(once)
         assert np.array_equal(once.magnitudes, twice.magnitudes)
-        assert once.bin_offset == twice.bin_offset
 
-    def test_empty_range(self, sine_440):
-        with pytest.raises(ContractError):
-            crop_to_vocal_range(compute_cqt(sine_440), lo=20000.0, hi=21000.0)
-        with pytest.raises(ContractError):
-            crop_to_vocal_range(compute_cqt(sine_440), lo=100.0, hi=50.0)
-
-    def test_crop_preserves_frequency_mapping(self, sine_440):
-        c = crop_to_vocal_range(compute_cqt(sine_440), lo=100.0, hi=900.0)
-        assert c.bin_frequency(0) == pytest.approx(
-            bin_center_frequency(c.bin_offset), rel=1e-12)
+    @pytest.mark.parametrize("cfg", [CqtConfig(f_min=55.0), CqtConfig(bins_per_octave=24)],
+                             ids=["f_min_55", "24_per_octave"])
+    def test_rejects_bins_that_are_not_roll_pitches(self, sine_440, cfg):
+        """Off a semitone grid from C1, bin k is not roll pitch k."""
+        with pytest.raises(ContractError, match="semitone CQT anchored at C1"):
+            crop_to_vocal_range(compute_cqt(sine_440, cfg))
 
 
 class TestTranspose:
@@ -290,8 +289,10 @@ class TestSerialization:
         back = load_cqt(path)
         assert back.frames == m.frames and back.bins == 60
         assert np.allclose(back.magnitudes, m.magnitudes, atol=1e-4)
-        # cropped matrices serialize their effective f_min
-        assert back.config.f_min == pytest.approx(m.bin_frequency(0), rel=1e-9)
+        # the header carries the config's f_min, so the loaded matrix is
+        # still the roll's bins and crops to itself
+        assert back.config.f_min == m.config.f_min
+        assert crop_to_vocal_range(back).bins == 60
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cqt"

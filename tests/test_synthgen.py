@@ -1,4 +1,3 @@
-import json
 import re
 import threading
 
@@ -9,7 +8,7 @@ from polyvox import synthgen
 from polyvox.audio import FRAME_RATE, PIPELINE_SAMPLE_RATE, Waveform, load_wav, resample, save_wav
 from polyvox.cqt import compute_cqt, crop_to_vocal_range, interior_frames
 from polyvox.errors import ContractError
-from polyvox.midi import ROLL_LOW, ROLL_TOP, MidiNote, load_smf, to_piano_roll
+from polyvox.midi import ROLL_LOW, ROLL_TOP, TICKS_PER_SECOND, MidiNote, load_smf, to_piano_roll
 from polyvox.pitch import cqt_input
 from polyvox.synthgen import (DEFAULT_PRESETS, Score, SingerPreset, SynthConfig,
                               gen_dataset, load_clips, load_manifest, render_note, render_score)
@@ -106,9 +105,9 @@ class TestGenDataset(object):
             wav = root / row["path"]
             assert wav.exists()
             assert wav.with_suffix(".mid").exists()
-            assert wav.with_suffix(".json").exists()
-            side = json.loads(wav.with_suffix(".json").read_text())
-            assert side["preset"] == row["preset"]
+        # each clip is its WAV and its MIDI file; the manifest holds the rest
+        assert not list((root / "clips").glob("*.json"))
+        assert len(list((root / "clips").iterdir())) == 2 * len(tiny_rows)
 
     def test_split_fractions(self, tiny_rows):
         n_eval = sum(r["split"] == "eval" for r in tiny_rows)
@@ -161,7 +160,7 @@ class TestGenDataset(object):
             h_lo, h_hi = synthgen._harmony_lead_range(synthgen.LEAD_RANGE, interval)
             assert h_lo <= h_hi, interval
         shortest, longest = synthgen.NOTE_DUR_RANGE
-        assert synthgen._MIN_NOTE_S + 1.0 / synthgen._TICKS_PER_SECOND <= shortest <= longest
+        assert synthgen._MIN_NOTE_S + 1.0 / TICKS_PER_SECOND <= shortest <= longest
 
     def test_one_clip_is_a_corpus(self, tmp_path):
         manifest = gen_dataset(SynthConfig(n_single=0, n_harmony=1, dur_range=(1.0, 1.0)),
@@ -217,7 +216,7 @@ class TestSerialRendering:
         assert sum(r["condition"] == "harmony" for r in load_manifest(manifest)) == 3
         files = sorted(p.relative_to(tmp_path / "sines")
                        for p in (tmp_path / "sines").rglob("*") if p.is_file())
-        assert len(files) == 1 + 3 * 5
+        assert len(files) == 1 + 2 * 5
         assert files == sorted(p.relative_to(tmp_path / "phasor")
                                for p in (tmp_path / "phasor").rglob("*") if p.is_file())
         for rel in files:
