@@ -43,7 +43,7 @@ from .converter import (ConverterConfig, ConverterModel, check_clip_length, conv
 from .cqt import (CqtMatrix, bin_shift, compute_cqt, crop_to_vocal_range, interior_frames,
                   save_cqt, save_cqt_csv, save_matrix_container, transpose_pitch)
 from .errors import ContractError
-from .evaluate import emit_report, evaluate_conversion, write_pgm
+from .evaluate import emit_report, evaluate_conversion
 from .optim import config_hash
 from .pitch import train_pitch_extractor
 from .synthgen import gen_dataset, load_clips
@@ -223,10 +223,6 @@ def cmd_evaluate(args) -> dict:
         scored.update(id=clip.id, condition=clip.condition, ref=ref.id)
         report_rows.append(scored)
         print(f"[evaluate] {clip.id}: f1={scored['f1']:.3f}", file=sys.stderr)
-        if args.pgm:
-            pgm_dir = cfg.report_dir / "pgm"
-            pgm_dir.mkdir(parents=True, exist_ok=True)
-            write_pgm(conversion.mel.values, pgm_dir / f"{clip.id}_mel.pgm")
 
     report = emit_report(report_rows, cfg.report_dir, cfg.seed, config=resolve_echo(cfg),
                          manifest=str(manifest.resolve()), checkpoint=str(ckpt.resolve()),
@@ -307,7 +303,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest")
     p.add_argument("--ckpt")
     p.add_argument("--seed", type=int)
-    p.add_argument("--pgm", action="store_true", help="dump mel images for inspection")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("cqt", help="compute a CQT container or CSV from audio")

@@ -242,14 +242,3 @@ def emit_report(rows: list[dict], out_dir, seed: int, **echo) -> Path:
         writer.writeheader()
         writer.writerows(rows)
     return report_path
-
-
-def write_pgm(matrix: np.ndarray, path) -> None:
-    """Min-max scaled grayscale dump of a matrix as binary PGM (P5)."""
-    m = np.asarray(matrix, dtype=np.float64)
-    lo, hi = m.min(), m.max()
-    scaled = np.zeros_like(m) if hi <= lo else (m - lo) / (hi - lo)
-    gray = np.round(scaled * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
-        fh.write(gray.tobytes())

@@ -166,20 +166,3 @@ def train_pitch_extractor(manifest_path, cfg: PitchTrainConfig, steps: int | Non
 
     return _fit(model.store.params, batch_loss, steps, cfg.peak_lr, model.save, ckpt_path,
                 log_path, progress)
-
-
-def retrieval_probe(model: PitchExtractor, clips: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Top-1 accuracy of matching each clip's CQT embedding to its own MIDI
-    embedding by L1 distance, over the full candidate set, on the first
-    `window_frames` frames of each clip."""
-    window = model.cfg.window_frames
-    z_cqt, z_midi = [], []
-    for values, roll in clips:
-        n = min(window, values.shape[0], roll.shape[0])
-        z_cqt.append(model.encode_cqt(values[:n]).data)
-        z_midi.append(model.encode_midi(roll[:n]).data)
-    hits = 0
-    for i, zc in enumerate(z_cqt):
-        dists = [np.abs(zc[: zm.shape[0]] - zm[: zc.shape[0]]).mean() for zm in z_midi]
-        hits += int(np.argmin(dists) == i)
-    return hits / len(clips)

@@ -24,11 +24,13 @@ gradient is freed as soon as its closure has consumed it, so only the
 leaves keep a `.grad` afterwards. Gradients follow one rule: a node's first
 contribution is kept as it arrives and each later one is summed into a new
 array, so no gradient array is ever written in place, and a closure may
-pass on the array it was given. The primitive set is only what the
-pipeline's networks call, with `+` and `*` the only operators on a tensor;
-a network input joined from several arrays is joined with numpy before it
-is wrapped, so no primitive concatenates. Each primitive keeps the tape
-small:
+pass on the array it was given. The primitive set is what the pipeline's
+networks call, with `+` and `*` the only operators on a tensor, plus three
+that only the tests call: `softmax`, the reference `attention` must match,
+and the reductions `mean` and `sum_`, which turn a test's output into a
+scalar to differentiate. A network input joined from several arrays is
+joined with numpy before it is wrapped, so no primitive concatenates. Each
+primitive keeps the tape small:
 `attention` is softmax(scale·q kᵀ) v as one primitive, so that a call
 holds one (…, T, T) array instead of the scores and the weights apart;
 `matmul` adds a linear layer's bias in place, in its own node; and

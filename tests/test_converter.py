@@ -858,19 +858,18 @@ class TestCli:
         assert code == 0, summary
         assert summary["measured_shift_bins"] is None
 
-    def test_evaluate_dumps_one_mel_image_per_eval_clip(self, tiny_runs, tmp_path):
-        eval_rows, argv = self._eval_manifest(tiny_runs, tmp_path)
-        code, summary = self._run(argv + ["--pgm"])
-        assert code == 0, summary
-        pgm_dir = tmp_path / "r" / "pgm"
-        assert sorted(p.name for p in pgm_dir.iterdir()) == sorted(
-            f"{row['id']}_mel.pgm" for row in eval_rows)
-        for row in eval_rows:
-            frames = load_wav(row["path"]).samples.size // 441 + 1
-            data = (pgm_dir / f"{row['id']}_mel.pgm").read_bytes()
-            head = f"P5\n80 {frames}\n255\n".encode()
-            assert data.startswith(head)
-            assert len(data) == len(head) + 80 * frames
+    def test_pgm_is_an_unknown_evaluate_option(self, tiny_runs, tmp_path):
+        """`evaluate` writes the report and nothing else, so `--pgm` is an
+        unknown option: a usage error that exits 1 with one JSON line naming
+        it, before any conversion, and no image directory."""
+        _eval_rows, argv = self._eval_manifest(tiny_runs, tmp_path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv + ["--pgm"])
+        assert code == 1
+        assert [json.loads(line) for line in out.getvalue().splitlines()] == [
+            {"status": "usage-error", "error": "unrecognized arguments: --pgm"}]
+        assert not (tmp_path / "r").exists()
 
     def test_cqt_command_writes_csv_and_a_container_that_loads(self, tiny_runs, tmp_path):
         manifest, _, _ = tiny_runs

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from polyvox import evaluate
-from polyvox.cqt import F_MIN_C1, CqtConfig, CqtMatrix
+from polyvox.cqt import F_MIN_C1, CqtConfig, CqtMatrix, compute_cqt, crop_to_vocal_range
 from polyvox.audio import HOP, Waveform
 from polyvox.errors import ContractError
 from polyvox.evaluate import (emit_report, f0_yin, guard_octaves, harmony_retention,
                               multipitch_from_cqt, multipitch_scores, yin_recall)
 from polyvox.midi import ROLL_PITCHES, MidiNote, PianoRoll, to_piano_roll
+from polyvox.synthgen import DEFAULT_PRESETS, Score, SynthConfig, make_clip_score, render_score
 
 from .conftest import make_sine
 
@@ -200,6 +201,45 @@ class TestYin:
         active = np.flatnonzero(roll.activity.any(axis=1))
         midpoint = (voiced[0] + voiced[-1]) / 2
         assert abs(midpoint - (active[0] + active[-1]) / 2) <= 0.5
+
+
+class TestPremise:
+    """The paper's premise, with no training: a harmony defeats single-pitch
+    F0 but not the CQT. Each case is the corpus's harmony score for seed s
+    (s = 0..3 draw intervals -5, 7, 7 and 3) over 3 s, re-rendered with
+    preset s at a fixed harmony gain. Octave intervals are left out: seeds
+    4 and 5 draw 12, and YIN tracks the lead of those at 0.98-0.99 even at
+    -3 dB, since the harmony's partials are the lead's even partials."""
+
+    @staticmethod
+    def _render(seed: int, gain_db: float):
+        """The mixture of the case and the rolls of its lead and harmony voice."""
+        score = make_clip_score(SynthConfig(n_single=1, n_harmony=1, dur_range=(3.0, 3.0)),
+                                "harmony", np.random.default_rng(seed))
+        interval, _gain, lead = score.harmony_voices[0]
+        wave, _truth = render_score(Score(lead, [(interval, gain_db, lead)]),
+                                    DEFAULT_PRESETS[seed], seed)
+        n_frames = wave.samples.size // HOP + 1
+        harmony = [MidiNote(n.pitch + interval, n.onset, n.offset, n.velocity) for n in lead]
+        return wave, to_piano_roll(lead, n_frames), to_piano_roll(harmony, n_frames)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_loud_harmony_defeats_yin_but_not_the_cqt(self, seed):
+        """At -3 dB YIN lands within half a bin of the lead on under half
+        of the lead's frames, while the CQT's peaks find the lead and the
+        harmony within a bin on nearly all of theirs."""
+        wave, lead, harmony = self._render(seed, -3.0)
+        assert yin_recall(wave, lead, tolerance=0) < 0.5
+        found = multipitch_from_cqt(crop_to_vocal_range(compute_cqt(wave)))
+        assert multipitch_scores(found, lead)["recall"] >= 0.95
+        assert multipitch_scores(found, harmony)["recall"] >= 0.9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_yin_tracks_the_lead_under_a_quiet_harmony(self, seed):
+        """At -12 dB the same scores leave YIN on the lead: F0 breaks with
+        the harmony's level, not with the melody."""
+        wave, lead, _harmony = self._render(seed, -12.0)
+        assert yin_recall(wave, lead, tolerance=0) >= 0.9
 
 
 class TestReport:
