@@ -69,24 +69,21 @@ class Waveform:
 
 @dataclass
 class MelSpectrogram:
-    """Log-amplitude mel spectrogram, frames x bands, at `FRAME_RATE`."""
+    """Log-amplitude mel spectrogram, frames x `N_MELS` bands, at `FRAME_RATE`;
+    building one checks that shape and that every value is finite."""
 
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ContractError("mel values must be 2-D (frames x bands)")
+        if self.values.ndim != 2 or self.values.shape[1] != N_MELS:
+            raise ContractError(f"mel values must be frames x {N_MELS}, got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ContractError("mel values contain non-finite entries")
 
     @property
     def frames(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def bands(self) -> int:
-        return self.values.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +376,6 @@ def mel_spectrogram(w: Waveform) -> MelSpectrogram:
 
 def mel_to_linear(m: MelSpectrogram) -> np.ndarray:
     """Pseudo-inverse of the mel filterbank, clipped to non-negative magnitudes."""
-    if m.bands != N_MELS:
-        raise ContractError(f"mel inversion expects {N_MELS} mel bands, got {m.bands}")
     return np.clip(np.exp(m.values) @ _mel_basis_pinv().T, 0.0, None)
 
 

@@ -18,7 +18,8 @@ conversion, on a source or reference clip shorter than `convert` takes. Its
 names the manifest and checkpoint it scored, with the checkpoint's
 `config_hash`, beside the config echo.
 
-`convert` and `evaluate` read the source CQT and mel and the reference's
+`convert` runs the checkpoint's `nfe`, `sway_s` and `gl_iters`; no flag sets
+them. `convert` and `evaluate` read the source CQT and mel and the reference's
 timbre vector from the `converter.Conversion` that `convert()` returns.
 Griffin-Lim's output is not bounded, so `convert` divides a waveform whose
 peak exceeds 1 by that peak before writing it as PCM16, and reports the peak
@@ -28,7 +29,6 @@ before scaling as `peak`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -38,8 +38,7 @@ import numpy as np
 
 from .audio import HOP, MEL_FMIN, PIPELINE_SAMPLE_RATE, load_wav, save_wav
 from .config import ConfigError, check_seed, load_config, persist_config, resolve_echo
-from .converter import (ConverterConfig, ConverterModel, check_clip_length, convert,
-                        train_converter)
+from .converter import ConverterModel, check_clip_length, convert, train_converter
 from .cqt import (CqtMatrix, bin_shift, compute_cqt, crop_to_vocal_range, interior_frames,
                   save_cqt, save_cqt_csv, save_matrix_container, transpose_pitch)
 from .errors import ContractError
@@ -157,20 +156,13 @@ def _timings(start: float, source_s: float) -> dict:
 
 def cmd_convert(args) -> dict:
     start = time.perf_counter()
-    # --sway/--nfe checked by ConverterConfig, --seed by the run seed's rule,
-    # --transpose by the CQT shift rule, before any I/O
-    given = {k: v for k, v in (("sway_s", args.sway), ("nfe", args.nfe)) if v is not None}
-    try:
-        ConverterConfig(**given)
-    except ContractError as exc:
-        raise ConfigError(f"--sway/--nfe: {exc}") from None
+    # --seed checked by the run seed's rule, --transpose by the CQT shift rule, before any I/O
     seed = 0 if args.seed is None else args.seed
     check_seed(seed, "--seed")
     _check_transpose(args.transpose)
     model = ConverterModel.load(_require(args.ckpt, "checkpoint"))
     src = load_wav(_require(args.src, "source audio"))
     ref = load_wav(_require(args.ref, "reference audio"))
-    model.cfg = dataclasses.replace(model.cfg, **given)
     conversion = convert(src, ref, model, transpose=args.transpose, seed=seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -292,8 +284,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--transpose", type=int, default=0)
-    p.add_argument("--nfe", type=int)
-    p.add_argument("--sway", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--mel-out")
     p.set_defaults(func=cmd_convert)

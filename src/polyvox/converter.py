@@ -428,7 +428,7 @@ def convert(src: Waveform, ref: Waveform, model: ConverterModel, transpose: int 
     """Convert `src` to the timbre of `ref`: content and (optionally
     transposed) pitch come from the source, timbre and the mel prompt from
     the reference. Both clips must be at 44.1 kHz, as `audio.load_wav`
-    reads every file. The ODE runs `model.cfg`'s `nfe` and
+    reads every file. The ODE runs `model.cfg`'s (the checkpoint's) `nfe` and
     `sway_s`, and Griffin-Lim its `gl_iters` iterations. Returns the
     `Conversion`, so callers need not recompute its features."""
     cfg = model.cfg

@@ -80,13 +80,9 @@ class PitchExtractor:
 
     def encode_cqt(self, values: np.ndarray) -> Tensor:
         """Frame-wise pitch embedding of a log-compressed, cropped CQT."""
-        if values.shape[-1] != ROLL_PITCHES:
-            raise ContractError(f"expected {ROLL_PITCHES} bins, got {values.shape[-1]}")
         return self.cqt_encoder(Tensor(values))
 
     def encode_midi(self, activity: np.ndarray) -> Tensor:
-        if activity.shape[-1] != ROLL_PITCHES:
-            raise ContractError(f"expected {ROLL_PITCHES} pitch columns, got {activity.shape[-1]}")
         return self.midi_encoder(Tensor(activity))
 
     def save(self, path, step: int = 0) -> None:

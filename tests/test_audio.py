@@ -290,7 +290,11 @@ class TestMel:
     def test_frame_rate_100(self, sine_440):
         m = mel_spectrogram(sine_440)
         assert FRAME_RATE == SR / HOP == 100.0
-        assert m.bands == N_MELS == 80
+        assert m.values.shape[1] == N_MELS == 80
+
+    def test_other_band_count_rejected_when_built(self):
+        with pytest.raises(ContractError):
+            MelSpectrogram(np.zeros((10, 40)))
 
     def test_tone_band_matches_filterbank_center(self, sine_440):
         m = mel_spectrogram(sine_440)

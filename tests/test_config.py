@@ -236,9 +236,9 @@ def test_threads_is_an_unknown_option(tiny_corpus, tmp_path):
 
 @pytest.mark.parametrize("argv, error", [
     (["convert", "--src", "x"], "the following arguments are required: --ref, --ckpt, --out"),
-    (["convert", "--src", "x", "--ref", "y", "--ckpt", "z", "--out", "o", "--nfe", "two"],
-     "argument --nfe: invalid int value: 'two'"),
-], ids=["missing-flag", "non-integer-nfe"])
+    (["convert", "--src", "x", "--ref", "y", "--ckpt", "z", "--out", "o", "--seed", "two"],
+     "argument --seed: invalid int value: 'two'"),
+], ids=["missing-flag", "non-integer-seed"])
 def test_usage_error_prints_one_json_line(argv, error):
     """A usage error exits 1 with exactly one JSON summary line on stdout,
     as every other outcome does, and the usage text on stderr."""
